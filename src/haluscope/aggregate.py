@@ -194,17 +194,6 @@ def cooccurrence(profiles: Iterable[SampleProfile]) -> tuple[CooccurrenceMatrix,
     return CooccurrenceMatrix(counts=tuple(tuple(row) for row in counts)), rate
 
 
-def top_labels(profile: SampleProfile, limit: int = 3) -> list[tuple[Subcategory, int]]:
-    """The profile's most frequent subcategories, ties broken by canonical
-    order. `limit` is independent configuration, not derived from the
-    benchmark threshold."""
-    order = {sub: i for i, sub in enumerate(SUBCATEGORY_ORDER)}
-    ranked = sorted(
-        profile.subcategory_counts().items(), key=lambda item: (-item[1], order[item[0]])
-    )
-    return ranked[:limit]
-
-
 def format_rate(fraction: float) -> str:
     """Render a fraction as a percent string, e.g. 0.0107 -> "1.07%"."""
     return f"{fraction * 100:.2f}%"

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ConfigError, IngestionError
+from .corpus import read_jsonl
+from .errors import ConfigError
 from .taxonomy import (
     CATEGORY_ORDER,
     SUBCATEGORY_ORDER,
@@ -200,42 +201,32 @@ def export_manifest(manifest: BenchmarkManifest, path: str | Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
+    record_type = obj.get("record_type")
+    if record_type == "summary":
+        prov = obj.get("provenance", {})
+        return Provenance(
+            run_ids=tuple(prov.get("run_ids", ())),
+            threshold_k=int(prov.get("threshold_k", DEFAULT_THRESHOLD_K)),
+        )
+    if record_type == "entry":
+        return BenchmarkEntry(
+            task_id=obj["task_id"],
+            target_subcategory=Subcategory(obj["target_subcategory"]),
+            observed_frequency=int(obj["observed_frequency"]),
+            contributing_models=tuple(obj.get("contributing_models", ())),
+        )
+    raise ValueError(f"unknown record_type {record_type!r}")
+
+
 def load_manifest(path: str | Path) -> BenchmarkManifest:
-    path = Path(path)
     provenance = Provenance()
     grouped: dict[Subcategory, list[BenchmarkEntry]] = defaultdict(list)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(
-                    f"malformed JSON: {exc.msg}", path=str(path), line=lineno
-                ) from exc
-            if obj.get("record_type") == "summary":
-                prov = obj.get("provenance", {})
-                provenance = Provenance(
-                    run_ids=tuple(prov.get("run_ids", ())),
-                    threshold_k=int(prov.get("threshold_k", DEFAULT_THRESHOLD_K)),
-                )
-            elif obj.get("record_type") == "entry":
-                subcategory = Subcategory(obj["target_subcategory"])
-                grouped[subcategory].append(
-                    BenchmarkEntry(
-                        task_id=obj["task_id"],
-                        target_subcategory=subcategory,
-                        observed_frequency=int(obj["observed_frequency"]),
-                        contributing_models=tuple(obj.get("contributing_models", ())),
-                    )
-                )
-            else:
-                raise IngestionError(
-                    f"unknown record_type {obj.get('record_type')!r}",
-                    path=str(path),
-                    line=lineno,
-                )
+    for record in read_jsonl(path, _manifest_record):
+        if isinstance(record, Provenance):
+            provenance = record
+        else:
+            grouped[record.target_subcategory].append(record)
     entries_by_subcategory = {
         sub: tuple(grouped.get(sub, ())) for sub in SUBCATEGORY_ORDER
     }

@@ -11,7 +11,9 @@ import json
 import logging
 import shlex
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import click
 
@@ -47,119 +49,127 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _pick(cli_value, config: dict, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
+def _boolean(value) -> bool:
+    """A JSON boolean; bool() would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
-def _degeneration_config(config: dict, overrides: dict) -> degeneration.DegenerationConfig:
-    section = dict(config.get("degeneration", {}))
-    section.update({k: v for k, v in overrides.items() if v is not None})
-    base = degeneration.DEFAULT_CONFIG
-    return degeneration.DegenerationConfig(
-        repeat_count=int(section.get("repeat_count", base.repeat_count)),
-        block_size=int(section.get("block_size", base.block_size)),
-        enum_count=int(section.get("enum_count", base.enum_count)),
-        parse_valid_frac=float(section.get("parse_valid_frac", base.parse_valid_frac)),
-        window_frac=float(section.get("window_frac", base.window_frac)),
-    )
+def _command(value) -> tuple[str, ...]:
+    """An interpreter command: a shell-style string or a list of words."""
+    return tuple(shlex.split(value)) if isinstance(value, str) else tuple(value)
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """A group option that sets one run setting. Its parameter name is its
+    config-file key; a "degeneration." key names a field of the config
+    file's "degeneration" object. `field` is the RunConfig field it sets,
+    or the DegenerationConfig field for a degeneration key. `parse`
+    converts the CLI or config-file value into the field's value."""
+
+    flag: str
+    key: str
+    field: str
+    parse: Callable[[Any], Any]
+    click_type: Any = None
+    help: str | None = None
+    is_flag: bool = False
+
+    @property
+    def param(self) -> str:
+        return self.key.replace(".", "_")
+
+
+RUN_SETTINGS = (
+    _Setting("--out-dir", "out_dir", "out_dir", str, click.Path(), "Artifact directory."),
+    _Setting("--jobs", "jobs", "jobs", int, help="Parallel sandbox workers."),
+    _Setting("--interpreter", "interpreter", "interpreter", _command, str,
+             "Interpreter command, e.g. 'python3 -u'."),
+    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", int),
+    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", int),
+    _Setting("--threshold-k", "threshold_k", "threshold_k", int,
+             help="Benchmark inclusion threshold."),
+    _Setting("--classification-table", "classification_table", "table", taxonomy.load_table,
+             click.Path()),
+    _Setting("--indicator", "indicator", "indicator_mode", str, click.Choice(["target", "any"])),
+    _Setting("--fail-fast", "fail_fast", "fail_fast", _boolean, is_flag=True),
+    _Setting("--run-id", "run_id", "run_id", str),
+    _Setting("--artifact-dir", "artifact_dir", "artifact_root", str, click.Path(),
+             "Store stdin/stdout/stderr/outcome.json per execution."),
+    _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", int),
+    _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", int),
+    _Setting("--degeneration.enum-count", "degeneration.enum_count", "enum_count", int),
+    _Setting("--degeneration.parse-valid-frac", "degeneration.parse_valid_frac",
+             "parse_valid_frac", float),
+    _Setting("--degeneration.window-frac", "degeneration.window_frac", "window_frac", float),
+)
+
+
+def _config_value(config: dict, key: str):
+    section, _, name = key.rpartition(".")
+    scope = config.get(section, {}) if section else config
+    if not isinstance(scope, dict):
+        raise ConfigError(f"config key {section!r} must hold a JSON object")
+    return scope.get(name)
 
 
 def _run_config(
-    ctx: click.Context,
-    dataset: str | None,
-    completions: str | None,
-    require_dataset: bool = False,
+    ctx: click.Context, dataset: str | None, completions: str | None
 ) -> pipeline.RunConfig:
-    opts = ctx.obj
-    config = opts["config_file"]
-    dataset_path = dataset or config.get("dataset")
-    if dataset_path is None:
-        if require_dataset:
-            raise ConfigError("a dataset is required (--dataset or config key 'dataset')")
-        dataset_path = ""
-    interpreter_raw = _pick(opts["interpreter"], config, "interpreter", None)
-    if isinstance(interpreter_raw, str):
-        interpreter = tuple(shlex.split(interpreter_raw))
-    elif interpreter_raw:
-        interpreter = tuple(interpreter_raw)
-    else:
-        interpreter = None
-    table_path = _pick(opts["classification_table"], config, "classification_table", None)
-    table = taxonomy.load_table(table_path) if table_path else taxonomy.DEFAULT_TABLE
+    """Each setting takes its CLI value, else its config-file value, else
+    is left to RunConfig's (or DegenerationConfig's) own default."""
+    options, config = ctx.obj
+    fields: dict = {}
+    thresholds: dict = {}
+    for setting in RUN_SETTINGS:
+        value = options[setting.param]
+        if value is None:
+            value = _config_value(config, setting.key)
+        if value is None:
+            continue
+        try:
+            value = setting.parse(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {setting.key!r}: {exc}") from exc
+        target = thresholds if setting.key.startswith("degeneration.") else fields
+        target[setting.field] = value
+    if thresholds:
+        fields["degeneration_config"] = replace(degeneration.DEFAULT_CONFIG, **thresholds)
     return pipeline.RunConfig(
-        dataset_path=str(dataset_path),
+        dataset_path=str(dataset or config.get("dataset") or ""),
         completions_path=completions or config.get("completions"),
-        out_dir=str(_pick(opts["out_dir"], config, "out_dir", "out")),
-        interpreter=interpreter,
-        wall_time_ms=_pick(opts["wall_time_ms"], config, "wall_time_ms", None),
-        memory_bytes=_pick(opts["memory_bytes"], config, "memory_bytes", None),
-        jobs=int(_pick(opts["jobs"], config, "jobs", 1)),
-        fail_fast=bool(_pick(opts["fail_fast"], config, "fail_fast", False)),
-        threshold_k=int(_pick(opts["threshold_k"], config, "threshold_k", 2)),
-        table=table,
-        degeneration_config=_degeneration_config(config, opts["degeneration_overrides"]),
-        indicator_mode=str(_pick(opts["indicator"], config, "indicator", "target")),
-        run_id=str(_pick(opts["run_id"], config, "run_id", "run")),
-        artifact_root=_pick(opts["artifact_dir"], config, "artifact_dir", None),
+        **fields,
     )
+
+
+def _with_run_settings(command):
+    for setting in reversed(RUN_SETTINGS):
+        command = click.option(
+            setting.flag,
+            setting.param,
+            type=None if setting.is_flag else setting.click_type or setting.parse,
+            is_flag=setting.is_flag,
+            default=None,
+            help=setting.help,
+        )(command)
+    return command
 
 
 @click.group()
 @click.option("--config", "config_path", type=click.Path(), help="JSON file of defaults.")
-@click.option("--out-dir", type=click.Path(), default=None, help="Artifact directory.")
-@click.option("--jobs", type=int, default=None, help="Parallel sandbox workers.")
-@click.option("--interpreter", default=None, help="Interpreter command, e.g. 'python3 -u'.")
-@click.option("--limits.wall-ms", "wall_time_ms", type=int, default=None)
-@click.option("--limits.mem-bytes", "memory_bytes", type=int, default=None)
-@click.option("--threshold-k", type=int, default=None, help="Benchmark inclusion threshold.")
-@click.option("--classification-table", type=click.Path(), default=None)
-@click.option("--indicator", type=click.Choice(["target", "any"]), default=None)
-@click.option("--fail-fast", is_flag=True, default=None)
-@click.option("--run-id", default=None)
-@click.option("--artifact-dir", type=click.Path(), default=None,
-              help="Store stdin/stdout/stderr/outcome.json per execution.")
-@click.option("--degeneration.repeat-count", "degen_repeat_count", type=int, default=None)
-@click.option("--degeneration.block-size", "degen_block_size", type=int, default=None)
-@click.option("--degeneration.enum-count", "degen_enum_count", type=int, default=None)
-@click.option("--degeneration.parse-valid-frac", "degen_parse_valid_frac", type=float, default=None)
-@click.option("--degeneration.window-frac", "degen_window_frac", type=float, default=None)
+@_with_run_settings
 @click.option("-v", "--verbose", is_flag=True, default=False)
 @click.pass_context
-def cli(ctx, config_path, out_dir, jobs, interpreter, wall_time_ms, memory_bytes,
-        threshold_k, classification_table, indicator, fail_fast, run_id, artifact_dir,
-        degen_repeat_count, degen_block_size, degen_enum_count, degen_parse_valid_frac,
-        degen_window_frac, verbose):
+def cli(ctx, config_path, verbose, **options):
     """Execution-based detection, classification, and measurement of code
     hallucinations."""
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    ctx.obj = {
-        "config_file": _load_config_file(config_path),
-        "out_dir": out_dir,
-        "jobs": jobs,
-        "interpreter": interpreter,
-        "wall_time_ms": wall_time_ms,
-        "memory_bytes": memory_bytes,
-        "threshold_k": threshold_k,
-        "classification_table": classification_table,
-        "indicator": indicator,
-        "fail_fast": fail_fast or None,
-        "run_id": run_id,
-        "artifact_dir": artifact_dir,
-        "degeneration_overrides": {
-            "repeat_count": degen_repeat_count,
-            "block_size": degen_block_size,
-            "enum_count": degen_enum_count,
-            "parse_valid_frac": degen_parse_valid_frac,
-            "window_frac": degen_window_frac,
-        },
-    }
+    ctx.obj = (options, _load_config_file(config_path))
 
 
 def _load_provider(path: str) -> tuple[gateway.ProviderConfig, str]:
@@ -198,6 +208,21 @@ def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
     return str(target)
 
 
+def _source_config(
+    ctx: click.Context, dataset: str | None, completions: str | None, provider_path: str | None
+) -> pipeline.RunConfig:
+    """Run configuration of a command that detects over a dataset, with
+    completions read from a file or fetched through a provider."""
+    if completions and provider_path:
+        raise ConfigError("--completions and --provider are mutually exclusive")
+    config = _run_config(ctx, dataset, completions)
+    if not config.dataset_path:
+        raise ConfigError("a dataset is required (--dataset or config key 'dataset')")
+    if provider_path:
+        config.completions_path = _fetch_completions(config, provider_path)
+    return config
+
+
 @cli.command()
 @click.option("--dataset", type=click.Path(exists=True), default=None)
 @click.option("--completions", type=click.Path(exists=True), default=None)
@@ -207,12 +232,7 @@ def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
 def validate(ctx, dataset, completions, provider_path):
     """Detection pass: degeneration gate, sandboxed execution,
     classification. Writes states.jsonl."""
-    if completions and provider_path:
-        raise ConfigError("--completions and --provider are mutually exclusive")
-    config = _run_config(ctx, dataset, completions, require_dataset=True)
-    if provider_path:
-        config.completions_path = _fetch_completions(config, provider_path)
-    path = pipeline.validate_stage(config)
+    path = pipeline.validate_stage(_source_config(ctx, dataset, completions, provider_path))
     click.echo(f"wrote {path}")
 
 
@@ -244,8 +264,8 @@ def build_bench(ctx, dataset, profiles):
 @click.option("--profiles", type=click.Path(exists=True), default=None)
 @click.pass_context
 def evaluate(ctx, dataset, benchmark, profiles):
-    """Score models against a benchmark manifest; writes evaluation.json
-    and the report files."""
+    """Score models against a benchmark manifest; writes evaluation.json,
+    report.md, report.csv and report.json."""
     config = _run_config(ctx, dataset, None)
     path = pipeline.evaluate_stage(config, benchmark, profiles)
     click.echo(f"wrote {path}")
@@ -256,7 +276,8 @@ def evaluate(ctx, dataset, benchmark, profiles):
 @click.option("--profiles", type=click.Path(exists=True), default=None)
 @click.pass_context
 def report(ctx, dataset, profiles):
-    """Render markdown/CSV/JSON reports and the co-occurrence summary."""
+    """Co-occurrence summary: cooccurrence.json. The report files come
+    from evaluate."""
     config = _run_config(ctx, dataset, None)
     path = pipeline.report_stage(config, profiles)
     click.echo(f"wrote {path}")
@@ -269,12 +290,7 @@ def report(ctx, dataset, profiles):
 @click.pass_context
 def pipeline_cmd(ctx, dataset, completions, provider_path):
     """All stages in sequence over one artifact directory."""
-    if completions and provider_path:
-        raise ConfigError("--completions and --provider are mutually exclusive")
-    config = _run_config(ctx, dataset, completions, require_dataset=True)
-    if provider_path:
-        config.completions_path = _fetch_completions(config, provider_path)
-    path = pipeline.run_pipeline(config)
+    path = pipeline.run_pipeline(_source_config(ctx, dataset, completions, provider_path))
     click.echo(f"wrote {path}")
 
 

@@ -10,10 +10,13 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import IngestionError, ValidationError
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 DEFAULT_WALL_TIME_MS = 5_000
 DEFAULT_MEMORY_BYTES = 256 * 2**20
@@ -94,7 +97,15 @@ class Dataset:
         return {t.task_id: t for t in self.tasks}
 
 
-def _iter_jsonl(path: Path) -> list[tuple[int, dict]]:
+def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
+    """Decode every non-blank line of a JSON-lines file, in file order.
+
+    Each line must hold a JSON object. `decode` turns the object into a
+    value; a KeyError, ValueError, TypeError or AttributeError it raises
+    (a missing field, an unparseable value, a wrongly typed field) becomes
+    an IngestionError naming the path and line, and a ValidationError it
+    raises is re-raised with the same location prefixed."""
+    path = Path(path)
     records = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -108,34 +119,34 @@ def _iter_jsonl(path: Path) -> list[tuple[int, dict]]:
                 ) from exc
             if not isinstance(obj, dict):
                 raise IngestionError("expected a JSON object", path=str(path), line=lineno)
-            records.append((lineno, obj))
+            try:
+                records.append(decode(obj))
+            except KeyError as exc:
+                raise IngestionError(
+                    f"missing required field {exc.args[0]!r}", path=str(path), line=lineno
+                ) from exc
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise IngestionError(str(exc), path=str(path), line=lineno) from exc
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
-def _require(obj: dict, key: str, path: Path, lineno: int):
-    try:
-        return obj[key]
-    except KeyError:
-        raise IngestionError(f"missing required field {key!r}", path=str(path), line=lineno) from None
-
-
-def task_from_dict(obj: dict, *, path: Path | None = None, lineno: int | None = None) -> Task:
-    src = Path(path) if path is not None else Path("<memory>")
-    ln = lineno if lineno is not None else 0
-    task_id = str(_require(obj, "task_id", src, ln))
-    question = str(_require(obj, "question", src, ln))
-    raw_cases = _require(obj, "test_cases", src, ln)
+def task_from_dict(obj: dict) -> Task:
+    task_id = str(obj["task_id"])
+    question = str(obj["question"])
+    raw_cases = obj["test_cases"]
     if not isinstance(raw_cases, list):
-        raise IngestionError("'test_cases' must be a list", path=str(src), line=ln)
+        raise TypeError("'test_cases' must be a list")
     cases = []
     for case in raw_cases:
         if not isinstance(case, dict):
-            raise IngestionError("test case must be an object", path=str(src), line=ln)
-        case_input = _require(case, "input", src, ln)
+            raise TypeError("test case must be an object")
         # Missing expected_output is a schema error; the empty string is a
         # legitimate expectation and must survive ingestion.
-        expected = _require(case, "expected_output", src, ln)
-        cases.append(TestCase(input=str(case_input), expected_output=str(expected)))
+        cases.append(
+            TestCase(input=str(case["input"]), expected_output=str(case["expected_output"]))
+        )
     limits_obj = obj.get("limits") or {}
     limits = ResourceLimits(
         wall_time_ms=int(limits_obj.get("wall_time_ms", DEFAULT_WALL_TIME_MS)),
@@ -165,12 +176,7 @@ def load_dataset(path: str | Path, dataset_id: str | None = None) -> Dataset:
     ValidationError on invariant violations (duplicate ids, empty test
     lists)."""
     path = Path(path)
-    tasks = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            tasks.append(task_from_dict(obj, path=path, lineno=lineno))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    tasks = read_jsonl(path, task_from_dict)
     return Dataset(dataset_id=dataset_id or path.stem, tasks=tuple(tasks))
 
 
@@ -181,21 +187,17 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(task_to_dict(task), sort_keys=True) + "\n")
 
 
-def completion_from_dict(
-    obj: dict, *, path: Path | None = None, lineno: int | None = None
-) -> Completion:
+def completion_from_dict(obj: dict) -> Completion:
     from .gateway import extract_code  # deferred: gateway imports corpus types
 
-    src = Path(path) if path is not None else Path("<memory>")
-    ln = lineno if lineno is not None else 0
-    raw_response = str(_require(obj, "raw_response", src, ln))
+    raw_response = str(obj["raw_response"])
     source = obj.get("source_code")
     if source is None:
         source = extract_code(raw_response)
     sample_index = obj.get("sample_index")
     return Completion(
-        task_id=str(_require(obj, "task_id", src, ln)),
-        model_id=str(_require(obj, "model_id", src, ln)),
+        task_id=str(obj["task_id"]),
+        model_id=str(obj["model_id"]),
         raw_response=raw_response,
         source_code=str(source),
         sample_index=None if sample_index is None else int(sample_index),
@@ -225,32 +227,33 @@ def load_completions(
     a warning is emitted, so partial completion dumps stay evaluable.
     Repeated (task_id, model_id) pairs are rejected unless every repeat
     carries an explicit sample_index."""
-    path = Path(path)
-    completions = []
     seen_pairs: set[tuple[str, str]] = set()
     seen_indexed: set[tuple[str, str, int]] = set()
-    for lineno, obj in _iter_jsonl(path):
-        completion = completion_from_dict(obj, path=path, lineno=lineno)
+
+    def decode(obj: dict) -> Completion:
+        completion = completion_from_dict(obj)
         key = (completion.task_id, completion.model_id)
         if completion.sample_index is None:
             if key in seen_pairs:
-                raise ValidationError(
-                    f"{path}:{lineno}: repeated completion for {key} without sample_index"
-                )
+                raise ValidationError(f"repeated completion for {key} without sample_index")
             seen_pairs.add(key)
         else:
             triple = key + (completion.sample_index,)
             if triple in seen_indexed:
-                raise ValidationError(f"{path}:{lineno}: repeated completion {triple}")
+                raise ValidationError(f"repeated completion {triple}")
             seen_indexed.add(triple)
-        if known_task_ids is not None and completion.task_id not in known_task_ids:
-            logger.warning(
-                "completion %s:%s references unknown task_id %r",
-                path,
-                lineno,
-                completion.task_id,
-            )
-        completions.append(completion)
+        return completion
+
+    completions = read_jsonl(path, decode)
+    if known_task_ids is not None:
+        for completion in completions:
+            if completion.task_id not in known_task_ids:
+                logger.warning(
+                    "completion in %s (model %s) references unknown task_id %r",
+                    path,
+                    completion.model_id,
+                    completion.task_id,
+                )
     return completions
 
 

@@ -2,9 +2,17 @@
 evaluate -> report.
 
 Each stage reads and writes JSONL/JSON artifacts so intermediate states
-can be audited or injected. Outputs are deterministic: records are sorted,
-JSON keys are sorted, and no stage consumes entropy or embeds timestamps.
-Partially written files keep a .partial suffix.
+can be audited or injected:
+
+- validate writes states.jsonl;
+- identify writes profiles.jsonl and frequencies.json;
+- build-bench writes benchmark.jsonl and benchmark_summary.csv;
+- evaluate writes evaluation.json, report.md, report.csv and report.json;
+- report writes cooccurrence.json.
+
+Outputs are deterministic: records are sorted, JSON keys are sorted, and
+no stage consumes entropy or embeds timestamps. Partially written files
+keep a .partial suffix.
 """
 
 from __future__ import annotations
@@ -12,14 +20,23 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import aggregate, bench, degeneration, report as report_mod, sandbox, taxonomy
-from .corpus import Completion, Dataset, load_completions, load_dataset, with_limit_overrides
+from .corpus import (
+    Completion,
+    Dataset,
+    load_completions,
+    load_dataset,
+    read_jsonl,
+    with_limit_overrides,
+)
 from .errors import IngestionError, ReportError
-from .taxonomy import ClassificationTable, ClassKind, Subcategory
+from .taxonomy import ClassificationTable, ClassKind
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +81,23 @@ def atomic_write(path: Path, write: Callable[[Path], None]) -> None:
     os.replace(partial, path)
 
 
+def _write_text(path: Path, text: str) -> None:
+    atomic_write(path, lambda p: p.write_text(text, encoding="utf-8"))
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    def write(partial: Path) -> None:
+        with partial.open("w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+    atomic_write(path, write)
+
+
 def _state_row(
     record: aggregate.ClassifiedRecord, outcome: sandbox.ExecutionOutcome | None
 ) -> dict:
@@ -82,6 +116,38 @@ def _state_row(
     return row
 
 
+def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
+    return aggregate.ClassifiedRecord(
+        task_id=row["task_id"],
+        model_id=row["model_id"],
+        test_index=row.get("test_index"),
+        test_count=int(row["test_count"]),
+        classification=taxonomy.classification_from_dict(row["classification"]),
+    )
+
+
+def _artifact_dir(root: str | None, completion: Completion, index: int) -> str | None:
+    """`<root>/<task>__<model>/test_NNN`, with unsafe characters replaced."""
+    if root is None:
+        return None
+    name = re.sub(r"[^A-Za-z0-9._-]", "_", f"{completion.task_id}__{completion.model_id}")
+    return str(Path(root) / name / f"test_{index:03d}")
+
+
+def _execute_until_failure(
+    requests: Sequence[sandbox.ExecutionRequest],
+) -> list[sandbox.ExecutionOutcome]:
+    """Run one completion's requests in order and stop after its first
+    non-pass outcome."""
+    outcomes = []
+    for r in requests:
+        outcome = sandbox.execute(r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
+        outcomes.append(outcome)
+        if outcome.status is not sandbox.Status.PASS:
+            break
+    return outcomes
+
+
 def classify_corpus(
     dataset: Dataset,
     completions: Sequence[Completion],
@@ -94,12 +160,27 @@ def classify_corpus(
 ) -> list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]]:
     """Run the full detection flow for every completion: degeneration gate,
     execution of every test case, classification. Returns (record, outcome)
-    pairs; degenerate completions carry a single record with no outcome."""
+    pairs; degenerate completions carry a single record with no outcome.
+
+    Each executed completion's requests are built once. With `fail_fast`
+    they run in order and stop at that completion's first non-pass;
+    otherwise every request goes to one `sandbox.execute_batch`."""
     tasks = dataset.task_map()
+    interpreter = tuple(interpreter) if interpreter else None
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
-    pending_requests: list[sandbox.ExecutionRequest] = []
-    pending_meta: list[tuple[Completion, int, int]] = []  # completion, test_index, test_count
-    none_verdicts: dict[tuple[str, str], degeneration.DegenerationVerdict] = {}
+    executed: list[
+        tuple[Completion, degeneration.DegenerationVerdict, list[sandbox.ExecutionRequest]]
+    ] = []
+
+    def record(completion, verdict, test_index, outcome) -> None:
+        classified = aggregate.ClassifiedRecord(
+            task_id=completion.task_id,
+            model_id=completion.model_id,
+            test_index=test_index,
+            test_count=len(tasks[completion.task_id].test_cases),
+            classification=taxonomy.classify(verdict, outcome, table),
+        )
+        results.append((classified, outcome))
 
     for completion in completions:
         task = tasks.get(completion.task_id)
@@ -113,77 +194,32 @@ def classify_corpus(
         verdict = degeneration.detect(
             completion.source_code, completion.truncated_at_limit, degeneration_config
         )
-        test_count = len(task.test_cases)
         if verdict.kind is not degeneration.DegenerationKind.NONE:
-            classification = taxonomy.classify(verdict, None, table)
-            results.append(
-                (
-                    aggregate.ClassifiedRecord(
-                        task_id=completion.task_id,
-                        model_id=completion.model_id,
-                        test_index=None,
-                        test_count=test_count,
-                        classification=classification,
-                    ),
-                    None,
-                )
-            )
+            record(completion, verdict, None, None)
             continue
-        none_verdicts[(completion.task_id, completion.model_id)] = verdict
-        if fail_fast:
-            outcomes = sandbox.run_completion(
-                completion.source_code,
-                task,
+        requests = [
+            sandbox.ExecutionRequest(
+                key=(completion.task_id, completion.model_id, index),
+                source_code=completion.source_code,
+                test=test,
+                limits=task.limits,
                 interpreter=interpreter,
-                fail_fast=True,
-                artifact_root=artifact_root,
+                artifact_dir=_artifact_dir(artifact_root, completion, index),
             )
-            for index, outcome in enumerate(outcomes):
-                classification = taxonomy.classify(verdict, outcome, table)
-                results.append(
-                    (
-                        aggregate.ClassifiedRecord(
-                            task_id=completion.task_id,
-                            model_id=completion.model_id,
-                            test_index=index,
-                            test_count=test_count,
-                            classification=classification,
-                        ),
-                        outcome,
-                    )
-                )
-            continue
-        for index, test in enumerate(task.test_cases):
-            pending_requests.append(
-                sandbox.ExecutionRequest(
-                    key=(completion.task_id, completion.model_id, index),
-                    source_code=completion.source_code,
-                    test=test,
-                    limits=task.limits,
-                    interpreter=tuple(interpreter) if interpreter else None,
-                    artifact_dir=sandbox._artifact_subdir(
-                        artifact_root, f"{completion.task_id}__{completion.model_id}", index
-                    ),
-                )
-            )
-            pending_meta.append((completion, index, test_count))
+            for index, test in enumerate(task.test_cases)
+        ]
+        executed.append((completion, verdict, requests))
 
-    outcomes = sandbox.execute_batch(pending_requests, jobs=jobs)
-    for (completion, index, test_count), outcome in zip(pending_meta, outcomes):
-        verdict = none_verdicts[(completion.task_id, completion.model_id)]
-        classification = taxonomy.classify(verdict, outcome, table)
-        results.append(
-            (
-                aggregate.ClassifiedRecord(
-                    task_id=completion.task_id,
-                    model_id=completion.model_id,
-                    test_index=index,
-                    test_count=test_count,
-                    classification=classification,
-                ),
-                outcome,
-            )
+    if fail_fast:
+        outcomes_per_completion = [_execute_until_failure(reqs) for _, _, reqs in executed]
+    else:
+        flat = iter(
+            sandbox.execute_batch([r for _, _, reqs in executed for r in reqs], jobs=jobs)
         )
+        outcomes_per_completion = [list(islice(flat, len(reqs))) for _, _, reqs in executed]
+    for (completion, verdict, _), outcomes in zip(executed, outcomes_per_completion):
+        for index, outcome in enumerate(outcomes):
+            record(completion, verdict, index, outcome)
 
     results.sort(
         key=lambda pair: (
@@ -222,38 +258,12 @@ def validate_stage(config: RunConfig) -> Path:
         logger.warning("%d executions ended in harness faults", fault_count)
 
     states_path = out_dir / STATES_FILE
-
-    def write(path: Path) -> None:
-        with path.open("w", encoding="utf-8") as fh:
-            for record, outcome in pairs:
-                fh.write(json.dumps(_state_row(record, outcome), sort_keys=True) + "\n")
-
-    atomic_write(states_path, write)
+    _write_jsonl(states_path, (_state_row(record, outcome) for record, outcome in pairs))
     return states_path
 
 
 def load_states(path: str | Path) -> list[aggregate.ClassifiedRecord]:
-    records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(
-                    f"malformed JSON: {exc.msg}", path=str(path), line=lineno
-                ) from exc
-            records.append(
-                aggregate.ClassifiedRecord(
-                    task_id=obj["task_id"],
-                    model_id=obj["model_id"],
-                    test_index=obj.get("test_index"),
-                    test_count=int(obj["test_count"]),
-                    classification=taxonomy.classification_from_dict(obj["classification"]),
-                )
-            )
-    return records
+    return read_jsonl(path, _record_from_row)
 
 
 def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> Path:
@@ -265,13 +275,7 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
     profiles = aggregate.build_profiles(states)
 
     profiles_path = out_dir / PROFILES_FILE
-
-    def write_profiles(path: Path) -> None:
-        with path.open("w", encoding="utf-8") as fh:
-            for profile in profiles:
-                fh.write(json.dumps(aggregate.profile_to_dict(profile), sort_keys=True) + "\n")
-
-    atomic_write(profiles_path, write_profiles)
+    _write_jsonl(profiles_path, (aggregate.profile_to_dict(p) for p in profiles))
 
     freq_payload = {
         "subcategory": aggregate.frequency_list_to_dict(
@@ -281,30 +285,12 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
             aggregate.frequency_list(profiles, "raw_cause")
         ),
     }
-
-    def write_freq(path: Path) -> None:
-        path.write_text(
-            json.dumps(freq_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
-    atomic_write(out_dir / FREQUENCIES_FILE, write_freq)
+    _write_json(out_dir / FREQUENCIES_FILE, freq_payload)
     return profiles_path
 
 
 def load_profiles(path: str | Path) -> list[aggregate.SampleProfile]:
-    profiles = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(
-                    f"malformed JSON: {exc.msg}", path=str(path), line=lineno
-                ) from exc
-            profiles.append(aggregate.profile_from_dict(obj))
-    return profiles
+    return read_jsonl(path, aggregate.profile_from_dict)
 
 
 def build_bench_stage(config: RunConfig, profiles_path: str | Path | None = None) -> Path:
@@ -324,7 +310,8 @@ def evaluate_stage(
     profiles_path: str | Path | None = None,
 ) -> Path:
     """Score every model found in the profiles against the benchmark and
-    render the report files."""
+    render the report: evaluation.json, report.md, report.csv and
+    report.json."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = bench.load_manifest(benchmark_path or out_dir / BENCHMARK_FILE)
@@ -343,53 +330,27 @@ def evaluate_stage(
         crosshits_by_model[model_id] = report_mod.crosshits_to_dict(crosshits)
     hr_report = report_mod.render_report(all_cells)
 
-    evaluation_payload = {
-        "indicator_mode": config.indicator_mode,
-        "report": report_mod.report_to_dict(hr_report),
-        "crosshits": crosshits_by_model,
-    }
-    atomic_write(
+    _write_json(
         out_dir / EVALUATION_FILE,
-        lambda p: p.write_text(
-            json.dumps(evaluation_payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        ),
+        {
+            "indicator_mode": config.indicator_mode,
+            "report": report_mod.report_to_dict(hr_report),
+            "crosshits": crosshits_by_model,
+        },
     )
-    _write_report_files(out_dir, hr_report, crosshits_by_model)
+    _write_text(
+        out_dir / REPORT_MD_FILE,
+        report_mod.render_markdown(hr_report)
+        + report_mod.render_crosshits_markdown(crosshits_by_model),
+    )
+    _write_text(out_dir / REPORT_CSV_FILE, report_mod.render_csv(hr_report))
+    _write_text(out_dir / REPORT_JSON_FILE, report_mod.render_json(hr_report))
     return out_dir / EVALUATION_FILE
 
 
-def _write_report_files(out_dir: Path, hr_report, crosshits_by_model: dict) -> None:
-    markdown = report_mod.render_markdown(hr_report)
-    crosshit_sections = []
-    for model_id, crosshits in sorted(crosshits_by_model.items()):
-        rows = [
-            f"| {target} | {observed} | {count} |"
-            for target, row in sorted(crosshits.items())
-            for observed, count in sorted(row.items())
-        ]
-        if rows:
-            crosshit_sections.append(
-                f"\n### Off-target hallucinations: {model_id}\n\n"
-                "| Target | Observed | Samples |\n|---|---|---|\n" + "\n".join(rows) + "\n"
-            )
-    if crosshit_sections:
-        markdown += "\n## Cross-hit tables\n" + "".join(crosshit_sections)
-    atomic_write(
-        out_dir / REPORT_MD_FILE, lambda p: p.write_text(markdown, encoding="utf-8")
-    )
-    atomic_write(
-        out_dir / REPORT_CSV_FILE,
-        lambda p: p.write_text(report_mod.render_csv(hr_report), encoding="utf-8"),
-    )
-    atomic_write(
-        out_dir / REPORT_JSON_FILE,
-        lambda p: p.write_text(report_mod.render_json(hr_report), encoding="utf-8"),
-    )
-
-
 def report_stage(config: RunConfig, profiles_path: str | Path | None = None) -> Path:
-    """Render the co-occurrence summary (and re-render report files when an
-    evaluation artifact exists)."""
+    """Co-occurrence pass: cooccurrence.json, one subcategory matrix and
+    cross-task rate per model."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
@@ -403,35 +364,12 @@ def report_stage(config: RunConfig, profiles_path: str | Path | None = None) -> 
             "cross_task_rate": rate,
             "cross_task_rate_percent": aggregate.format_rate(rate),
         }
-    atomic_write(
-        out_dir / COOCCURRENCE_FILE,
-        lambda p: p.write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        ),
-    )
-
-    evaluation_path = out_dir / EVALUATION_FILE
-    if evaluation_path.exists():
-        payload_eval = json.loads(evaluation_path.read_text(encoding="utf-8"))
-        cells = []
-        for row in payload_eval["report"]["rows"]:
-            for sub_value, hr in row["subcategory_hr"].items():
-                subcategory = Subcategory(sub_value)
-                cells.append(
-                    report_mod.HRCell(
-                        model_id=row["model_id"],
-                        subcategory=subcategory,
-                        hallucinated_samples=row["hallucinated_samples"][sub_value],
-                        total_samples=payload_eval["report"]["sample_counts"][sub_value],
-                    )
-                )
-        hr_report = report_mod.render_report(cells)
-        _write_report_files(out_dir, hr_report, payload_eval.get("crosshits", {}))
+    _write_json(out_dir / COOCCURRENCE_FILE, payload)
     return out_dir / COOCCURRENCE_FILE
 
 
 def run_pipeline(config: RunConfig) -> Path:
-    """Single-shot convenience: all four stages over one out_dir. Equivalent
+    """Single-shot convenience: all five stages over one out_dir. Equivalent
     to running the stages separately over the same files."""
     states = validate_stage(config)
     profiles = identify_stage(config, states)

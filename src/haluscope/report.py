@@ -365,18 +365,23 @@ def crosshits_to_dict(
 
 
 def render_crosshits_markdown(
-    crosshits: Mapping[Subcategory, Mapping[Subcategory, int]]
+    crosshits_by_model: Mapping[str, Mapping[str, Mapping[str, int]]]
 ) -> str:
-    """Secondary table: samples whose profile hallucinated off-target."""
-    out = io.StringIO()
-    out.write("| Target | Off-target | Samples |\n|---|---|---|\n")
-    for target in SUBCATEGORY_ORDER:
-        row = crosshits.get(target, {})
-        for observed in SUBCATEGORY_ORDER:
-            count = row.get(observed, 0)
-            if count:
-                out.write(
-                    f"| {_SUBCATEGORY_SHORT[target]} | "
-                    f"{_SUBCATEGORY_SHORT[observed]} | {count} |\n"
-                )
-    return out.getvalue()
+    """Markdown section of off-target hallucinations, one table per model
+    that has any, from `crosshits_to_dict` output keyed by model. Empty
+    when no model hallucinated off-target."""
+    sections = []
+    for model_id, crosshits in sorted(crosshits_by_model.items()):
+        rows = [
+            f"| {target} | {observed} | {count} |"
+            for target, row in sorted(crosshits.items())
+            for observed, count in sorted(row.items())
+        ]
+        if rows:
+            sections.append(
+                f"\n### Off-target hallucinations: {model_id}\n\n"
+                "| Target | Observed | Samples |\n|---|---|---|\n" + "\n".join(rows) + "\n"
+            )
+    if not sections:
+        return ""
+    return "\n## Cross-hit tables\n" + "".join(sections)

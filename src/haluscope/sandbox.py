@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import ResourceLimits, Task, TestCase
+from .corpus import ResourceLimits, TestCase
 
 logger = logging.getLogger(__name__)
 
@@ -555,46 +555,3 @@ def execute_batch(requests: Sequence[ExecutionRequest], jobs: int = 1) -> list[E
             for r in requests
         ]
         return [f.result() for f in futures]
-
-
-def run_completion(
-    source_code: str,
-    task: Task,
-    interpreter: Sequence[str] | None = None,
-    jobs: int = 1,
-    fail_fast: bool = False,
-    artifact_root: str | Path | None = None,
-) -> list[ExecutionOutcome]:
-    """Run one completion over all of a task's test cases.
-
-    All tests run by default (frequency statistics need every outcome);
-    fail_fast stops at the first non-Pass outcome and reports only the
-    outcomes observed so far."""
-    if fail_fast:
-        outcomes = []
-        for index, test in enumerate(task.test_cases):
-            artifact_dir = _artifact_subdir(artifact_root, task.task_id, index)
-            outcome = execute(source_code, test, task.limits, interpreter, artifact_dir)
-            outcomes.append(outcome)
-            if outcome.status is not Status.PASS:
-                break
-        return outcomes
-    requests = [
-        ExecutionRequest(
-            key=(task.task_id, index),
-            source_code=source_code,
-            test=test,
-            limits=task.limits,
-            interpreter=tuple(interpreter) if interpreter else None,
-            artifact_dir=_artifact_subdir(artifact_root, task.task_id, index),
-        )
-        for index, test in enumerate(task.test_cases)
-    ]
-    return execute_batch(requests, jobs=jobs)
-
-
-def _artifact_subdir(root: str | Path | None, task_id: str, index: int) -> str | None:
-    if root is None:
-        return None
-    safe_task = re.sub(r"[^A-Za-z0-9._-]", "_", task_id)
-    return str(Path(root) / safe_task / f"test_{index:03d}")

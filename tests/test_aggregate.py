@@ -17,7 +17,6 @@ from haluscope.aggregate import (
     frequency_list,
     profile_from_dict,
     profile_to_dict,
-    top_labels,
 )
 from haluscope.taxonomy import (
     PASS_RESULT,
@@ -281,15 +280,6 @@ class TestCooccurrence:
         payload = matrix.to_dict()
         assert payload["order"] == [s.value for s in SUBCATEGORY_ORDER]
         assert len(payload["counts"]) == 8
-
-
-class TestTopLabels:
-    def test_limit_and_tie_break(self):
-        profile = _profile("t", "m", [IDENTITY, IDENTITY, DEVIATION, BREAKDOWN])
-        ranked = top_labels(profile, limit=2)
-        assert ranked[0] == (IDENTITY, 2)
-        # tie between deviation and breakdown resolves in canonical order
-        assert ranked[1] == (DEVIATION, 1)
 
 
 def test_profile_round_trip():

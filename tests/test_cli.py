@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from haluscope.cli import main
+from haluscope import pipeline, taxonomy
+from haluscope.cli import RUN_SETTINGS, main
 from haluscope.pipeline import (
     BENCHMARK_FILE,
     BENCHMARK_SUMMARY_FILE,
@@ -27,6 +28,13 @@ def _run(args):
 
 def _read_lines(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+EXPECTED = Path(__file__).parent / "fixtures" / "mini" / "expected"
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +130,38 @@ class TestDeterminism:
             assert a == b, path.name
 
 
+class TestGoldenArtifacts:
+    def test_pipeline_matches_expected_files(self, mini_corpus, tmp_path):
+        """fixtures/mini/expected holds every artifact of a reference run
+        over the mini corpus with the measurement fields blanked; a change
+        to any byte of them must be deliberate."""
+        out = tmp_path / "out"
+        assert _run(["--out-dir", out, "--jobs", "4", "pipeline",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]]) == 0
+        names = sorted(p.name for p in EXPECTED.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            actual = normalize_measurements((out / name).read_bytes().decode("utf-8"))
+            assert actual == (EXPECTED / name).read_bytes().decode("utf-8"), name
+
+
+_STATE_ROW = {
+    "task_id": "t",
+    "model_id": "m",
+    "test_index": 0,
+    "test_count": 1,
+    "classification": {"kind": "pass", "cause": "pass"},
+    "status": "pass",
+}
+_MANIFEST_SUMMARY = {
+    "record_type": "summary",
+    "provenance": {"run_ids": [], "threshold_k": 2},
+    "categories": [],
+}
+_TASK = {"task_id": "t", "question": "q", "test_cases": [{"input": "", "expected_output": ""}]}
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert _run(["validate", "--no-such-flag"]) == 1
@@ -196,6 +236,41 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ReportError"
 
+    @pytest.mark.parametrize(
+        "command, filename, bad_record",
+        [
+            ("identify", STATES_FILE,
+             json.dumps({k: v for k, v in _STATE_ROW.items() if k != "test_count"})),
+            ("identify", STATES_FILE, "[1, 2]"),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "bogus",
+                         "observed_frequency": 3, "contributing_models": ["m"]})),
+            ("validate", "tasks.jsonl",
+             json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}})),
+        ],
+        ids=["states-missing-field", "states-not-an-object", "manifest-bad-subcategory",
+             "tasks-bad-limit"],
+    )
+    def test_malformed_artifact_names_path_and_line(
+        self, tmp_path, capsys, command, filename, bad_record
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / filename
+        first = {STATES_FILE: _STATE_ROW, BENCHMARK_FILE: _MANIFEST_SUMMARY}.get(filename, _TASK)
+        _write_lines(path, [json.dumps(first), bad_record])
+        args = ["--out-dir", out, command]
+        if command == "validate":
+            completions = tmp_path / "completions.jsonl"
+            _write_lines(completions, [json.dumps({"task_id": "t", "model_id": "m",
+                                                   "raw_response": "print()"})])
+            args += ["--dataset", path, "--completions", completions]
+        assert _run(args) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "IngestionError"
+        assert payload["exit_code"] == 2
+        assert payload["message"].startswith(f"{path}:2: ")
+
     def test_mutually_exclusive_sources(self, mini_corpus, tmp_path):
         provider = tmp_path / "provider.json"
         provider.write_text(json.dumps({"endpoint": "file", "model_id": "m", "path": "."}))
@@ -224,6 +299,91 @@ class TestConfigFile:
         # CLI --out-dir wins over the config file
         assert _run(["--config", config, "--out-dir", tmp_path / "cli-wins", "validate"]) == 0
         assert (tmp_path / "cli-wins" / STATES_FILE).exists()
+
+
+def _setting_samples(tmp_path: Path) -> dict:
+    """Per config key: (CLI word, the field value it gives, config-file
+    value, the field value it gives). A fifth item is the config value the
+    CLI overrides, when it must differ from the fourth."""
+    tables = {}
+    for name, fallback in (("cli", "unmapped_as_logic_deviation"), ("config", "unmapped_report")):
+        path = tmp_path / f"{name}-table.json"
+        path.write_text(json.dumps(
+            {"exception_map": {"EOFError": "identity"}, "fallback": fallback}
+        ))
+        tables[name] = (str(path), taxonomy.load_table(path))
+    return {
+        "out_dir": ("cli-out", "cli-out", "config-out", "config-out"),
+        "jobs": ("3", 3, 2, 2),
+        "interpreter": ("python3 -u", ("python3", "-u"),
+                        ["python3", "-X", "dev"], ("python3", "-X", "dev")),
+        "wall_time_ms": ("1500", 1500, 2500, 2500),
+        "memory_bytes": ("134217728", 2**27, 2**28, 2**28),
+        "threshold_k": ("5", 5, 4, 4),
+        "classification_table": (*tables["cli"], *tables["config"]),
+        "indicator": ("target", "target", "any", "any"),
+        "fail_fast": (None, True, True, True, False),
+        "run_id": ("cli-run", "cli-run", "config-run", "config-run"),
+        "artifact_dir": ("cli-artifacts", "cli-artifacts", "config-artifacts", "config-artifacts"),
+        "degeneration.repeat_count": ("7", 7, 8, 8),
+        "degeneration.block_size": ("2", 2, 4, 4),
+        "degeneration.enum_count": ("30", 30, 40, 40),
+        "degeneration.parse_valid_frac": ("0.5", 0.5, 0.7, 0.7),
+        "degeneration.window_frac": ("0.8", 0.8, 0.9, 0.9),
+    }
+
+
+def _setting_field(config: pipeline.RunConfig, setting):
+    owner = config.degeneration_config if setting.key.startswith("degeneration.") else config
+    return getattr(owner, setting.field)
+
+
+class TestSettingPrecedence:
+    @pytest.mark.parametrize("setting", RUN_SETTINGS, ids=lambda s: s.key)
+    def test_cli_then_config_then_default(self, setting, mini_corpus, tmp_path, monkeypatch):
+        samples = _setting_samples(tmp_path)
+        cli_word, cli_value, config_value, config_field, *overridden = samples[setting.key]
+
+        def resolved(use_cli: bool, config_entry) -> object:
+            captured = []
+            monkeypatch.setattr(pipeline, "run_pipeline", lambda config: captured.append(config))
+            args = []
+            if config_entry is not None:
+                section, _, name = setting.key.rpartition(".")
+                entry = {section: {name: config_entry}} if section else {name: config_entry}
+                config_path = tmp_path / "config.json"
+                config_path.write_text(json.dumps(entry))
+                args += ["--config", config_path]
+            if use_cli:
+                args += [setting.flag] if setting.is_flag else [setting.flag, cli_word]
+            assert _run(args + ["pipeline", "--dataset", mini_corpus["tasks"],
+                                "--completions", mini_corpus["completions"]]) == 0
+            return _setting_field(captured[0], setting)
+
+        assert resolved(True, overridden[0] if overridden else config_value) == cli_value
+        assert resolved(False, config_value) == config_field
+        assert resolved(False, None) == _setting_field(pipeline.RunConfig(dataset_path=""), setting)
+
+    def test_samples_cover_every_setting(self, tmp_path):
+        assert set(_setting_samples(tmp_path)) == {s.key for s in RUN_SETTINGS}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"jobs": "four"}, {"threshold_k": "many"}, {"wall_time_ms": "x"},
+         {"interpreter": 3}, {"fail_fast": "false"}, {"degeneration": {"window_frac": "wide"}},
+         {"degeneration": 3}],
+        ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "fail_fast", "window_frac",
+             "degeneration-section"],
+    )
+    def test_mistyped_config_value_is_config_error(self, entry, mini_corpus, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(entry))
+        code = _run(["--config", config_path, "--out-dir", tmp_path / "out", "validate",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
 
 
 class TestFileProviderFlow:

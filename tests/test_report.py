@@ -16,6 +16,7 @@ from haluscope.report import (
     evaluate_model,
     hallucination_rate,
     indicator,
+    render_crosshits_markdown,
     render_csv,
     render_json,
     render_markdown,
@@ -288,3 +289,28 @@ class TestEvaluateModel:
         mixed = [_profile("A", "m1", []), _profile("B", "m2", [])]
         with pytest.raises(ReportError, match="one model"):
             evaluate_model(manifest, mixed)
+
+
+class TestRenderCrosshitsMarkdown:
+    def test_one_table_per_model_with_off_target_hits(self):
+        crosshits_by_model = {
+            "model-b": {
+                "identity": {"logic_deviation": 2, "data_compliance": 1},
+                "logic_deviation": {},
+            },
+            "model-a": {"structure_access": {"identity": 3}},
+            "model-clean": {"identity": {}},
+        }
+        assert render_crosshits_markdown(crosshits_by_model) == (
+            "\n## Cross-hit tables\n"
+            "\n### Off-target hallucinations: model-a\n\n"
+            "| Target | Observed | Samples |\n|---|---|---|\n"
+            "| structure_access | identity | 3 |\n"
+            "\n### Off-target hallucinations: model-b\n\n"
+            "| Target | Observed | Samples |\n|---|---|---|\n"
+            "| identity | data_compliance | 1 |\n"
+            "| identity | logic_deviation | 2 |\n"
+        )
+
+    def test_empty_without_off_target_hits(self):
+        assert render_crosshits_markdown({"model-clean": {"identity": {}}}) == ""

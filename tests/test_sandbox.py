@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haluscope.corpus import ResourceLimits, Task, TestCase
+from haluscope.corpus import Completion, Dataset, ResourceLimits, Task, TestCase
+from haluscope.pipeline import classify_corpus
 from haluscope.sandbox import (
     ENFORCEMENT_SLACK_MS,
     ExecutionRequest,
@@ -19,7 +20,6 @@ from haluscope.sandbox import (
     execute_batch,
     outcome_from_dict,
     outcome_to_dict,
-    run_completion,
 )
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
@@ -267,26 +267,65 @@ class TestIsolationAndBatch:
         reverse = [o.status for o in execute_batch(list(reversed(requests)), jobs=2)]
         assert forward == list(reversed(reverse))
 
-    def test_run_completion_all_tests(self):
+    def test_classify_corpus_runs_every_test(self):
         task = Task(
             task_id="t",
             question="q",
             test_cases=(TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "5")),
             limits=LIMITS,
         )
-        outcomes = run_completion("print(int(input())+1)", task)
-        assert [o.status for o in outcomes] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
-
-    def test_run_completion_fail_fast_stops(self):
-        task = Task(
-            task_id="t",
-            question="q",
-            test_cases=(TestCase("1", "bad"), TestCase("2", "3")),
-            limits=LIMITS,
+        source = "print(int(input())+1)"
+        pairs = classify_corpus(
+            Dataset("d", (task,)), [Completion("t", "m", source, source)], jobs=2
         )
-        outcomes = run_completion("print(int(input())+1)", task, fail_fast=True)
-        assert len(outcomes) == 1
-        assert outcomes[0].status is Status.WRONG_OUTPUT
+        assert [o.status for _, o in pairs] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
+        assert [r.test_index for r, _ in pairs] == [0, 1, 2]
+
+    def test_classify_corpus_fail_fast_stops_per_completion(self):
+        pairs = classify_corpus(*_fail_fast_corpus(), fail_fast=True)
+        statuses: dict[str, list[Status]] = {}
+        for record, outcome in pairs:
+            statuses.setdefault(record.model_id, []).append(outcome.status)
+        assert statuses == {
+            "m-first": [Status.WRONG_OUTPUT],
+            "m-pass": [Status.PASS, Status.PASS, Status.PASS],
+            "m-second": [Status.PASS, Status.WRONG_OUTPUT],
+        }
+
+    def test_fail_fast_artifact_dirs_distinct_per_model(self, tmp_path):
+        dataset, completions = _fail_fast_corpus()
+        classify_corpus(dataset, completions, fail_fast=True, artifact_root=str(tmp_path))
+        dirs = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("prog.py"))
+        assert dirs == [
+            "t__m-first/test_000",
+            "t__m-pass/test_000",
+            "t__m-pass/test_001",
+            "t__m-pass/test_002",
+            "t__m-second/test_000",
+            "t__m-second/test_001",
+        ]
+        sources = {c.model_id: c.source_code for c in completions}
+        for directory in dirs:
+            model_id = directory.split("/")[0].split("__")[1]
+            assert (tmp_path / directory / "prog.py").read_text() == sources[model_id]
+
+
+def _fail_fast_corpus() -> tuple[Dataset, list[Completion]]:
+    """One three-test task answered by a program passing every test, one
+    failing the first test and one failing the second."""
+    task = Task(
+        task_id="t",
+        question="q",
+        test_cases=(TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")),
+        limits=LIMITS,
+    )
+    sources = {
+        "m-pass": "print(int(input())+1)",
+        "m-first": "print(int(input())+2)",
+        "m-second": "n = int(input())\nprint(n+1 if n < 2 else 0)",
+    }
+    completions = [Completion("t", model, src, src) for model, src in sources.items()]
+    return Dataset("d", (task,)), completions
 
 
 def test_outcome_round_trip():
