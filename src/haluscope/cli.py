@@ -29,6 +29,7 @@ from .errors import (
     TemplateError,
     ValidationError,
 )
+from .report import INDICATOR_MODES
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +54,12 @@ def _boolean(value) -> bool:
     """A JSON boolean; bool() would read the string "false" as true."""
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _indicator(value) -> str:
+    if value not in INDICATOR_MODES:
+        raise ValueError(f"expected one of {', '.join(INDICATOR_MODES)}, got {value!r}")
     return value
 
 
@@ -93,7 +100,8 @@ RUN_SETTINGS = (
              help="Benchmark inclusion threshold."),
     _Setting("--classification-table", "classification_table", "table", taxonomy.load_table,
              click.Path()),
-    _Setting("--indicator", "indicator", "indicator_mode", str, click.Choice(["target", "any"])),
+    _Setting("--indicator", "indicator", "indicator_mode", _indicator,
+             click.Choice(INDICATOR_MODES)),
     _Setting("--fail-fast", "fail_fast", "fail_fast", _boolean, is_flag=True),
     _Setting("--run-id", "run_id", "run_id", str),
     _Setting("--artifact-dir", "artifact_dir", "artifact_root", str, click.Path(),

@@ -24,6 +24,10 @@ _KEYWORD_PREFIX = re.compile(
 )
 _BRACKET_ONLY = re.compile(r"^[\[\]\(\)\{\}\s,:]+$")
 
+# What parsing may raise on text that does not parse: pathological nesting
+# exhausts the parser (MemoryError) or the AST builder (RecursionError).
+_UNPARSEABLE = (SyntaxError, ValueError, MemoryError, RecursionError)
+
 
 class DegenerationKind(str, Enum):
     NONE = "none"
@@ -176,7 +180,7 @@ def _check_gibberish(
     try:
         ast.parse(source_code)
         return None
-    except (SyntaxError, ValueError):
+    except _UNPARSEABLE:
         pass
     if not lines:
         valid_frac = 0.0
@@ -210,6 +214,6 @@ def _program_like(line: str) -> bool:
         try:
             compile(candidate, "<line>", "exec")
             return True
-        except (SyntaxError, ValueError):
+        except _UNPARSEABLE:
             continue
     return False

@@ -141,7 +141,7 @@ def _execute_until_failure(
     non-pass outcome."""
     outcomes = []
     for r in requests:
-        outcome = sandbox.execute(r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
+        outcome = sandbox.execute_request(r)
         outcomes.append(outcome)
         if outcome.status is not sandbox.Status.PASS:
             break
@@ -163,8 +163,9 @@ def classify_corpus(
     pairs; degenerate completions carry a single record with no outcome.
 
     Each executed completion's requests are built once. With `fail_fast`
-    they run in order and stop at that completion's first non-pass;
-    otherwise every request goes to one `sandbox.execute_batch`."""
+    up to `jobs` completions run at a time, each running its requests in
+    order and stopping at its first non-pass; otherwise every request goes
+    to one `sandbox.execute_batch`."""
     tasks = dataset.task_map()
     interpreter = tuple(interpreter) if interpreter else None
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
@@ -211,7 +212,9 @@ def classify_corpus(
         executed.append((completion, verdict, requests))
 
     if fail_fast:
-        outcomes_per_completion = [_execute_until_failure(reqs) for _, _, reqs in executed]
+        outcomes_per_completion = sandbox.map_in_order(
+            _execute_until_failure, [reqs for _, _, reqs in executed], jobs
+        )
     else:
         flat = iter(
             sandbox.execute_batch([r for _, _, reqs in executed for r in reqs], jobs=jobs)

@@ -29,6 +29,10 @@ from .taxonomy import (
     subcategories_of,
 )
 
+# evaluate_model's indicator modes: the target subcategory's indicator, or
+# any hallucination label.
+INDICATOR_MODES = ("target", "any")
+
 _SUBCATEGORY_SHORT = {
     Subcategory.DATA_COMPLIANCE: "DC",
     Subcategory.STRUCTURE_ACCESS: "SA",
@@ -217,7 +221,7 @@ def evaluate_model(
     cross-hit table: off-target subcategories observed on a target's
     samples, which are surfaced separately instead of being folded into
     the target cell."""
-    if indicator_mode not in ("target", "any"):
+    if indicator_mode not in INDICATOR_MODES:
         raise ReportError(f"unknown indicator mode {indicator_mode!r}")
     profiles = list(profiles)
     models = {p.model_id for p in profiles}

@@ -4,6 +4,14 @@ Each execution runs in a fresh temporary directory with an allowlisted
 environment, an OS virtual-memory cap, a CPU-time backstop, and a
 socket-denying interpreter guard. Isolation is best effort: the harness
 targets honest resource accounting, not adversarial security.
+
+An execution has a compile stage, which tells a syntax failure apart from
+a runtime failure, and a run stage in a child interpreter. With the
+harness's own interpreter (no interpreter given, or `[sys.executable]`)
+the compile stage is an in-process `compile()` of prog.py's bytes, so one
+child runs per execution and none for a syntax failure. A foreign
+interpreter may accept other syntax, so it compiles in its own
+`python -m py_compile` child before the run child.
 """
 
 from __future__ import annotations
@@ -20,11 +28,12 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import ResourceLimits, TestCase
 
@@ -43,6 +52,13 @@ _TRACEBACK_HEADER = "Traceback (most recent call last):"
 _FILE_LINE = re.compile(r'^\s+File "')
 _EXC_LINE = re.compile(
     r"^([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)(?::\s?(.*))?\s*$"
+)
+# The one-line forms of a compile error: py_compile prints a SyntaxError
+# without a location bare, and a subclass as "Sorry: <name>: <message>
+# (<file>, line <n>)"; the location suffix is dropped.
+_COMPILE_ERROR_LINE = re.compile(
+    r"^(?:Sorry: )?(SyntaxError|IndentationError|TabError)(?::\s?(.*?))?"
+    r"(?: \([^()]*, line \d+\))?\s*$"
 )
 
 _SITECUSTOMIZE_GUARD = """\
@@ -148,17 +164,9 @@ def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
     comparison) and for an inconclusive compile stage. The final exception
     of the last traceback block wins when tracebacks are chained; memory
     evidence outranks the timer, which outranks the parsed exception."""
-    exc_name, exc_message, traceback_text = _parse_last_exception(stderr)
-
     if raw.stage == "compile":
-        if exc_name in _SYNTAX_EXCEPTIONS:
-            detail = f"{exc_name}: {exc_message}" if exc_message else exc_name
-            return Termination(
-                status=Status.SYNTAX_FAILURE,
-                exception_message=detail,
-                traceback=traceback_text,
-            )
-        return None
+        return _compile_termination(stderr)
+    exc_name, exc_message, traceback_text = _parse_last_exception(stderr)
 
     if exc_name == "MemoryError":
         return Termination(
@@ -206,6 +214,36 @@ def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
         exception_name="UnknownError",
         exception_message=f"exit code {raw.returncode} with unparseable stderr",
         traceback=stderr[-4000:],
+    )
+
+
+def _compile_termination(stderr: str) -> Termination | None:
+    """SyntaxFailure read from a compile stage's error text, or None when
+    the text shows no syntax error. Reads a formatted SyntaxError block as
+    well as the one-line forms of _COMPILE_ERROR_LINE."""
+    exc_name, exc_message, traceback_text = _parse_last_exception(stderr)
+    if exc_name not in _SYNTAX_EXCEPTIONS:
+        last_line = stderr.strip().rpartition("\n")[2]
+        match = _COMPILE_ERROR_LINE.match(last_line)
+        if match is None:
+            return None
+        exc_name, exc_message, traceback_text = match.group(1), match.group(2) or "", last_line
+    return Termination(
+        status=Status.SYNTAX_FAILURE,
+        exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
+        traceback=traceback_text,
+    )
+
+
+def _syntax_failure(stderr: str, started: float) -> ExecutionOutcome | None:
+    termination = _compile_termination(stderr)
+    if termination is None:
+        return None
+    return ExecutionOutcome(
+        status=termination.status,
+        exception_message=termination.exception_message,
+        traceback=termination.traceback,
+        wall_time_ms=int((time.monotonic() - started) * 1000),
     )
 
 
@@ -348,17 +386,40 @@ def _execute_in_tempdir(
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
         prog = workdir / "prog.py"
-        prog.write_text(source_code, encoding="utf-8")
+        source = source_code.encode("utf-8")
+        prog.write_bytes(source)
         guard_dir = workdir / "_guard"
         guard_dir.mkdir()
         (guard_dir / "sitecustomize.py").write_text(_SITECUSTOMIZE_GUARD, encoding="utf-8")
         env = _guard_env(workdir, guard_dir)
         preexec = _make_preexec(limits)
 
-        compile_outcome = _compile_stage(argv, prog, workdir, env, preexec, limits)
+        if argv == default_interpreter():
+            compile_outcome = _compile_in_process(source, prog)
+        else:
+            compile_outcome = _compile_stage(argv, prog, workdir, env, preexec, limits)
         if compile_outcome is not None:
             return compile_outcome
         return _run_stage(argv, prog, workdir, env, preexec, limits, test)
+
+
+def _compile_in_process(source: bytes, prog: Path) -> ExecutionOutcome | None:
+    """The compile stage for the harness's own interpreter: compile prog.py's
+    bytes as `python -m py_compile` would, without a child. A SyntaxError
+    (subclasses included) is formatted by `traceback` and read like the
+    child's stderr. ValueError, MemoryError, RecursionError and
+    OverflowError are inconclusive and fall through to the run stage, where
+    the child meets the same source."""
+    started = time.monotonic()
+    try:
+        compile(source, str(prog), "exec", dont_inherit=True)
+        return None
+    except SyntaxError as exc:
+        stderr = "".join(traceback.format_exception_only(type(exc), exc))
+    except (ValueError, MemoryError, RecursionError, OverflowError) as exc:
+        logger.debug("inconclusive compile stage (%s); running anyway", type(exc).__name__)
+        return None
+    return _syntax_failure(stderr, started)
 
 
 def _compile_stage(
@@ -369,9 +430,11 @@ def _compile_stage(
     preexec,
     limits: ResourceLimits,
 ) -> ExecutionOutcome | None:
-    """Byte-compile before feeding input so SyntaxFailure is distinguishable
-    from runtime failure. Inconclusive compile failures (an interpreter
-    without py_compile) fall through to the run stage."""
+    """The compile stage for a foreign interpreter: byte-compile in a
+    `python -m py_compile` child before feeding input, so SyntaxFailure is
+    judged by the interpreter that runs the program. Inconclusive compile
+    failures (an interpreter without py_compile) fall through to the run
+    stage. The harness's own interpreter uses _compile_in_process."""
     started = time.monotonic()
     try:
         proc = subprocess.run(
@@ -383,32 +446,17 @@ def _compile_stage(
             timeout=limits.wall_time_ms / 1000.0 + 1.0,
         )
     except subprocess.TimeoutExpired:
-        elapsed = int((time.monotonic() - started) * 1000)
         return ExecutionOutcome(
             status=Status.TIME_LIMIT_EXCEEDED,
             exception_message="compile stage exceeded the wall-time limit",
-            wall_time_ms=elapsed,
+            wall_time_ms=int((time.monotonic() - started) * 1000),
         )
-    elapsed = int((time.monotonic() - started) * 1000)
     if proc.returncode == 0:
         return None
-    stderr = proc.stderr.decode("utf-8", errors="replace")
-    raw = ProcessExit(
-        returncode=proc.returncode,
-        timed_out=False,
-        stage="compile",
-        memory_limit_bytes=limits.memory_bytes,
-    )
-    termination = classify_termination(raw, stderr)
-    if termination is None:
+    outcome = _syntax_failure(proc.stderr.decode("utf-8", errors="replace"), started)
+    if outcome is None:
         logger.debug("inconclusive compile stage (rc=%d); running anyway", proc.returncode)
-        return None
-    return ExecutionOutcome(
-        status=termination.status,
-        exception_message=termination.exception_message,
-        traceback=termination.traceback,
-        wall_time_ms=elapsed,
-    )
+    return outcome
 
 
 def _run_stage(
@@ -540,18 +588,21 @@ class ExecutionRequest:
     artifact_dir: str | None = None
 
 
+def map_in_order(fn: Callable, items: Sequence, jobs: int = 1) -> list:
+    """`fn` over `items` on up to `jobs` worker threads; results come back
+    in item order, so they are independent of scheduling."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def execute_request(r: ExecutionRequest) -> ExecutionOutcome:
+    return execute(r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
+
+
 def execute_batch(requests: Sequence[ExecutionRequest], jobs: int = 1) -> list[ExecutionOutcome]:
     """Execute (completion, test) pairs, possibly in parallel. Each worker
     owns its child process and temp dir; results come back in request
-    order, so outcomes are independent of scheduling."""
-    if jobs <= 1 or len(requests) <= 1:
-        return [
-            execute(r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
-            for r in requests
-        ]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(execute, r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
-            for r in requests
-        ]
-        return [f.result() for f in futures]
+    order."""
+    return map_in_order(execute_request, requests, jobs)

@@ -192,6 +192,33 @@ class TestExitCodes:
         assert _run(["--out-dir", tmp_path / "out", "validate",
                      "--dataset", bad, "--completions", completions]) == 2
 
+    @pytest.mark.parametrize(
+        "source, status",
+        [("x = " + "-" * 100_000 + "1\nprint(x)\n", "runtime_failure"),
+         ("x = 0" + "+1" * 200_000 + "\n", "not_executed")],
+        ids=["parser-exhausted", "recursion-exhausted"],
+    )
+    def test_pathological_nesting_reaches_a_state(self, source, status, tmp_path):
+        # Two wrong outputs put the task over --threshold-k 1, so the
+        # benchmark is not empty and every stage runs.
+        tasks = tmp_path / "tasks.jsonl"
+        _write_lines(tasks, [json.dumps(
+            {"task_id": "t", "question": "q",
+             "test_cases": [{"input": "", "expected_output": "1"}] * 2}
+        )])
+        completions = tmp_path / "completions.jsonl"
+        _write_lines(completions, [
+            json.dumps({"task_id": "t", "model_id": "nested", "raw_response": source,
+                        "source_code": source}),
+            json.dumps({"task_id": "t", "model_id": "wrong", "raw_response": "print(2)",
+                        "source_code": "print(2)"}),
+        ])
+        out = tmp_path / "out"
+        assert _run(["--out-dir", out, "--threshold-k", "1", "pipeline",
+                     "--dataset", tasks, "--completions", completions]) == 0
+        rows = [r for r in _read_lines(out / STATES_FILE) if r["model_id"] == "nested"]
+        assert rows and all(r["status"] == status for r in rows)
+
     def test_evaluate_empty_benchmark_nonzero(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -370,10 +397,10 @@ class TestSettingPrecedence:
     @pytest.mark.parametrize(
         "entry",
         [{"jobs": "four"}, {"threshold_k": "many"}, {"wall_time_ms": "x"},
-         {"interpreter": 3}, {"fail_fast": "false"}, {"degeneration": {"window_frac": "wide"}},
-         {"degeneration": 3}],
-        ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "fail_fast", "window_frac",
-             "degeneration-section"],
+         {"interpreter": 3}, {"fail_fast": "false"}, {"indicator": "bogus"},
+         {"degeneration": {"window_frac": "wide"}}, {"degeneration": 3}],
+        ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "fail_fast", "indicator",
+             "window_frac", "degeneration-section"],
     )
     def test_mistyped_config_value_is_config_error(self, entry, mini_corpus, tmp_path, capsys):
         config_path = tmp_path / "config.json"

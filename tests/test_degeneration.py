@@ -115,6 +115,17 @@ class TestDetect:
     def test_parseable_text_never_gibberish(self):
         assert detect("x = 1").kind is DegenerationKind.NONE
 
+    @pytest.mark.parametrize(
+        "source",
+        ["x = " + "-" * 100_000 + "1\nprint(x)\n", "x = 0" + "+1" * 200_000 + "\nprint(x)\n"],
+        ids=["unary-chain-exhausts-parser", "binary-chain-exhausts-recursion"],
+    )
+    def test_pathological_nesting_does_not_parse(self, source):
+        # ast.parse raises MemoryError or RecursionError here; the gate
+        # reads that as "does not parse" instead of raising.
+        assert detect(source).kind is DegenerationKind.NONE  # half the lines look like code
+        assert detect(source, truncated_at_limit=True).kind is DegenerationKind.GIBBERISH
+
     def test_truncated_code_like_text_not_gibberish_without_flag(self):
         # unparseable but code-like: executes and fails at compile instead
         source = "import sys\nvalues = sys.stdin.read()\ndef handle(chunk:\n"

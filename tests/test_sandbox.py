@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haluscope.corpus import Completion, Dataset, ResourceLimits, Task, TestCase
-from haluscope.pipeline import classify_corpus
+from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
 from haluscope.sandbox import (
     ENFORCEMENT_SLACK_MS,
     ExecutionRequest,
@@ -21,8 +23,11 @@ from haluscope.sandbox import (
     outcome_from_dict,
     outcome_to_dict,
 )
+from test_cli import normalize_measurements
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
+# An interpreter other than the harness's own, so compiling takes a child.
+FOREIGN = [sys.executable, "-u"]
 
 
 class TestCompareOutput:
@@ -145,6 +150,62 @@ class TestExecute:
         stored = json.loads((tmp_path / "a" / "outcome.json").read_text())
         assert stored["status"] == "pass"
         assert (tmp_path / "a" / "stdin.txt").read_text() == "1"
+
+
+class TestCompileStage:
+    @pytest.mark.parametrize(
+        "source, status, prefix",
+        [
+            ("def f(:\n", Status.SYNTAX_FAILURE, "SyntaxError: invalid syntax"),
+            ("if True:\nprint(1)\n", Status.SYNTAX_FAILURE,
+             "IndentationError: expected an indented block"),
+            ("  print(1)\n", Status.SYNTAX_FAILURE, "IndentationError: unexpected indent"),
+            ("if True:\n\tx = 1\n        print(x)\n", Status.SYNTAX_FAILURE,
+             "TabError: inconsistent use of tabs and spaces"),
+            ("return 1\n", Status.SYNTAX_FAILURE, "SyntaxError: 'return' outside function"),
+            ("print(1)\x00", Status.SYNTAX_FAILURE, "SyntaxError: source code"),
+            ("print(1)\n", Status.PASS, ""),
+        ],
+        ids=["invalid", "missing-indent", "unexpected-indent", "mixed-tabs", "return-outside",
+             "null-byte", "valid"],
+    )
+    def test_in_process_and_child_compile_agree(self, source, status, prefix):
+        own = execute(source, TestCase("", "1"), LIMITS)
+        foreign = execute(source, TestCase("", "1"), LIMITS, interpreter=FOREIGN)
+        for outcome in (own, foreign):
+            assert outcome.status is status
+            assert outcome.exception_message.startswith(prefix)
+            assert outcome.exception_name == ""
+
+    @pytest.mark.parametrize(
+        "source, interpreter, children",
+        [
+            ("print(1)", None, 1),
+            ("print(1)", [sys.executable], 1),
+            ("def f(:\n", None, 0),
+            ("print(1)", FOREIGN, 2),
+            ("def f(:\n", FOREIGN, 1),
+        ],
+        ids=["own-pass", "own-explicit-pass", "own-syntax", "foreign-pass", "foreign-syntax"],
+    )
+    def test_child_count(self, source, interpreter, children, monkeypatch):
+        started = []
+
+        class CountingPopen(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                started.append(args)
+                super().__init__(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+        execute(source, TestCase("", "1"), LIMITS, interpreter=interpreter)
+        assert len(started) == children
+
+    def test_coding_cookie_read_from_the_bytes(self):
+        # prog.py's bytes are compiled, not the str, so an unknown encoding
+        # is a syntax failure, as it is for a child reading the file.
+        outcome = execute("# coding: bogus\nprint(1)\n", TestCase("", "1"), LIMITS)
+        assert outcome.status is Status.SYNTAX_FAILURE
+        assert outcome.exception_message == "SyntaxError: unknown encoding: bogus"
 
 
 class TestClassifyTermination:
@@ -291,6 +352,20 @@ class TestIsolationAndBatch:
             "m-pass": [Status.PASS, Status.PASS, Status.PASS],
             "m-second": [Status.PASS, Status.WRONG_OUTPUT],
         }
+
+    def test_fail_fast_states_independent_of_jobs(self, mini_corpus, tmp_path):
+        states = []
+        for jobs in (1, 4):
+            config = RunConfig(
+                dataset_path=str(mini_corpus["tasks"]),
+                completions_path=str(mini_corpus["completions"]),
+                out_dir=str(tmp_path / f"jobs{jobs}"),
+                jobs=jobs,
+                fail_fast=True,
+            )
+            states.append(normalize_measurements(validate_stage(config).read_text()))
+        assert states[0] == states[1]
+        assert len(states[0].splitlines()) < 48  # some completions stopped early
 
     def test_fail_fast_artifact_dirs_distinct_per_model(self, tmp_path):
         dataset, completions = _fail_fast_corpus()
