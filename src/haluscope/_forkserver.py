@@ -1,0 +1,181 @@
+"""Fork server of the sandbox's run stage.
+
+`haluscope.sandbox` starts this file as
+`<interpreter> _forkserver.py REQUESTS_FD REPLIES_FD`, with the argv and the
+guard environment a `python prog.py` run child would get, so the server
+starts up as that child would. It never runs candidate code itself.
+
+Protocol, one line per message:
+
+- at start-up: `ready`;
+- request (JSON): `{"workdir", "env", "rlimits"}`;
+- reply, from the forked child before it runs the program: its pid, or
+  `error <message>` when it could not be set up;
+- reply, from the server once it reaped the child with `os.wait4`:
+  `<returncode> <ru_maxrss in bytes>`.
+
+EOF on REQUESTS_FD ends the server. The forked child starts its own
+session, takes the rlimits, the workdir and its environment, reads
+stdin.txt and writes stdout.txt/stderr.txt on fds 0-2, and then does what
+`python <workdir>/prog.py` does, exit included.
+
+Standard library only: a foreign interpreter runs this file too.
+"""
+
+import atexit
+import builtins
+import importlib.machinery
+import json
+import os
+import resource
+import signal
+import sys
+
+_WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+def main():
+    requests, replies = int(sys.argv[1]), int(sys.argv[2])
+    os.write(replies, b"ready\n")
+    for line in _lines(requests):
+        request = json.loads(line)
+        pid = os.fork()
+        if pid == 0:
+            _child(request, requests, replies)
+        _, status, usage = os.wait4(pid, 0)
+        returncode = os.waitstatus_to_exitcode(status)
+        os.write(replies, b"%d %d\n" % (returncode, usage.ru_maxrss * 1024))
+
+
+def _lines(fd):
+    pending = b""
+    while True:
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            return
+        *lines, pending = (pending + chunk).split(b"\n")
+        yield from lines
+
+
+def _child(request, requests, replies):
+    """Set up the forked child and run the program; never returns. The pid
+    is replied before the program runs, so a program that kills this server
+    cannot hide it."""
+    try:
+        os.setsid()
+        for name, limit in request["rlimits"].items():
+            resource.setrlimit(getattr(resource, name), tuple(limit))
+        workdir = request["workdir"]
+        os.chdir(workdir)
+        # Update, not replace: what start-up added (LC_CTYPE, by locale
+        # coercion) stays, as in a fresh interpreter.
+        server_path = os.environ.get("PYTHONPATH")
+        os.environ.update(request["env"])
+        sys.path[:] = [
+            os.environ.get("PYTHONPATH") if entry == server_path else entry for entry in sys.path
+        ]
+        for fd, name, flags in ((0, "stdin.txt", os.O_RDONLY), (1, "stdout.txt", _WRITE),
+                                (2, "stderr.txt", _WRITE)):
+            opened = os.open(name, flags, 0o666)
+            os.dup2(opened, fd)
+            os.close(opened)
+    except BaseException as exc:
+        message = repr(exc).replace("\n", " ").encode("utf-8", "replace")
+        os.write(replies, b"error " + message + b"\n")
+        os._exit(1)
+    os.write(replies, b"%d\n" % os.getpid())
+    os.close(requests)
+    os.close(replies)
+    try:
+        _exit(*_run(os.path.join(workdir, "prog.py")))
+    finally:
+        os._exit(1)  # reached only if finishing raised: never back into the server loop
+
+
+def _run(prog):
+    """Run `prog` as `python prog` runs its main module. Returns the exit
+    status and whether an uncaught KeyboardInterrupt ended it."""
+    main_module = type(sys)("__main__")
+    main_module.__file__ = prog
+    main_module.__cached__ = None
+    main_module.__builtins__ = builtins
+    main_module.__annotations__ = {}
+    main_module.__loader__ = importlib.machinery.SourceFileLoader("__main__", prog)
+    sys.modules["__main__"] = main_module
+    sys.argv[:] = [prog]
+    sys.orig_argv[-3:] = [prog]  # was: this file, REQUESTS_FD, REPLIES_FD
+    sys.path[0] = os.path.dirname(prog)
+    # The program's first frame sits below this server's frames; raise the
+    # limit by their number so it may recurse as deep as in `python prog`.
+    # CPython 3.11 also counts exec's entry into the evaluation loop.
+    sys.setrecursionlimit(sys.getrecursionlimit() + _depth() + (sys.version_info[:2] == (3, 11)))
+    code = None
+    try:
+        with open(prog, "rb") as fh:
+            code = compile(fh.read(), prog, "exec", dont_inherit=True)
+        exec(code, vars(main_module))
+    except SystemExit as exc:
+        return _exit_status(exc.code), False
+    except BaseException as exc:
+        _print_uncaught(exc, code)
+        return 1, isinstance(exc, KeyboardInterrupt)
+    return 0, False
+
+
+def _depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _exit_status(code):
+    """The exit status `Py_Exit` gives a SystemExit code; any value other
+    than None or an int is printed to stderr."""
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return code & 0xFF
+    try:
+        print(code, file=sys.stderr)
+    except Exception:
+        pass
+    return 1
+
+
+def _print_uncaught(exc, code):
+    """Hand an uncaught exception to sys.excepthook without this server's
+    frames. An error from compiling the program carries no traceback, as
+    CPython prints it."""
+    tb = exc.__traceback__ if code is not None else None
+    while tb is not None and tb.tb_frame.f_code is not code:
+        tb = tb.tb_next
+    exc.__traceback__ = tb
+    sys.excepthook(type(exc), exc, tb)
+
+
+def _exit(status, interrupted):
+    """Finish as `Py_FinalizeEx` does: threading shutdown, atexit handlers,
+    then a flush of stdout and stderr (a failed flush exits 120). An
+    uncaught KeyboardInterrupt ends the process by SIGINT."""
+    threading = sys.modules.get("threading")
+    if threading is not None:
+        threading._shutdown()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except Exception as exc:
+            status = 120
+            if stream is sys.stdout:
+                sys.stderr.write(f"Exception ignored in: {stream!r}\n")
+                sys.excepthook(type(exc), exc.with_traceback(None), None)
+    if interrupted:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+    os._exit(status)
+
+
+if __name__ == "__main__":
+    main()

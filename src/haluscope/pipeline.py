@@ -200,7 +200,6 @@ def classify_corpus(
             continue
         requests = [
             sandbox.ExecutionRequest(
-                key=(completion.task_id, completion.model_id, index),
                 source_code=completion.source_code,
                 test=test,
                 limits=task.limits,

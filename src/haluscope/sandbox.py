@@ -6,21 +6,31 @@ socket-denying interpreter guard. Isolation is best effort: the harness
 targets honest resource accounting, not adversarial security.
 
 An execution has a compile stage, which tells a syntax failure apart from
-a runtime failure, and a run stage in a child interpreter. With the
-harness's own interpreter (no interpreter given, or `[sys.executable]`)
-the compile stage is an in-process `compile()` of prog.py's bytes, so one
-child runs per execution and none for a syntax failure. A foreign
-interpreter may accept other syntax, so it compiles in its own
-`python -m py_compile` child before the run child.
+a runtime failure, and a run stage. With the harness's own interpreter (no
+interpreter given, or `[sys.executable]`) the compile stage is an
+in-process `compile()` of prog.py's bytes. A foreign interpreter may
+accept other syntax, so it compiles in its own `python -m py_compile`
+child.
+
+The run stage forks the program from a fork server (`_forkserver.py`): one
+interpreter started with the run child's argv and guard environment,
+which forks one child per execution and reports its exit status and
+`ru_maxrss`. Inside `map_in_order` (so in `execute_batch` and the
+fail-fast path) each worker thread keeps one server per interpreter until
+the call returns; a bare `execute` starts a one-shot server. The program's
+wall time is timed from the request to the reply, without interpreter
+start-up.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 import os
 import re
+import select
 import shutil
 import signal
 import subprocess
@@ -30,12 +40,14 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import ResourceLimits, TestCase
+from .errors import HarnessFault
 
 logger = logging.getLogger(__name__)
 
@@ -282,16 +294,25 @@ def _parse_last_exception(stderr: str) -> tuple[str, str, str]:
     return name, message, text[-4000:]
 
 
+def _rlimits(limits: ResourceLimits) -> dict[str, tuple[int, int]]:
+    """The kernel limits of a sandboxed process, by `resource` name."""
+    wall_s = math.ceil(limits.wall_time_ms / 1000)
+    return {
+        "RLIMIT_AS": (limits.memory_bytes, limits.memory_bytes),
+        "RLIMIT_CPU": (wall_s + 1, wall_s + 2),
+        "RLIMIT_FSIZE": (OUTPUT_LIMIT_BYTES, OUTPUT_LIMIT_BYTES),
+    }
+
+
 def _make_preexec(limits: ResourceLimits):
     import resource
 
-    wall_s = math.ceil(limits.wall_time_ms / 1000)
+    rlimits = [(getattr(resource, name), value) for name, value in _rlimits(limits).items()]
 
     def preexec() -> None:
         os.setsid()
-        resource.setrlimit(resource.RLIMIT_AS, (limits.memory_bytes, limits.memory_bytes))
-        resource.setrlimit(resource.RLIMIT_CPU, (wall_s + 1, wall_s + 2))
-        resource.setrlimit(resource.RLIMIT_FSIZE, (OUTPUT_LIMIT_BYTES, OUTPUT_LIMIT_BYTES))
+        for which, value in rlimits:
+            resource.setrlimit(which, value)
 
     return preexec
 
@@ -309,44 +330,6 @@ def _guard_env(workdir: Path, guard_dir: Path) -> dict[str, str]:
         if value:
             env[key] = value
     return env
-
-
-class _MemorySampler(threading.Thread):
-    """Polls /proc/<pid>/status while the child runs. Prefers the kernel's
-    VmHWM high-water mark; falls back to max sampled VmSize where the
-    platform's procfs omits it. Peak stays None for processes that exit
-    before the first sample."""
-
-    _FIELDS = re.compile(r"^(VmHWM|VmSize):\s+(\d+) kB", re.MULTILINE)
-
-    def __init__(self, pid: int):
-        super().__init__(daemon=True)
-        self._pid = pid
-        self._halt = threading.Event()
-        self.peak_bytes: int | None = None
-
-    def run(self) -> None:
-        status_path = f"/proc/{self._pid}/status"
-        while not self._halt.is_set():
-            try:
-                with open(status_path, "r") as fh:
-                    text = fh.read()
-            except OSError:
-                return
-            hwm, size = None, None
-            for name, kb in self._FIELDS.findall(text):
-                if name == "VmHWM":
-                    hwm = int(kb) * 1024
-                else:
-                    size = int(kb) * 1024
-            observed = hwm if hwm is not None else size
-            if observed is not None and (self.peak_bytes is None or observed > self.peak_bytes):
-                self.peak_bytes = observed
-            self._halt.wait(0.005)
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=1.0)
 
 
 def execute(
@@ -388,19 +371,22 @@ def _execute_in_tempdir(
         prog = workdir / "prog.py"
         source = source_code.encode("utf-8")
         prog.write_bytes(source)
-        guard_dir = workdir / "_guard"
-        guard_dir.mkdir()
-        (guard_dir / "sitecustomize.py").write_text(_SITECUSTOMIZE_GUARD, encoding="utf-8")
-        env = _guard_env(workdir, guard_dir)
-        preexec = _make_preexec(limits)
+        env = _guard_env(workdir, _write_guard(workdir))
 
         if argv == default_interpreter():
             compile_outcome = _compile_in_process(source, prog)
         else:
-            compile_outcome = _compile_stage(argv, prog, workdir, env, preexec, limits)
+            compile_outcome = _compile_stage(argv, prog, workdir, env, limits)
         if compile_outcome is not None:
             return compile_outcome
-        return _run_stage(argv, prog, workdir, env, preexec, limits, test)
+        return _run_stage(argv, workdir, env, limits, test)
+
+
+def _write_guard(directory: Path) -> Path:
+    guard_dir = directory / "_guard"
+    guard_dir.mkdir()
+    (guard_dir / "sitecustomize.py").write_text(_SITECUSTOMIZE_GUARD, encoding="utf-8")
+    return guard_dir
 
 
 def _compile_in_process(source: bytes, prog: Path) -> ExecutionOutcome | None:
@@ -427,7 +413,6 @@ def _compile_stage(
     prog: Path,
     workdir: Path,
     env: dict[str, str],
-    preexec,
     limits: ResourceLimits,
 ) -> ExecutionOutcome | None:
     """The compile stage for a foreign interpreter: byte-compile in a
@@ -442,7 +427,7 @@ def _compile_stage(
             cwd=workdir,
             env=env,
             capture_output=True,
-            preexec_fn=preexec,
+            preexec_fn=_make_preexec(limits),
             timeout=limits.wall_time_ms / 1000.0 + 1.0,
         )
     except subprocess.TimeoutExpired:
@@ -459,54 +444,37 @@ def _compile_stage(
     return outcome
 
 
+_FORK_SERVER_SCRIPT = Path(__file__).with_name("_forkserver.py")
+# How long a fork server may take to start up.
+_SERVER_START_TIMEOUT_S = 60.0
+# How long past the wall limit a fork server may take to reply with the
+# child's pid, or with its exit once its group was killed, and how long it
+# may take to exit once its request pipe is closed.
+_SERVER_GRACE_S = 5.0
+
+
 def _run_stage(
     argv: list[str],
-    prog: Path,
     workdir: Path,
     env: dict[str, str],
-    preexec,
     limits: ResourceLimits,
     test: TestCase,
 ) -> ExecutionOutcome:
-    stdin_path = workdir / "stdin.txt"
-    stdout_path = workdir / "stdout.txt"
-    stderr_path = workdir / "stderr.txt"
-    stdin_path.write_text(test.input, encoding="utf-8")
-
-    timed_out = False
-    started = time.monotonic()
-    with stdin_path.open("rb") as stdin_fh, stdout_path.open("wb") as stdout_fh, \
-            stderr_path.open("wb") as stderr_fh:
-        proc = subprocess.Popen(
-            argv + [str(prog)],
-            cwd=workdir,
-            env=env,
-            stdin=stdin_fh,
-            stdout=stdout_fh,
-            stderr=stderr_fh,
-            preexec_fn=preexec,
+    (workdir / "stdin.txt").write_text(test.input, encoding="utf-8")
+    with _fork_server(argv) as server:
+        started = time.monotonic()
+        raw = server.run(workdir, env, limits)
+        elapsed_ms = int((time.monotonic() - started) * 1000)
+    if raw is None:
+        return ExecutionOutcome(
+            status=Status.RUNTIME_FAILURE,
+            exception_name="UnknownError",
+            exception_message="the fork server was killed while the program ran",
+            wall_time_ms=elapsed_ms,
         )
-        sampler = _MemorySampler(proc.pid)
-        sampler.start()
-        try:
-            proc.wait(timeout=limits.wall_time_ms / 1000.0)
-        except subprocess.TimeoutExpired:
-            timed_out = True
-            _kill_process_group(proc)
-            proc.wait()
-        finally:
-            sampler.stop()
-    elapsed_ms = int((time.monotonic() - started) * 1000)
 
-    stdout_text = _read_capped(stdout_path)
-    stderr_text = _read_capped(stderr_path)
-    raw = ProcessExit(
-        returncode=proc.returncode,
-        timed_out=timed_out,
-        stage="run",
-        memory_limit_bytes=limits.memory_bytes,
-        peak_memory_bytes=sampler.peak_bytes,
-    )
+    stdout_text = _read_capped(workdir / "stdout.txt")
+    stderr_text = _read_capped(workdir / "stderr.txt")
     termination = classify_termination(raw, stderr_text)
     if termination is not None:
         return ExecutionOutcome(
@@ -515,22 +483,183 @@ def _run_stage(
             exception_message=termination.exception_message,
             traceback=termination.traceback,
             wall_time_ms=elapsed_ms,
-            peak_memory_bytes=sampler.peak_bytes,
+            peak_memory_bytes=raw.peak_memory_bytes,
         )
     passed = compare_output(stdout_text, test.expected_output)
     return ExecutionOutcome(
         status=Status.PASS if passed else Status.WRONG_OUTPUT,
         actual_output=stdout_text,
         wall_time_ms=elapsed_ms,
-        peak_memory_bytes=sampler.peak_bytes,
+        peak_memory_bytes=raw.peak_memory_bytes,
     )
 
 
-def _kill_process_group(proc: subprocess.Popen) -> None:
+class _ForkServer:
+    """One fork-server interpreter running `_forkserver.py`, its directory
+    (`haluscope-zygote-*`, holding its guard and its stderr log), and the
+    harness's ends of its request and reply pipes."""
+
+    def __init__(self, argv: list[str]):
+        self._dir = Path(tempfile.mkdtemp(prefix="haluscope-zygote-"))
+        self._proc: subprocess.Popen | None = None
+        self._requests = self._replies = -1
+        self._pending = b""
+        try:
+            self._start(argv)
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, argv: list[str]) -> None:
+        guard_dir = _write_guard(self._dir)
+        with contextlib.ExitStack() as server_ends:
+            requests_r, self._requests = os.pipe()
+            server_ends.callback(os.close, requests_r)
+            self._replies, replies_w = os.pipe()
+            server_ends.callback(os.close, replies_w)
+            log = server_ends.enter_context((self._dir / "server.log").open("wb"))
+            self._proc = subprocess.Popen(
+                argv + [str(_FORK_SERVER_SCRIPT), str(requests_r), str(replies_w)],
+                cwd=self._dir,
+                env=_guard_env(self._dir, guard_dir),
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=log,
+                pass_fds=(requests_r, replies_w),
+                start_new_session=True,
+            )
+        self._poller = select.poll()
+        self._poller.register(self._replies, select.POLLIN)
+        if self._reply(time.monotonic() + _SERVER_START_TIMEOUT_S) != b"ready":
+            log_text = (self._dir / "server.log").read_text(encoding="utf-8", errors="replace")
+            raise HarnessFault(f"fork server failed to start: {log_text[-2000:].strip()}")
+
+    def alive(self) -> bool:
+        return self._proc is not None and self._proc.poll() is None
+
+    def run(
+        self, workdir: Path, env: dict[str, str], limits: ResourceLimits
+    ) -> ProcessExit | None:
+        """Fork one child running workdir/prog.py and time it against the
+        wall limit, killing its process group once the limit passes. None
+        when the server died while the program ran; the program's group is
+        killed and the server reaped then."""
+        request = {"workdir": str(workdir), "env": env, "rlimits": _rlimits(limits)}
+        deadline = time.monotonic() + limits.wall_time_ms / 1000.0
+        os.write(self._requests, json.dumps(request).encode("utf-8") + b"\n")
+        started = self._reply(deadline + _SERVER_GRACE_S)
+        if not started:
+            self.kill()
+            raise HarnessFault("fork server did not start the program")
+        if started.startswith(b"error "):
+            self._reply(deadline)  # the server's report on the child, unused
+            reason = started[len(b"error "):].decode("utf-8", errors="replace")
+            raise HarnessFault(f"fork server could not set up the program: {reason}")
+        pid = int(started)
+        timed_out = False
+        finished = self._reply(deadline)
+        if finished is None:
+            timed_out = True
+            _kill_group(pid)
+            finished = self._reply(time.monotonic() + _SERVER_GRACE_S)
+        if not finished:
+            _kill_group(pid)
+            self.kill()
+            return None
+        returncode, peak = (int(value) for value in finished.split())
+        return ProcessExit(
+            returncode=returncode,
+            timed_out=timed_out,
+            stage="run",
+            memory_limit_bytes=limits.memory_bytes,
+            peak_memory_bytes=peak,
+        )
+
+    def _reply(self, deadline: float) -> bytes | None:
+        """The server's next reply line: b"" at EOF, None once `deadline`
+        passes first."""
+        while b"\n" not in self._pending:
+            remaining_ms = (deadline - time.monotonic()) * 1000
+            if remaining_ms <= 0 or not self._poller.poll(math.ceil(remaining_ms)):
+                return None
+            chunk = os.read(self._replies, 4096)
+            if not chunk:
+                return b""
+            self._pending += chunk
+        line, self._pending = self._pending.split(b"\n", 1)
+        return line
+
+    def kill(self) -> None:
+        if self._proc is not None:
+            self._proc.kill()
+            self._proc.wait()
+
+    def close(self) -> None:
+        """End the server by EOF on its request pipe, reap it (killing it if
+        it does not exit in time), and remove its directory."""
+        if self._requests >= 0:
+            os.close(self._requests)
+            self._requests = -1
+        if self._proc is not None:
+            try:
+                self._proc.wait(timeout=_SERVER_GRACE_S)
+            except subprocess.TimeoutExpired:
+                self.kill()
+        if self._replies >= 0:
+            os.close(self._replies)
+            self._replies = -1
+        shutil.rmtree(self._dir, ignore_errors=True)
+
+
+class _ForkServers:
+    """The fork servers of one `map_in_order` call, one per worker thread
+    and interpreter. A thread's server starts at its first execution and
+    is replaced once dead; `close` ends and reaps every one."""
+
+    def __init__(self) -> None:
+        self._servers: dict[tuple[int, tuple[str, ...]], _ForkServer] = {}
+
+    def get(self, argv: list[str]) -> _ForkServer:
+        # Only the thread named in a key reads or writes that key.
+        key = (threading.get_ident(), tuple(argv))
+        server = self._servers.get(key)
+        if server is None or not server.alive():
+            if server is not None:
+                server.close()
+            server = self._servers[key] = _ForkServer(argv)
+        return server
+
+    def close(self) -> None:
+        for server in self._servers.values():
+            server.close()
+        self._servers.clear()
+
+
+# The fork servers of the `map_in_order` call this thread works for.
+_SERVERS: ContextVar[_ForkServers | None] = ContextVar("haluscope_fork_servers", default=None)
+
+
+@contextlib.contextmanager
+def _fork_server(argv: list[str]) -> Iterator[_ForkServer]:
+    """This thread's fork server for `argv` inside `map_in_order`, else a
+    one-shot server closed on exit."""
+    servers = _SERVERS.get()
+    if servers is not None:
+        yield servers.get(argv)
+        return
+    server = _ForkServer(argv)
     try:
-        os.killpg(proc.pid, signal.SIGKILL)
+        yield server
+    finally:
+        server.close()
+
+
+def _kill_group(pid: int) -> None:
+    try:
+        os.killpg(pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
-        proc.kill()
+        with contextlib.suppress(ProcessLookupError, PermissionError):
+            os.kill(pid, signal.SIGKILL)
 
 
 def _read_capped(path: Path, cap: int = OUTPUT_LIMIT_BYTES) -> str:
@@ -580,7 +709,6 @@ def outcome_from_dict(obj: dict) -> ExecutionOutcome:
 class ExecutionRequest:
     """One (completion, test) pair for the worker pool."""
 
-    key: tuple
     source_code: str
     test: TestCase
     limits: ResourceLimits
@@ -590,11 +718,24 @@ class ExecutionRequest:
 
 def map_in_order(fn: Callable, items: Sequence, jobs: int = 1) -> list:
     """`fn` over `items` on up to `jobs` worker threads; results come back
-    in item order, so they are independent of scheduling."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    in item order, so they are independent of scheduling. The executions
+    `fn` makes reuse one fork server per worker thread and interpreter;
+    every server is ended and reaped before this returns, so no process
+    outlives the call and RUSAGE_CHILDREN counts every child."""
+    servers = _ForkServers()
+    try:
+        if jobs <= 1 or len(items) <= 1:
+            token = _SERVERS.set(servers)
+            try:
+                return [fn(item) for item in items]
+            finally:
+                _SERVERS.reset(token)
+        with ThreadPoolExecutor(
+            max_workers=jobs, initializer=_SERVERS.set, initargs=(servers,)
+        ) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        servers.close()
 
 
 def execute_request(r: ExecutionRequest) -> ExecutionOutcome:
@@ -603,6 +744,6 @@ def execute_request(r: ExecutionRequest) -> ExecutionOutcome:
 
 def execute_batch(requests: Sequence[ExecutionRequest], jobs: int = 1) -> list[ExecutionOutcome]:
     """Execute (completion, test) pairs, possibly in parallel. Each worker
-    owns its child process and temp dir; results come back in request
-    order."""
+    forks its executions from its own fork server, each in its own temp
+    dir; results come back in request order."""
     return map_in_order(execute_request, requests, jobs)

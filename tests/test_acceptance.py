@@ -347,7 +347,6 @@ def test_criterion_9_syntax_rarity_on_clean_corpus(clean_corpus):
             for case in entry["test_cases"]:
                 requests.append(
                     sandbox.ExecutionRequest(
-                        key=(entry["task_id"],),
                         source_code=entry["source"],
                         test=TestCase(case["input"], case["expected_output"]),
                         limits=limits,

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import signal
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haluscope
+from haluscope import sandbox
 from haluscope.corpus import Completion, Dataset, ResourceLimits, Task, TestCase
 from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
 from haluscope.sandbox import (
@@ -208,6 +214,165 @@ class TestCompileStage:
         assert outcome.exception_message == "SyntaxError: unknown encoding: bogus"
 
 
+# Programs whose every observable must match a plain `python prog.py`.
+PARITY_PROGRAMS = {
+    "uncaught": "def f():\n    return 1 / 0\nf()\n",
+    "chained": "try:\n    int('x')\nexcept ValueError as e:\n    raise KeyError('k') from e\n",
+    "exit-none": "import sys\nprint('a')\nsys.exit()\n",
+    "exit-int": "import sys\nprint('a')\nsys.exit(3)\n",
+    "exit-str": "import sys\nsys.exit('bye')\n",
+    "recursion": "def f(n):\n    return f(n + 1)\nf(0)\n",
+    "atexit-thread": (
+        "import atexit, threading, time\n"
+        "atexit.register(lambda: print('atexit'))\n"
+        "def work():\n    time.sleep(0.05)\n    print('thread')\n"
+        "threading.Thread(target=work).start()\n"
+        "print('main')\n"
+    ),
+    "identity": (
+        "import sys\n"
+        "print(__name__, __file__, type(__loader__).__name__, sorted(globals()))\n"
+        "print(sys.argv, sys.orig_argv[1:], sys.path)\n"
+    ),
+    "stdin": "import sys\nprint(sys.stdin.read().upper())\n",
+    "segv": "import os, signal\nprint('x')\nos.kill(os.getpid(), signal.SIGSEGV)\n",
+    "parser-exhausted": "x = " + "-" * 100000 + "1\n",
+    "keyboard-interrupt": "print('a')\nraise KeyboardInterrupt\n",
+    "stdout-closed": "import os\nprint('lost')\nos.close(1)\n",
+}
+
+
+def _normalized(text: str) -> str:
+    return re.sub(r"haluscope-exec-\w+", "<workdir>", text)
+
+
+def _through_execute(source: str, stdin: str, interpreter, monkeypatch) -> tuple:
+    """(returncode, stdout, stderr) of the run stage of `execute`."""
+    seen = {}
+    read, classify = sandbox._read_capped, sandbox.classify_termination
+
+    def reading(path, *args):
+        seen[path.name] = read(path, *args)
+        return seen[path.name]
+
+    def classifying(raw, stderr):
+        seen["returncode"] = raw.returncode
+        return classify(raw, stderr)
+
+    monkeypatch.setattr(sandbox, "_read_capped", reading)
+    monkeypatch.setattr(sandbox, "classify_termination", classifying)
+    execute(source, TestCase(stdin, ""), LIMITS, interpreter=interpreter)
+    return seen["returncode"], seen["stdout.txt"], seen["stderr.txt"]
+
+
+def _through_python(source: str, stdin: str, interpreter) -> tuple:
+    """(returncode, stdout, stderr) of `python prog.py` in a temp dir laid
+    out and named as the sandbox's, with the guard environment."""
+    with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
+        workdir = Path(tmp)
+        (workdir / "prog.py").write_text(source, encoding="utf-8")
+        (workdir / "stdin.txt").write_text(stdin, encoding="utf-8")
+        env = sandbox._guard_env(workdir, sandbox._write_guard(workdir))
+        with (workdir / "stdin.txt").open("rb") as fin, \
+                (workdir / "stdout.txt").open("wb") as fout, \
+                (workdir / "stderr.txt").open("wb") as ferr:
+            proc = subprocess.run(
+                (interpreter or [sys.executable]) + [str(workdir / "prog.py")],
+                cwd=workdir, env=env, stdin=fin, stdout=fout, stderr=ferr, timeout=30,
+            )
+        return (
+            proc.returncode,
+            (workdir / "stdout.txt").read_text(encoding="utf-8"),
+            (workdir / "stderr.txt").read_text(encoding="utf-8"),
+        )
+
+
+@pytest.fixture
+def popens(monkeypatch) -> list[subprocess.Popen]:
+    """Every `subprocess.Popen` started while the test runs."""
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
+class TestForkServer:
+    @pytest.mark.parametrize("interpreter", [None, FOREIGN], ids=["own", "foreign"])
+    @pytest.mark.parametrize("name", sorted(PARITY_PROGRAMS))
+    def test_parity_with_plain_python(self, name, interpreter, monkeypatch):
+        source = PARITY_PROGRAMS[name]
+        forked = _through_execute(source, "hello\n", interpreter, monkeypatch)
+        plain = _through_python(source, "hello\n", interpreter)
+        assert [_normalized(part) if isinstance(part, str) else part for part in forked] == [
+            _normalized(part) if isinstance(part, str) else part for part in plain
+        ]
+        if name == "parser-exhausted":
+            assert forked[2] == "MemoryError\n"
+
+    def test_program_killing_its_server_spares_the_harness(self):
+        harness = (
+            "import json\n"
+            "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.sandbox import ExecutionRequest, execute_batch\n"
+            "limits = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)\n"
+            "sources = ['print(1)', 'import os, signal\\nos.kill(os.getppid(), signal.SIGTERM)\\n',"
+            " 'print(1)']\n"
+            "requests = [ExecutionRequest(s, TestCase('', '1'), limits) for s in sources]\n"
+            "outcomes = execute_batch(requests, jobs=1)\n"
+            "print(json.dumps([[o.status.value, o.exception_name, o.exception_message]"
+            " for o in outcomes]))\n"
+        )
+        src_root = str(Path(haluscope.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run(
+            [sys.executable, "-c", harness], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, killer, third = json.loads(proc.stdout.splitlines()[-1])
+        assert first[0] == third[0] == "pass"
+        assert killer == [
+            "runtime_failure", "UnknownError", "the fork server was killed while the program ran"
+        ]
+
+    def test_memory_of_a_program_that_dies_early(self):
+        source = (
+            "import os, signal\n"
+            "block = b'x' * (64 * 2**20)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        outcome = execute(source, TestCase("", ""), LIMITS)
+        assert outcome.peak_memory_bytes >= 64 * 2**20
+
+    def test_nothing_outlives_a_batch(self, tmp_path, monkeypatch, popens):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        sources = ["print(1)", "import os, signal\nos.kill(os.getppid(), signal.SIGKILL)\n"] * 3
+        requests = [ExecutionRequest(s, TestCase("", "1"), LIMITS) for s in sources]
+        statuses = [o.status for o in execute_batch(requests, jobs=2)]
+        assert statuses == [Status.PASS, Status.RUNTIME_FAILURE] * 3
+        assert popens and all(server.returncode is not None for server in popens)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_reuses_one_server_per_worker(self, jobs, popens):
+        requests = [ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)] * 6
+        assert {o.status for o in execute_batch(requests, jobs=jobs)} == {Status.PASS}
+        assert 1 <= len(popens) <= jobs
+
+    def test_server_that_never_starts_is_sandbox_error(self):
+        # `python -c pass <server> ...` exits at once, without a ready reply.
+        outcome = execute(
+            "print(1)", TestCase("", "1"), LIMITS, interpreter=[sys.executable, "-c", "pass"]
+        )
+        assert outcome.status is Status.SANDBOX_ERROR
+        assert "fork server failed to start" in outcome.exception_message
+
+
 class TestClassifyTermination:
     def test_last_exception_line_wins_for_chained(self):
         stderr = (
@@ -321,8 +486,8 @@ class TestIsolationAndBatch:
             ("print(input()[::-1])", TestCase("ab", "ba")),
         ]
         requests = [
-            ExecutionRequest(key=(i,), source_code=s, test=t, limits=LIMITS)
-            for i, (s, t) in enumerate(sources)
+            ExecutionRequest(source_code=s, test=t, limits=LIMITS)
+            for s, t in sources
         ]
         forward = [o.status for o in execute_batch(requests, jobs=1)]
         reverse = [o.status for o in execute_batch(list(reversed(requests)), jobs=2)]
