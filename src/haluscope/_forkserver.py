@@ -9,15 +9,18 @@ Protocol, one line per message:
 
 - at start-up: `ready`;
 - request (JSON): `{"workdir", "env", "rlimits"}`;
-- reply, from the forked child before it runs the program: its pid, or
-  `error <message>` when it could not be set up;
+- reply, from the forked child before it compiles the program: its pid,
+  or `error <message>` when it could not be set up;
+- reply, from the forked child once the program compiled: `compiled`;
 - reply, from the server once it reaped the child with `os.wait4`:
   `<returncode> <ru_maxrss in bytes>`.
 
 EOF on REQUESTS_FD ends the server. The forked child starts its own
 session, takes the rlimits, the workdir and its environment, reads
 stdin.txt and writes stdout.txt/stderr.txt on fds 0-2, and then does what
-`python <workdir>/prog.py` does, exit included.
+`python <workdir>/prog.py` does, exit included. A child that exits without
+`compiled` ended while compiling: an error from compiling is printed, as
+CPython prints it, without a traceback.
 
 Standard library only: a foreign interpreter runs this file too.
 """
@@ -58,8 +61,9 @@ def _lines(fd):
 
 
 def _child(request, requests, replies):
-    """Set up the forked child and run the program; never returns. The pid
-    is replied before the program runs, so a program that kills this server
+    """Set up the forked child, then compile and run the program; never
+    returns. The pid is replied before the program compiles, so the harness
+    can kill a child stuck compiling, and a program that kills this server
     cannot hide it."""
     try:
         os.setsid()
@@ -85,15 +89,15 @@ def _child(request, requests, replies):
         os._exit(1)
     os.write(replies, b"%d\n" % os.getpid())
     os.close(requests)
-    os.close(replies)
     try:
-        _exit(*_run(os.path.join(workdir, "prog.py")))
+        _exit(*_run(os.path.join(workdir, "prog.py"), replies))
     finally:
         os._exit(1)  # reached only if finishing raised: never back into the server loop
 
 
-def _run(prog):
-    """Run `prog` as `python prog` runs its main module. Returns the exit
+def _run(prog, replies):
+    """Run `prog` as `python prog` runs its main module, replying
+    `compiled` and closing `replies` once it compiled. Returns the exit
     status and whether an uncaught KeyboardInterrupt ended it."""
     main_module = type(sys)("__main__")
     main_module.__file__ = prog
@@ -113,6 +117,8 @@ def _run(prog):
     try:
         with open(prog, "rb") as fh:
             code = compile(fh.read(), prog, "exec", dont_inherit=True)
+        os.write(replies, b"compiled\n")
+        os.close(replies)
         exec(code, vars(main_module))
     except SystemExit as exc:
         return _exit_status(exc.code), False

@@ -5,21 +5,18 @@ environment, an OS virtual-memory cap, a CPU-time backstop, and a
 socket-denying interpreter guard. Isolation is best effort: the harness
 targets honest resource accounting, not adversarial security.
 
-An execution has a compile stage, which tells a syntax failure apart from
-a runtime failure, and a run stage. With the harness's own interpreter (no
-interpreter given, or `[sys.executable]`) the compile stage is an
-in-process `compile()` of prog.py's bytes. A foreign interpreter may
-accept other syntax, so it compiles in its own `python -m py_compile`
-child.
-
-The run stage forks the program from a fork server (`_forkserver.py`): one
+Each execution is forked from a fork server (`_forkserver.py`): one
 interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
 `ru_maxrss`. Inside `map_in_order` (so in `execute_batch` and the
 fail-fast path) each worker thread keeps one server per interpreter until
-the call returns; a bare `execute` starts a one-shot server. The program's
-wall time is timed from the request to the reply, without interpreter
-start-up.
+the call returns; a bare `execute` starts a one-shot server.
+
+The forked child compiles prog.py, then runs it, so a syntax failure is
+judged by the interpreter that runs the program. The child replies once
+prog.py compiled; a child that ends without that reply ended in the
+compile stage. Both stages run under the wall limit, timed from the
+request to the server's reply, without interpreter start-up.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import sys
 import tempfile
 import threading
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -65,14 +61,6 @@ _FILE_LINE = re.compile(r'^\s+File "')
 _EXC_LINE = re.compile(
     r"^([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)(?::\s?(.*))?\s*$"
 )
-# The one-line forms of a compile error: py_compile prints a SyntaxError
-# without a location bare, and a subclass as "Sorry: <name>: <message>
-# (<file>, line <n>)"; the location suffix is dropped.
-_COMPILE_ERROR_LINE = re.compile(
-    r"^(?:Sorry: )?(SyntaxError|IndentationError|TabError)(?::\s?(.*?))?"
-    r"(?: \([^()]*, line \d+\))?\s*$"
-)
-
 _SITECUSTOMIZE_GUARD = """\
 import errno
 import socket
@@ -172,13 +160,21 @@ def _normalized_lines(text: str) -> list[str]:
 def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
     """Map a terminated process to a failure status and exception fields.
 
-    Returns None for a clean run-stage exit (status then depends on output
-    comparison) and for an inconclusive compile stage. The final exception
-    of the last traceback block wins when tracebacks are chained; memory
-    evidence outranks the timer, which outranks the parsed exception."""
-    if raw.stage == "compile":
-        return _compile_termination(stderr)
-    exc_name, exc_message, traceback_text = _parse_last_exception(stderr)
+    Returns None for a clean exit (status then depends on output
+    comparison). The final exception of the last traceback block wins when
+    tracebacks are chained. A compile stage prints its error without a
+    traceback, so there a bare last line names the exception too, and a
+    SyntaxError (subclasses included) is a syntax failure; any other
+    exception is read as a run stage's. Memory evidence outranks the timer,
+    which outranks the parsed exception."""
+    compiling = raw.stage == "compile"
+    exc_name, exc_message, traceback_text = _parse_last_exception(stderr, bare=compiling)
+    if compiling and exc_name in _SYNTAX_EXCEPTIONS:
+        return Termination(
+            status=Status.SYNTAX_FAILURE,
+            exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
+            traceback=traceback_text,
+        )
 
     if exc_name == "MemoryError":
         return Termination(
@@ -229,46 +225,19 @@ def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
     )
 
 
-def _compile_termination(stderr: str) -> Termination | None:
-    """SyntaxFailure read from a compile stage's error text, or None when
-    the text shows no syntax error. Reads a formatted SyntaxError block as
-    well as the one-line forms of _COMPILE_ERROR_LINE."""
-    exc_name, exc_message, traceback_text = _parse_last_exception(stderr)
-    if exc_name not in _SYNTAX_EXCEPTIONS:
-        last_line = stderr.strip().rpartition("\n")[2]
-        match = _COMPILE_ERROR_LINE.match(last_line)
-        if match is None:
-            return None
-        exc_name, exc_message, traceback_text = match.group(1), match.group(2) or "", last_line
-    return Termination(
-        status=Status.SYNTAX_FAILURE,
-        exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
-        traceback=traceback_text,
-    )
-
-
-def _syntax_failure(stderr: str, started: float) -> ExecutionOutcome | None:
-    termination = _compile_termination(stderr)
-    if termination is None:
-        return None
-    return ExecutionOutcome(
-        status=termination.status,
-        exception_message=termination.exception_message,
-        traceback=termination.traceback,
-        wall_time_ms=int((time.monotonic() - started) * 1000),
-    )
-
-
-def _parse_last_exception(stderr: str) -> tuple[str, str, str]:
+def _parse_last_exception(stderr: str, bare: bool = False) -> tuple[str, str, str]:
     """Extract (name, message, traceback_text) of the final exception in
     the last traceback block. Chained blocks ("During handling..." /
     "direct cause") resolve to the last exception line. Returns empty
-    strings when no traceback evidence exists."""
+    strings when no traceback evidence exists; with `bare`, the last
+    non-blank line alone is such evidence."""
     lines = stderr.split("\n")
     anchor = -1
     for idx, line in enumerate(lines):
         if line.startswith(_TRACEBACK_HEADER) or _FILE_LINE.match(line):
             anchor = idx
+    if anchor < 0 and bare:
+        anchor = stderr.rstrip().count("\n")
     if anchor < 0:
         return "", "", ""
     name, message, line_idx = "", "", -1
@@ -302,19 +271,6 @@ def _rlimits(limits: ResourceLimits) -> dict[str, tuple[int, int]]:
         "RLIMIT_CPU": (wall_s + 1, wall_s + 2),
         "RLIMIT_FSIZE": (OUTPUT_LIMIT_BYTES, OUTPUT_LIMIT_BYTES),
     }
-
-
-def _make_preexec(limits: ResourceLimits):
-    import resource
-
-    rlimits = [(getattr(resource, name), value) for name, value in _rlimits(limits).items()]
-
-    def preexec() -> None:
-        os.setsid()
-        for which, value in rlimits:
-            resource.setrlimit(which, value)
-
-    return preexec
 
 
 def _guard_env(workdir: Path, guard_dir: Path) -> dict[str, str]:
@@ -368,113 +324,22 @@ def _execute_in_tempdir(
 ) -> ExecutionOutcome:
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
-        prog = workdir / "prog.py"
-        source = source_code.encode("utf-8")
-        prog.write_bytes(source)
+        (workdir / "prog.py").write_bytes(source_code.encode("utf-8"))
+        (workdir / "stdin.txt").write_text(test.input, encoding="utf-8")
         env = _guard_env(workdir, _write_guard(workdir))
-
-        if argv == default_interpreter():
-            compile_outcome = _compile_in_process(source, prog)
-        else:
-            compile_outcome = _compile_stage(argv, prog, workdir, env, limits)
-        if compile_outcome is not None:
-            return compile_outcome
-        return _run_stage(argv, workdir, env, limits, test)
-
-
-def _write_guard(directory: Path) -> Path:
-    guard_dir = directory / "_guard"
-    guard_dir.mkdir()
-    (guard_dir / "sitecustomize.py").write_text(_SITECUSTOMIZE_GUARD, encoding="utf-8")
-    return guard_dir
-
-
-def _compile_in_process(source: bytes, prog: Path) -> ExecutionOutcome | None:
-    """The compile stage for the harness's own interpreter: compile prog.py's
-    bytes as `python -m py_compile` would, without a child. A SyntaxError
-    (subclasses included) is formatted by `traceback` and read like the
-    child's stderr. ValueError, MemoryError, RecursionError and
-    OverflowError are inconclusive and fall through to the run stage, where
-    the child meets the same source."""
-    started = time.monotonic()
-    try:
-        compile(source, str(prog), "exec", dont_inherit=True)
-        return None
-    except SyntaxError as exc:
-        stderr = "".join(traceback.format_exception_only(type(exc), exc))
-    except (ValueError, MemoryError, RecursionError, OverflowError) as exc:
-        logger.debug("inconclusive compile stage (%s); running anyway", type(exc).__name__)
-        return None
-    return _syntax_failure(stderr, started)
-
-
-def _compile_stage(
-    argv: list[str],
-    prog: Path,
-    workdir: Path,
-    env: dict[str, str],
-    limits: ResourceLimits,
-) -> ExecutionOutcome | None:
-    """The compile stage for a foreign interpreter: byte-compile in a
-    `python -m py_compile` child before feeding input, so SyntaxFailure is
-    judged by the interpreter that runs the program. Inconclusive compile
-    failures (an interpreter without py_compile) fall through to the run
-    stage. The harness's own interpreter uses _compile_in_process."""
-    started = time.monotonic()
-    try:
-        proc = subprocess.run(
-            argv + ["-m", "py_compile", str(prog)],
-            cwd=workdir,
-            env=env,
-            capture_output=True,
-            preexec_fn=_make_preexec(limits),
-            timeout=limits.wall_time_ms / 1000.0 + 1.0,
-        )
-    except subprocess.TimeoutExpired:
-        return ExecutionOutcome(
-            status=Status.TIME_LIMIT_EXCEEDED,
-            exception_message="compile stage exceeded the wall-time limit",
-            wall_time_ms=int((time.monotonic() - started) * 1000),
-        )
-    if proc.returncode == 0:
-        return None
-    outcome = _syntax_failure(proc.stderr.decode("utf-8", errors="replace"), started)
-    if outcome is None:
-        logger.debug("inconclusive compile stage (rc=%d); running anyway", proc.returncode)
-    return outcome
-
-
-_FORK_SERVER_SCRIPT = Path(__file__).with_name("_forkserver.py")
-# How long a fork server may take to start up.
-_SERVER_START_TIMEOUT_S = 60.0
-# How long past the wall limit a fork server may take to reply with the
-# child's pid, or with its exit once its group was killed, and how long it
-# may take to exit once its request pipe is closed.
-_SERVER_GRACE_S = 5.0
-
-
-def _run_stage(
-    argv: list[str],
-    workdir: Path,
-    env: dict[str, str],
-    limits: ResourceLimits,
-    test: TestCase,
-) -> ExecutionOutcome:
-    (workdir / "stdin.txt").write_text(test.input, encoding="utf-8")
-    with _fork_server(argv) as server:
-        started = time.monotonic()
-        raw = server.run(workdir, env, limits)
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-    if raw is None:
-        return ExecutionOutcome(
-            status=Status.RUNTIME_FAILURE,
-            exception_name="UnknownError",
-            exception_message="the fork server was killed while the program ran",
-            wall_time_ms=elapsed_ms,
-        )
-
-    stdout_text = _read_capped(workdir / "stdout.txt")
-    stderr_text = _read_capped(workdir / "stderr.txt")
+        with _fork_server(argv) as server:
+            started = time.monotonic()
+            raw = server.run(workdir, env, limits)
+            elapsed_ms = int((time.monotonic() - started) * 1000)
+        if raw is None:
+            return ExecutionOutcome(
+                status=Status.RUNTIME_FAILURE,
+                exception_name="UnknownError",
+                exception_message="the fork server was killed while the program ran",
+                wall_time_ms=elapsed_ms,
+            )
+        stdout_text = _read_capped(workdir / "stdout.txt")
+        stderr_text = _read_capped(workdir / "stderr.txt")
     termination = classify_termination(raw, stderr_text)
     if termination is not None:
         return ExecutionOutcome(
@@ -492,6 +357,22 @@ def _run_stage(
         wall_time_ms=elapsed_ms,
         peak_memory_bytes=raw.peak_memory_bytes,
     )
+
+
+def _write_guard(directory: Path) -> Path:
+    guard_dir = directory / "_guard"
+    guard_dir.mkdir()
+    (guard_dir / "sitecustomize.py").write_text(_SITECUSTOMIZE_GUARD, encoding="utf-8")
+    return guard_dir
+
+
+_FORK_SERVER_SCRIPT = Path(__file__).with_name("_forkserver.py")
+# How long a fork server may take to start up.
+_SERVER_START_TIMEOUT_S = 60.0
+# How long past the wall limit a fork server may take to reply with the
+# child's pid, or with its exit once its group was killed, and how long it
+# may take to exit once its request pipe is closed.
+_SERVER_GRACE_S = 5.0
 
 
 class _ForkServer:
@@ -540,10 +421,11 @@ class _ForkServer:
     def run(
         self, workdir: Path, env: dict[str, str], limits: ResourceLimits
     ) -> ProcessExit | None:
-        """Fork one child running workdir/prog.py and time it against the
-        wall limit, killing its process group once the limit passes. None
-        when the server died while the program ran; the program's group is
-        killed and the server reaped then."""
+        """Fork one child compiling and running workdir/prog.py and time it
+        against the wall limit, killing its process group once the limit
+        passes. The stage is "compile" until the child reports that prog.py
+        compiled. None when the server died while the program ran; the
+        program's group is killed and the server reaped then."""
         request = {"workdir": str(workdir), "env": env, "rlimits": _rlimits(limits)}
         deadline = time.monotonic() + limits.wall_time_ms / 1000.0
         os.write(self._requests, json.dumps(request).encode("utf-8") + b"\n")
@@ -556,12 +438,16 @@ class _ForkServer:
             reason = started[len(b"error "):].decode("utf-8", errors="replace")
             raise HarnessFault(f"fork server could not set up the program: {reason}")
         pid = int(started)
-        timed_out = False
-        finished = self._reply(deadline)
-        if finished is None:
-            timed_out = True
-            _kill_group(pid)
-            finished = self._reply(time.monotonic() + _SERVER_GRACE_S)
+        stage, timed_out = "compile", False
+        while True:
+            finished = self._reply(time.monotonic() + _SERVER_GRACE_S if timed_out else deadline)
+            if finished == b"compiled":
+                stage = "run"
+            elif finished is None and not timed_out:
+                timed_out = True
+                _kill_group(pid)
+            else:
+                break
         if not finished:
             _kill_group(pid)
             self.kill()
@@ -570,7 +456,7 @@ class _ForkServer:
         return ProcessExit(
             returncode=returncode,
             timed_out=timed_out,
-            stage="run",
+            stage=stage,
             memory_limit_bytes=limits.memory_bytes,
             peak_memory_bytes=peak,
         )
@@ -663,8 +549,13 @@ def _kill_group(pid: int) -> None:
 
 
 def _read_capped(path: Path, cap: int = OUTPUT_LIMIT_BYTES) -> str:
-    with path.open("rb") as fh:
-        data = fh.read(cap)
+    """A capture file's text; empty when the program removed it or made it
+    unreadable."""
+    try:
+        with path.open("rb") as fh:
+            data = fh.read(cap)
+    except OSError:
+        return ""
     return data.decode("utf-8", errors="replace")
 
 

@@ -236,13 +236,6 @@ def load_table(path: str | Path) -> ClassificationTable:
     return ClassificationTable(exception_map=exception_map, fallback=fallback)
 
 
-def table_to_dict(table: ClassificationTable) -> dict:
-    return {
-        "exception_map": {k: v.value for k, v in sorted(table.exception_map.items())},
-        "fallback": table.fallback.value,
-    }
-
-
 def classification_to_dict(classification: Classification) -> dict:
     obj: dict = {"kind": classification.kind.value, "cause": classification.cause}
     if classification.label is not None:

@@ -194,7 +194,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "source, status",
-        [("x = " + "-" * 100_000 + "1\nprint(x)\n", "runtime_failure"),
+        [("x = " + "-" * 100_000 + "1\nprint(x)\n", "memory_limit_exceeded"),
          ("x = 0" + "+1" * 200_000 + "\n", "not_executed")],
         ids=["parser-exhausted", "recursion-exhausted"],
     )

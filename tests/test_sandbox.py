@@ -32,7 +32,7 @@ from haluscope.sandbox import (
 from test_cli import normalize_measurements
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
-# An interpreter other than the harness's own, so compiling takes a child.
+# An interpreter argv other than the harness's own, as `--interpreter` gives.
 FOREIGN = [sys.executable, "-u"]
 
 
@@ -120,7 +120,10 @@ class TestExecute:
 
     def test_totality_on_weird_source(self):
         # nothing a program does should raise out of the harness
-        for source in ("print(1)\x00", "﻿print(1)", "", "\x00\x01\x02"):
+        removing = "import os\nos.remove({!r})\n"
+        for source in ("print(1)\x00", "﻿print(1)", "", "\x00\x01\x02",
+                       removing.format("stdout.txt"),
+                       removing.format("stderr.txt") + "raise ValueError\n"):
             outcome = execute(source, TestCase("", "1"), LIMITS)
             assert isinstance(outcome.status, Status)
             assert outcome.status is not Status.SANDBOX_ERROR
@@ -175,7 +178,7 @@ class TestCompileStage:
         ids=["invalid", "missing-indent", "unexpected-indent", "mixed-tabs", "return-outside",
              "null-byte", "valid"],
     )
-    def test_in_process_and_child_compile_agree(self, source, status, prefix):
+    def test_own_and_foreign_interpreter_agree(self, source, status, prefix):
         own = execute(source, TestCase("", "1"), LIMITS)
         foreign = execute(source, TestCase("", "1"), LIMITS, interpreter=FOREIGN)
         for outcome in (own, foreign):
@@ -184,17 +187,19 @@ class TestCompileStage:
             assert outcome.exception_name == ""
 
     @pytest.mark.parametrize(
-        "source, interpreter, children",
+        "source, interpreter",
         [
-            ("print(1)", None, 1),
-            ("print(1)", [sys.executable], 1),
-            ("def f(:\n", None, 0),
-            ("print(1)", FOREIGN, 2),
-            ("def f(:\n", FOREIGN, 1),
+            ("print(1)", None),
+            ("print(1)", [sys.executable]),
+            ("def f(:\n", None),
+            ("print(1)", FOREIGN),
+            ("def f(:\n", FOREIGN),
         ],
         ids=["own-pass", "own-explicit-pass", "own-syntax", "foreign-pass", "foreign-syntax"],
     )
-    def test_child_count(self, source, interpreter, children, monkeypatch):
+    def test_child_count(self, source, interpreter, monkeypatch):
+        # The one-shot fork server is the only child: its forked child
+        # compiles prog.py, whatever the interpreter.
         started = []
 
         class CountingPopen(subprocess.Popen):
@@ -204,7 +209,12 @@ class TestCompileStage:
 
         monkeypatch.setattr(subprocess, "Popen", CountingPopen)
         execute(source, TestCase("", "1"), LIMITS, interpreter=interpreter)
-        assert len(started) == children
+        assert len(started) == 1
+
+    def test_syntax_error_raised_by_the_program_is_runtime_failure(self):
+        outcome = execute("print(1)\neval('def f(:')\n", TestCase("", "1"), LIMITS)
+        assert outcome.status is Status.RUNTIME_FAILURE
+        assert outcome.exception_name == "SyntaxError"
 
     def test_coding_cookie_read_from_the_bytes(self):
         # prog.py's bytes are compiled, not the str, so an unknown encoding
@@ -239,6 +249,8 @@ PARITY_PROGRAMS = {
     "parser-exhausted": "x = " + "-" * 100000 + "1\n",
     "keyboard-interrupt": "print('a')\nraise KeyboardInterrupt\n",
     "stdout-closed": "import os\nprint('lost')\nos.close(1)\n",
+    "cwd-listing": "import os\nprint(sorted(os.listdir('.')))\n",
+    "syntax-error": "def f(:\n",
 }
 
 
@@ -459,9 +471,22 @@ class TestClassifyTermination:
         termination = classify_termination(raw, stderr)
         assert termination.status is Status.SYNTAX_FAILURE
 
-    def test_compile_stage_inconclusive_returns_none(self):
-        raw = ProcessExit(returncode=1, timed_out=False, stage="compile", memory_limit_bytes=2**28)
-        assert classify_termination(raw, "py_compile: no such module") is None
+    @pytest.mark.parametrize(
+        "stage, stderr, status, name",
+        [
+            ("compile", "MemoryError\n", Status.MEMORY_LIMIT_EXCEEDED, ""),
+            ("compile", "RecursionError: maximum recursion depth exceeded during compilation\n",
+             Status.RUNTIME_FAILURE, "RecursionError"),
+            ("run", "MemoryError\n", Status.RUNTIME_FAILURE, "UnknownError"),
+        ],
+        ids=["compile-memory", "compile-recursion", "run-memory"],
+    )
+    def test_bare_exception_line_read_in_compile_stage_only(self, stage, stderr, status, name):
+        # An error from compiling is printed without a traceback.
+        raw = ProcessExit(returncode=1, timed_out=False, stage=stage, memory_limit_bytes=2**28)
+        termination = classify_termination(raw, stderr)
+        assert termination.status is status
+        assert termination.exception_name == name
 
     def test_clean_exit_returns_none(self):
         raw = ProcessExit(returncode=0, timed_out=False, stage="run", memory_limit_bytes=2**28)

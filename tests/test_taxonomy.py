@@ -25,7 +25,6 @@ from haluscope.taxonomy import (
     classify,
     load_table,
     make_label,
-    table_to_dict,
 )
 
 NONE_VERDICT = DegenerationVerdict(DegenerationKind.NONE, "", 0.0)
@@ -197,7 +196,11 @@ class TestErrorSubsetProperty:
 class TestTableSerialization:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "table.json"
-        path.write_text(json.dumps(table_to_dict(DEFAULT_TABLE)))
+        table = {
+            "exception_map": {k: v.value for k, v in DEFAULT_TABLE.exception_map.items()},
+            "fallback": DEFAULT_TABLE.fallback.value,
+        }
+        path.write_text(json.dumps(table))
         loaded = load_table(path)
         assert dict(loaded.exception_map) == dict(DEFAULT_TABLE.exception_map)
         assert loaded.fallback is DEFAULT_TABLE.fallback
