@@ -30,6 +30,7 @@ import builtins
 import importlib.machinery
 import json
 import os
+import re
 import resource
 import signal
 import sys
@@ -73,11 +74,7 @@ def _child(request, requests, replies):
         os.chdir(workdir)
         # Update, not replace: what start-up added (LC_CTYPE, by locale
         # coercion) stays, as in a fresh interpreter.
-        server_path = os.environ.get("PYTHONPATH")
         os.environ.update(request["env"])
-        sys.path[:] = [
-            os.environ.get("PYTHONPATH") if entry == server_path else entry for entry in sys.path
-        ]
         for fd, name, flags in ((0, "stdin.txt", os.O_RDONLY), (1, "stdout.txt", _WRITE),
                                 (2, "stderr.txt", _WRITE)):
             opened = os.open(name, flags, 0o666)
@@ -116,7 +113,9 @@ def _run(prog, replies):
     code = None
     try:
         with open(prog, "rb") as fh:
-            code = compile(fh.read(), prog, "exec", dont_inherit=True)
+            source = fh.read()
+        _refuse_undeclared_non_utf8(source, prog)
+        code = compile(source, prog, "exec", dont_inherit=True)
         os.write(replies, b"compiled\n")
         os.close(replies)
         exec(code, vars(main_module))
@@ -126,6 +125,29 @@ def _run(prog, replies):
         _print_uncaught(exc, code)
         return 1, isinstance(exc, KeyboardInterrupt)
     return 0, False
+
+
+def _refuse_undeclared_non_utf8(source, prog):
+    """Raise the SyntaxError `python prog` raises for a file that is not
+    UTF-8 and declares no encoding (neither a BOM nor a coding cookie on
+    its first two lines). compile() accepts such bytes in a comment."""
+    try:
+        source.decode("utf-8")
+        return
+    except UnicodeDecodeError as exc:
+        start = exc.start
+    if source.startswith(b"\xef\xbb\xbf"):
+        return
+    for line in source.splitlines()[:2]:
+        if re.match(rb"[ \t\f]*#.*?coding[:=][ \t]*[-\w.]+", line):
+            return
+        if not re.match(rb"[ \t\f]*(?:#|$)", line):
+            break
+    lineno = len((source[:start] + b".").splitlines())
+    raise SyntaxError(
+        f"Non-UTF-8 code starting with '\\x{source[start]:02x}' in file {prog} on line "
+        f"{lineno}, but no encoding declared; see https://peps.python.org/pep-0263/ for details"
+    )
 
 
 def _depth():

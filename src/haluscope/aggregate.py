@@ -78,9 +78,6 @@ class FrequencyEntry:
 class FrequencyList:
     entries: tuple[FrequencyEntry, ...]
 
-    def total(self) -> int:
-        return sum(e.count for e in self.entries)
-
 
 @dataclass(frozen=True)
 class CooccurrenceMatrix:
@@ -90,9 +87,6 @@ class CooccurrenceMatrix:
 
     counts: tuple[tuple[int, ...], ...]
     order: tuple[Subcategory, ...] = field(default=SUBCATEGORY_ORDER)
-
-    def at(self, a: Subcategory, b: Subcategory) -> int:
-        return self.counts[self.order.index(a)][self.order.index(b)]
 
     def to_dict(self) -> dict:
         return {

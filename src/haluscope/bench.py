@@ -3,8 +3,8 @@ frequencies into per-subcategory task sets and export a manifest.
 
 A task joins a subcategory's set when its observation count across all
 evaluated models strictly exceeds the inclusion threshold. A task may sit
-under several subcategories when it clears the threshold for each; the
-overlap rate is reported rather than deduplicated away.
+under several subcategories when it clears the threshold for each, and is
+counted once under each: memberships are not deduplicated.
 """
 
 from __future__ import annotations
@@ -88,17 +88,6 @@ class BenchmarkManifest:
                 samples += s
             stats[category] = (tasks, samples)
         return stats
-
-    def overlap_rate(self) -> float:
-        """Fraction of distinct tasks appearing under more than one
-        subcategory."""
-        membership: dict[str, int] = defaultdict(int)
-        for entries in self.entries_by_subcategory.values():
-            for entry in entries:
-                membership[entry.task_id] += 1
-        if not membership:
-            return 0.0
-        return sum(1 for n in membership.values() if n > 1) / len(membership)
 
 
 def build(

@@ -155,20 +155,6 @@ def task_from_dict(obj: dict) -> Task:
     return Task(task_id=task_id, question=question, test_cases=tuple(cases), limits=limits)
 
 
-def task_to_dict(task: Task) -> dict:
-    return {
-        "task_id": task.task_id,
-        "question": task.question,
-        "test_cases": [
-            {"input": c.input, "expected_output": c.expected_output} for c in task.test_cases
-        ],
-        "limits": {
-            "wall_time_ms": task.limits.wall_time_ms,
-            "memory_bytes": task.limits.memory_bytes,
-        },
-    }
-
-
 def load_dataset(path: str | Path, dataset_id: str | None = None) -> Dataset:
     """Load a tasks.jsonl file, preserving file order.
 
@@ -178,13 +164,6 @@ def load_dataset(path: str | Path, dataset_id: str | None = None) -> Dataset:
     path = Path(path)
     tasks = read_jsonl(path, task_from_dict)
     return Dataset(dataset_id=dataset_id or path.stem, tasks=tuple(tasks))
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for task in dataset.tasks:
-            fh.write(json.dumps(task_to_dict(task), sort_keys=True) + "\n")
 
 
 def completion_from_dict(obj: dict) -> Completion:

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .corpus import Completion, ResourceLimits, Task
 from .errors import ConfigError, ProviderError, TemplateError
 
@@ -157,13 +155,19 @@ def _build_completion(task: Task, provider: ProviderConfig, text: str) -> Comple
 
 
 def _http_fetch(provider: ProviderConfig, prompt: str) -> str:
+    # Imported here, so that only the HTTP provider loads the HTTP stack.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if provider.auth_token_env:
         token = os.environ.get(provider.auth_token_env)
         if token is None:
             raise ConfigError(f"auth variable {provider.auth_token_env!r} is not set")
         headers["Authorization"] = f"Bearer {token}"
-    payload = {"model": provider.model_id, "prompt": prompt}
+    payload = json.dumps({"model": provider.model_id, "prompt": prompt}).encode("utf-8")
+    request = urllib.request.Request(provider.endpoint, data=payload, headers=headers)
     timeout = provider.request_timeout_ms / 1000.0
     last_error: str = "no attempt made"
     last_status: int | None = None
@@ -171,22 +175,24 @@ def _http_fetch(provider: ProviderConfig, prompt: str) -> str:
         if attempt:
             time.sleep(min(0.25 * 2 ** (attempt - 1), 2.0))
         try:
-            resp = requests.post(provider.endpoint, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                body = resp.read()
+        except urllib.error.HTTPError as exc:  # a non-2xx status
+            exc.close()
+            last_error = f"HTTP {exc.code}"
+            last_status = exc.code
+            continue
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"transport failure: {exc}"
             logger.debug("attempt %d failed: %s", attempt + 1, exc)
             continue
-        if resp.status_code // 100 != 2:
-            last_error = f"HTTP {resp.status_code}"
-            last_status = resp.status_code
-            continue
         try:
-            body = resp.json()
+            obj = json.loads(body)
         except ValueError as exc:
             raise ProviderError(f"provider returned non-JSON body: {exc}") from exc
-        if not isinstance(body, dict) or "text" not in body:
+        if not isinstance(obj, dict) or "text" not in obj:
             raise ProviderError("provider response missing 'text' field")
-        return str(body["text"])
+        return str(obj["text"])
     raise ProviderError(
         f"provider failed after {provider.max_retries + 1} attempts: {last_error}",
         status=last_status,

@@ -22,6 +22,7 @@ request to the server's reply, without interpreter start-up.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -110,14 +111,6 @@ class ProcessExit:
     peak_memory_bytes: int | None = None
 
 
-@dataclass(frozen=True)
-class Termination:
-    status: Status
-    exception_name: str = ""
-    exception_message: str = ""
-    traceback: str = ""
-
-
 def default_interpreter() -> list[str]:
     return [sys.executable]
 
@@ -157,8 +150,9 @@ def _normalized_lines(text: str) -> list[str]:
     return lines
 
 
-def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
-    """Map a terminated process to a failure status and exception fields.
+def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | None:
+    """Map a terminated process to a failure status and exception fields,
+    without timing or output.
 
     Returns None for a clean exit (status then depends on output
     comparison). The final exception of the last traceback block wins when
@@ -170,14 +164,14 @@ def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
     compiling = raw.stage == "compile"
     exc_name, exc_message, traceback_text = _parse_last_exception(stderr, bare=compiling)
     if compiling and exc_name in _SYNTAX_EXCEPTIONS:
-        return Termination(
+        return ExecutionOutcome(
             status=Status.SYNTAX_FAILURE,
             exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
             traceback=traceback_text,
         )
 
     if exc_name == "MemoryError":
-        return Termination(
+        return ExecutionOutcome(
             status=Status.MEMORY_LIMIT_EXCEEDED,
             exception_message="interpreter allocator raised MemoryError",
             traceback=traceback_text,
@@ -189,7 +183,7 @@ def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
         and raw.peak_memory_bytes is not None
         and raw.peak_memory_bytes >= 0.9 * raw.memory_limit_bytes
     ):
-        return Termination(
+        return ExecutionOutcome(
             status=Status.MEMORY_LIMIT_EXCEEDED,
             exception_message=(
                 f"killed by signal {-raw.returncode} with peak memory "
@@ -198,26 +192,26 @@ def classify_termination(raw: ProcessExit, stderr: str) -> Termination | None:
             traceback=traceback_text,
         )
     if raw.timed_out or raw.returncode == -int(signal.SIGXCPU):
-        return Termination(
+        return ExecutionOutcome(
             status=Status.TIME_LIMIT_EXCEEDED,
             exception_message="wall-time limit exceeded",
         )
     if raw.returncode == 0:
         return None
     if raw.returncode == -int(signal.SIGXFSZ):
-        return Termination(
+        return ExecutionOutcome(
             status=Status.RUNTIME_FAILURE,
             exception_name="OutputLimitExceeded",
             exception_message=f"wrote more than {OUTPUT_LIMIT_BYTES} bytes",
         )
     if exc_name:
-        return Termination(
+        return ExecutionOutcome(
             status=Status.RUNTIME_FAILURE,
             exception_name=exc_name,
             exception_message=exc_message,
             traceback=traceback_text,
         )
-    return Termination(
+    return ExecutionOutcome(
         status=Status.RUNTIME_FAILURE,
         exception_name="UnknownError",
         exception_message=f"exit code {raw.returncode} with unparseable stderr",
@@ -324,12 +318,13 @@ def _execute_in_tempdir(
 ) -> ExecutionOutcome:
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
-        (workdir / "prog.py").write_bytes(source_code.encode("utf-8"))
+        # A lone surrogate is written as its bytes, which the program's
+        # interpreter refuses as Non-UTF-8 code: a syntax failure.
+        (workdir / "prog.py").write_bytes(source_code.encode("utf-8", "surrogatepass"))
         (workdir / "stdin.txt").write_text(test.input, encoding="utf-8")
-        env = _guard_env(workdir, _write_guard(workdir))
         with _fork_server(argv) as server:
             started = time.monotonic()
-            raw = server.run(workdir, env, limits)
+            raw = server.run(workdir, limits)
             elapsed_ms = int((time.monotonic() - started) * 1000)
         if raw is None:
             return ExecutionOutcome(
@@ -342,13 +337,8 @@ def _execute_in_tempdir(
         stderr_text = _read_capped(workdir / "stderr.txt")
     termination = classify_termination(raw, stderr_text)
     if termination is not None:
-        return ExecutionOutcome(
-            status=termination.status,
-            exception_name=termination.exception_name,
-            exception_message=termination.exception_message,
-            traceback=termination.traceback,
-            wall_time_ms=elapsed_ms,
-            peak_memory_bytes=raw.peak_memory_bytes,
+        return dataclasses.replace(
+            termination, wall_time_ms=elapsed_ms, peak_memory_bytes=raw.peak_memory_bytes
         )
     passed = compare_output(stdout_text, test.expected_output)
     return ExecutionOutcome(
@@ -392,7 +382,7 @@ class _ForkServer:
             raise
 
     def _start(self, argv: list[str]) -> None:
-        guard_dir = _write_guard(self._dir)
+        self._guard_dir = _write_guard(self._dir)
         with contextlib.ExitStack() as server_ends:
             requests_r, self._requests = os.pipe()
             server_ends.callback(os.close, requests_r)
@@ -402,7 +392,7 @@ class _ForkServer:
             self._proc = subprocess.Popen(
                 argv + [str(_FORK_SERVER_SCRIPT), str(requests_r), str(replies_w)],
                 cwd=self._dir,
-                env=_guard_env(self._dir, guard_dir),
+                env=_guard_env(self._dir, self._guard_dir),
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 stderr=log,
@@ -418,15 +408,18 @@ class _ForkServer:
     def alive(self) -> bool:
         return self._proc is not None and self._proc.poll() is None
 
-    def run(
-        self, workdir: Path, env: dict[str, str], limits: ResourceLimits
-    ) -> ProcessExit | None:
-        """Fork one child compiling and running workdir/prog.py and time it
-        against the wall limit, killing its process group once the limit
-        passes. The stage is "compile" until the child reports that prog.py
-        compiled. None when the server died while the program ran; the
-        program's group is killed and the server reaped then."""
-        request = {"workdir": str(workdir), "env": env, "rlimits": _rlimits(limits)}
+    def run(self, workdir: Path, limits: ResourceLimits) -> ProcessExit | None:
+        """Fork one child compiling and running workdir/prog.py, with this
+        server's guard, and time it against the wall limit, killing its
+        process group once the limit passes. The stage is "compile" until
+        the child reports that prog.py compiled. None when the server died
+        while the program ran; the program's group is killed and the server
+        reaped then."""
+        request = {
+            "workdir": str(workdir),
+            "env": _guard_env(workdir, self._guard_dir),
+            "rlimits": _rlimits(limits),
+        }
         deadline = time.monotonic() + limits.wall_time_ms / 1000.0
         os.write(self._requests, json.dumps(request).encode("utf-8") + b"\n")
         started = self._reply(deadline + _SERVER_GRACE_S)
@@ -563,7 +556,7 @@ def _write_artifacts(
     directory: Path, source_code: str, test: TestCase, outcome: ExecutionOutcome
 ) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "prog.py").write_text(source_code, encoding="utf-8")
+    (directory / "prog.py").write_text(source_code, encoding="utf-8", errors="surrogatepass")
     (directory / "stdin.txt").write_text(test.input, encoding="utf-8")
     (directory / "stdout.txt").write_text(outcome.actual_output, encoding="utf-8")
     (directory / "stderr.txt").write_text(outcome.traceback, encoding="utf-8")
@@ -582,18 +575,6 @@ def outcome_to_dict(outcome: ExecutionOutcome) -> dict:
         "wall_time_ms": outcome.wall_time_ms,
         "peak_memory_bytes": outcome.peak_memory_bytes,
     }
-
-
-def outcome_from_dict(obj: dict) -> ExecutionOutcome:
-    return ExecutionOutcome(
-        status=Status(obj["status"]),
-        actual_output=obj.get("actual_output", ""),
-        exception_name=obj.get("exception_name", ""),
-        exception_message=obj.get("exception_message", ""),
-        traceback=obj.get("traceback", ""),
-        wall_time_ms=int(obj.get("wall_time_ms", 0)),
-        peak_memory_bytes=obj.get("peak_memory_bytes"),
-    )
 
 
 @dataclass(frozen=True)

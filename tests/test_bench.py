@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -105,7 +105,7 @@ class TestBuild:
         assert [
             e.task_id for e in manifest.entries_by_subcategory[Subcategory.LOGIC_DEVIATION]
         ] == ["A"]
-        assert manifest.overlap_rate() == 1.0
+        assert Counter(e.task_id for e in manifest.entries()) == {"A": 2}
 
     def test_brute_force_filter_and_sort_oracle(self):
         # synthetic 50-task corpus vs an independent oracle built from the

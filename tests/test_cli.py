@@ -35,6 +35,9 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 EXPECTED = Path(__file__).parent / "fixtures" / "mini" / "expected"
+# A comment holding a lone surrogate, as a `\ud800` escape in a JSONL row
+# gives: `python prog.py` refuses the bytes it is written as.
+LONE_SURROGATE = "n = int(input())\nm = n * 2\n# note \ud800\nprint(m)\n"
 
 
 @pytest.fixture(scope="module")
@@ -193,12 +196,15 @@ class TestExitCodes:
                      "--dataset", bad, "--completions", completions]) == 2
 
     @pytest.mark.parametrize(
-        "source, status",
-        [("x = " + "-" * 100_000 + "1\nprint(x)\n", "memory_limit_exceeded"),
-         ("x = 0" + "+1" * 200_000 + "\n", "not_executed")],
-        ids=["parser-exhausted", "recursion-exhausted"],
+        "source, status, options",
+        [("x = " + "-" * 100_000 + "1\nprint(x)\n", "memory_limit_exceeded", []),
+         ("x = 0" + "+1" * 200_000 + "\n", "not_executed", []),
+         (LONE_SURROGATE, "syntax_failure", []),
+         (LONE_SURROGATE, "syntax_failure", ["--artifact-dir", "artifacts"])],
+        ids=["parser-exhausted", "recursion-exhausted", "lone-surrogate",
+             "lone-surrogate-artifact-dir"],
     )
-    def test_pathological_nesting_reaches_a_state(self, source, status, tmp_path):
+    def test_pathological_nesting_reaches_a_state(self, source, status, options, tmp_path):
         # Two wrong outputs put the task over --threshold-k 1, so the
         # benchmark is not empty and every stage runs.
         tasks = tmp_path / "tasks.jsonl"
@@ -214,10 +220,13 @@ class TestExitCodes:
                         "source_code": "print(2)"}),
         ])
         out = tmp_path / "out"
-        assert _run(["--out-dir", out, "--threshold-k", "1", "pipeline",
+        options = [tmp_path / option if option == "artifacts" else option for option in options]
+        assert _run([*options, "--out-dir", out, "--threshold-k", "1", "pipeline",
                      "--dataset", tasks, "--completions", completions]) == 0
         rows = [r for r in _read_lines(out / STATES_FILE) if r["model_id"] == "nested"]
         assert rows and all(r["status"] == status for r in rows)
+        if options:
+            assert list((tmp_path / "artifacts").rglob("prog.py"))
 
     def test_evaluate_empty_benchmark_nonzero(self, tmp_path, capsys):
         out = tmp_path / "out"

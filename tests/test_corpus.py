@@ -13,7 +13,6 @@ from haluscope.corpus import (
     TestCase,
     load_completions,
     load_dataset,
-    save_dataset,
     with_limit_overrides,
 )
 from haluscope.errors import IngestionError, ValidationError
@@ -23,6 +22,24 @@ def _write_jsonl(path, records):
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write `dataset` as the tasks.jsonl `load_dataset` reads."""
+    _write_jsonl(path, [
+        {
+            "task_id": task.task_id,
+            "question": task.question,
+            "test_cases": [
+                {"input": c.input, "expected_output": c.expected_output} for c in task.test_cases
+            ],
+            "limits": {
+                "wall_time_ms": task.limits.wall_time_ms,
+                "memory_bytes": task.limits.memory_bytes,
+            },
+        }
+        for task in dataset.tasks
+    ])
 
 
 def _task_record(task_id="t1", cases=None, **extra):

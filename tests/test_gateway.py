@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haluscope
 from haluscope.corpus import ResourceLimits, Task, TestCase
 from haluscope.errors import ConfigError, ProviderError, TemplateError
 from haluscope.gateway import (
@@ -212,3 +218,61 @@ class TestFetchCompletion:
         provider = ProviderConfig(endpoint=url, model_id="m1")
         fetch_completion(task, provider, GenerationInstruction(template="t", rendered="p"))
         assert task == before
+
+    def test_closed_port_is_transport_failure(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        provider = ProviderConfig(
+            endpoint=f"http://127.0.0.1:{port}/v1/complete", model_id="m1", max_retries=1
+        )
+        with pytest.raises(ProviderError) as exc_info:
+            fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+        assert "transport failure" in str(exc_info.value)
+        assert exc_info.value.status is None
+
+    def test_non_json_body_not_retried(self):
+        calls = []
+
+        class NonJSON(BaseHTTPRequestHandler):
+            def do_POST(self):
+                calls.append(self.rfile.read(int(self.headers["Content-Length"])))
+                self.send_response(200)
+                self.send_header("Content-Length", "8")
+                self.end_headers()
+                self.wfile.write(b"not json")
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), NonJSON)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            provider = ProviderConfig(
+                endpoint=f"http://127.0.0.1:{server.server_port}/", model_id="m1", max_retries=3
+            )
+            with pytest.raises(ProviderError, match="non-JSON"):
+                fetch_completion(
+                    _task(), provider, GenerationInstruction(template="t", rendered="p")
+                )
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(calls) == 1
+
+
+def test_cli_import_loads_no_http_stack():
+    # Only the HTTP provider needs an HTTP client; it imports one when called.
+    src_root = str(Path(haluscope.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    stacks = ("requests", "urllib3", "urllib.request", "http.client")
+    probe = (
+        "import sys\nimport haluscope.cli, haluscope.pipeline\n"
+        f"print([name for name in {stacks!r} if name in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from haluscope.corpus import Completion, Dataset, ResourceLimits, Task, TestCase
 from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
 from haluscope.sandbox import (
     ENFORCEMENT_SLACK_MS,
+    ExecutionOutcome,
     ExecutionRequest,
     ProcessExit,
     Status,
@@ -26,10 +28,9 @@ from haluscope.sandbox import (
     compare_output,
     execute,
     execute_batch,
-    outcome_from_dict,
     outcome_to_dict,
 )
-from test_cli import normalize_measurements
+from test_cli import LONE_SURROGATE, normalize_measurements
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
 # An interpreter argv other than the harness's own, as `--interpreter` gives.
@@ -114,6 +115,22 @@ class TestExecute:
         assert outcome.status is not Status.PASS
         assert "CONNECTED" not in outcome.actual_output
 
+    def test_interpreter_started_by_the_program_is_guarded(self):
+        connect = (
+            "import socket\n"
+            "try:\n"
+            "    socket.create_connection(('127.0.0.1', 9), 1)\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+        )
+        source = (
+            "import subprocess, sys\n"
+            f"proc = subprocess.run([sys.executable, '-c', {connect!r}], capture_output=True)\n"
+            "print(proc.stdout.decode().strip())\n"
+        )
+        outcome = execute(source, TestCase("", str(errno.EPERM)), LIMITS)
+        assert outcome.status is Status.PASS, outcome
+
     def test_missing_interpreter_is_sandbox_error(self):
         outcome = execute("print(1)", TestCase("", "1"), LIMITS, interpreter=["/no/such/bin"])
         assert outcome.status is Status.SANDBOX_ERROR
@@ -123,7 +140,7 @@ class TestExecute:
         removing = "import os\nos.remove({!r})\n"
         for source in ("print(1)\x00", "﻿print(1)", "", "\x00\x01\x02",
                        removing.format("stdout.txt"),
-                       removing.format("stderr.txt") + "raise ValueError\n"):
+                       removing.format("stderr.txt") + "raise ValueError\n", LONE_SURROGATE):
             outcome = execute(source, TestCase("", "1"), LIMITS)
             assert isinstance(outcome.status, Status)
             assert outcome.status is not Status.SANDBOX_ERROR
@@ -251,11 +268,13 @@ PARITY_PROGRAMS = {
     "stdout-closed": "import os\nprint('lost')\nos.close(1)\n",
     "cwd-listing": "import os\nprint(sorted(os.listdir('.')))\n",
     "syntax-error": "def f(:\n",
+    "lone-surrogate": LONE_SURROGATE,
 }
 
 
 def _normalized(text: str) -> str:
-    return re.sub(r"haluscope-exec-\w+", "<workdir>", text)
+    text = re.sub(r"haluscope-exec-\w+", "<workdir>", text)
+    return re.sub(r"haluscope-zygote-\w+", "<server>", text)
 
 
 def _through_execute(source: str, stdin: str, interpreter, monkeypatch) -> tuple:
@@ -279,12 +298,14 @@ def _through_execute(source: str, stdin: str, interpreter, monkeypatch) -> tuple
 
 def _through_python(source: str, stdin: str, interpreter) -> tuple:
     """(returncode, stdout, stderr) of `python prog.py` in a temp dir laid
-    out and named as the sandbox's, with the guard environment."""
-    with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
+    out and named as the sandbox's, with the guard environment and its
+    guard in a directory named as a fork server's."""
+    with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp, \
+            tempfile.TemporaryDirectory(prefix="haluscope-zygote-") as server_dir:
         workdir = Path(tmp)
-        (workdir / "prog.py").write_text(source, encoding="utf-8")
+        (workdir / "prog.py").write_bytes(source.encode("utf-8", "surrogatepass"))
         (workdir / "stdin.txt").write_text(stdin, encoding="utf-8")
-        env = sandbox._guard_env(workdir, sandbox._write_guard(workdir))
+        env = sandbox._guard_env(workdir, sandbox._write_guard(Path(server_dir)))
         with (workdir / "stdin.txt").open("rb") as fin, \
                 (workdir / "stdout.txt").open("wb") as fout, \
                 (workdir / "stderr.txt").open("wb") as ferr:
@@ -595,4 +616,5 @@ def _fail_fast_corpus() -> tuple[Dataset, list[Completion]]:
 
 def test_outcome_round_trip():
     outcome = execute("print(undefined)", TestCase("", ""), LIMITS)
-    assert outcome_from_dict(outcome_to_dict(outcome)) == outcome
+    stored = outcome_to_dict(outcome)
+    assert ExecutionOutcome(**{**stored, "status": Status(stored["status"])}) == outcome
