@@ -114,7 +114,7 @@ def _run(prog, replies):
     try:
         with open(prog, "rb") as fh:
             source = fh.read()
-        _refuse_undeclared_non_utf8(source, prog)
+        _refuse_what_python_refuses(source, prog)
         code = compile(source, prog, "exec", dont_inherit=True)
         os.write(replies, b"compiled\n")
         os.close(replies)
@@ -127,27 +127,45 @@ def _run(prog, replies):
     return 0, False
 
 
-def _refuse_undeclared_non_utf8(source, prog):
-    """Raise the SyntaxError `python prog` raises for a file that is not
-    UTF-8 and declares no encoding (neither a BOM nor a coding cookie on
-    its first two lines). compile() accepts such bytes in a comment."""
-    try:
-        source.decode("utf-8")
-        return
-    except UnicodeDecodeError as exc:
-        start = exc.start
-    if source.startswith(b"\xef\xbb\xbf"):
-        return
-    for line in source.splitlines()[:2]:
+def _refuse_what_python_refuses(source, prog):
+    """Raise the SyntaxError `python prog` raises for a null byte, or for a
+    byte that is not UTF-8 in a file that declares no encoding (neither a
+    BOM nor a coding cookie on its first two lines). compile() accepts such
+    bytes in a comment and reports a null byte without its location.
+    Python checks line by line; on one line it checks UTF-8 only up to the
+    first null byte."""
+    if b"\0" not in source:
+        try:
+            source.decode("utf-8")
+            return  # the common case, without compiling the patterns below
+        except UnicodeDecodeError:
+            pass
+    declared = source.startswith(b"\xef\xbb\xbf")
+    if declared:
+        source = source[3:]
+    lines = source.splitlines()
+    for line in lines[:2]:
         if re.match(rb"[ \t\f]*#.*?coding[:=][ \t]*[-\w.]+", line):
-            return
+            declared = True
+            break
         if not re.match(rb"[ \t\f]*(?:#|$)", line):
             break
-    lineno = len((source[:start] + b".").splitlines())
-    raise SyntaxError(
-        f"Non-UTF-8 code starting with '\\x{source[start]:02x}' in file {prog} on line "
-        f"{lineno}, but no encoding declared; see https://peps.python.org/pep-0263/ for details"
-    )
+    for lineno, line in enumerate(lines, start=1):
+        text, null, _ = line.partition(b"\0")
+        if not declared:
+            try:
+                text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SyntaxError(
+                    f"Non-UTF-8 code starting with '\\x{text[exc.start]:02x}' in file {prog} on "
+                    f"line {lineno}, but no encoding declared; see "
+                    "https://peps.python.org/pep-0263/ for details"
+                ) from None
+        if null:
+            raise SyntaxError(
+                "source code cannot contain null bytes",
+                (prog, lineno, 0, text.decode("utf-8", "replace"), lineno, 0),
+            )
 
 
 def _depth():

@@ -10,7 +10,7 @@ counted once under each: memberships are not deduplicated.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -173,21 +173,19 @@ def _summary_record(manifest: BenchmarkManifest) -> dict:
     }
 
 
-def export_manifest(manifest: BenchmarkManifest, path: str | Path) -> None:
-    """Write the manifest as JSONL: one summary header record, then one
-    record per entry. Byte-identical for identical manifests."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_summary_record(manifest), sort_keys=True) + "\n")
-        for entry in manifest.entries():
-            record = {
-                "record_type": "entry",
-                "task_id": entry.task_id,
-                "target_subcategory": entry.target_subcategory.value,
-                "observed_frequency": entry.observed_frequency,
-                "contributing_models": list(entry.contributing_models),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def manifest_records(manifest: BenchmarkManifest) -> list[dict]:
+    """The manifest's JSONL records: one summary header record, then one
+    record per entry."""
+    return [_summary_record(manifest)] + [
+        {
+            "record_type": "entry",
+            "task_id": entry.task_id,
+            "target_subcategory": entry.target_subcategory.value,
+            "observed_frequency": entry.observed_frequency,
+            "contributing_models": list(entry.contributing_models),
+        }
+        for entry in manifest.entries()
+    ]
 
 
 def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
@@ -224,20 +222,21 @@ def load_manifest(path: str | Path) -> BenchmarkManifest:
     )
 
 
-def export_summary_csv(manifest: BenchmarkManifest, path: str | Path) -> None:
+def render_summary_csv(manifest: BenchmarkManifest) -> str:
     """Summary table as CSV for spreadsheet diffing: one row per
     subcategory with its parent category totals."""
     sub_stats = manifest.subcategory_stats()
     cat_stats = manifest.category_stats()
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(
+        ["category", "category_tasks", "category_samples", "subcategory", "tasks", "samples"]
+    )
+    for subcategory in SUBCATEGORY_ORDER:
+        category = category_of(subcategory)
+        cat_tasks, cat_samples = cat_stats[category]
+        tasks, samples = sub_stats[subcategory]
         writer.writerow(
-            ["category", "category_tasks", "category_samples", "subcategory", "tasks", "samples"]
+            [category.value, cat_tasks, cat_samples, subcategory.value, tasks, samples]
         )
-        for subcategory in SUBCATEGORY_ORDER:
-            category = category_of(subcategory)
-            cat_tasks, cat_samples = cat_stats[category]
-            tasks, samples = sub_stats[subcategory]
-            writer.writerow(
-                [category.value, cat_tasks, cat_samples, subcategory.value, tasks, samples]
-            )
+    return out.getvalue()

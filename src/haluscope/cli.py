@@ -18,17 +18,8 @@ from typing import Any, Callable
 import click
 
 from . import degeneration, gateway, pipeline, taxonomy
-from .corpus import load_dataset, with_limit_overrides
-from .errors import (
-    ConfigError,
-    HaluscopeError,
-    HarnessFault,
-    IngestionError,
-    ProviderError,
-    ReportError,
-    TemplateError,
-    ValidationError,
-)
+from .corpus import completion_to_dict, load_dataset, read_json_object, with_limit_overrides
+from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
 
 logger = logging.getLogger(__name__)
@@ -36,18 +27,6 @@ logger = logging.getLogger(__name__)
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 _EXIT_FAULT = 3
-
-
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return obj
 
 
 def _boolean(value) -> bool:
@@ -177,18 +156,17 @@ def cli(ctx, config_path, verbose, **options):
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    ctx.obj = (options, _load_config_file(config_path))
+    ctx.obj = (options, read_json_object(config_path, ConfigError) if config_path else {})
 
 
 def _load_provider(path: str) -> tuple[gateway.ProviderConfig, str]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read provider config {path}: {exc}") from exc
+    obj = read_json_object(path, ConfigError)
     template = obj.pop("template", gateway.DEFAULT_TEMPLATE)
+    if not isinstance(template, str):
+        raise ConfigError(f"bad provider config {path}: 'template' must be a string")
     try:
         provider = gateway.ProviderConfig(**obj)
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         raise ConfigError(f"bad provider config {path}: {exc}") from exc
     return provider, template
 
@@ -196,8 +174,6 @@ def _load_provider(path: str) -> tuple[gateway.ProviderConfig, str]:
 def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
     """Fetch a completion for every dataset task and write them to
     completions.jsonl inside the out dir."""
-    from .corpus import completion_to_dict
-
     provider, template = _load_provider(provider_path)
     dataset = load_dataset(config.dataset_path)
     dataset = with_limit_overrides(dataset, config.wall_time_ms, config.memory_bytes)
@@ -205,14 +181,12 @@ def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "completions.jsonl"
 
-    def write(path: Path) -> None:
-        with path.open("w", encoding="utf-8") as fh:
-            for task in dataset.tasks:
-                instruction = gateway.render_instruction(task.question, task.limits, template)
-                completion = gateway.fetch_completion(task, provider, instruction)
-                fh.write(json.dumps(completion_to_dict(completion), sort_keys=True) + "\n")
+    def fetched():
+        for task in dataset.tasks:
+            instruction = gateway.render_instruction(task.question, task.limits, template)
+            yield completion_to_dict(gateway.fetch_completion(task, provider, instruction))
 
-    pipeline.atomic_write(target, write)
+    pipeline.write_jsonl(target, fetched())
     return str(target)
 
 
@@ -302,36 +276,26 @@ def pipeline_cmd(ctx, dataset, completions, provider_path):
     click.echo(f"wrote {path}")
 
 
-def _error_json(exc: BaseException, exit_code: int) -> None:
+def _fail(exc: BaseException, exit_code: int) -> int:
+    """Print `exc` as one JSON line on stderr; returns `exit_code`."""
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except (ConfigError, TemplateError) as exc:
-        _error_json(exc, _EXIT_USAGE)
-        return _EXIT_USAGE
-    except click.UsageError as exc:
-        _error_json(exc, _EXIT_USAGE)
-        return _EXIT_USAGE
-    except (IngestionError, ValidationError, ReportError) as exc:
-        _error_json(exc, _EXIT_DATA)
-        return _EXIT_DATA
-    except (ProviderError, HarnessFault) as exc:
-        _error_json(exc, _EXIT_FAULT)
-        return _EXIT_FAULT
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.Abort:
         return _EXIT_USAGE
-    except HaluscopeError as exc:
-        _error_json(exc, _EXIT_FAULT)
-        return _EXIT_FAULT
-    except OSError as exc:
-        _error_json(exc, _EXIT_FAULT)
-        return _EXIT_FAULT
+    except (ConfigError, click.UsageError) as exc:
+        return _fail(exc, _EXIT_USAGE)
+    except (IngestionError, ValidationError, ReportError) as exc:
+        return _fail(exc, _EXIT_DATA)
+    except (HaluscopeError, OSError) as exc:
+        return _fail(exc, _EXIT_FAULT)
     return 0
 
 

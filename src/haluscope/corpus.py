@@ -7,14 +7,11 @@ workers. The interchange format is JSON-lines with explicit field names.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .errors import IngestionError, ValidationError
-
-logger = logging.getLogger(__name__)
+from .errors import HaluscopeError, IngestionError, ValidationError
 
 T = TypeVar("T")
 
@@ -97,18 +94,36 @@ class Dataset:
         return {t.task_id: t for t in self.tasks}
 
 
+def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:
+    """The JSON object a UTF-8 file holds. A file that cannot be read, is
+    not UTF-8, is not JSON or holds another JSON value raises `error`
+    naming the path."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+        raise error(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected a JSON object")
+    return obj
+
+
 def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     """Decode every non-blank line of a JSON-lines file, in file order.
 
-    Each line must hold a JSON object. `decode` turns the object into a
-    value; a KeyError, ValueError, TypeError or AttributeError it raises
-    (a missing field, an unparseable value, a wrongly typed field) becomes
-    an IngestionError naming the path and line, and a ValidationError it
-    raises is re-raised with the same location prefixed."""
+    Each line must be UTF-8 and hold a JSON object. `decode` turns the
+    object into a value; a KeyError, ValueError, TypeError or
+    AttributeError it raises (a missing field, an unparseable value, a
+    wrongly typed field) becomes an IngestionError naming the path and
+    line, and a ValidationError it raises is re-raised with the same
+    location prefixed."""
     path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestionError(f"not UTF-8: {exc}", path=str(path), line=lineno) from exc
             if not line.strip():
                 continue
             try:
@@ -197,15 +212,12 @@ def completion_to_dict(completion: Completion) -> dict:
     return obj
 
 
-def load_completions(
-    path: str | Path, known_task_ids: set[str] | None = None
-) -> list[Completion]:
+def load_completions(path: str | Path) -> list[Completion]:
     """Load a completions.jsonl file.
 
-    Records referencing task ids outside `known_task_ids` are retained and
-    a warning is emitted, so partial completion dumps stay evaluable.
-    Repeated (task_id, model_id) pairs are rejected unless every repeat
-    carries an explicit sample_index."""
+    Records may reference task ids the dataset lacks, so partial
+    completion dumps stay loadable. Repeated (task_id, model_id) pairs are
+    rejected unless every repeat carries an explicit sample_index."""
     seen_pairs: set[tuple[str, str]] = set()
     seen_indexed: set[tuple[str, str, int]] = set()
 
@@ -223,17 +235,7 @@ def load_completions(
             seen_indexed.add(triple)
         return completion
 
-    completions = read_jsonl(path, decode)
-    if known_task_ids is not None:
-        for completion in completions:
-            if completion.task_id not in known_task_ids:
-                logger.warning(
-                    "completion in %s (model %s) references unknown task_id %r",
-                    path,
-                    completion.model_id,
-                    completion.task_id,
-                )
-    return completions
+    return read_jsonl(path, decode)
 
 
 def with_limit_overrides(

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Completion, ResourceLimits, Task
+from .corpus import Completion, ResourceLimits, Task, read_json_object
 from .errors import ConfigError, ProviderError, TemplateError
 
 logger = logging.getLogger(__name__)
@@ -110,42 +110,30 @@ def _cache_file(cache_dir: str, task_id: str, model_id: str) -> Path:
     return Path(cache_dir) / f"{safe(task_id)}__{safe(model_id)}.json"
 
 
-def _read_response_file(path: Path) -> str:
-    with path.open("r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or "text" not in obj:
-        raise ProviderError(f"{path}: stored response must be an object with a 'text' field")
-    return str(obj["text"])
-
-
 def fetch_completion(
     task: Task, provider: ProviderConfig, instruction: GenerationInstruction
 ) -> Completion:
     """Fetch one completion for `task`.
 
-    HTTP transport failures and non-2xx statuses are retried up to
-    provider.max_retries; a well-formed response is never retried. The
-    raw response is stored exactly as returned."""
-    if provider.endpoint == "file":
-        path = _cache_file(provider.path or "", task.task_id, provider.model_id)
-        if not path.exists():
-            raise ProviderError(f"no stored response for ({task.task_id}, {provider.model_id})")
-        text = _read_response_file(path)
+    A stored response (the file provider's directory, or the HTTP
+    provider's cache) is used when present. HTTP transport failures and
+    non-2xx statuses are retried up to provider.max_retries; a well-formed
+    response is never retried. The raw response is stored exactly as
+    returned."""
+    store = provider.path if provider.endpoint == "file" else provider.cache_dir
+    stored = _cache_file(store, task.task_id, provider.model_id) if store else None
+    if stored is not None and stored.exists():
+        obj = read_json_object(stored, ProviderError)
+        if "text" not in obj:
+            raise ProviderError(f"{stored}: stored response has no 'text' field")
+        text = str(obj["text"])
+    elif provider.endpoint == "file":
+        raise ProviderError(f"no stored response for ({task.task_id}, {provider.model_id})")
     else:
-        if provider.cache_dir:
-            cached = _cache_file(provider.cache_dir, task.task_id, provider.model_id)
-            if cached.exists():
-                text = _read_response_file(cached)
-                return _build_completion(task, provider, text)
         text = _http_fetch(provider, instruction.rendered)
-        if provider.cache_dir:
-            cached = _cache_file(provider.cache_dir, task.task_id, provider.model_id)
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            cached.write_text(json.dumps({"text": text}, sort_keys=True), encoding="utf-8")
-    return _build_completion(task, provider, text)
-
-
-def _build_completion(task: Task, provider: ProviderConfig, text: str) -> Completion:
+        if stored is not None:
+            stored.parent.mkdir(parents=True, exist_ok=True)
+            stored.write_text(json.dumps({"text": text}, sort_keys=True), encoding="utf-8")
     return Completion(
         task_id=task.task_id,
         model_id=provider.model_id,

@@ -89,7 +89,9 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted, through atomic_write."""
+
     def write(partial: Path) -> None:
         with partial.open("w", encoding="utf-8") as fh:
             for row in rows:
@@ -242,7 +244,7 @@ def validate_stage(config: RunConfig) -> Path:
     dataset = with_limit_overrides(dataset, config.wall_time_ms, config.memory_bytes)
     if config.completions_path is None:
         raise IngestionError("validate requires a completions file (use --completions)")
-    completions = load_completions(config.completions_path, set(dataset.task_map()))
+    completions = load_completions(config.completions_path)
     pairs = classify_corpus(
         dataset,
         completions,
@@ -260,7 +262,7 @@ def validate_stage(config: RunConfig) -> Path:
         logger.warning("%d executions ended in harness faults", fault_count)
 
     states_path = out_dir / STATES_FILE
-    _write_jsonl(states_path, (_state_row(record, outcome) for record, outcome in pairs))
+    write_jsonl(states_path, (_state_row(record, outcome) for record, outcome in pairs))
     return states_path
 
 
@@ -277,7 +279,7 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
     profiles = aggregate.build_profiles(states)
 
     profiles_path = out_dir / PROFILES_FILE
-    _write_jsonl(profiles_path, (aggregate.profile_to_dict(p) for p in profiles))
+    write_jsonl(profiles_path, (aggregate.profile_to_dict(p) for p in profiles))
 
     freq_payload = {
         "subcategory": aggregate.frequency_list_to_dict(
@@ -301,8 +303,8 @@ def build_bench_stage(config: RunConfig, profiles_path: str | Path | None = None
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
     manifest = bench.build(profiles, threshold_k=config.threshold_k, run_ids=(config.run_id,))
     benchmark_path = out_dir / BENCHMARK_FILE
-    atomic_write(benchmark_path, lambda p: bench.export_manifest(manifest, p))
-    atomic_write(out_dir / BENCHMARK_SUMMARY_FILE, lambda p: bench.export_summary_csv(manifest, p))
+    write_jsonl(benchmark_path, bench.manifest_records(manifest))
+    _write_text(out_dir / BENCHMARK_SUMMARY_FILE, bench.render_summary_csv(manifest))
     return benchmark_path
 
 

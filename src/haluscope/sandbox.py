@@ -115,32 +115,10 @@ def default_interpreter() -> list[str]:
     return [sys.executable]
 
 
-def compare_output(
-    actual: str, expected: str, numeric_mode: bool = False, tolerance: float = 1e-6
-) -> bool:
+def compare_output(actual: str, expected: str) -> bool:
     """Line-sequence equality after stripping trailing whitespace per line
-    and trailing blank lines. In numeric mode, tokens that both parse as
-    decimals compare within `tolerance` absolute difference."""
-    a_lines = _normalized_lines(actual)
-    e_lines = _normalized_lines(expected)
-    if not numeric_mode:
-        return a_lines == e_lines
-    if len(a_lines) != len(e_lines):
-        return False
-    for a_line, e_line in zip(a_lines, e_lines):
-        a_tokens, e_tokens = a_line.split(), e_line.split()
-        if len(a_tokens) != len(e_tokens):
-            return False
-        for a_tok, e_tok in zip(a_tokens, e_tokens):
-            if a_tok == e_tok:
-                continue
-            try:
-                a_val, e_val = float(a_tok), float(e_tok)
-            except ValueError:
-                return False
-            if not abs(a_val - e_val) <= tolerance:
-                return False
-    return True
+    and trailing blank lines."""
+    return _normalized_lines(actual) == _normalized_lines(expected)
 
 
 def _normalized_lines(text: str) -> list[str]:
@@ -318,10 +296,7 @@ def _execute_in_tempdir(
 ) -> ExecutionOutcome:
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
-        # A lone surrogate is written as its bytes, which the program's
-        # interpreter refuses as Non-UTF-8 code: a syntax failure.
-        (workdir / "prog.py").write_bytes(source_code.encode("utf-8", "surrogatepass"))
-        (workdir / "stdin.txt").write_text(test.input, encoding="utf-8")
+        _lay_out(workdir, source_code, test)
         with _fork_server(argv) as server:
             started = time.monotonic()
             raw = server.run(workdir, limits)
@@ -347,6 +322,14 @@ def _execute_in_tempdir(
         wall_time_ms=elapsed_ms,
         peak_memory_bytes=raw.peak_memory_bytes,
     )
+
+
+def _lay_out(directory: Path, source_code: str, test: TestCase) -> None:
+    """Write prog.py and stdin.txt. A lone surrogate is written as its
+    bytes: the interpreter refuses them in prog.py as Non-UTF-8 code (a
+    syntax failure), and the program reads them from stdin.txt."""
+    (directory / "prog.py").write_bytes(source_code.encode("utf-8", "surrogatepass"))
+    (directory / "stdin.txt").write_bytes(test.input.encode("utf-8", "surrogatepass"))
 
 
 def _write_guard(directory: Path) -> Path:
@@ -556,8 +539,7 @@ def _write_artifacts(
     directory: Path, source_code: str, test: TestCase, outcome: ExecutionOutcome
 ) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "prog.py").write_text(source_code, encoding="utf-8", errors="surrogatepass")
-    (directory / "stdin.txt").write_text(test.input, encoding="utf-8")
+    _lay_out(directory, source_code, test)
     (directory / "stdout.txt").write_text(outcome.actual_output, encoding="utf-8")
     (directory / "stderr.txt").write_text(outcome.traceback, encoding="utf-8")
     (directory / "outcome.json").write_text(

@@ -9,13 +9,13 @@ users can re-bin exceptions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
+from .corpus import read_json_object
 from .degeneration import DegenerationKind, DegenerationVerdict
 from .errors import ConfigError
 from .sandbox import ExecutionOutcome, Status
@@ -216,11 +216,8 @@ def classify(
 def load_table(path: str | Path) -> ClassificationTable:
     """Read a classification table from JSON:
     {"exception_map": {"SomeError": "subcategory"}, "fallback": policy}."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read classification table {path}: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("exception_map"), dict):
+    obj = read_json_object(path, ConfigError)
+    if not isinstance(obj.get("exception_map"), dict):
         raise ConfigError(f"{path}: expected an object with an 'exception_map' mapping")
     exception_map: dict[str, Subcategory] = {}
     for name, value in obj["exception_map"].items():

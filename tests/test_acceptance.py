@@ -49,9 +49,7 @@ def test_criterion_1_taxonomy_totality(taxonomy_corpus):
     with criterion(1, "taxonomy totality on the handcrafted fixture corpus"):
         started = time.monotonic()
         dataset = load_dataset(taxonomy_corpus["tasks"])
-        completions = load_completions(
-            taxonomy_corpus["completions"], set(dataset.task_map())
-        )
+        completions = load_completions(taxonomy_corpus["completions"])
         expected = taxonomy_corpus["expected"]
         assert len(completions) >= 30
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,12 @@ from haluscope.aggregate import SampleProfile
 from haluscope.bench import (
     BenchmarkManifest,
     build,
-    export_manifest,
-    export_summary_csv,
     load_manifest,
+    manifest_records,
+    render_summary_csv,
 )
 from haluscope.errors import ConfigError
+from haluscope.pipeline import write_jsonl
 from haluscope.taxonomy import (
     CATEGORY_ORDER,
     SUBCATEGORY_ORDER,
@@ -189,6 +191,10 @@ class TestManifestStats:
         assert (tasks, samples) == (1, 2)  # task A, models m1+m2
 
 
+def export_manifest(manifest: BenchmarkManifest, path: Path) -> None:
+    write_jsonl(path, manifest_records(manifest))
+
+
 class TestExport:
     def test_round_trip(self, tmp_path):
         manifest = build(_identity_heavy_profiles(), threshold_k=1, run_ids=("run-7",))
@@ -219,10 +225,9 @@ class TestExport:
         export_manifest(build(list(reversed(profiles)), threshold_k=2, run_ids=("r",)), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_summary_csv(self, tmp_path):
+    def test_summary_csv(self):
         manifest = build(_identity_heavy_profiles(), threshold_k=2)
-        path = tmp_path / "summary.csv"
-        export_summary_csv(manifest, path)
-        lines = path.read_text().strip().split("\n")
+        text = render_summary_csv(manifest)
+        lines = text.strip().split("\n")
         assert len(lines) == 1 + len(SUBCATEGORY_ORDER)
-        assert "identity" in path.read_text()
+        assert "identity" in text

@@ -163,6 +163,22 @@ _MANIFEST_SUMMARY = {
     "categories": [],
 }
 _TASK = {"task_id": "t", "question": "q", "test_cases": [{"input": "", "expected_output": ""}]}
+_MALFORMED = {
+    "not-utf8": b'{"task_id": "\xff"}\n',
+    "not-json": b"{broken\n",
+    "not-an-object": b"[1]\n",
+}
+# Each input file a malformed file is fed as, and the exit code its
+# reader documents.
+_MALFORMED_EXIT_CODES = {
+    "config": 1,
+    "provider": 1,
+    "classification-table": 1,
+    "provider-response": 3,
+    "tasks": 2,
+    "completions": 2,
+    "states": 2,
+}
 
 
 class TestExitCodes:
@@ -306,6 +322,77 @@ class TestExitCodes:
         assert payload["error"] == "IngestionError"
         assert payload["exit_code"] == 2
         assert payload["message"].startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize("content", sorted(_MALFORMED))
+    @pytest.mark.parametrize("target", sorted(_MALFORMED_EXIT_CODES))
+    def test_malformed_input_file_exits_with_its_code(
+        self, target, content, tmp_path, capsys, caplog
+    ):
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps(_TASK)])
+        _write_lines(completions, [json.dumps({"task_id": "t", "model_id": "m",
+                                               "raw_response": "print()"})])
+        store = tmp_path / "responses"
+        store.mkdir()
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps({"endpoint": "file", "model_id": "m", "path": str(store)}))
+        bad = store / "t__m.json" if target == "provider-response" else tmp_path / "bad.json"
+        bad.write_bytes(_MALFORMED[content])
+        validate = ["validate", "--dataset", tasks, "--completions", completions]
+        args = {
+            "config": ["--config", bad, *validate],
+            "classification-table": ["--classification-table", bad, *validate],
+            "provider": ["validate", "--dataset", tasks, "--provider", bad],
+            "provider-response": ["validate", "--dataset", tasks, "--provider", provider],
+            "tasks": ["validate", "--dataset", bad, "--completions", completions],
+            "completions": ["validate", "--dataset", tasks, "--completions", bad],
+            "states": ["identify", "--states", bad],
+        }[target]
+        code = _MALFORMED_EXIT_CODES[target]
+        assert _run(["--out-dir", tmp_path / "out", *args]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err + caplog.text
+        errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert [e["exit_code"] for e in errors] == [code]
+        assert str(bad) in errors[0]["message"]
+
+    @pytest.mark.parametrize(
+        "fields", [{"endpoint": 5}, {"template": 7}, {"max_retries": "2"}],
+        ids=["endpoint", "template", "max-retries"],
+    )
+    def test_mistyped_provider_config_is_config_error(self, fields, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        _write_lines(tasks, [json.dumps(_TASK)])
+        provider = tmp_path / "provider.json"
+        provider.write_text(
+            json.dumps({"endpoint": "file", "model_id": "m", "path": ".", **fields})
+        )
+        assert _run(["--out-dir", tmp_path / "out", "validate", "--dataset", tasks,
+                     "--provider", provider]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("options", [[], ["--artifact-dir", "artifacts"]],
+                             ids=["plain", "artifact-dir"])
+    def test_lone_surrogate_in_input_reaches_a_state(self, options, tmp_path):
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps({"task_id": "t", "question": "q", "test_cases": [
+            {"input": "\ud800", "expected_output": "1"}]})])
+        _write_lines(completions, [
+            json.dumps({"task_id": "t", "model_id": "constant", "raw_response": "print(1)"}),
+            json.dumps({"task_id": "t", "model_id": "echo", "raw_response": "print(input())"}),
+        ])
+        out = tmp_path / "out"
+        options = [tmp_path / option if option == "artifacts" else option for option in options]
+        assert _run([*options, "--out-dir", out, "validate", "--dataset", tasks,
+                     "--completions", completions]) == 0
+        rows = {r["model_id"]: r for r in _read_lines(out / STATES_FILE)}
+        assert rows["constant"]["status"] == "pass"
+        assert (rows["echo"]["status"], rows["echo"]["exception_name"]) == (
+            "runtime_failure", "UnicodeDecodeError")
+        if options:
+            stdins = list((tmp_path / "artifacts").rglob("stdin.txt"))
+            assert len(stdins) == 2
+            assert {p.read_bytes() for p in stdins} == {"\ud800".encode("utf-8", "surrogatepass")}
 
     def test_mutually_exclusive_sources(self, mini_corpus, tmp_path):
         provider = tmp_path / "provider.json"

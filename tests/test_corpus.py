@@ -217,13 +217,11 @@ class TestCompletions:
         )
         assert load_completions(path)[0].source_code == "print(2)"
 
-    def test_unknown_task_retained_with_warning(self, tmp_path, caplog):
+    def test_unknown_task_retained_with_warning(self, tmp_path):
         path = tmp_path / "completions.jsonl"
         _write_jsonl(path, [{"task_id": "ghost", "model_id": "m", "raw_response": "x"}])
-        with caplog.at_level("WARNING"):
-            completions = load_completions(path, known_task_ids={"real"})
-        assert len(completions) == 1
-        assert "ghost" in caplog.text
+        completions = load_completions(path)
+        assert [c.task_id for c in completions] == ["ghost"]
 
     def test_repeat_without_sample_index_rejected(self, tmp_path):
         path = tmp_path / "completions.jsonl"
