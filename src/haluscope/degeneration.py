@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import ast
 import re
+import warnings
 from dataclasses import dataclass
 from enum import Enum
+
+from .errors import ConfigError
 
 _WS_RUN = re.compile(r"\s+")
 _STRING_LITERAL = re.compile(r"('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")")
@@ -48,6 +51,19 @@ class DegenerationConfig:
     parse_valid_frac: float = 0.3
     window_frac: float = 0.6
 
+    def __post_init__(self) -> None:
+        # A block always "repeats" once and every line shares a pattern with
+        # itself, so smaller counts would gate every generation.
+        if self.repeat_count < 2:
+            raise ConfigError("degeneration.repeat_count must be at least 2")
+        if self.block_size < 1:
+            raise ConfigError("degeneration.block_size must be at least 1")
+        if self.enum_count < 2:
+            raise ConfigError("degeneration.enum_count must be at least 2")
+        for name in ("parse_valid_frac", "window_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"degeneration.{name} must be between 0 and 1")
+
 
 DEFAULT_CONFIG = DegenerationConfig()
 
@@ -72,10 +88,13 @@ def _nonblank_normalized(source_code: str) -> list[str]:
 def repetition_ratio(source_code: str) -> float:
     """1 - (distinct normalized lines / total non-blank lines); 0 for empty
     input."""
-    lines = _nonblank_normalized(source_code)
-    if not lines:
+    return _repetition_ratio(_nonblank_normalized(source_code))
+
+
+def _repetition_ratio(items: list[str]) -> float:
+    if not items:
         return 0.0
-    return 1.0 - len(set(lines)) / len(lines)
+    return 1.0 - len(set(items)) / len(items)
 
 
 def detect(
@@ -100,17 +119,16 @@ def detect(
         return DegenerationVerdict(
             kind=DegenerationKind.STUTTERING,
             evidence=stutter,
-            score=repetition_ratio(source_code),
+            score=_repetition_ratio(lines),
         )
 
-    enum_evidence = _find_enumeration(lines, config)
+    keys = [_pattern_key(line) for line in lines]
+    enum_evidence = _find_enumeration(keys, config)
     if enum_evidence is not None:
-        keys = [_pattern_key(line) for line in lines]
-        score = 1.0 - len(set(keys)) / len(keys) if keys else 0.0
         return DegenerationVerdict(
             kind=DegenerationKind.INFINITE_ENUMERATION,
             evidence=enum_evidence,
-            score=score,
+            score=_repetition_ratio(keys),
         )
 
     gibberish = _check_gibberish(source_code, lines, truncated_at_limit, config)
@@ -120,13 +138,14 @@ def detect(
     return DegenerationVerdict(
         kind=DegenerationKind.NONE,
         evidence=NO_VERDICT_EVIDENCE,
-        score=repetition_ratio(source_code),
+        score=_repetition_ratio(lines),
     )
 
 
 def _find_stutter(lines: list[str], config: DegenerationConfig) -> str | None:
     """Return the repeated block (joined by newlines) with the largest
-    coverage in the trailing window, or None."""
+    coverage in the trailing window, or None. Ties go to the shorter block,
+    then to the earlier start."""
     total = len(lines)
     if total == 0:
         return None
@@ -135,18 +154,20 @@ def _find_stutter(lines: list[str], config: DegenerationConfig) -> str | None:
     best_block: list[str] | None = None
     best_coverage = 0
     for block_len in range(1, config.block_size + 1):
+        # run[i]: how many consecutive lines from i on equal the line
+        # block_len further down, so the block at i repeats
+        # 1 + run[i] // block_len times in a row.
+        run = [0] * (size + 1)
+        for i in range(size - block_len - 1, -1, -1):
+            if window[i] == window[i + block_len]:
+                run[i] = run[i + 1] + 1
         for start in range(size - block_len * config.repeat_count + 1):
-            block = window[start : start + block_len]
-            repeats = 1
-            pos = start + block_len
-            while pos + block_len <= size and window[pos : pos + block_len] == block:
-                repeats += 1
-                pos += block_len
+            repeats = 1 + run[start] // block_len
             if repeats >= config.repeat_count:
                 coverage = repeats * block_len
                 if coverage > best_coverage:
                     best_coverage = coverage
-                    best_block = block
+                    best_block = window[start : start + block_len]
     return "\n".join(best_block) if best_block is not None else None
 
 
@@ -155,13 +176,12 @@ def _pattern_key(line: str) -> str:
     return _NUMBER_LITERAL.sub("<num>", masked)
 
 
-def _find_enumeration(lines: list[str], config: DegenerationConfig) -> str | None:
-    """Return the shared statement pattern of the longest literal-varying
-    run when it reaches enum_count, else None."""
+def _find_enumeration(keys: list[str], config: DegenerationConfig) -> str | None:
+    """Return the shared statement pattern (the _pattern_key of each line)
+    of the first literal-varying run that reaches enum_count, else None."""
     run_key: str | None = None
     run_len = 0
-    for line in lines:
-        key = _pattern_key(line)
+    for key in keys:
         if key == run_key:
             run_len += 1
         else:
@@ -177,16 +197,22 @@ def _check_gibberish(
     truncated_at_limit: bool,
     config: DegenerationConfig,
 ) -> DegenerationVerdict | None:
-    try:
-        ast.parse(source_code)
-        return None
-    except _UNPARSEABLE:
-        pass
+    # Compiling text can warn (SyntaxWarning for `x is 1`, an invalid escape
+    # sequence). Ignoring the warnings keeps the gate silent and its verdict
+    # independent of the process's warnings filter: under "error" they would
+    # turn into SyntaxErrors.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            ast.parse(source_code)
+            return None
+        except _UNPARSEABLE:
+            pass
+        flags = [_program_like(line) for line in lines]
     if not lines:
         valid_frac = 0.0
         offending = "<empty>"
     else:
-        flags = [_program_like(line) for line in lines]
         valid_frac = sum(flags) / len(lines)
         offending = next(
             (line for line, ok in zip(lines, flags) if not ok), lines[0]
@@ -203,17 +229,24 @@ def _check_gibberish(
 def _program_like(line: str) -> bool:
     """Heuristic for "this line looks like code": comments, decorators,
     keyword-led statements, bare bracket lines, or lines that compile alone
-    (optionally wrapped in a function body for return/yield)."""
+    (or wrapped in a function body, for return/yield)."""
     if line.startswith(("#", "@")):
         return True
     if _KEYWORD_PREFIX.match(line):
         return True
     if _BRACKET_ONLY.match(line):
         return True
-    for candidate in (line, f"def _probe():\n    {line}"):
-        try:
-            compile(candidate, "<line>", "exec")
-            return True
-        except _UNPARSEABLE:
-            continue
-    return False
+    try:
+        compile(line, "<line>", "exec")
+        return True
+    except _UNPARSEABLE:
+        pass
+    # Only a return or yield outside a function compiles in the wrapped
+    # form and not alone, so other lines skip the second compile.
+    if "return" not in line and "yield" not in line:
+        return False
+    try:
+        compile(f"def _probe():\n    {line}", "<line>", "exec")
+        return True
+    except _UNPARSEABLE:
+        return False

@@ -56,6 +56,19 @@ class ProviderConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # The fields come from a provider JSON file, so their types are
+        # outside input too.
+        for name in ("endpoint", "model_id"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"provider {name} must be a string")
+        for name in ("path", "auth_token_env", "cache_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"provider {name} must be a string or null")
+        for name in ("request_timeout_ms", "max_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"provider {name} must be an integer")
         if self.endpoint == "file":
             if not self.path:
                 raise ConfigError("file provider requires a path")

@@ -357,8 +357,11 @@ class TestExitCodes:
         assert str(bad) in errors[0]["message"]
 
     @pytest.mark.parametrize(
-        "fields", [{"endpoint": 5}, {"template": 7}, {"max_retries": "2"}],
-        ids=["endpoint", "template", "max-retries"],
+        "fields",
+        [{"endpoint": 5}, {"template": 7}, {"max_retries": "2"}, {"max_retries": True},
+         {"model_id": 5}, {"path": 5}, {"endpoint": "http://127.0.0.1:1/x", "cache_dir": 5}],
+        ids=["endpoint", "template", "max-retries", "max-retries-bool",
+             "model-id", "path", "cache-dir"],
     )
     def test_mistyped_provider_config_is_config_error(self, fields, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
@@ -369,7 +372,9 @@ class TestExitCodes:
         )
         assert _run(["--out-dir", tmp_path / "out", "validate", "--dataset", tasks,
                      "--provider", provider]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ConfigError"
 
     @pytest.mark.parametrize("options", [[], ["--artifact-dir", "artifacts"]],
                              ids=["plain", "artifact-dir"])
@@ -506,6 +511,32 @@ class TestSettingPrecedence:
                      "--completions", mini_corpus["completions"]])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("repeat_count", 1), ("block_size", 0), ("enum_count", 1), ("enum_count", 0),
+         ("window_frac", 1.5), ("window_frac", -0.1), ("parse_valid_frac", 2.0)],
+    )
+    @pytest.mark.parametrize("source", ["cli", "config"])
+    def test_out_of_range_threshold_is_config_error(
+        self, source, key, value, mini_corpus, tmp_path, capsys
+    ):
+        # Such a threshold would gate every generation (or none) in silence.
+        if source == "cli":
+            args = [f"--degeneration.{key.replace('_', '-')}", value]
+        else:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({"degeneration": {key: value}}))
+            args = ["--config", config_path]
+        code = _run([*args, "--out-dir", tmp_path / "out", "validate",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert f"degeneration.{key}" in error["message"]
         assert not (tmp_path / "out").exists()
 
 

@@ -1,18 +1,232 @@
 from __future__ import annotations
 
+import ast
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haluscope.degeneration import (
     DEFAULT_CONFIG,
     DegenerationConfig,
     DegenerationKind,
+    _BRACKET_ONLY,
+    _KEYWORD_PREFIX,
+    _UNPARSEABLE,
+    _find_stutter,
+    _nonblank_normalized,
+    _normalize_line,
+    _pattern_key,
+    _program_like,
     detect,
     repetition_ratio,
 )
+from haluscope.errors import ConfigError
+
+
+# Reference implementations: the rescanning stutter search and the
+# two-compile line check the gate used before its linear-time rewrite.
+# The gate must agree with them exactly.
+
+
+def _oracle_find_stutter(lines: list[str], config: DegenerationConfig) -> str | None:
+    total = len(lines)
+    if total == 0:
+        return None
+    window = lines[int(total * (1.0 - config.window_frac)) :]
+    size = len(window)
+    best_block: list[str] | None = None
+    best_coverage = 0
+    for block_len in range(1, config.block_size + 1):
+        for start in range(size - block_len * config.repeat_count + 1):
+            block = window[start : start + block_len]
+            repeats = 1
+            pos = start + block_len
+            while pos + block_len <= size and window[pos : pos + block_len] == block:
+                repeats += 1
+                pos += block_len
+            if repeats >= config.repeat_count:
+                coverage = repeats * block_len
+                if coverage > best_coverage:
+                    best_coverage = coverage
+                    best_block = block
+    return "\n".join(best_block) if best_block is not None else None
+
+
+def _oracle_program_like(line: str) -> bool:
+    if line.startswith(("#", "@")):
+        return True
+    if _KEYWORD_PREFIX.match(line):
+        return True
+    if _BRACKET_ONLY.match(line):
+        return True
+    for candidate in (line, f"def _probe():\n    {line}"):
+        try:
+            compile(candidate, "<line>", "exec")
+            return True
+        except _UNPARSEABLE:
+            continue
+    return False
+
+
+def _oracle_detect(source_code: str, truncated_at_limit: bool, config: DegenerationConfig):
+    """The gate's rules, in order, over the reference implementations;
+    returns (kind, evidence, score)."""
+    lines = _nonblank_normalized(source_code)
+
+    def ratio(items: list[str]) -> float:
+        return 1.0 - len(set(items)) / len(items) if items else 0.0
+
+    stutter = _oracle_find_stutter(lines, config)
+    if stutter is not None:
+        return "stuttering", stutter, ratio(lines)
+    keys = [_pattern_key(line) for line in lines]
+    run_len = 0
+    for index, key in enumerate(keys):
+        run_len = run_len + 1 if index and key == keys[index - 1] else 1
+        if run_len >= config.enum_count:
+            return "infinite_enumeration", key, ratio(keys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            ast.parse(source_code)
+            parses = True
+        except _UNPARSEABLE:
+            parses = False
+        flags = [_oracle_program_like(line) for line in lines]
+    if not parses:
+        valid_frac = sum(flags) / len(lines) if lines else 0.0
+        offending = next((line for line, ok in zip(lines, flags) if not ok),
+                         lines[0] if lines else "<empty>")
+        if truncated_at_limit or valid_frac < config.parse_valid_frac:
+            return "gibberish", offending, 1.0 - valid_frac
+    return "none", "", ratio(lines)
+
+
+def _verdict(source_code: str, truncated_at_limit: bool, config: DegenerationConfig):
+    verdict = detect(source_code, truncated_at_limit, config)
+    return verdict.kind.value, verdict.evidence, verdict.score
+
+
+_valid_configs = st.builds(
+    DegenerationConfig,
+    repeat_count=st.integers(min_value=2, max_value=6),
+    block_size=st.integers(min_value=1, max_value=4),
+    enum_count=st.integers(min_value=2, max_value=25),
+    parse_valid_frac=st.floats(min_value=0.0, max_value=1.0),
+    window_frac=st.floats(min_value=0.0, max_value=1.0),
+)
+
+# Words a generated line is built from: keywords that only compile inside a
+# function (or in neither place), operators, literals that draw
+# SyntaxWarnings, and brackets that may not balance.
+_SOUP_TOKENS = [
+    "return", "yield", "await", "nonlocal", "global", "import", "*", "from", "m", "x",
+    "y", "=", "1", "0", "(", ")", "[", "]", "{", "}", ":", ";", ",", ".", "+", "-",
+    "lambda", "if", "else", "for", "in", "is", "not", "async", "def", "'s'", '"\\d"',
+    "print", "#", "@", "\\", "==", "->", "...", "_probe", "pass", "del",
+]
+_soup_lines = st.lists(st.sampled_from(_SOUP_TOKENS), min_size=1, max_size=8).map(
+    lambda words: _normalize_line(" ".join(words))
+).filter(bool)
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        alphabet=st.integers(min_value=1, max_value=4),
+        config=_valid_configs,
+    )
+    def test_stutter_search_matches_reference(self, data, alphabet, config):
+        lines = data.draw(st.lists(st.sampled_from("abcd"[:alphabet]), max_size=60))
+        assert _find_stutter(lines, config) == _oracle_find_stutter(lines, config)
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=_soup_lines)
+    @example(line="return x")
+    @example(line="x = yield 1")
+    @example(line="x = (yield)")
+    @example(line="a; from m import *")
+    @example(line="x = await y")
+    @example(line="x = 1; nonlocal x")
+    @example(line="x; return")
+    @example(line="returned = 1")
+    @example(line="x is 1")
+    @example(line='print(re.findall("\\d+", input()))')
+    def test_program_like_matches_reference(self, line):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert _program_like(line) == _oracle_program_like(line)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        config=_valid_configs,
+        truncated=st.booleans(),
+    )
+    def test_detect_matches_reference(self, data, config, truncated):
+        unit = data.draw(st.lists(
+            st.sampled_from(["acc.append(v)", "x = x", "total += step", "pop()"]),
+            min_size=1, max_size=3,
+        ))
+        document = data.draw(st.sampled_from(["stutter", "enumeration", "gibberish"]))
+        head = data.draw(st.lists(_soup_lines, max_size=4))
+        if document == "stutter":
+            body = unit * data.draw(st.integers(min_value=1, max_value=12))
+        elif document == "enumeration":
+            body = [f"emit({i}, 'v{i}')" for i in range(data.draw(st.integers(0, 30)))]
+        else:
+            body = data.draw(st.lists(_soup_lines, max_size=30))
+        source = "\n".join(head + body)
+        assert _verdict(source, truncated, config) == _oracle_detect(source, truncated, config)
+
+    def test_long_stutter_document_matches_reference(self):
+        # 20,000 lines of 1- and 2-line blocks repeated 5 to 27 times. Runs
+        # stay short because the reference rescans every run from each of
+        # its starts: one 20,000-line run takes it tens of seconds.
+        segments = []
+        for k in range(1000):
+            block = [f"acc_{k}.append(v)"] + ([f"acc_{k}.pop()"] if k % 2 else [])
+            segments.append([f"seg_{k} = {k}"] + block * (5 + k % 23))
+        lines = [line for segment in segments for line in segment][:20_000]
+        assert len(lines) == 20_000
+        source = "\n".join(lines)
+        expected = _oracle_detect(source, False, DEFAULT_CONFIG)
+        assert expected[0] == "stuttering"
+        assert _verdict(source, False, DEFAULT_CONFIG) == expected
+
+    def test_one_long_run_is_stuttering(self):
+        source = "x = 0\n" + "total += step\n" * 20_000
+        assert _verdict(source, False, DEFAULT_CONFIG) == (
+            "stuttering", "total += step", repetition_ratio(source)
+        )
+
+
+class TestWarningsFilter:
+    SOURCES = [
+        # an invalid escape: a DeprecationWarning (SyntaxWarning from 3.12)
+        'import re\nprint(re.findall("\\d+", input()))\n',
+        # SyntaxWarning: "is" with a literal, in an unparseable document
+        "x is 1\ny is 'a'\n) broken (\n",
+        "x is 1\n" + "qq zz ww\n" * 4,
+    ]
+
+    @pytest.mark.parametrize("action", ["error", "default", "always"])
+    def test_verdict_independent_of_filter_and_silent(self, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = [_verdict(source, False, DEFAULT_CONFIG) for source in self.SOURCES]
+        assert [kind for kind, _, _ in expected] == ["none", "none", "gibberish"]
+        assert expected[2][1] == "qq zz ww"  # `x is 1` counts as code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert [_verdict(source, False, DEFAULT_CONFIG) for source in self.SOURCES] == (
+                expected
+            )
+        assert caught == []
 
 
 class TestRepetitionRatio:
@@ -173,6 +387,21 @@ class TestConfig:
         assert detect(source).kind is DegenerationKind.NONE
         relaxed = DegenerationConfig(enum_count=8)
         assert detect(source, config=relaxed).kind is DegenerationKind.INFINITE_ENUMERATION
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"repeat_count": 1}, {"repeat_count": 0}, {"block_size": 0}, {"enum_count": 1},
+         {"enum_count": 0}, {"window_frac": 1.01}, {"window_frac": -0.5},
+         {"parse_valid_frac": 1.5}, {"parse_valid_frac": float("nan")}],
+    )
+    def test_out_of_range_threshold_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            DegenerationConfig(**fields)
+
+    def test_boundary_thresholds_accepted(self):
+        DegenerationConfig(repeat_count=2, block_size=1, enum_count=2,
+                           parse_valid_frac=0.0, window_frac=1.0)
+        DegenerationConfig(parse_valid_frac=1.0, window_frac=0.0)
 
     def test_defaults(self):
         assert DEFAULT_CONFIG.repeat_count == 5
