@@ -7,22 +7,21 @@ Exit codes: 0 success, 1 usage or configuration, 2 data validation,
 
 from __future__ import annotations
 
+import argparse
 import json
 import logging
+import os
 import shlex
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
-import click
-
 from . import degeneration, gateway, pipeline, taxonomy
-from .corpus import completion_to_dict, load_dataset, read_json_object, with_limit_overrides
+from .corpus import completion_to_dict, load_dataset, read_json_object, refuse_shared_names
+from .corpus import safe_name, with_limit_overrides
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
-
-logger = logging.getLogger(__name__)
 
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
@@ -34,6 +33,13 @@ def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
     return value
+
+
+def _positive_int(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"must be at least 1, got {number}")
+    return number
 
 
 def _indicator(value) -> str:
@@ -49,17 +55,17 @@ def _command(value) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class _Setting:
-    """A group option that sets one run setting. Its parameter name is its
-    config-file key; a "degeneration." key names a field of the config
+    """A top-level option that sets one run setting. Its parameter name is
+    its config-file key; a "degeneration." key names a field of the config
     file's "degeneration" object. `field` is the RunConfig field it sets,
     or the DegenerationConfig field for a degeneration key. `parse`
-    converts the CLI or config-file value into the field's value."""
+    converts the CLI string or the config-file value into the field's
+    value. Its help shows the last word of its key as the value's name."""
 
     flag: str
     key: str
     field: str
     parse: Callable[[Any], Any]
-    click_type: Any = None
     help: str | None = None
     is_flag: bool = False
 
@@ -69,21 +75,20 @@ class _Setting:
 
 
 RUN_SETTINGS = (
-    _Setting("--out-dir", "out_dir", "out_dir", str, click.Path(), "Artifact directory."),
-    _Setting("--jobs", "jobs", "jobs", int, help="Parallel sandbox workers."),
-    _Setting("--interpreter", "interpreter", "interpreter", _command, str,
+    _Setting("--out-dir", "out_dir", "out_dir", str, "Artifact directory."),
+    _Setting("--jobs", "jobs", "jobs", _positive_int, "Parallel sandbox workers."),
+    _Setting("--interpreter", "interpreter", "interpreter", _command,
              "Interpreter command, e.g. 'python3 -u'."),
     _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", int),
     _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", int),
-    _Setting("--threshold-k", "threshold_k", "threshold_k", int,
-             help="Benchmark inclusion threshold."),
-    _Setting("--classification-table", "classification_table", "table", taxonomy.load_table,
-             click.Path()),
+    _Setting("--threshold-k", "threshold_k", "threshold_k", _positive_int,
+             "Benchmark inclusion threshold."),
+    _Setting("--classification-table", "classification_table", "table", taxonomy.load_table),
     _Setting("--indicator", "indicator", "indicator_mode", _indicator,
-             click.Choice(INDICATOR_MODES)),
+             f"One of {', '.join(INDICATOR_MODES)}."),
     _Setting("--fail-fast", "fail_fast", "fail_fast", _boolean, is_flag=True),
     _Setting("--run-id", "run_id", "run_id", str),
-    _Setting("--artifact-dir", "artifact_dir", "artifact_root", str, click.Path(),
+    _Setting("--artifact-dir", "artifact_dir", "artifact_root", str,
              "Store stdin/stdout/stderr/outcome.json per execution."),
     _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", int),
     _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", int),
@@ -92,6 +97,62 @@ RUN_SETTINGS = (
              "parse_valid_frac", float),
     _Setting("--degeneration.window-frac", "degeneration.window_frac", "window_frac", float),
 )
+
+# Each subcommand: the `pipeline` function it runs (looked up when it
+# runs), its input-file options and its help. A stage reading another
+# stage's output takes those paths after the run configuration; a stage
+# reading `_SOURCES` (a dataset plus completions) takes the configuration.
+_SOURCES = ("dataset", "completions", "provider")
+_PROVIDER_HELP = "Provider config JSON; completions are fetched through it."
+COMMANDS = {
+    "validate": ("validate_stage", _SOURCES, "Gate, execute and classify: states.jsonl."),
+    "identify": ("identify_stage", ("states",), "Aggregate: profiles.jsonl, frequencies.json."),
+    "build-bench": ("build_bench_stage", ("profiles",), "Benchmark: benchmark.jsonl and CSV."),
+    "evaluate": ("evaluate_stage", ("benchmark", "profiles"), "Hallucination rates: "
+                 "evaluation.json, report.md, report.csv, report.json."),
+    "report": ("report_stage", ("profiles",), "Co-occurrence summary: cooccurrence.json."),
+    "pipeline": ("run_pipeline", _SOURCES, "All stages in sequence over one out dir."),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they leave through `main`'s one
+    error path."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _existing(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="haluscope",
+        description="Execution-based detection, classification, and measurement of code "
+        "hallucinations.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--config", metavar="PATH", help="JSON file of defaults.")
+    for setting in RUN_SETTINGS:
+        if setting.is_flag:
+            parser.add_argument(setting.flag, dest=setting.param, action="store_true",
+                                default=None, help=setting.help)
+        else:
+            parser.add_argument(setting.flag, dest=setting.param, help=setting.help,
+                                metavar=setting.key.rpartition("_")[2].upper())
+    parser.add_argument("-v", "--verbose", action="store_true")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (_, inputs, help_text) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_text, description=help_text,
+                                      allow_abbrev=False)
+        for option in inputs:
+            command.add_argument(f"--{option}", type=_existing, metavar="PATH",
+                                 help=_PROVIDER_HELP if option == "provider" else None)
+    return parser
 
 
 def _config_value(config: dict, key: str):
@@ -102,16 +163,14 @@ def _config_value(config: dict, key: str):
     return scope.get(name)
 
 
-def _run_config(
-    ctx: click.Context, dataset: str | None, completions: str | None
-) -> pipeline.RunConfig:
+def _run_config(args: argparse.Namespace, config: dict, dataset: str | None = None,
+                completions: str | None = None) -> pipeline.RunConfig:
     """Each setting takes its CLI value, else its config-file value, else
     is left to RunConfig's (or DegenerationConfig's) own default."""
-    options, config = ctx.obj
     fields: dict = {}
     thresholds: dict = {}
     for setting in RUN_SETTINGS:
-        value = options[setting.param]
+        value = getattr(args, setting.param)
         if value is None:
             value = _config_value(config, setting.key)
         if value is None:
@@ -131,34 +190,6 @@ def _run_config(
     )
 
 
-def _with_run_settings(command):
-    for setting in reversed(RUN_SETTINGS):
-        command = click.option(
-            setting.flag,
-            setting.param,
-            type=None if setting.is_flag else setting.click_type or setting.parse,
-            is_flag=setting.is_flag,
-            default=None,
-            help=setting.help,
-        )(command)
-    return command
-
-
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), help="JSON file of defaults.")
-@_with_run_settings
-@click.option("-v", "--verbose", is_flag=True, default=False)
-@click.pass_context
-def cli(ctx, config_path, verbose, **options):
-    """Execution-based detection, classification, and measurement of code
-    hallucinations."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    ctx.obj = (options, read_json_object(config_path, ConfigError) if config_path else {})
-
-
 def _load_provider(path: str) -> tuple[gateway.ProviderConfig, str]:
     obj = read_json_object(path, ConfigError)
     template = obj.pop("template", gateway.DEFAULT_TEMPLATE)
@@ -173,10 +204,12 @@ def _load_provider(path: str) -> tuple[gateway.ProviderConfig, str]:
 
 def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
     """Fetch a completion for every dataset task and write them to
-    completions.jsonl inside the out dir."""
+    completions.jsonl inside the out dir. Task ids that would share a
+    stored-response file are refused before anything is fetched."""
     provider, template = _load_provider(provider_path)
     dataset = load_dataset(config.dataset_path)
     dataset = with_limit_overrides(dataset, config.wall_time_ms, config.memory_bytes)
+    refuse_shared_names((task.task_id, safe_name(task.task_id)) for task in dataset.tasks)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "completions.jsonl"
@@ -190,90 +223,25 @@ def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
     return str(target)
 
 
-def _source_config(
-    ctx: click.Context, dataset: str | None, completions: str | None, provider_path: str | None
-) -> pipeline.RunConfig:
-    """Run configuration of a command that detects over a dataset, with
-    completions read from a file or fetched through a provider."""
-    if completions and provider_path:
+def _dispatch(args: argparse.Namespace) -> Path:
+    logging.basicConfig(
+        level=logging.DEBUG if args.verbose else logging.INFO,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
+    config = read_json_object(args.config, ConfigError) if args.config else {}
+    function, inputs, _ = COMMANDS[args.command]
+    stage = getattr(pipeline, function)
+    if inputs is not _SOURCES:
+        return stage(_run_config(args, config), *(getattr(args, name) for name in inputs))
+    # Completions come from a file or are fetched through a provider.
+    if args.completions and args.provider:
         raise ConfigError("--completions and --provider are mutually exclusive")
-    config = _run_config(ctx, dataset, completions)
-    if not config.dataset_path:
+    run_config = _run_config(args, config, args.dataset, args.completions)
+    if not run_config.dataset_path:
         raise ConfigError("a dataset is required (--dataset or config key 'dataset')")
-    if provider_path:
-        config.completions_path = _fetch_completions(config, provider_path)
-    return config
-
-
-@cli.command()
-@click.option("--dataset", type=click.Path(exists=True), default=None)
-@click.option("--completions", type=click.Path(exists=True), default=None)
-@click.option("--provider", "provider_path", type=click.Path(exists=True), default=None,
-              help="Provider config JSON; fetches completions before validating.")
-@click.pass_context
-def validate(ctx, dataset, completions, provider_path):
-    """Detection pass: degeneration gate, sandboxed execution,
-    classification. Writes states.jsonl."""
-    path = pipeline.validate_stage(_source_config(ctx, dataset, completions, provider_path))
-    click.echo(f"wrote {path}")
-
-
-@cli.command()
-@click.option("--dataset", type=click.Path(exists=True), default=None)
-@click.option("--states", type=click.Path(exists=True), default=None)
-@click.pass_context
-def identify(ctx, dataset, states):
-    """Aggregation pass: profiles.jsonl and frequencies.json."""
-    config = _run_config(ctx, dataset, None)
-    path = pipeline.identify_stage(config, states)
-    click.echo(f"wrote {path}")
-
-
-@cli.command("build-bench")
-@click.option("--dataset", type=click.Path(exists=True), default=None)
-@click.option("--profiles", type=click.Path(exists=True), default=None)
-@click.pass_context
-def build_bench(ctx, dataset, profiles):
-    """Construction pass: benchmark.jsonl and its summary CSV."""
-    config = _run_config(ctx, dataset, None)
-    path = pipeline.build_bench_stage(config, profiles)
-    click.echo(f"wrote {path}")
-
-
-@cli.command()
-@click.option("--dataset", type=click.Path(exists=True), default=None)
-@click.option("--benchmark", type=click.Path(exists=True), default=None)
-@click.option("--profiles", type=click.Path(exists=True), default=None)
-@click.pass_context
-def evaluate(ctx, dataset, benchmark, profiles):
-    """Score models against a benchmark manifest; writes evaluation.json,
-    report.md, report.csv and report.json."""
-    config = _run_config(ctx, dataset, None)
-    path = pipeline.evaluate_stage(config, benchmark, profiles)
-    click.echo(f"wrote {path}")
-
-
-@cli.command()
-@click.option("--dataset", type=click.Path(exists=True), default=None)
-@click.option("--profiles", type=click.Path(exists=True), default=None)
-@click.pass_context
-def report(ctx, dataset, profiles):
-    """Co-occurrence summary: cooccurrence.json. The report files come
-    from evaluate."""
-    config = _run_config(ctx, dataset, None)
-    path = pipeline.report_stage(config, profiles)
-    click.echo(f"wrote {path}")
-
-
-@cli.command("pipeline")
-@click.option("--dataset", type=click.Path(exists=True), default=None)
-@click.option("--completions", type=click.Path(exists=True), default=None)
-@click.option("--provider", "provider_path", type=click.Path(exists=True), default=None)
-@click.pass_context
-def pipeline_cmd(ctx, dataset, completions, provider_path):
-    """All stages in sequence over one artifact directory."""
-    path = pipeline.run_pipeline(_source_config(ctx, dataset, completions, provider_path))
-    click.echo(f"wrote {path}")
+    if args.provider:
+        run_config.completions_path = _fetch_completions(run_config, args.provider)
+    return stage(run_config)
 
 
 def _fail(exc: BaseException, exit_code: int) -> int:
@@ -285,12 +253,10 @@ def _fail(exc: BaseException, exit_code: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.Abort:
-        return _EXIT_USAGE
-    except (ConfigError, click.UsageError) as exc:
+        print(f"wrote {_dispatch(_parser().parse_args(argv))}")
+    except SystemExit as exc:  # --help, after printing it
+        return exc.code
+    except ConfigError as exc:
         return _fail(exc, _EXIT_USAGE)
     except (IngestionError, ValidationError, ReportError) as exc:
         return _fail(exc, _EXIT_DATA)

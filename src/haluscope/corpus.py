@@ -7,9 +7,10 @@ workers. The interchange format is JSON-lines with explicit field names.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from .errors import HaluscopeError, IngestionError, ValidationError
 
@@ -92,6 +93,26 @@ class Dataset:
 
     def task_map(self) -> dict[str, Task]:
         return {t.task_id: t for t in self.tasks}
+
+
+_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
+
+
+def safe_name(text: str) -> str:
+    """`text` as a file name: each character outside [A-Za-z0-9._-]
+    becomes "_". Distinct texts can share a name, so a caller naming files
+    this way runs its names through `refuse_shared_names` first."""
+    return _UNSAFE.sub("_", text)
+
+
+def refuse_shared_names(named: Iterable[tuple[Hashable, str]]) -> None:
+    """Raise ValidationError when two distinct keys of `named`, a stream of
+    (key, file name) pairs, share a file name."""
+    owners: dict[str, Hashable] = {}
+    for key, name in named:
+        owner = owners.setdefault(name, key)
+        if owner != key:
+            raise ValidationError(f"{owner!r} and {key!r} share the file name {name!r}")
 
 
 def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:

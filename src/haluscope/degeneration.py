@@ -16,7 +16,6 @@ from enum import Enum
 
 from .errors import ConfigError
 
-_WS_RUN = re.compile(r"\s+")
 _STRING_LITERAL = re.compile(r"('(?:[^'\\]|\\.)*'|\"(?:[^\"\\]|\\.)*\")")
 _NUMBER_LITERAL = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?![\w.])")
 
@@ -78,7 +77,7 @@ class DegenerationVerdict:
 
 
 def _normalize_line(line: str) -> str:
-    return _WS_RUN.sub(" ", line.strip())
+    return " ".join(line.split())
 
 
 def _nonblank_normalized(source_code: str) -> list[str]:

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Completion, ResourceLimits, Task, read_json_object
+from .corpus import Completion, ResourceLimits, Task, read_json_object, safe_name
 from .errors import ConfigError, ProviderError, TemplateError
 
 logger = logging.getLogger(__name__)
@@ -119,8 +119,7 @@ def extract_code(raw_response: str) -> str:
 
 
 def _cache_file(cache_dir: str, task_id: str, model_id: str) -> Path:
-    safe = lambda s: re.sub(r"[^A-Za-z0-9._-]", "_", s)
-    return Path(cache_dir) / f"{safe(task_id)}__{safe(model_id)}.json"
+    return Path(cache_dir) / f"{safe_name(task_id)}__{safe_name(model_id)}.json"
 
 
 def fetch_completion(

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -33,6 +32,8 @@ from .corpus import (
     load_completions,
     load_dataset,
     read_jsonl,
+    refuse_shared_names,
+    safe_name,
     with_limit_overrides,
 )
 from .errors import IngestionError, ReportError
@@ -128,12 +129,15 @@ def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
     )
 
 
+def _artifact_name(completion: Completion) -> str:
+    return safe_name(f"{completion.task_id}__{completion.model_id}")
+
+
 def _artifact_dir(root: str | None, completion: Completion, index: int) -> str | None:
     """`<root>/<task>__<model>/test_NNN`, with unsafe characters replaced."""
     if root is None:
         return None
-    name = re.sub(r"[^A-Za-z0-9._-]", "_", f"{completion.task_id}__{completion.model_id}")
-    return str(Path(root) / name / f"test_{index:03d}")
+    return str(Path(root) / _artifact_name(completion) / f"test_{index:03d}")
 
 
 def _execute_until_failure(
@@ -167,7 +171,9 @@ def classify_corpus(
     Each executed completion's requests are built once. With `fail_fast`
     up to `jobs` completions run at a time, each running its requests in
     order and stopping at its first non-pass; otherwise every request goes
-    to one `sandbox.execute_batch`."""
+    to one `sandbox.execute_batch`. With `artifact_root`, two (task, model)
+    pairs that would share an artifact directory raise ValidationError
+    before anything runs."""
     tasks = dataset.task_map()
     interpreter = tuple(interpreter) if interpreter else None
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
@@ -211,6 +217,8 @@ def classify_corpus(
             for index, test in enumerate(task.test_cases)
         ]
         executed.append((completion, verdict, requests))
+    if artifact_root is not None:  # pairs sharing a directory would mix their files
+        refuse_shared_names(((c.task_id, c.model_id), _artifact_name(c)) for c, _, _ in executed)
 
     if fail_fast:
         outcomes_per_completion = sandbox.map_in_order(

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -272,18 +275,7 @@ class TestExitCodes:
             )
             + "\n"
         )
-        dataset = tmp_path / "tasks.jsonl"
-        dataset.write_text(
-            json.dumps(
-                {
-                    "task_id": "t",
-                    "question": "q",
-                    "test_cases": [{"input": "", "expected_output": ""}],
-                }
-            )
-            + "\n"
-        )
-        code = _run(["--out-dir", out, "evaluate", "--dataset", dataset])
+        code = _run(["--out-dir", out, "evaluate"])
         assert code != 0
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ReportError"
@@ -499,9 +491,10 @@ class TestSettingPrecedence:
         "entry",
         [{"jobs": "four"}, {"threshold_k": "many"}, {"wall_time_ms": "x"},
          {"interpreter": 3}, {"fail_fast": "false"}, {"indicator": "bogus"},
-         {"degeneration": {"window_frac": "wide"}}, {"degeneration": 3}],
+         {"degeneration": {"window_frac": "wide"}}, {"degeneration": 3},
+         {"threshold_k": 0}, {"jobs": 0}],
         ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "fail_fast", "indicator",
-             "window_frac", "degeneration-section"],
+             "window_frac", "degeneration-section", "threshold_k-zero", "jobs-zero"],
     )
     def test_mistyped_config_value_is_config_error(self, entry, mini_corpus, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -513,6 +506,20 @@ class TestSettingPrecedence:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args", [["--jobs", "0"], ["--jobs", "-3"], ["--threshold-k", "0"]],
+        ids=["jobs-zero", "jobs-negative", "threshold_k-zero"],
+    )
+    def test_non_positive_count_flag_is_config_error(self, args, mini_corpus, tmp_path, capsys):
+        # Refused before any stage runs, not after validate and identify.
+        code = _run([*args, "--out-dir", tmp_path / "out", "pipeline",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert "must be at least 1" in error["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         ("key", "value"),
@@ -602,3 +609,111 @@ class TestDegenerationFlags:
         strict_records = _read_lines(out_strict / STATES_FILE)
         assert strict_records[0]["status"] == "not_executed"
         assert strict_records[0]["classification"]["cause"] == "stuttering"
+
+
+# The input-file options each command takes.
+_COMMAND_INPUTS = {
+    "validate": ["--dataset", "--completions", "--provider"],
+    "identify": ["--states"],
+    "build-bench": ["--profiles"],
+    "evaluate": ["--benchmark", "--profiles"],
+    "report": ["--profiles"],
+    "pipeline": ["--dataset", "--completions", "--provider"],
+}
+
+
+class TestParser:
+    def test_top_level_help_lists_every_setting(self, capsys):
+        assert _run(["--help"]) == 0
+        out = capsys.readouterr().out
+        for setting in RUN_SETTINGS:
+            assert setting.flag in out, setting.flag
+        for command in _COMMAND_INPUTS:
+            assert command in out, command
+
+    @pytest.mark.parametrize("command", sorted(_COMMAND_INPUTS))
+    def test_command_help_lists_its_inputs(self, command, capsys):
+        assert _run([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for option in _COMMAND_INPUTS[command]:
+            assert option in out, option
+        if "--dataset" not in _COMMAND_INPUTS[command]:
+            assert "--dataset" not in out
+
+    def test_no_command_is_one_json_error_line(self, capsys):
+        assert _run([]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_options_take_no_prefix(self, mini_corpus, tmp_path, capsys):
+        # --out must not be read as --out-dir.
+        assert _run(["--out", tmp_path / "out", "validate", "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_input_file_is_one(self, tmp_path, capsys):
+        assert _run(["--out-dir", tmp_path / "out", "identify",
+                     "--states", tmp_path / "absent.jsonl"]) == 1
+        assert "absent.jsonl" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_import_loads_only_stdlib_modules(self):
+        # Compared with a bare interpreter, since site hooks may preload
+        # packages of their own.
+        src_root = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = "import json, sys\n{}\nprint(json.dumps([m.split('.')[0] for m in sys.modules]))"
+
+        def top_level_modules(statement: str) -> set[str]:
+            proc = subprocess.run([sys.executable, "-c", probe.format(statement)], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return set(json.loads(proc.stdout))
+
+        added = top_level_modules("import haluscope.cli, haluscope.pipeline") - \
+            top_level_modules("pass")
+        assert {m for m in added if m not in sys.stdlib_module_names} == {"haluscope"}
+
+
+class TestSafeNames:
+    def test_provider_refuses_tasks_sharing_a_response_file(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        _write_lines(tasks, [json.dumps({**_TASK, "task_id": task_id})
+                             for task_id in ("a b", "a_b")])
+        store = tmp_path / "responses"
+        store.mkdir()
+        (store / "a_b__m.json").write_text(json.dumps({"text": "print()"}))
+        provider = tmp_path / "provider.json"
+        provider.write_text(json.dumps({"endpoint": "file", "model_id": "m", "path": str(store)}))
+        out = tmp_path / "out"
+        assert _run(["--out-dir", out, "validate", "--dataset", tasks,
+                     "--provider", provider]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert "'a b'" in error["message"] and "'a_b'" in error["message"]
+        assert not (out / "completions.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[("a b", "m"), ("a_b", "m")], [("a__b", "c"), ("a", "b__c")]],
+        ids=["unsafe-character", "separator"],
+    )
+    def test_artifact_dir_refuses_pairs_sharing_a_directory(self, pairs, tmp_path, capsys):
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps({**_TASK, "task_id": task_id})
+                             for task_id in sorted({task_id for task_id, _ in pairs})])
+        _write_lines(completions, [json.dumps({"task_id": task_id, "model_id": model_id,
+                                               "raw_response": "print()"})
+                                   for task_id, model_id in pairs])
+        artifacts = tmp_path / "artifacts"
+        args = ["validate", "--dataset", tasks, "--completions", completions]
+        assert _run(["--artifact-dir", artifacts, "--out-dir", tmp_path / "out", *args]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        for task_id, model_id in pairs:
+            assert repr((task_id, model_id)) in error["message"]
+        assert not artifacts.exists()
+        # Without --artifact-dir nothing is named after the pairs.
+        assert _run(["--out-dir", tmp_path / "plain", *args]) == 0

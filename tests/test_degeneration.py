@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import warnings
 from fractions import Fraction
 
@@ -69,6 +70,16 @@ def _oracle_program_like(line: str) -> bool:
         except _UNPARSEABLE:
             continue
     return False
+
+
+def _oracle_normalize_line(line: str) -> str:
+    return re.sub(r"\s+", " ", line.strip())
+
+
+# Whitespace that `str.split` and the regex `\s` must treat alike: ASCII
+# separators, the information separators, NEL, no-break, em and
+# ideographic spaces, the line and paragraph separators.
+_WHITESPACE_SOUP = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u2029\u3000ab(1"
 
 
 def _oracle_detect(source_code: str, truncated_at_limit: bool, config: DegenerationConfig):
@@ -203,6 +214,13 @@ class TestReferenceEquivalence:
         assert _verdict(source, False, DEFAULT_CONFIG) == (
             "stuttering", "total += step", repetition_ratio(source)
         )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(line=st.text(alphabet=_WHITESPACE_SOUP, max_size=20) | st.text(max_size=20))
+    @example(line=_WHITESPACE_SOUP)
+    @example(line="\x85a\x1c\x1d b\u3000\xa0")
+    def test_normalize_line_matches_regex(self, line):
+        assert _normalize_line(line) == _oracle_normalize_line(line)
 
 
 class TestWarningsFilter:
