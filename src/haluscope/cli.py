@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import degeneration, gateway, pipeline, taxonomy
-from .corpus import completion_to_dict, load_dataset, read_json_object, refuse_shared_names
-from .corpus import safe_name, with_limit_overrides
+from .corpus import completion_to_dict, integer, load_dataset, read_json_object
+from .corpus import refuse_shared_names, safe_name, with_limit_overrides
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
 
@@ -28,15 +28,8 @@ _EXIT_DATA = 2
 _EXIT_FAULT = 3
 
 
-def _boolean(value) -> bool:
-    """A JSON boolean; bool() would read the string "false" as true."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _positive_int(value) -> int:
-    number = int(value)
+    number = integer(value)
     if number < 1:
         raise ValueError(f"must be at least 1, got {number}")
     return number
@@ -48,9 +41,18 @@ def _indicator(value) -> str:
     return value
 
 
+def _fraction(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _command(value) -> tuple[str, ...]:
     """An interpreter command: a shell-style string or a list of words."""
-    return tuple(shlex.split(value)) if isinstance(value, str) else tuple(value)
+    words = shlex.split(value) if isinstance(value, str) else value
+    if not isinstance(words, list) or not all(isinstance(word, str) for word in words):
+        raise TypeError(f"expected a string or a list of strings, got {value!r}")
+    return tuple(words)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class _Setting:
     field: str
     parse: Callable[[Any], Any]
     help: str | None = None
-    is_flag: bool = False
 
     @property
     def param(self) -> str:
@@ -79,23 +80,22 @@ RUN_SETTINGS = (
     _Setting("--jobs", "jobs", "jobs", _positive_int, "Parallel sandbox workers."),
     _Setting("--interpreter", "interpreter", "interpreter", _command,
              "Interpreter command, e.g. 'python3 -u'."),
-    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", int),
-    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", int),
+    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", integer),
+    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", integer),
     _Setting("--threshold-k", "threshold_k", "threshold_k", _positive_int,
              "Benchmark inclusion threshold."),
     _Setting("--classification-table", "classification_table", "table", taxonomy.load_table),
     _Setting("--indicator", "indicator", "indicator_mode", _indicator,
              f"One of {', '.join(INDICATOR_MODES)}."),
-    _Setting("--fail-fast", "fail_fast", "fail_fast", _boolean, is_flag=True),
     _Setting("--run-id", "run_id", "run_id", str),
     _Setting("--artifact-dir", "artifact_dir", "artifact_root", str,
              "Store stdin/stdout/stderr/outcome.json per execution."),
-    _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", int),
-    _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", int),
-    _Setting("--degeneration.enum-count", "degeneration.enum_count", "enum_count", int),
+    _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", integer),
+    _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", integer),
+    _Setting("--degeneration.enum-count", "degeneration.enum_count", "enum_count", integer),
     _Setting("--degeneration.parse-valid-frac", "degeneration.parse_valid_frac",
-             "parse_valid_frac", float),
-    _Setting("--degeneration.window-frac", "degeneration.window_frac", "window_frac", float),
+             "parse_valid_frac", _fraction),
+    _Setting("--degeneration.window-frac", "degeneration.window_frac", "window_frac", _fraction),
 )
 
 # Each subcommand: the `pipeline` function it runs (looked up when it
@@ -138,12 +138,8 @@ def _parser() -> _Parser:
     )
     parser.add_argument("--config", metavar="PATH", help="JSON file of defaults.")
     for setting in RUN_SETTINGS:
-        if setting.is_flag:
-            parser.add_argument(setting.flag, dest=setting.param, action="store_true",
-                                default=None, help=setting.help)
-        else:
-            parser.add_argument(setting.flag, dest=setting.param, help=setting.help,
-                                metavar=setting.key.rpartition("_")[2].upper())
+        parser.add_argument(setting.flag, dest=setting.param, help=setting.help,
+                            metavar=setting.key.rpartition("_")[2].upper())
     parser.add_argument("-v", "--verbose", action="store_true")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     for name, (_, inputs, help_text) in COMMANDS.items():
@@ -155,12 +151,29 @@ def _parser() -> _Parser:
     return parser
 
 
+def _read_config(path: str) -> dict:
+    """The config file's object. A key that no setting reads, a
+    "degeneration" that is not an object, or a dataset or completions path
+    that is not a string raises ConfigError."""
+    config = read_json_object(path, ConfigError)
+    section = config.get("degeneration", {})
+    if not isinstance(section, dict):
+        raise ConfigError("config key 'degeneration' must hold a JSON object")
+    known = {setting.key.rpartition(".")[::2] for setting in RUN_SETTINGS}
+    known |= {("", "dataset"), ("", "completions"), ("", "degeneration")}
+    keys = [("", key) for key in config] + [("degeneration", key) for key in section]
+    unknown = [".".join(filter(None, key)) for key in keys if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+    for key in ("dataset", "completions"):
+        if not isinstance(config.get(key, ""), str):
+            raise ConfigError(f"bad value for {key!r}: expected a path, got {config[key]!r}")
+    return config
+
+
 def _config_value(config: dict, key: str):
     section, _, name = key.rpartition(".")
-    scope = config.get(section, {}) if section else config
-    if not isinstance(scope, dict):
-        raise ConfigError(f"config key {section!r} must hold a JSON object")
-    return scope.get(name)
+    return (config.get(section, {}) if section else config).get(name)
 
 
 def _run_config(args: argparse.Namespace, config: dict, dataset: str | None = None,
@@ -184,7 +197,7 @@ def _run_config(args: argparse.Namespace, config: dict, dataset: str | None = No
     if thresholds:
         fields["degeneration_config"] = replace(degeneration.DEFAULT_CONFIG, **thresholds)
     return pipeline.RunConfig(
-        dataset_path=str(dataset or config.get("dataset") or ""),
+        dataset_path=dataset or config.get("dataset") or "",
         completions_path=completions or config.get("completions"),
         **fields,
     )
@@ -228,7 +241,7 @@ def _dispatch(args: argparse.Namespace) -> Path:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    config = read_json_object(args.config, ConfigError) if args.config else {}
+    config = _read_config(args.config) if args.config else {}
     function, inputs, _ = COMMANDS[args.command]
     stage = getattr(pipeline, function)
     if inputs is not _SOURCES:

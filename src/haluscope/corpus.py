@@ -115,6 +115,21 @@ def refuse_shared_names(named: Iterable[tuple[Hashable, str]]) -> None:
             raise ValidationError(f"{owner!r} and {key!r} share the file name {name!r}")
 
 
+def boolean(value) -> bool:
+    """A JSON boolean; bool() would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def integer(value) -> int:
+    """An int, or a string holding one; int() would truncate a float and
+    read a bool as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:
     """The JSON object a UTF-8 file holds. A file that cannot be read, is
     not UTF-8, is not JSON or holds another JSON value raises `error`
@@ -185,8 +200,8 @@ def task_from_dict(obj: dict) -> Task:
         )
     limits_obj = obj.get("limits") or {}
     limits = ResourceLimits(
-        wall_time_ms=int(limits_obj.get("wall_time_ms", DEFAULT_WALL_TIME_MS)),
-        memory_bytes=int(limits_obj.get("memory_bytes", DEFAULT_MEMORY_BYTES)),
+        wall_time_ms=integer(limits_obj.get("wall_time_ms", DEFAULT_WALL_TIME_MS)),
+        memory_bytes=integer(limits_obj.get("memory_bytes", DEFAULT_MEMORY_BYTES)),
     )
     return Task(task_id=task_id, question=question, test_cases=tuple(cases), limits=limits)
 
@@ -215,8 +230,8 @@ def completion_from_dict(obj: dict) -> Completion:
         model_id=str(obj["model_id"]),
         raw_response=raw_response,
         source_code=str(source),
-        sample_index=None if sample_index is None else int(sample_index),
-        truncated_at_limit=bool(obj.get("truncated_at_limit", False)),
+        sample_index=None if sample_index is None else integer(sample_index),
+        truncated_at_limit=boolean(obj.get("truncated_at_limit", False)),
     )
 
 

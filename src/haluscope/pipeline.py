@@ -63,7 +63,6 @@ class RunConfig:
     wall_time_ms: int | None = None
     memory_bytes: int | None = None
     jobs: int = 1
-    fail_fast: bool = False
     threshold_k: int = bench.DEFAULT_THRESHOLD_K
     table: ClassificationTable = field(default_factory=lambda: taxonomy.DEFAULT_TABLE)
     degeneration_config: degeneration.DegenerationConfig = field(
@@ -140,20 +139,6 @@ def _artifact_dir(root: str | None, completion: Completion, index: int) -> str |
     return str(Path(root) / _artifact_name(completion) / f"test_{index:03d}")
 
 
-def _execute_until_failure(
-    requests: Sequence[sandbox.ExecutionRequest],
-) -> list[sandbox.ExecutionOutcome]:
-    """Run one completion's requests in order and stop after its first
-    non-pass outcome."""
-    outcomes = []
-    for r in requests:
-        outcome = sandbox.execute_request(r)
-        outcomes.append(outcome)
-        if outcome.status is not sandbox.Status.PASS:
-            break
-    return outcomes
-
-
 def classify_corpus(
     dataset: Dataset,
     completions: Sequence[Completion],
@@ -161,19 +146,16 @@ def classify_corpus(
     degeneration_config: degeneration.DegenerationConfig = degeneration.DEFAULT_CONFIG,
     interpreter: Sequence[str] | None = None,
     jobs: int = 1,
-    fail_fast: bool = False,
     artifact_root: str | None = None,
 ) -> list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]]:
     """Run the full detection flow for every completion: degeneration gate,
     execution of every test case, classification. Returns (record, outcome)
     pairs; degenerate completions carry a single record with no outcome.
 
-    Each executed completion's requests are built once. With `fail_fast`
-    up to `jobs` completions run at a time, each running its requests in
-    order and stopping at its first non-pass; otherwise every request goes
-    to one `sandbox.execute_batch`. With `artifact_root`, two (task, model)
-    pairs that would share an artifact directory raise ValidationError
-    before anything runs."""
+    Each executed completion's requests are built once, and every request
+    goes to one `sandbox.execute_batch`. With `artifact_root`, two (task,
+    model) pairs that would share an artifact directory raise
+    ValidationError before anything runs."""
     tasks = dataset.task_map()
     interpreter = tuple(interpreter) if interpreter else None
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
@@ -220,17 +202,9 @@ def classify_corpus(
     if artifact_root is not None:  # pairs sharing a directory would mix their files
         refuse_shared_names(((c.task_id, c.model_id), _artifact_name(c)) for c, _, _ in executed)
 
-    if fail_fast:
-        outcomes_per_completion = sandbox.map_in_order(
-            _execute_until_failure, [reqs for _, _, reqs in executed], jobs
-        )
-    else:
-        flat = iter(
-            sandbox.execute_batch([r for _, _, reqs in executed for r in reqs], jobs=jobs)
-        )
-        outcomes_per_completion = [list(islice(flat, len(reqs))) for _, _, reqs in executed]
-    for (completion, verdict, _), outcomes in zip(executed, outcomes_per_completion):
-        for index, outcome in enumerate(outcomes):
+    flat = iter(sandbox.execute_batch([r for _, _, reqs in executed for r in reqs], jobs=jobs))
+    for completion, verdict, reqs in executed:
+        for index, outcome in enumerate(islice(flat, len(reqs))):
             record(completion, verdict, index, outcome)
 
     results.sort(
@@ -260,7 +234,6 @@ def validate_stage(config: RunConfig) -> Path:
         degeneration_config=config.degeneration_config,
         interpreter=config.interpreter,
         jobs=config.jobs,
-        fail_fast=config.fail_fast,
         artifact_root=config.artifact_root,
     )
     fault_count = sum(

@@ -8,9 +8,9 @@ targets honest resource accounting, not adversarial security.
 Each execution is forked from a fork server (`_forkserver.py`): one
 interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
-`ru_maxrss`. Inside `map_in_order` (so in `execute_batch` and the
-fail-fast path) each worker thread keeps one server per interpreter until
-the call returns; a bare `execute` starts a one-shot server.
+`ru_maxrss`. Inside `execute_batch` each worker thread keeps one server
+per interpreter until the call returns; a bare `execute` runs as a batch
+of one.
 
 The forked child compiles prog.py, then runs it, so a syntax failure is
 judged by the interpreter that runs the program. The child replies once
@@ -41,7 +41,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from .corpus import ResourceLimits, TestCase
 from .errors import HarnessFault
@@ -274,6 +274,9 @@ def execute(
     never produced by program behavior. Status decision order:
     SandboxError > SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded
     > RuntimeFailure > WrongOutput > Pass."""
+    if _SERVERS.get() is None:  # outside a batch: a batch of one
+        request = ExecutionRequest(source_code, test, limits, interpreter, artifact_dir)
+        return execute_batch([request])[0]
     argv = list(interpreter) if interpreter else default_interpreter()
     try:
         outcome = _execute_in_tempdir(source_code, test, limits, argv)
@@ -297,10 +300,10 @@ def _execute_in_tempdir(
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
         _lay_out(workdir, source_code, test)
-        with _fork_server(argv) as server:
-            started = time.monotonic()
-            raw = server.run(workdir, limits)
-            elapsed_ms = int((time.monotonic() - started) * 1000)
+        server = _SERVERS.get().get(argv)
+        started = time.monotonic()
+        raw = server.run(workdir, limits)
+        elapsed_ms = int((time.monotonic() - started) * 1000)
         if raw is None:
             return ExecutionOutcome(
                 status=Status.RUNTIME_FAILURE,
@@ -474,7 +477,7 @@ class _ForkServer:
 
 
 class _ForkServers:
-    """The fork servers of one `map_in_order` call, one per worker thread
+    """The fork servers of one `execute_batch` call, one per worker thread
     and interpreter. A thread's server starts at its first execution and
     is replaced once dead; `close` ends and reaps every one."""
 
@@ -497,23 +500,8 @@ class _ForkServers:
         self._servers.clear()
 
 
-# The fork servers of the `map_in_order` call this thread works for.
-_SERVERS: ContextVar[_ForkServers | None] = ContextVar("haluscope_fork_servers", default=None)
-
-
-@contextlib.contextmanager
-def _fork_server(argv: list[str]) -> Iterator[_ForkServer]:
-    """This thread's fork server for `argv` inside `map_in_order`, else a
-    one-shot server closed on exit."""
-    servers = _SERVERS.get()
-    if servers is not None:
-        yield servers.get(argv)
-        return
-    server = _ForkServer(argv)
-    try:
-        yield server
-    finally:
-        server.close()
+# The fork servers of the `execute_batch` call this thread works for.
+_SERVERS: ContextVar[_ForkServers | None] = ContextVar("haluscope_forkservers", default=None)
 
 
 def _kill_group(pid: int) -> None:
@@ -570,34 +558,28 @@ class ExecutionRequest:
     artifact_dir: str | None = None
 
 
-def map_in_order(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """`fn` over `items` on up to `jobs` worker threads; results come back
-    in item order, so they are independent of scheduling. The executions
-    `fn` makes reuse one fork server per worker thread and interpreter;
-    every server is ended and reaped before this returns, so no process
-    outlives the call and RUSAGE_CHILDREN counts every child."""
-    servers = _ForkServers()
-    try:
-        if jobs <= 1 or len(items) <= 1:
-            token = _SERVERS.set(servers)
-            try:
-                return [fn(item) for item in items]
-            finally:
-                _SERVERS.reset(token)
-        with ThreadPoolExecutor(
-            max_workers=jobs, initializer=_SERVERS.set, initargs=(servers,)
-        ) as pool:
-            return list(pool.map(fn, items))
-    finally:
-        servers.close()
-
-
 def execute_request(r: ExecutionRequest) -> ExecutionOutcome:
     return execute(r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
 
 
 def execute_batch(requests: Sequence[ExecutionRequest], jobs: int = 1) -> list[ExecutionOutcome]:
-    """Execute (completion, test) pairs, possibly in parallel. Each worker
-    forks its executions from its own fork server, each in its own temp
-    dir; results come back in request order."""
-    return map_in_order(execute_request, requests, jobs)
+    """Execute (completion, test) pairs on up to `jobs` worker threads, each
+    in its own temp dir; results come back in request order, so they are
+    independent of scheduling. Each worker thread forks its executions from
+    one fork server per interpreter; every server is ended and reaped before
+    this returns, so no process outlives the call and RUSAGE_CHILDREN counts
+    every child."""
+    servers = _ForkServers()
+    try:
+        if jobs <= 1 or len(requests) <= 1:
+            token = _SERVERS.set(servers)
+            try:
+                return [execute_request(r) for r in requests]
+            finally:
+                _SERVERS.reset(token)
+        with ThreadPoolExecutor(
+            max_workers=jobs, initializer=_SERVERS.set, initargs=(servers,)
+        ) as pool:
+            return list(pool.map(execute_request, requests))
+    finally:
+        servers.close()

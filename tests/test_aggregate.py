@@ -18,6 +18,7 @@ from haluscope.aggregate import (
     profile_from_dict,
     profile_to_dict,
 )
+from haluscope.pipeline import RunConfig, identify_stage, load_profiles, validate_stage
 from haluscope.taxonomy import (
     PASS_RESULT,
     SUBCATEGORY_ORDER,
@@ -289,3 +290,18 @@ class TestCooccurrence:
 def test_profile_round_trip():
     profile = _profile("t", "m", [IDENTITY, DEVIATION])
     assert profile_from_dict(profile_to_dict(profile)) == profile
+
+
+@pytest.mark.parametrize("corpus", ["mini_corpus", "taxonomy_corpus"])
+def test_stage_profiles_keep_one_row_per_test(corpus, request, tmp_path):
+    # Every test of an executed sample ends as a label, a pass or a fault,
+    # so a path that skipped tests after a failure would break the sum.
+    paths = request.getfixturevalue(corpus)
+    config = RunConfig(str(paths["tasks"]), str(paths["completions"]), str(tmp_path), jobs=2)
+    profiles = load_profiles(identify_stage(config, validate_stage(config)))
+    assert profiles
+    for p in profiles:
+        if p.degenerate:
+            assert (len(p.labels), p.pass_count, p.fault_count) == (1, 0, 0)
+        else:
+            assert len(p.labels) + p.pass_count + p.fault_count == p.test_count

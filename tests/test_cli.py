@@ -291,9 +291,11 @@ class TestExitCodes:
                          "observed_frequency": 3, "contributing_models": ["m"]})),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}})),
+            ("validate", "tasks.jsonl",
+             json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": 1500.9}})),
         ],
         ids=["states-missing-field", "states-not-an-object", "manifest-bad-subcategory",
-             "tasks-bad-limit"],
+             "tasks-bad-limit", "tasks-float-limit"],
     )
     def test_malformed_artifact_names_path_and_line(
         self, tmp_path, capsys, command, filename, bad_record
@@ -442,7 +444,6 @@ def _setting_samples(tmp_path: Path) -> dict:
         "threshold_k": ("5", 5, 4, 4),
         "classification_table": (*tables["cli"], *tables["config"]),
         "indicator": ("target", "target", "any", "any"),
-        "fail_fast": (None, True, True, True, False),
         "run_id": ("cli-run", "cli-run", "config-run", "config-run"),
         "artifact_dir": ("cli-artifacts", "cli-artifacts", "config-artifacts", "config-artifacts"),
         "degeneration.repeat_count": ("7", 7, 8, 8),
@@ -475,7 +476,7 @@ class TestSettingPrecedence:
                 config_path.write_text(json.dumps(entry))
                 args += ["--config", config_path]
             if use_cli:
-                args += [setting.flag] if setting.is_flag else [setting.flag, cli_word]
+                args += [setting.flag, cli_word]
             assert _run(args + ["pipeline", "--dataset", mini_corpus["tasks"],
                                 "--completions", mini_corpus["completions"]]) == 0
             return _setting_field(captured[0], setting)
@@ -490,16 +491,55 @@ class TestSettingPrecedence:
     @pytest.mark.parametrize(
         "entry",
         [{"jobs": "four"}, {"threshold_k": "many"}, {"wall_time_ms": "x"},
-         {"interpreter": 3}, {"fail_fast": "false"}, {"indicator": "bogus"},
+         {"interpreter": 3}, {"indicator": "bogus"},
          {"degeneration": {"window_frac": "wide"}}, {"degeneration": 3},
-         {"threshold_k": 0}, {"jobs": 0}],
-        ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "fail_fast", "indicator",
-             "window_frac", "degeneration-section", "threshold_k-zero", "jobs-zero"],
+         {"threshold_k": 0}, {"jobs": 0},
+         {"jobs": 2.7}, {"threshold_k": True}, {"wall_time_ms": 1500.9},
+         {"memory_bytes": 2.0**28}, {"degeneration": {"repeat_count": 7.9}},
+         {"degeneration": {"window_frac": True}}, {"degeneration": {"parse_valid_frac": False}},
+         {"completions": 5}, {"dataset": ["tasks.jsonl"]}, {"interpreter": [1, 2]}],
+        ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "indicator",
+             "window_frac", "degeneration-section", "threshold_k-zero", "jobs-zero",
+             "jobs-float", "threshold_k-bool", "wall_time_ms-float", "memory_bytes-float",
+             "repeat_count-float", "window_frac-bool", "parse_valid_frac-bool",
+             "completions-number", "dataset-list", "interpreter-non-string-word"],
     )
     def test_mistyped_config_value_is_config_error(self, entry, mini_corpus, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(entry))
         code = _run(["--config", config_path, "--out-dir", tmp_path / "out", "validate",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("entry", "named"),
+        [({"thershold_k": 9}, "thershold_k"),
+         ({"degeneration": {"repeat_cont": 3}}, "degeneration.repeat_cont"),
+         ({"fail_fast": True}, "fail_fast")],
+        ids=["misspelt", "misspelt-threshold", "removed"],
+    )
+    def test_unknown_config_key_is_config_error(
+        self, entry, named, mini_corpus, tmp_path, capsys
+    ):
+        # Such a key would otherwise leave its setting at its default in silence.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(entry))
+        code = _run(["--config", config_path, "--out-dir", tmp_path / "out", "pipeline",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"] == f"unknown config keys: {named!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_fail_fast_is_a_usage_error(self, mini_corpus, tmp_path, capsys):
+        code = _run(["--fail-fast", "--out-dir", tmp_path / "out", "pipeline",
                      "--dataset", mini_corpus["tasks"],
                      "--completions", mini_corpus["completions"]])
         assert code == 1

@@ -74,6 +74,17 @@ class TestDatasetLoading:
         with pytest.raises(ValidationError, match="broken"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "limits", [{"wall_time_ms": 1500.9}, {"memory_bytes": True}],
+        ids=["wall-float", "memory-bool"],
+    )
+    def test_mistyped_limit_names_line(self, limits, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        _write_jsonl(path, [_task_record("a"), _task_record("b", limits=limits)])
+        with pytest.raises(IngestionError) as exc_info:
+            load_dataset(path)
+        assert exc_info.value.line == 2
+
     def test_duplicate_task_id_rejected(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
         _write_jsonl(path, [_task_record("same"), _task_record("same")])
@@ -245,6 +256,28 @@ class TestCompletions:
             ],
         )
         assert len(load_completions(path)) == 2
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"truncated_at_limit": "false"}, {"truncated_at_limit": 0},
+         {"sample_index": 1.7}, {"sample_index": True}],
+        ids=["truncated-string", "truncated-number", "sample-float", "sample-bool"],
+    )
+    def test_mistyped_field_names_line(self, fields, tmp_path):
+        # bool() and int() would read these as true and 1.
+        path = tmp_path / "completions.jsonl"
+        _write_jsonl(path, [{"task_id": "a", "model_id": "m", "raw_response": "x"},
+                            {"task_id": "b", "model_id": "m", "raw_response": "x", **fields}])
+        with pytest.raises(IngestionError) as exc_info:
+            load_completions(path)
+        assert exc_info.value.line == 2
+
+    def test_typed_fields_read(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        _write_jsonl(path, [{"task_id": "a", "model_id": "m", "raw_response": "x",
+                             "truncated_at_limit": True, "sample_index": "3"}])
+        completion = load_completions(path)[0]
+        assert (completion.truncated_at_limit, completion.sample_index) == (True, 3)
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "completions.jsonl"

@@ -30,7 +30,7 @@ from haluscope.sandbox import (
     execute_batch,
     outcome_to_dict,
 )
-from test_cli import LONE_SURROGATE, normalize_measurements
+from test_cli import LONE_SURROGATE
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
 # An interpreter argv other than the harness's own, as `--interpreter` gives.
@@ -566,42 +566,22 @@ class TestIsolationAndBatch:
             "skipping completion for unknown task_id 'ghost' (model m)"
         ]
 
-    def test_classify_corpus_fail_fast_stops_per_completion(self):
-        pairs = classify_corpus(*_fail_fast_corpus(), fail_fast=True)
+    def test_artifact_dirs_distinct_per_model(self, tmp_path):
+        dataset, completions = _three_model_corpus()
+        pairs = classify_corpus(dataset, completions, artifact_root=str(tmp_path))
         statuses: dict[str, list[Status]] = {}
         for record, outcome in pairs:
             statuses.setdefault(record.model_id, []).append(outcome.status)
         assert statuses == {
-            "m-first": [Status.WRONG_OUTPUT],
-            "m-pass": [Status.PASS, Status.PASS, Status.PASS],
-            "m-second": [Status.PASS, Status.WRONG_OUTPUT],
+            "m-first": [Status.WRONG_OUTPUT] * 3,
+            "m-pass": [Status.PASS] * 3,
+            "m-second": [Status.PASS, Status.WRONG_OUTPUT, Status.WRONG_OUTPUT],
         }
-
-    def test_fail_fast_states_independent_of_jobs(self, mini_corpus, tmp_path):
-        states = []
-        for jobs in (1, 4):
-            config = RunConfig(
-                dataset_path=str(mini_corpus["tasks"]),
-                completions_path=str(mini_corpus["completions"]),
-                out_dir=str(tmp_path / f"jobs{jobs}"),
-                jobs=jobs,
-                fail_fast=True,
-            )
-            states.append(normalize_measurements(validate_stage(config).read_text()))
-        assert states[0] == states[1]
-        assert len(states[0].splitlines()) < 48  # some completions stopped early
-
-    def test_fail_fast_artifact_dirs_distinct_per_model(self, tmp_path):
-        dataset, completions = _fail_fast_corpus()
-        classify_corpus(dataset, completions, fail_fast=True, artifact_root=str(tmp_path))
         dirs = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("prog.py"))
         assert dirs == [
-            "t__m-first/test_000",
-            "t__m-pass/test_000",
-            "t__m-pass/test_001",
-            "t__m-pass/test_002",
-            "t__m-second/test_000",
-            "t__m-second/test_001",
+            f"t__{model}/test_{index:03d}"
+            for model in ("m-first", "m-pass", "m-second")
+            for index in range(3)
         ]
         sources = {c.model_id: c.source_code for c in completions}
         for directory in dirs:
@@ -609,7 +589,7 @@ class TestIsolationAndBatch:
             assert (tmp_path / directory / "prog.py").read_text() == sources[model_id]
 
 
-def _fail_fast_corpus() -> tuple[Dataset, list[Completion]]:
+def _three_model_corpus() -> tuple[Dataset, list[Completion]]:
     """One three-test task answered by a program passing every test, one
     failing the first test and one failing the second."""
     task = Task(
