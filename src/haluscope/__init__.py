@@ -8,7 +8,6 @@ from .taxonomy import (
     Category,
     Classification,
     ClassKind,
-    HallucinationLabel,
     Subcategory,
     category_of,
     classify,
@@ -25,7 +24,6 @@ __all__ = [
     "DegenerationKind",
     "DegenerationVerdict",
     "ExecutionOutcome",
-    "HallucinationLabel",
     "ResourceLimits",
     "Status",
     "Subcategory",

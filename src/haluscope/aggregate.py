@@ -11,6 +11,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from .corpus import boolean, integer
 from .taxonomy import (
     SUBCATEGORY_ORDER,
     Classification,
@@ -53,18 +54,15 @@ class SampleProfile:
     def subcategory_counts(self) -> Counter:
         counts: Counter = Counter()
         for entry in self.labels:
-            if entry.kind is ClassKind.LABELED:
-                counts[entry.label.subcategory] += 1
+            if entry.subcategory is not None:
+                counts[entry.subcategory] += 1
         return counts
 
     def subcategories(self) -> set[Subcategory]:
         return set(self.subcategory_counts())
 
     def has_subcategory(self, subcategory: Subcategory) -> bool:
-        return any(
-            entry.kind is ClassKind.LABELED and entry.label.subcategory is subcategory
-            for entry in self.labels
-        )
+        return any(entry.subcategory is subcategory for entry in self.labels)
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,8 @@ def frequency_list(profiles: Iterable[SampleProfile], granularity: str = "subcat
         for entry in profile.labels:
             if granularity == "raw_cause":
                 counts[entry.cause] += 1
-            elif entry.kind is ClassKind.LABELED:
-                counts[entry.label.subcategory.value] += 1
+            elif entry.subcategory is not None:
+                counts[entry.subcategory.value] += 1
             else:
                 counts[UNMAPPED_KEY] += 1
     total = sum(counts.values())
@@ -216,10 +214,10 @@ def profile_from_dict(obj: dict) -> SampleProfile:
         task_id=obj["task_id"],
         model_id=obj["model_id"],
         labels=tuple(classification_from_dict(c) for c in obj.get("labels", [])),
-        pass_count=int(obj.get("pass_count", 0)),
-        fault_count=int(obj.get("fault_count", 0)),
-        test_count=int(obj["test_count"]),
-        degenerate=bool(obj.get("degenerate", False)),
+        pass_count=integer(obj.get("pass_count", 0)),
+        fault_count=integer(obj.get("fault_count", 0)),
+        test_count=integer(obj["test_count"]),
+        degenerate=boolean(obj.get("degenerate", False)),
     )
 
 

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import read_jsonl
+from .corpus import integer, read_jsonl
 from .errors import ConfigError
 from .taxonomy import (
     CATEGORY_ORDER,
     SUBCATEGORY_ORDER,
     Category,
     Subcategory,
-    category_of,
     subcategories_of,
 )
 from .aggregate import SampleProfile
@@ -194,13 +193,13 @@ def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
         prov = obj.get("provenance", {})
         return Provenance(
             run_ids=tuple(prov.get("run_ids", ())),
-            threshold_k=int(prov.get("threshold_k", DEFAULT_THRESHOLD_K)),
+            threshold_k=integer(prov.get("threshold_k", DEFAULT_THRESHOLD_K)),
         )
     if record_type == "entry":
         return BenchmarkEntry(
             task_id=obj["task_id"],
             target_subcategory=Subcategory(obj["target_subcategory"]),
-            observed_frequency=int(obj["observed_frequency"]),
+            observed_frequency=integer(obj["observed_frequency"]),
             contributing_models=tuple(obj.get("contributing_models", ())),
         )
     raise ValueError(f"unknown record_type {record_type!r}")
@@ -223,20 +222,15 @@ def load_manifest(path: str | Path) -> BenchmarkManifest:
 
 
 def render_summary_csv(manifest: BenchmarkManifest) -> str:
-    """Summary table as CSV for spreadsheet diffing: one row per
+    """The summary record as CSV for spreadsheet diffing: one row per
     subcategory with its parent category totals."""
-    sub_stats = manifest.subcategory_stats()
-    cat_stats = manifest.category_stats()
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
         ["category", "category_tasks", "category_samples", "subcategory", "tasks", "samples"]
     )
-    for subcategory in SUBCATEGORY_ORDER:
-        category = category_of(subcategory)
-        cat_tasks, cat_samples = cat_stats[category]
-        tasks, samples = sub_stats[subcategory]
-        writer.writerow(
-            [category.value, cat_tasks, cat_samples, subcategory.value, tasks, samples]
-        )
+    for cat in _summary_record(manifest)["categories"]:
+        for sub in cat["subcategories"]:
+            writer.writerow([cat["category"], cat["tasks"], cat["samples"],
+                             sub["subcategory"], sub["tasks"], sub["samples"]])
     return out.getvalue()

@@ -48,10 +48,13 @@ def _fraction(value) -> float:
 
 
 def _command(value) -> tuple[str, ...]:
-    """An interpreter command: a shell-style string or a list of words."""
+    """An interpreter command: a shell-style string or a list of words.
+    An empty one is refused rather than read as the harness's own."""
     words = shlex.split(value) if isinstance(value, str) else value
     if not isinstance(words, list) or not all(isinstance(word, str) for word in words):
         raise TypeError(f"expected a string or a list of strings, got {value!r}")
+    if not words:
+        raise ValueError("the interpreter command is empty")
     return tuple(words)
 
 

@@ -29,6 +29,7 @@ from . import aggregate, bench, degeneration, report as report_mod, sandbox, tax
 from .corpus import (
     Completion,
     Dataset,
+    integer,
     load_completions,
     load_dataset,
     read_jsonl,
@@ -119,11 +120,12 @@ def _state_row(
 
 
 def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
+    test_index = row.get("test_index")
     return aggregate.ClassifiedRecord(
         task_id=row["task_id"],
         model_id=row["model_id"],
-        test_index=row.get("test_index"),
-        test_count=int(row["test_count"]),
+        test_index=None if test_index is None else integer(test_index),
+        test_count=integer(row["test_count"]),
         classification=taxonomy.classification_from_dict(row["classification"]),
     )
 

@@ -25,7 +25,6 @@ from .taxonomy import (
     SUBCATEGORY_ORDER,
     Category,
     Subcategory,
-    category_of,
     subcategories_of,
 )
 
@@ -52,15 +51,14 @@ def round_half_even(value: float, digits: int = 2) -> float:
 
 @dataclass(frozen=True)
 class HRCell:
-    """One (model, subcategory) cell. `rate_percent` is normally derived
-    from the counts; cells built from already-published rates carry the
-    rate verbatim so table arithmetic can be reproduced exactly."""
+    """One (model, subcategory) cell: `hallucinated_samples` of the
+    subcategory's `total_samples` manifest samples carry the indicator.
+    Its rate is derived from these two counts alone."""
 
     model_id: str
     subcategory: Subcategory
     hallucinated_samples: int
     total_samples: int
-    rate_percent: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.hallucinated_samples <= self.total_samples:
@@ -71,27 +69,9 @@ class HRCell:
 
     @property
     def hr_percent_exact(self) -> float:
-        if self.rate_percent is not None:
-            return self.rate_percent
         if self.total_samples == 0:
             return 0.0
         return 100.0 * self.hallucinated_samples / self.total_samples
-
-    @property
-    def hr_percent(self) -> float:
-        return round_half_even(self.hr_percent_exact)
-
-    @classmethod
-    def from_published_rate(
-        cls, model_id: str, subcategory: Subcategory, rate_percent: float, total_samples: int
-    ) -> "HRCell":
-        return cls(
-            model_id=model_id,
-            subcategory=subcategory,
-            hallucinated_samples=round(rate_percent * total_samples / 100.0),
-            total_samples=total_samples,
-            rate_percent=rate_percent,
-        )
 
 
 def indicator(profile: SampleProfile, target: Subcategory) -> int:
@@ -116,17 +96,11 @@ def hallucination_rate(indicators: Sequence[int]) -> float:
 @dataclass(frozen=True)
 class HRRow:
     model_id: str
-    cells: tuple[HRCell, ...]  # all 8, canonical order
+    cells: Mapping[Subcategory, HRCell]  # all 8, canonical order
     category_avgs: Mapping[Category, float]  # sample-weighted, full precision
     overall: float
     category_avgs_uniform: Mapping[Category, float]
     overall_uniform: float
-
-    def cell(self, subcategory: Subcategory) -> HRCell:
-        for cell in self.cells:
-            if cell.subcategory is subcategory:
-                return cell
-        raise ReportError(f"row {self.model_id} missing {subcategory.value}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +172,7 @@ def render_report(cells: Iterable[HRCell]) -> HRReport:
         rows.append(
             HRRow(
                 model_id=model_id,
-                cells=tuple(model_cells[s] for s in SUBCATEGORY_ORDER),
+                cells={s: model_cells[s] for s in SUBCATEGORY_ORDER},
                 category_avgs=weighted,
                 overall=overall,
                 category_avgs_uniform=uniform,
@@ -220,7 +194,9 @@ def evaluate_model(
     contributes its task's indicator. Returns the eight HR cells plus the
     cross-hit table: off-target subcategories observed on a target's
     samples, which are surfaced separately instead of being folded into
-    the target cell."""
+    the target cell. The model must have exactly one profile per task:
+    two profiles for one task raise ReportError rather than one of them
+    being scored."""
     if indicator_mode not in INDICATOR_MODES:
         raise ReportError(f"unknown indicator mode {indicator_mode!r}")
     profiles = list(profiles)
@@ -228,7 +204,10 @@ def evaluate_model(
     if len(models) != 1:
         raise ReportError(f"evaluate_model expects one model, got {sorted(models)}")
     model_id = next(iter(models))
-    by_task = {p.task_id: p for p in profiles}
+    by_task: dict[str, SampleProfile] = {}
+    for profile in profiles:
+        if by_task.setdefault(profile.task_id, profile) is not profile:
+            raise ReportError(f"model {model_id} has two profiles for task {profile.task_id!r}")
 
     entries = manifest.entries()
     if not entries:
@@ -272,80 +251,86 @@ def evaluate_model(
     return cells, {s: dict(v) for s, v in crosshits.items()}
 
 
+# report.csv's value columns, in order.
+CSV_COLUMNS = (
+    *(s.value for s in SUBCATEGORY_ORDER),
+    *(f"{c.value}_avg" for c in CATEGORY_ORDER),
+    "overall",
+    "overall_uniform",
+)
+
+
+def row_values(row: HRRow) -> dict[str, float]:
+    """The row's exact values keyed by `CSV_COLUMNS`: the eight subcategory
+    HRs, the four weighted category averages and both overall averages.
+    Each renderer rounds these half-even to two decimals."""
+    exact = [row.cells[s].hr_percent_exact for s in SUBCATEGORY_ORDER]
+    exact += [row.category_avgs[c] for c in CATEGORY_ORDER]
+    return dict(zip(CSV_COLUMNS, exact + [row.overall, row.overall_uniform], strict=True))
+
+
 def _fmt(value: float) -> str:
     return f"{round_half_even(value):.2f}"
+
+
+def _markdown_columns() -> dict[str, str]:
+    """report.md's header for each report.csv value column, in report.md
+    order: each category's subcategories, then its average."""
+    columns = {}
+    for category in CATEGORY_ORDER:
+        for subcategory in subcategories_of(category):
+            columns[subcategory.value] = _SUBCATEGORY_SHORT[subcategory]
+        columns[f"{category.value}_avg"] = f"{category.value.title()} Avg"
+    return {**columns, "overall": "Average", "overall_uniform": "Average (uniform)"}
 
 
 def render_markdown(report: HRReport) -> str:
     """Leaderboard markdown: per-subcategory HRs, weighted category
     averages, and both weighted and uniform overall columns."""
-    out = io.StringIO()
-    header = ["Model"]
-    for category in CATEGORY_ORDER:
-        for subcategory in subcategories_of(category):
-            header.append(_SUBCATEGORY_SHORT[subcategory])
-        header.append(f"{category.value.title()} Avg")
-    header += ["Average", "Average (uniform)"]
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + "---|" * len(header) + "\n")
+    columns = _markdown_columns()
+    header = ["Model", *columns.values()]
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for row in report.rows:
-        fields = [row.model_id]
-        for category in CATEGORY_ORDER:
-            for subcategory in subcategories_of(category):
-                fields.append(_fmt(row.cell(subcategory).hr_percent_exact))
-            fields.append(_fmt(row.category_avgs[category]))
-        fields.append(_fmt(row.overall))
-        fields.append(_fmt(row.overall_uniform))
-        out.write("| " + " | ".join(fields) + " |\n")
+        values = row_values(row)
+        fields = [row.model_id] + [_fmt(values[column]) for column in columns]
+        lines.append("| " + " | ".join(fields) + " |")
     counts = ", ".join(
         f"{_SUBCATEGORY_SHORT[s]}={report.sample_counts[s]}" for s in SUBCATEGORY_ORDER
     )
-    out.write(f"\nSample counts: {counts}. Category and Average columns are "
-              f"sample-weighted; the uniform column is a simple mean.\n")
-    return out.getvalue()
+    lines.append(f"\nSample counts: {counts}. Category and Average columns are "
+                 "sample-weighted; the uniform column is a simple mean.")
+    return "\n".join(lines) + "\n"
 
 
 def render_csv(report: HRReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    header = ["model"]
-    header += [s.value for s in SUBCATEGORY_ORDER]
-    header += [f"{c.value}_avg" for c in CATEGORY_ORDER]
-    header += ["overall", "overall_uniform"]
-    writer.writerow(header)
+    writer.writerow(["model", *CSV_COLUMNS])
     for row in report.rows:
-        record = [row.model_id]
-        record += [_fmt(row.cell(s).hr_percent_exact) for s in SUBCATEGORY_ORDER]
-        record += [_fmt(row.category_avgs[c]) for c in CATEGORY_ORDER]
-        record += [_fmt(row.overall), _fmt(row.overall_uniform)]
-        writer.writerow(record)
+        writer.writerow([row.model_id, *map(_fmt, row_values(row).values())])
     return out.getvalue()
 
 
 def report_to_dict(report: HRReport) -> dict:
+    rows = []
+    for row in report.rows:
+        values = {column: round_half_even(value) for column, value in row_values(row).items()}
+        rows.append({
+            "model_id": row.model_id,
+            "subcategory_hr": {s.value: values[s.value] for s in SUBCATEGORY_ORDER},
+            "hallucinated_samples": {
+                s.value: row.cells[s].hallucinated_samples for s in SUBCATEGORY_ORDER
+            },
+            "category_avg": {c.value: values[f"{c.value}_avg"] for c in CATEGORY_ORDER},
+            "overall": values["overall"],
+            "category_avg_uniform": {
+                c.value: round_half_even(row.category_avgs_uniform[c]) for c in CATEGORY_ORDER
+            },
+            "overall_uniform": values["overall_uniform"],
+        })
     return {
         "sample_counts": {s.value: report.sample_counts[s] for s in SUBCATEGORY_ORDER},
-        "rows": [
-            {
-                "model_id": row.model_id,
-                "subcategory_hr": {
-                    s.value: row.cell(s).hr_percent for s in SUBCATEGORY_ORDER
-                },
-                "hallucinated_samples": {
-                    s.value: row.cell(s).hallucinated_samples for s in SUBCATEGORY_ORDER
-                },
-                "category_avg": {
-                    c.value: round_half_even(row.category_avgs[c]) for c in CATEGORY_ORDER
-                },
-                "overall": round_half_even(row.overall),
-                "category_avg_uniform": {
-                    c.value: round_half_even(row.category_avgs_uniform[c])
-                    for c in CATEGORY_ORDER
-                },
-                "overall_uniform": round_half_even(row.overall_uniform),
-            }
-            for row in report.rows
-        ],
+        "rows": rows,
     }
 
 

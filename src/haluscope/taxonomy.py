@@ -78,23 +78,6 @@ def subcategories_of(category: Category) -> tuple[Subcategory, ...]:
     return tuple(s for s in SUBCATEGORY_ORDER if _CATEGORY_OF[s] is category)
 
 
-@dataclass(frozen=True)
-class HallucinationLabel:
-    category: Category
-    subcategory: Subcategory
-    cause: str
-
-    def __post_init__(self) -> None:
-        if self.category is not category_of(self.subcategory):
-            raise ValueError(
-                f"category {self.category} does not own subcategory {self.subcategory}"
-            )
-
-
-def make_label(subcategory: Subcategory, cause: str) -> HallucinationLabel:
-    return HallucinationLabel(category_of(subcategory), subcategory, cause)
-
-
 class FallbackPolicy(str, Enum):
     UNMAPPED_REPORT = "unmapped_report"
     UNMAPPED_AS_LOGIC_DEVIATION = "unmapped_as_logic_deviation"
@@ -145,15 +128,13 @@ class ClassKind(str, Enum):
 class Classification:
     """The single element of {pass} ∪ subcategories ∪ {unmapped, harness
     fault} an observation maps to. `cause` is the raw state: an exception
-    name, "output_mismatch", a degeneration kind, or a fault message."""
+    name, "output_mismatch", a degeneration kind, or a fault message.
+    `subcategory` is set exactly when `kind` is LABELED. The category is
+    not stored: `category_of(subcategory)` gives it."""
 
     kind: ClassKind
     cause: str = ""
-    label: HallucinationLabel | None = None
-
-    @property
-    def subcategory(self) -> Subcategory | None:
-        return self.label.subcategory if self.label else None
+    subcategory: Subcategory | None = None
 
 
 PASS_RESULT = Classification(kind=ClassKind.PASS, cause="pass")
@@ -165,9 +146,7 @@ CAUSE_MEMORY_LIMIT = "memory_limit_exceeded"
 
 
 def _labeled(subcategory: Subcategory, cause: str) -> Classification:
-    return Classification(
-        kind=ClassKind.LABELED, cause=cause, label=make_label(subcategory, cause)
-    )
+    return Classification(kind=ClassKind.LABELED, cause=cause, subcategory=subcategory)
 
 
 def classify(
@@ -235,17 +214,25 @@ def load_table(path: str | Path) -> ClassificationTable:
 
 def classification_to_dict(classification: Classification) -> dict:
     obj: dict = {"kind": classification.kind.value, "cause": classification.cause}
-    if classification.label is not None:
-        obj["category"] = classification.label.category.value
-        obj["subcategory"] = classification.label.subcategory.value
+    if classification.subcategory is not None:
+        obj["category"] = category_of(classification.subcategory).value
+        obj["subcategory"] = classification.subcategory.value
     return obj
 
 
 def classification_from_dict(obj: dict) -> Classification:
+    """The inverse of `classification_to_dict`. A labeled row whose stored
+    "category" is not its subcategory's raises ValueError, which
+    `read_jsonl` reports as an IngestionError naming the path and line."""
     kind = ClassKind(obj["kind"])
     cause = obj.get("cause", "")
     if kind is ClassKind.LABELED:
-        return _labeled(Subcategory(obj["subcategory"]), cause)
+        subcategory = Subcategory(obj["subcategory"])
+        if obj["category"] != category_of(subcategory).value:
+            raise ValueError(
+                f"category {obj['category']!r} does not own subcategory {subcategory.value!r}"
+            )
+        return _labeled(subcategory, cause)
     if kind is ClassKind.PASS:
         return PASS_RESULT
     return Classification(kind=kind, cause=cause)

@@ -62,8 +62,8 @@ def test_criterion_1_taxonomy_totality(taxonomy_corpus):
             got = {
                 "kind": record.classification.kind.value,
                 "subcategory": (
-                    record.classification.label.subcategory.value
-                    if record.classification.label
+                    record.classification.subcategory.value
+                    if record.classification.subcategory
                     else None
                 ),
                 "cause": record.classification.cause,
@@ -119,7 +119,7 @@ def _random_profiles(seed: int, models: int = 3, tasks: int = 15):
                 taxonomy.Classification(
                     kind=ClassKind.LABELED,
                     cause=s.value,
-                    label=taxonomy.make_label(s, s.value),
+                    subcategory=s,
                 )
                 for s in subs
             )
@@ -184,7 +184,7 @@ def test_criterion_5_aggregator_oracle_equivalence():
                         classification = taxonomy.Classification(
                             kind=ClassKind.LABELED,
                             cause=sub.value,
-                            label=taxonomy.make_label(sub, sub.value),
+                            subcategory=sub,
                         )
                     else:
                         observations.append((task, model, None))

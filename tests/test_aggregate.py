@@ -25,7 +25,6 @@ from haluscope.taxonomy import (
     Classification,
     ClassKind,
     Subcategory,
-    make_label,
 )
 
 IDENTITY = Subcategory.IDENTITY
@@ -34,9 +33,7 @@ BREAKDOWN = Subcategory.LOGIC_BREAKDOWN
 
 
 def _labeled(subcategory: Subcategory, cause: str) -> Classification:
-    return Classification(
-        kind=ClassKind.LABELED, cause=cause, label=make_label(subcategory, cause)
-    )
+    return Classification(kind=ClassKind.LABELED, cause=cause, subcategory=subcategory)
 
 
 def _fault() -> Classification:

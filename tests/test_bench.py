@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -24,7 +26,7 @@ from haluscope.taxonomy import (
     Classification,
     ClassKind,
     Subcategory,
-    make_label,
+    category_of,
     subcategories_of,
 )
 
@@ -33,7 +35,7 @@ IDENTITY = Subcategory.IDENTITY
 
 def _profile(task, model, subs):
     labels = tuple(
-        Classification(kind=ClassKind.LABELED, cause=s.value, label=make_label(s, s.value))
+        Classification(kind=ClassKind.LABELED, cause=s.value, subcategory=s)
         for s in subs
     )
     return SampleProfile(
@@ -231,3 +233,39 @@ class TestExport:
         lines = text.strip().split("\n")
         assert len(lines) == 1 + len(SUBCATEGORY_ORDER)
         assert "identity" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["t0", "t1", "t2", "t3"]),
+                st.sampled_from(["m0", "m1", "m2"]),
+                st.lists(st.sampled_from(SUBCATEGORY_ORDER), max_size=6),
+            ),
+            max_size=16,
+        ),
+        st.integers(1, 3),
+    )
+    def test_summary_csv_matches_reference_bytes(self, drawn, threshold_k):
+        manifest = build([_profile(*profile) for profile in drawn], threshold_k=threshold_k)
+        assert render_summary_csv(manifest) == _ref_render_summary_csv(manifest)
+
+
+def _ref_render_summary_csv(manifest: BenchmarkManifest) -> str:
+    """`render_summary_csv` as it stood before it flattened the summary
+    record, kept as a byte oracle."""
+    sub_stats = manifest.subcategory_stats()
+    cat_stats = manifest.category_stats()
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(
+        ["category", "category_tasks", "category_samples", "subcategory", "tasks", "samples"]
+    )
+    for subcategory in SUBCATEGORY_ORDER:
+        category = category_of(subcategory)
+        cat_tasks, cat_samples = cat_stats[category]
+        tasks, samples = sub_stats[subcategory]
+        writer.writerow(
+            [category.value, cat_tasks, cat_samples, subcategory.value, tasks, samples]
+        )
+    return out.getvalue()

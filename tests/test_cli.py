@@ -160,6 +160,15 @@ _STATE_ROW = {
     "classification": {"kind": "pass", "cause": "pass"},
     "status": "pass",
 }
+_PROFILE_ROW = {
+    "task_id": "t",
+    "model_id": "m",
+    "labels": [],
+    "pass_count": 1,
+    "fault_count": 0,
+    "test_count": 1,
+    "degenerate": False,
+}
 _MANIFEST_SUMMARY = {
     "record_type": "summary",
     "provenance": {"run_ids": [], "threshold_k": 2},
@@ -280,22 +289,54 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "ReportError"
 
+    def test_evaluate_refuses_two_profiles_for_one_task(self, tmp_path, capsys):
+        # Kept, the clean second profile would drop model-good's identity
+        # HR from 100.00 to 0.00 without a word.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / BENCHMARK_FILE).write_bytes((EXPECTED / BENCHMARK_FILE).read_bytes())
+        clean = {**_PROFILE_ROW, "task_id": "mini-wc", "model_id": "model-good",
+                 "pass_count": 2, "test_count": 2}
+        (out / PROFILES_FILE).write_text(
+            (EXPECTED / PROFILES_FILE).read_text() + json.dumps(clean) + "\n"
+        )
+        assert _run(["--out-dir", out, "evaluate"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ReportError"
+        assert error["message"] == "model model-good has two profiles for task 'mini-wc'"
+        assert not (out / REPORT_CSV_FILE).exists()
+
     @pytest.mark.parametrize(
         "command, filename, bad_record",
         [
             ("identify", STATES_FILE,
              json.dumps({k: v for k, v in _STATE_ROW.items() if k != "test_count"})),
             ("identify", STATES_FILE, "[1, 2]"),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "test_count": 2.5})),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "test_index": 0.5})),
+            ("identify", STATES_FILE,
+             json.dumps({**_STATE_ROW, "classification": {
+                 "kind": "labeled", "cause": "NameError", "category": "mapping",
+                 "subcategory": "identity"}})),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "degenerate": "false"})),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "pass_count": 1.9})),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "bogus",
                          "observed_frequency": 3, "contributing_models": ["m"]})),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
+                         "observed_frequency": 3.5, "contributing_models": ["m"]})),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": [], "threshold_k": True}})),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}})),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": 1500.9}})),
         ],
-        ids=["states-missing-field", "states-not-an-object", "manifest-bad-subcategory",
-             "tasks-bad-limit", "tasks-float-limit"],
+        ids=["states-missing-field", "states-not-an-object", "states-float-test-count",
+             "states-float-test-index", "states-category-mismatch", "profiles-string-degenerate",
+             "profiles-float-count", "manifest-bad-subcategory", "manifest-float-frequency",
+             "manifest-bool-threshold", "tasks-bad-limit", "tasks-float-limit"],
     )
     def test_malformed_artifact_names_path_and_line(
         self, tmp_path, capsys, command, filename, bad_record
@@ -303,7 +344,8 @@ class TestExitCodes:
         out = tmp_path / "out"
         out.mkdir()
         path = out / filename
-        first = {STATES_FILE: _STATE_ROW, BENCHMARK_FILE: _MANIFEST_SUMMARY}.get(filename, _TASK)
+        first = {STATES_FILE: _STATE_ROW, PROFILES_FILE: _PROFILE_ROW,
+                 BENCHMARK_FILE: _MANIFEST_SUMMARY}.get(filename, _TASK)
         _write_lines(path, [json.dumps(first), bad_record])
         args = ["--out-dir", out, command]
         if command == "validate":
@@ -497,12 +539,14 @@ class TestSettingPrecedence:
          {"jobs": 2.7}, {"threshold_k": True}, {"wall_time_ms": 1500.9},
          {"memory_bytes": 2.0**28}, {"degeneration": {"repeat_count": 7.9}},
          {"degeneration": {"window_frac": True}}, {"degeneration": {"parse_valid_frac": False}},
-         {"completions": 5}, {"dataset": ["tasks.jsonl"]}, {"interpreter": [1, 2]}],
+         {"completions": 5}, {"dataset": ["tasks.jsonl"]}, {"interpreter": [1, 2]},
+         {"interpreter": []}, {"interpreter": ""}],
         ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "indicator",
              "window_frac", "degeneration-section", "threshold_k-zero", "jobs-zero",
              "jobs-float", "threshold_k-bool", "wall_time_ms-float", "memory_bytes-float",
              "repeat_count-float", "window_frac-bool", "parse_valid_frac-bool",
-             "completions-number", "dataset-list", "interpreter-non-string-word"],
+             "completions-number", "dataset-list", "interpreter-non-string-word",
+             "interpreter-empty-list", "interpreter-empty-string"],
     )
     def test_mistyped_config_value_is_config_error(self, entry, mini_corpus, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -536,6 +580,18 @@ class TestSettingPrecedence:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigError"
         assert error["message"] == f"unknown config keys: {named!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_interpreter_flag_is_config_error(self, mini_corpus, tmp_path, capsys):
+        # An empty command would otherwise run every program under the
+        # harness's own interpreter.
+        code = _run(["--interpreter", "", "--out-dir", tmp_path / "out", "pipeline",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"] == "bad value for 'interpreter': the interpreter command is empty"
         assert not (tmp_path / "out").exists()
 
     def test_fail_fast_is_a_usage_error(self, mini_corpus, tmp_path, capsys):

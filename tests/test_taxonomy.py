@@ -1,30 +1,31 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haluscope.degeneration import DegenerationKind, DegenerationVerdict
-from haluscope.errors import ConfigError
+from haluscope.errors import ConfigError, IngestionError
+from haluscope.pipeline import load_states
 from haluscope.sandbox import ExecutionOutcome, Status
 from haluscope.taxonomy import (
     DEFAULT_EXCEPTION_MAP,
     DEFAULT_TABLE,
     SUBCATEGORY_ORDER,
     Category,
+    Classification,
     ClassificationTable,
     ClassKind,
     FallbackPolicy,
-    HallucinationLabel,
     Subcategory,
     category_of,
     classification_from_dict,
     classification_to_dict,
     classify,
     load_table,
-    make_label,
 )
 
 NONE_VERDICT = DegenerationVerdict(DegenerationKind.NONE, "", 0.0)
@@ -54,9 +55,20 @@ class TestCategoryOf:
     def test_total_over_subcategories(self):
         assert {category_of(s) for s in Subcategory} == set(Category)
 
-    def test_label_category_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            HallucinationLabel(Category.MAPPING, Subcategory.IDENTITY, "x")
+    def test_label_category_consistency_enforced(self, tmp_path):
+        # A stored label names its category only for readers of the file;
+        # one that contradicts its subcategory is refused where it is read.
+        row = {"kind": "labeled", "cause": "NameError", "category": "mapping",
+               "subcategory": "identity"}
+        with pytest.raises(ValueError, match="'mapping' does not own subcategory 'identity'"):
+            classification_from_dict(row)
+        with pytest.raises(KeyError):
+            classification_from_dict({k: v for k, v in row.items() if k != "category"})
+        states = tmp_path / "states.jsonl"
+        states.write_text(json.dumps({"task_id": "t", "model_id": "m", "test_index": 0,
+                                      "test_count": 1, "classification": row}) + "\n")
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(states))}:1: "):
+            load_states(states)
 
 
 class TestClassifyRules:
@@ -64,31 +76,31 @@ class TestClassifyRules:
         verdict = DegenerationVerdict(DegenerationKind.STUTTERING, "x = x", 0.9)
         result = classify(verdict, None)
         assert result.kind is ClassKind.LABELED
-        assert result.label.subcategory is Subcategory.LOGIC_BREAKDOWN
+        assert result.subcategory is Subcategory.LOGIC_BREAKDOWN
         assert result.cause == "stuttering"
 
     def test_syntax_failure_is_logic_breakdown_syntactic(self):
         result = classify(NONE_VERDICT, _outcome(Status.SYNTAX_FAILURE))
-        assert result.label.subcategory is Subcategory.LOGIC_BREAKDOWN
+        assert result.subcategory is Subcategory.LOGIC_BREAKDOWN
         assert result.cause == "syntactic"
 
     def test_memory_limit_is_physical_constraint(self):
         result = classify(NONE_VERDICT, _outcome(Status.MEMORY_LIMIT_EXCEEDED))
-        assert result.label.subcategory is Subcategory.PHYSICAL_CONSTRAINT
+        assert result.subcategory is Subcategory.PHYSICAL_CONSTRAINT
 
     def test_time_limit_is_computational_boundary(self):
         result = classify(NONE_VERDICT, _outcome(Status.TIME_LIMIT_EXCEEDED))
-        assert result.label.subcategory is Subcategory.COMPUTATIONAL_BOUNDARY
+        assert result.subcategory is Subcategory.COMPUTATIONAL_BOUNDARY
 
     def test_nameerror_is_naming_identity(self):
         result = classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, "NameError"))
-        assert result.label.category is Category.NAMING
-        assert result.label.subcategory is Subcategory.IDENTITY
+        assert category_of(result.subcategory) is Category.NAMING
+        assert result.subcategory is Subcategory.IDENTITY
 
     def test_wrong_output_is_logic_deviation(self):
         result = classify(NONE_VERDICT, _outcome(Status.WRONG_OUTPUT))
-        assert result.label.category is Category.LOGIC
-        assert result.label.subcategory is Subcategory.LOGIC_DEVIATION
+        assert category_of(result.subcategory) is Category.LOGIC
+        assert result.subcategory is Subcategory.LOGIC_DEVIATION
         assert result.cause == "output_mismatch"
 
     def test_pass(self):
@@ -98,30 +110,30 @@ class TestClassifyRules:
     def test_sandbox_error_is_harness_fault_without_label(self):
         result = classify(NONE_VERDICT, _outcome(Status.SANDBOX_ERROR))
         assert result.kind is ClassKind.HARNESS_FAULT
-        assert result.label is None
+        assert result.subcategory is None
 
     @pytest.mark.parametrize("name, subcategory", sorted(DEFAULT_EXCEPTION_MAP.items()))
     def test_default_exception_map(self, name, subcategory):
         result = classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, name))
-        assert result.label.subcategory is subcategory
+        assert result.subcategory is subcategory
         assert result.cause == name
 
     def test_unmapped_report_policy(self):
         result = classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, "EOFError"))
         assert result.kind is ClassKind.UNMAPPED
         assert result.cause == "EOFError"
-        assert result.label is None
+        assert result.subcategory is None
 
     def test_unmapped_as_logic_deviation_policy(self):
         table = ClassificationTable(fallback=FallbackPolicy.UNMAPPED_AS_LOGIC_DEVIATION)
         result = classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, "EOFError"), table)
         assert result.kind is ClassKind.LABELED
-        assert result.label.subcategory is Subcategory.LOGIC_DEVIATION
+        assert result.subcategory is Subcategory.LOGIC_DEVIATION
 
     def test_custom_rebinning(self):
         table = ClassificationTable(exception_map={"EOFError": Subcategory.DATA_COMPLIANCE})
         result = classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, "EOFError"), table)
-        assert result.label.subcategory is Subcategory.DATA_COMPLIANCE
+        assert result.subcategory is Subcategory.DATA_COMPLIANCE
 
     def test_outcome_required_iff_not_degenerate(self):
         with pytest.raises(ValueError):
@@ -167,9 +179,9 @@ class TestTotalityAndDisjointness:
         ]
         assert sum(states) == 1
         if result.kind is ClassKind.LABELED:
-            assert result.label.subcategory in SUBCATEGORY_ORDER
+            assert result.subcategory in SUBCATEGORY_ORDER
         else:
-            assert result.label is None
+            assert result.subcategory is None
 
     def test_purity(self):
         verdict = DegenerationVerdict(DegenerationKind.STUTTERING, "u", 0.8)
@@ -190,7 +202,7 @@ class TestErrorSubsetProperty:
         # the program ran to completion: no error, still a hallucination
         result = classify(NONE_VERDICT, _outcome(Status.WRONG_OUTPUT))
         assert result.kind is ClassKind.LABELED
-        assert result.label.subcategory is Subcategory.LOGIC_DEVIATION
+        assert result.subcategory is Subcategory.LOGIC_DEVIATION
 
 
 class TestTableSerialization:
@@ -228,6 +240,9 @@ class TestTableSerialization:
             assert classification_from_dict(classification_to_dict(sample)) == sample
 
 
-def test_make_label_fills_category():
-    label = make_label(Subcategory.EXTERNAL_SOURCE, "ImportError")
-    assert label.category is Category.NAMING
+def test_classification_to_dict_fills_category():
+    labeled = Classification(ClassKind.LABELED, "ImportError", Subcategory.EXTERNAL_SOURCE)
+    assert classification_to_dict(labeled) == {
+        "kind": "labeled", "cause": "ImportError", "category": "naming",
+        "subcategory": "external_source",
+    }
