@@ -2,7 +2,7 @@
 of hallucinations in model-generated code."""
 
 from .corpus import Completion, Dataset, ResourceLimits, Task, TestCase
-from .degeneration import DegenerationKind, DegenerationVerdict, detect, repetition_ratio
+from .degeneration import DegenerationKind, DegenerationVerdict, detect
 from .sandbox import ExecutionOutcome, Status, compare_output, execute
 from .taxonomy import (
     Category,
@@ -34,6 +34,5 @@ __all__ = [
     "compare_output",
     "detect",
     "execute",
-    "repetition_ratio",
     "__version__",
 ]

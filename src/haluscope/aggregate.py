@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .corpus import boolean, integer
+from .corpus import boolean, integer, string
 from .taxonomy import (
     SUBCATEGORY_ORDER,
     Classification,
@@ -211,8 +211,8 @@ def profile_to_dict(profile: SampleProfile) -> dict:
 
 def profile_from_dict(obj: dict) -> SampleProfile:
     return SampleProfile(
-        task_id=obj["task_id"],
-        model_id=obj["model_id"],
+        task_id=string(obj["task_id"]),
+        model_id=string(obj["model_id"]),
         labels=tuple(classification_from_dict(c) for c in obj.get("labels", [])),
         pass_count=integer(obj.get("pass_count", 0)),
         fault_count=integer(obj.get("fault_count", 0)),

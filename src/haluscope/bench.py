@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import integer, read_jsonl
+from .corpus import integer, read_jsonl, string
 from .errors import ConfigError
 from .taxonomy import (
     CATEGORY_ORDER,
@@ -187,20 +187,27 @@ def manifest_records(manifest: BenchmarkManifest) -> list[dict]:
     ]
 
 
+def _strings(value) -> tuple[str, ...]:
+    """A JSON list of strings; tuple() would split a string into letters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(string(item) for item in value)
+
+
 def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
     record_type = obj.get("record_type")
     if record_type == "summary":
         prov = obj.get("provenance", {})
         return Provenance(
-            run_ids=tuple(prov.get("run_ids", ())),
+            run_ids=_strings(prov.get("run_ids", [])),
             threshold_k=integer(prov.get("threshold_k", DEFAULT_THRESHOLD_K)),
         )
     if record_type == "entry":
         return BenchmarkEntry(
-            task_id=obj["task_id"],
+            task_id=string(obj["task_id"]),
             target_subcategory=Subcategory(obj["target_subcategory"]),
             observed_frequency=integer(obj["observed_frequency"]),
-            contributing_models=tuple(obj.get("contributing_models", ())),
+            contributing_models=_strings(obj.get("contributing_models", [])),
         )
     raise ValueError(f"unknown record_type {record_type!r}")
 

@@ -130,6 +130,14 @@ def integer(value) -> int:
     return int(value)
 
 
+def string(value) -> str:
+    """A JSON string; str() would read 5 as "5", and ids of mixed types
+    do not sort."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:
     """The JSON object a UTF-8 file holds. A file that cannot be read, is
     not UTF-8, is not JSON or holds another JSON value raises `error`

@@ -66,14 +66,16 @@ class DegenerationConfig:
 
 DEFAULT_CONFIG = DegenerationConfig()
 
-NO_VERDICT_EVIDENCE = ""
-
 
 @dataclass(frozen=True)
 class DegenerationVerdict:
+    """`evidence` is the repeated block (lines joined by newlines) for
+    stuttering, the shared statement pattern for infinite enumeration, and
+    for gibberish the first non-program line, or the last line of truncated
+    text ("<empty>" without lines); it is "" for none."""
+
     kind: DegenerationKind
     evidence: str
-    score: float
 
 
 def _normalize_line(line: str) -> str:
@@ -82,18 +84,6 @@ def _normalize_line(line: str) -> str:
 
 def _nonblank_normalized(source_code: str) -> list[str]:
     return [norm for line in source_code.split("\n") if (norm := _normalize_line(line))]
-
-
-def repetition_ratio(source_code: str) -> float:
-    """1 - (distinct normalized lines / total non-blank lines); 0 for empty
-    input."""
-    return _repetition_ratio(_nonblank_normalized(source_code))
-
-
-def _repetition_ratio(items: list[str]) -> float:
-    if not items:
-        return 0.0
-    return 1.0 - len(set(items)) / len(items)
 
 
 def detect(
@@ -107,38 +97,27 @@ def detect(
 
     Stuttering: within the trailing window (window_frac of non-blank lines),
     a block of at most block_size normalized lines repeats consecutively at
-    least repeat_count times. Infinite enumeration: at least enum_count
-    consecutive lines share one statement pattern, differing only in
-    literals. Gibberish: the text does not parse and is either truncated at
-    the token limit or mostly non-program-like lines."""
+    least repeat_count times; the evidence is the block. Infinite
+    enumeration: at least enum_count consecutive lines share one statement
+    pattern, differing only in literals; the evidence is the pattern.
+    Gibberish: the text does not parse and is either truncated at the token
+    limit (the evidence is its last line, where it was cut) or mostly
+    non-program-like lines (the evidence is the first such line)."""
     lines = _nonblank_normalized(source_code)
 
     stutter = _find_stutter(lines, config)
     if stutter is not None:
-        return DegenerationVerdict(
-            kind=DegenerationKind.STUTTERING,
-            evidence=stutter,
-            score=_repetition_ratio(lines),
-        )
+        return DegenerationVerdict(DegenerationKind.STUTTERING, stutter)
 
-    keys = [_pattern_key(line) for line in lines]
-    enum_evidence = _find_enumeration(keys, config)
+    enum_evidence = _find_enumeration([_pattern_key(line) for line in lines], config)
     if enum_evidence is not None:
-        return DegenerationVerdict(
-            kind=DegenerationKind.INFINITE_ENUMERATION,
-            evidence=enum_evidence,
-            score=_repetition_ratio(keys),
-        )
+        return DegenerationVerdict(DegenerationKind.INFINITE_ENUMERATION, enum_evidence)
 
     gibberish = _check_gibberish(source_code, lines, truncated_at_limit, config)
     if gibberish is not None:
-        return gibberish
+        return DegenerationVerdict(DegenerationKind.GIBBERISH, gibberish)
 
-    return DegenerationVerdict(
-        kind=DegenerationKind.NONE,
-        evidence=NO_VERDICT_EVIDENCE,
-        score=_repetition_ratio(lines),
-    )
+    return DegenerationVerdict(DegenerationKind.NONE, "")
 
 
 def _find_stutter(lines: list[str], config: DegenerationConfig) -> str | None:
@@ -195,7 +174,7 @@ def _check_gibberish(
     lines: list[str],
     truncated_at_limit: bool,
     config: DegenerationConfig,
-) -> DegenerationVerdict | None:
+) -> str | None:
     # Compiling text can warn (SyntaxWarning for `x is 1`, an invalid escape
     # sequence). Ignoring the warnings keeps the gate silent and its verdict
     # independent of the process's warnings filter: under "error" they would
@@ -207,22 +186,27 @@ def _check_gibberish(
             return None
         except _UNPARSEABLE:
             pass
-        flags = [_program_like(line) for line in lines]
-    if not lines:
-        valid_frac = 0.0
-        offending = "<empty>"
-    else:
-        valid_frac = sum(flags) / len(lines)
-        offending = next(
-            (line for line, ok in zip(lines, flags) if not ok), lines[0]
-        )
-    if truncated_at_limit or valid_frac < config.parse_valid_frac:
-        return DegenerationVerdict(
-            kind=DegenerationKind.GIBBERISH,
-            evidence=offending,
-            score=1.0 - valid_frac,
-        )
-    return None
+        if truncated_at_limit:
+            return lines[-1] if lines else "<empty>"
+        if not lines:
+            return "<empty>" if 0.0 < config.parse_valid_frac else None
+        # Scan until the share of program-like lines surely reaches
+        # parse_valid_frac, or surely falls short even if every line left
+        # is program-like.
+        total = len(lines)
+        valid = 0
+        offending = None
+        for seen, line in enumerate(lines, 1):
+            if _program_like(line):
+                valid += 1
+                if valid / total >= config.parse_valid_frac:
+                    return None
+            else:
+                if offending is None:
+                    offending = line
+                if (total - seen + valid) / total < config.parse_valid_frac:
+                    return offending
+    return None  # parse_valid_frac is 0 and no line is program-like
 
 
 def _program_like(line: str) -> bool:

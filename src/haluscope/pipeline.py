@@ -35,6 +35,7 @@ from .corpus import (
     read_jsonl,
     refuse_shared_names,
     safe_name,
+    string,
     with_limit_overrides,
 )
 from .errors import IngestionError, ReportError
@@ -122,8 +123,8 @@ def _state_row(
 def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
     test_index = row.get("test_index")
     return aggregate.ClassifiedRecord(
-        task_id=row["task_id"],
-        model_id=row["model_id"],
+        task_id=string(row["task_id"]),
+        model_id=string(row["model_id"]),
         test_index=None if test_index is None else integer(test_index),
         test_count=integer(row["test_count"]),
         classification=taxonomy.classification_from_dict(row["classification"]),

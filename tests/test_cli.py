@@ -318,8 +318,12 @@ class TestExitCodes:
              json.dumps({**_STATE_ROW, "classification": {
                  "kind": "labeled", "cause": "NameError", "category": "mapping",
                  "subcategory": "identity"}})),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "task_id": 5})),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "model_id": None})),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "degenerate": "false"})),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "pass_count": 1.9})),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "task_id": 5})),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "model_id": ["m"]})),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "bogus",
                          "observed_frequency": 3, "contributing_models": ["m"]})),
@@ -328,15 +332,29 @@ class TestExitCodes:
                          "observed_frequency": 3.5, "contributing_models": ["m"]})),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": [], "threshold_k": True}})),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
+                         "observed_frequency": 3, "contributing_models": "m1"})),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
+                         "observed_frequency": 3, "contributing_models": ["m", 1]})),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({"record_type": "entry", "task_id": 5, "target_subcategory": "identity",
+                         "observed_frequency": 3, "contributing_models": ["m"]})),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": "run", "threshold_k": 2}})),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}})),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": 1500.9}})),
         ],
         ids=["states-missing-field", "states-not-an-object", "states-float-test-count",
-             "states-float-test-index", "states-category-mismatch", "profiles-string-degenerate",
-             "profiles-float-count", "manifest-bad-subcategory", "manifest-float-frequency",
-             "manifest-bool-threshold", "tasks-bad-limit", "tasks-float-limit"],
+             "states-float-test-index", "states-category-mismatch", "states-int-task-id",
+             "states-null-model-id", "profiles-string-degenerate", "profiles-float-count",
+             "profiles-int-task-id", "profiles-list-model-id", "manifest-bad-subcategory",
+             "manifest-float-frequency", "manifest-bool-threshold", "manifest-string-models",
+             "manifest-int-model", "manifest-int-task-id", "manifest-string-run-ids",
+             "tasks-bad-limit", "tasks-float-limit"],
     )
     def test_malformed_artifact_names_path_and_line(
         self, tmp_path, capsys, command, filename, bad_record
@@ -354,7 +372,9 @@ class TestExitCodes:
                                                    "raw_response": "print()"})])
             args += ["--dataset", path, "--completions", completions]
         assert _run(args) == 2
-        payload = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
         assert payload["error"] == "IngestionError"
         assert payload["exit_code"] == 2
         assert payload["message"].startswith(f"{path}:2: ")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import ast
 import re
 import warnings
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +12,7 @@ from haluscope.degeneration import (
     DEFAULT_CONFIG,
     DegenerationConfig,
     DegenerationKind,
+    DegenerationVerdict,
     _BRACKET_ONLY,
     _KEYWORD_PREFIX,
     _UNPARSEABLE,
@@ -22,8 +22,8 @@ from haluscope.degeneration import (
     _pattern_key,
     _program_like,
     detect,
-    repetition_ratio,
 )
+from haluscope import degeneration
 from haluscope.errors import ConfigError
 
 
@@ -83,22 +83,18 @@ _WHITESPACE_SOUP = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2003\u2028\u2029\u3
 
 
 def _oracle_detect(source_code: str, truncated_at_limit: bool, config: DegenerationConfig):
-    """The gate's rules, in order, over the reference implementations;
-    returns (kind, evidence, score)."""
+    """The gate's rules, in order, over the reference implementations and
+    a full line scan; returns (kind, evidence)."""
     lines = _nonblank_normalized(source_code)
-
-    def ratio(items: list[str]) -> float:
-        return 1.0 - len(set(items)) / len(items) if items else 0.0
-
     stutter = _oracle_find_stutter(lines, config)
     if stutter is not None:
-        return "stuttering", stutter, ratio(lines)
+        return "stuttering", stutter
     keys = [_pattern_key(line) for line in lines]
     run_len = 0
     for index, key in enumerate(keys):
         run_len = run_len + 1 if index and key == keys[index - 1] else 1
         if run_len >= config.enum_count:
-            return "infinite_enumeration", key, ratio(keys)
+            return "infinite_enumeration", key
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -111,14 +107,16 @@ def _oracle_detect(source_code: str, truncated_at_limit: bool, config: Degenerat
         valid_frac = sum(flags) / len(lines) if lines else 0.0
         offending = next((line for line, ok in zip(lines, flags) if not ok),
                          lines[0] if lines else "<empty>")
-        if truncated_at_limit or valid_frac < config.parse_valid_frac:
-            return "gibberish", offending, 1.0 - valid_frac
-    return "none", "", ratio(lines)
+        if truncated_at_limit:  # cut at the token limit, on its last line
+            return "gibberish", lines[-1] if lines else "<empty>"
+        if valid_frac < config.parse_valid_frac:
+            return "gibberish", offending
+    return "none", ""
 
 
 def _verdict(source_code: str, truncated_at_limit: bool, config: DegenerationConfig):
     verdict = detect(source_code, truncated_at_limit, config)
-    return verdict.kind.value, verdict.evidence, verdict.score
+    return verdict.kind.value, verdict.evidence
 
 
 _valid_configs = st.builds(
@@ -211,9 +209,7 @@ class TestReferenceEquivalence:
 
     def test_one_long_run_is_stuttering(self):
         source = "x = 0\n" + "total += step\n" * 20_000
-        assert _verdict(source, False, DEFAULT_CONFIG) == (
-            "stuttering", "total += step", repetition_ratio(source)
-        )
+        assert _verdict(source, False, DEFAULT_CONFIG) == ("stuttering", "total += step")
 
     @settings(max_examples=1000, deadline=None)
     @given(line=st.text(alphabet=_WHITESPACE_SOUP, max_size=20) | st.text(max_size=20))
@@ -237,7 +233,7 @@ class TestWarningsFilter:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             expected = [_verdict(source, False, DEFAULT_CONFIG) for source in self.SOURCES]
-        assert [kind for kind, _, _ in expected] == ["none", "none", "gibberish"]
+        assert [kind for kind, _ in expected] == ["none", "none", "gibberish"]
         assert expected[2][1] == "qq zz ww"  # `x is 1` counts as code
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
@@ -247,35 +243,119 @@ class TestWarningsFilter:
         assert caught == []
 
 
+class TestGibberishScan:
+    """The line scan stops once the share of program-like lines is known to
+    reach parse_valid_frac or to fall short of it. Its verdict must be that
+    of a full scan."""
+
+    # Thresholds the stutter and enumeration rules never reach here.
+    @staticmethod
+    def config(parse_valid_frac: float) -> DegenerationConfig:
+        return DegenerationConfig(repeat_count=100, enum_count=100,
+                                  parse_valid_frac=parse_valid_frac)
+
+    @staticmethod
+    def scanned(monkeypatch) -> list[str]:
+        """The lines `_program_like` is asked about from now on."""
+        calls: list[str] = []
+        program_like = degeneration._program_like
+
+        def recording(line: str) -> bool:
+            calls.append(line)
+            return program_like(line)
+
+        monkeypatch.setattr(degeneration, "_program_like", recording)
+        return calls
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        source=st.lists(_soup_lines | st.sampled_from(["qq zz", "x = 1", "\xa0"]),
+                        max_size=12).map("\n".join),
+        parse_valid_frac=st.floats(min_value=0.0, max_value=1.0)
+        | st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 1.0]),
+        truncated=st.booleans(),
+    )
+    @example(source="\xa0", parse_valid_frac=0.0, truncated=False)
+    @example(source="\xa0", parse_valid_frac=0.3, truncated=False)
+    @example(source="\xa0", parse_valid_frac=0.0, truncated=True)
+    @example(source="x = 1\nqq zz\nqq zz\ny = 2", parse_valid_frac=0.5, truncated=False)
+    @example(source="qq zz\nx = 1\nqq zz", parse_valid_frac=1.0, truncated=False)
+    def test_matches_full_scan(self, source, parse_valid_frac, truncated):
+        config = self.config(parse_valid_frac)
+        assert _verdict(source, truncated, config) == _oracle_detect(source, truncated, config)
+
+    @pytest.mark.parametrize("parse_valid_frac, expected", [
+        (0.0, ("none", "")),
+        (0.3, ("gibberish", "<empty>")),
+    ])
+    def test_unparseable_text_without_lines(self, parse_valid_frac, expected):
+        # A no-break space is blank to the line split and does not parse.
+        assert _verdict("\xa0", False, self.config(parse_valid_frac)) == expected
+
+    @pytest.mark.parametrize("program_first", [True, False])
+    @pytest.mark.parametrize("program_lines, expected", [
+        (3, ("none", "")),
+        (2, ("gibberish", "word0 word0")),
+    ])
+    def test_threshold_is_inclusive(self, program_first, program_lines, expected):
+        program = [f"x{i} = {i}" for i in range(program_lines)]
+        noise = [f"word{i} word{i}" for i in range(10 - program_lines)]
+        lines = program + noise if program_first else noise + program
+        assert _verdict("\n".join(lines), False, self.config(0.3)) == expected
+
+    def test_stops_at_first_non_program_line_at_full_threshold(self, monkeypatch):
+        source = "x = 1\ny = 2\nqq zz\nz = 3\nmore noise here"
+        calls = self.scanned(monkeypatch)
+        assert _verdict(source, False, self.config(1.0)) == ("gibberish", "qq zz")
+        assert calls == ["x = 1", "y = 2", "qq zz"]
+
+    def test_stops_once_enough_lines_are_program_like(self, monkeypatch):
+        source = "x = 1\ny = 2\nz = 3\n" + "qq zz 0\n" * 4 + "qq zz 1\n" * 3
+        calls = self.scanned(monkeypatch)
+        assert _verdict(source, False, self.config(0.3)) == ("none", "")
+        assert calls == ["x = 1", "y = 2", "z = 3"]
+
+    def test_truncated_text_is_gibberish_at_its_last_line_unscanned(self, monkeypatch):
+        source = "import sys\nvalues = sys.stdin.read()\ndef handle(chunk:\n\n"
+        calls = self.scanned(monkeypatch)
+        assert _verdict(source, True, self.config(0.3)) == ("gibberish", "def handle(chunk:")
+        assert calls == []
+
+
 class TestRepetitionRatio:
+    """Line repetition as the stuttering check sees it: lines compare after
+    whitespace normalization, and blank lines do not count."""
+
     def test_ten_identical_lines(self):
-        assert repetition_ratio("result.append(x)\n" * 10) == pytest.approx(0.9)
+        verdict = detect("result.append(x)\n" * 10)
+        assert verdict == DegenerationVerdict(DegenerationKind.STUTTERING, "result.append(x)")
 
     def test_ten_distinct_lines(self):
         source = "\n".join(f"value_{i} = {i}" for i in range(10))
-        assert repetition_ratio(source) == 0.0
+        assert detect(source) == DegenerationVerdict(DegenerationKind.NONE, "")
 
     def test_alternating_pair_twenty_lines(self):
-        assert repetition_ratio("left()\nright()\n" * 10) == pytest.approx(0.9)
+        verdict = detect("left()\nright()\n" * 10)
+        assert verdict == DegenerationVerdict(DegenerationKind.STUTTERING, "left()\nright()")
 
     def test_empty_input(self):
-        assert repetition_ratio("") == 0.0
-        assert repetition_ratio("\n\n  \n") == 0.0
+        for source in ("", "\n\n  \n"):
+            assert _nonblank_normalized(source) == []
+            assert detect(source) == DegenerationVerdict(DegenerationKind.NONE, "")
 
     def test_whitespace_normalization(self):
         # internal runs collapse, so these are the same line
-        assert repetition_ratio("a =  1\na = 1\n") == pytest.approx(0.5)
+        assert _nonblank_normalized("a =  1\na = 1\n") == ["a = 1", "a = 1"]
+        verdict = detect("a =  1\na = 1\n" * 5)
+        assert verdict == DegenerationVerdict(DegenerationKind.STUTTERING, "a = 1")
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.sampled_from(["x = 1", "y = 2", "call(z)", "# note"]), max_size=40))
+    @given(
+        st.lists(st.sampled_from(["x = 1", "y =  2", " call(z)", "# note", "", "  "]), max_size=40)
+    )
     def test_matches_brute_force_oracle(self, lines):
-        source = "\n".join(lines)
         normalized = [" ".join(line.split()) for line in lines]
-        nonblank = [line for line in normalized if line]
-        expected = 0.0 if not nonblank else float(
-            1 - Fraction(len(set(nonblank)), len(nonblank))
-        )
-        assert repetition_ratio(source) == pytest.approx(expected)
+        assert _nonblank_normalized("\n".join(lines)) == [line for line in normalized if line]
 
 
 class TestDetect:
@@ -341,8 +421,7 @@ class TestDetect:
         )
         verdict = detect(source)
         assert verdict.kind is DegenerationKind.GIBBERISH
-        assert verdict.score > 0.0
-        assert verdict.evidence
+        assert verdict.evidence == "and then the model simply gave up on the problem entirely"
 
     def test_parseable_text_never_gibberish(self):
         assert detect("x = 1").kind is DegenerationKind.NONE
@@ -384,9 +463,7 @@ class TestDetect:
         assert detect(head + tail).kind is DegenerationKind.NONE
 
     def test_empty_source_is_none(self):
-        verdict = detect("")
-        assert verdict.kind is DegenerationKind.NONE
-        assert verdict.score == 0.0
+        assert detect("") == DegenerationVerdict(DegenerationKind.NONE, "")
 
     def test_none_verdict_has_empty_evidence(self):
         verdict = detect("x = 1\ny = 2")

@@ -45,3 +45,9 @@ def test_unused_import_is_found():
         "def f(x: j.JSONDecoder) -> None:\n    return compile(x)\n"
     )
     assert unused_imports(source) == ["os"]
+
+
+def test_every_exported_name_exists():
+    # `from haluscope import *` fails on a name `__all__` lists and the
+    # package does not define.
+    assert [name for name in haluscope.__all__ if not hasattr(haluscope, name)] == []

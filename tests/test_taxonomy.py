@@ -28,7 +28,7 @@ from haluscope.taxonomy import (
     load_table,
 )
 
-NONE_VERDICT = DegenerationVerdict(DegenerationKind.NONE, "", 0.0)
+NONE_VERDICT = DegenerationVerdict(DegenerationKind.NONE, "")
 
 
 def _outcome(status: Status, exception_name: str = "") -> ExecutionOutcome:
@@ -73,7 +73,7 @@ class TestCategoryOf:
 
 class TestClassifyRules:
     def test_degeneration_verdict_is_logic_breakdown(self):
-        verdict = DegenerationVerdict(DegenerationKind.STUTTERING, "x = x", 0.9)
+        verdict = DegenerationVerdict(DegenerationKind.STUTTERING, "x = x")
         result = classify(verdict, None)
         assert result.kind is ClassKind.LABELED
         assert result.subcategory is Subcategory.LOGIC_BREAKDOWN
@@ -140,7 +140,7 @@ class TestClassifyRules:
             classify(NONE_VERDICT, None)
         with pytest.raises(ValueError):
             classify(
-                DegenerationVerdict(DegenerationKind.GIBBERISH, "x", 1.0),
+                DegenerationVerdict(DegenerationKind.GIBBERISH, "x"),
                 _outcome(Status.PASS),
             )
 
@@ -149,9 +149,9 @@ class TestTotalityAndDisjointness:
     _verdicts = st.sampled_from(
         [
             NONE_VERDICT,
-            DegenerationVerdict(DegenerationKind.STUTTERING, "u", 0.8),
-            DegenerationVerdict(DegenerationKind.INFINITE_ENUMERATION, "u", 0.8),
-            DegenerationVerdict(DegenerationKind.GIBBERISH, "u", 0.8),
+            DegenerationVerdict(DegenerationKind.STUTTERING, "u"),
+            DegenerationVerdict(DegenerationKind.INFINITE_ENUMERATION, "u"),
+            DegenerationVerdict(DegenerationKind.GIBBERISH, "u"),
         ]
     )
     _statuses = st.sampled_from(list(Status))
@@ -184,7 +184,7 @@ class TestTotalityAndDisjointness:
             assert result.subcategory is None
 
     def test_purity(self):
-        verdict = DegenerationVerdict(DegenerationKind.STUTTERING, "u", 0.8)
+        verdict = DegenerationVerdict(DegenerationKind.STUTTERING, "u")
         assert classify(verdict, None) == classify(verdict, None)
 
 
@@ -234,7 +234,7 @@ class TestTableSerialization:
             classify(NONE_VERDICT, _outcome(Status.PASS)),
             classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, "KeyError")),
             classify(NONE_VERDICT, _outcome(Status.RUNTIME_FAILURE, "EOFError")),
-            classify(DegenerationVerdict(DegenerationKind.GIBBERISH, "x", 1.0), None),
+            classify(DegenerationVerdict(DegenerationKind.GIBBERISH, "x"), None),
         ]
         for sample in samples:
             assert classification_from_dict(classification_to_dict(sample)) == sample
