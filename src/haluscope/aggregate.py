@@ -8,10 +8,10 @@ ordering.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import boolean, integer, string
+from .corpus import boolean, integer, read_field, string
 from .taxonomy import (
     SUBCATEGORY_ORDER,
     Classification,
@@ -61,37 +61,6 @@ class SampleProfile:
     def subcategories(self) -> set[Subcategory]:
         return set(self.subcategory_counts())
 
-    def has_subcategory(self, subcategory: Subcategory) -> bool:
-        return any(entry.subcategory is subcategory for entry in self.labels)
-
-
-@dataclass(frozen=True)
-class FrequencyEntry:
-    key: str
-    count: int
-    share: float
-
-
-@dataclass(frozen=True)
-class FrequencyList:
-    entries: tuple[FrequencyEntry, ...]
-
-
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
-    """8x8 symmetric task-count matrix. counts[i][j] is the number of tasks
-    whose profile exhibits both subcategory i and j; the diagonal counts
-    tasks exhibiting the subcategory at all."""
-
-    counts: tuple[tuple[int, ...], ...]
-    order: tuple[Subcategory, ...] = field(default=SUBCATEGORY_ORDER)
-
-    def to_dict(self) -> dict:
-        return {
-            "order": [s.value for s in self.order],
-            "counts": [list(row) for row in self.counts],
-        }
-
 
 def build_profiles(
     records: Iterable[ClassifiedRecord],
@@ -130,10 +99,11 @@ def build_profiles(
     return profiles
 
 
-def frequency_list(profiles: Iterable[SampleProfile], granularity: str = "subcategory") -> FrequencyList:
+def frequency_list(profiles: Iterable[SampleProfile], granularity: str = "subcategory") -> list[dict]:
     """Count hallucination observations across profiles at either
-    "subcategory" or "raw_cause" granularity. Both groupings run over the
-    same label multiset, so their totals agree."""
+    "subcategory" or "raw_cause" granularity, as frequencies.json rows
+    (`key`, `count`, `share`), most frequent first. Both groupings run over
+    the same label multiset, so their totals agree."""
     if granularity not in ("subcategory", "raw_cause"):
         raise ValueError(f"unknown granularity {granularity!r}")
     counts: Counter = Counter()
@@ -147,16 +117,14 @@ def frequency_list(profiles: Iterable[SampleProfile], granularity: str = "subcat
                 counts[UNMAPPED_KEY] += 1
     total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return FrequencyList(
-        entries=tuple(
-            FrequencyEntry(key=key, count=count, share=count / total)
-            for key, count in ordered
-        )
-    )
+    return [{"key": key, "count": count, "share": count / total} for key, count in ordered]
 
 
-def cooccurrence(profiles: Iterable[SampleProfile]) -> tuple[CooccurrenceMatrix, float]:
-    """Co-occurrence of subcategories across one model's tasks.
+def cooccurrence(profiles: Iterable[SampleProfile]) -> tuple[dict, float]:
+    """Co-occurrence of subcategories across one model's tasks, as the
+    cooccurrence.json matrix: `counts[i][j]` is the number of tasks whose
+    profile exhibits both `order[i]` and `order[j]`, so the diagonal counts
+    tasks exhibiting the subcategory at all.
 
     cross_task_rate = tasks exhibiting >= 2 distinct subcategories divided
     by tasks exhibiting >= 1 (0.0 when nothing hallucinates)."""
@@ -166,35 +134,26 @@ def cooccurrence(profiles: Iterable[SampleProfile]) -> tuple[CooccurrenceMatrix,
         raise ValueError(f"cooccurrence expects one model, got {sorted(models)}")
 
     index = {sub: i for i, sub in enumerate(SUBCATEGORY_ORDER)}
-    size = len(SUBCATEGORY_ORDER)
-    counts = [[0] * size for _ in range(size)]
+    counts = [[0] * len(SUBCATEGORY_ORDER) for _ in SUBCATEGORY_ORDER]
     hallucinating = 0
     multi = 0
     for profile in profiles:
-        subs = sorted(profile.subcategories(), key=lambda s: index[s])
+        subs = profile.subcategories()
         if not subs:
             continue
         hallucinating += 1
         if len(subs) >= 2:
             multi += 1
-        for a_pos, a in enumerate(subs):
-            counts[index[a]][index[a]] += 1
-            for b in subs[a_pos + 1 :]:
+        for a in subs:
+            for b in subs:
                 counts[index[a]][index[b]] += 1
-                counts[index[b]][index[a]] += 1
     rate = multi / hallucinating if hallucinating else 0.0
-    return CooccurrenceMatrix(counts=tuple(tuple(row) for row in counts)), rate
+    return {"order": [s.value for s in SUBCATEGORY_ORDER], "counts": counts}, rate
 
 
 def format_rate(fraction: float) -> str:
     """Render a fraction as a percent string, e.g. 0.0107 -> "1.07%"."""
     return f"{fraction * 100:.2f}%"
-
-
-def frequency_list_to_dict(freq: FrequencyList) -> list[dict]:
-    return [
-        {"key": e.key, "count": e.count, "share": e.share} for e in freq.entries
-    ]
 
 
 def profile_to_dict(profile: SampleProfile) -> dict:
@@ -211,13 +170,13 @@ def profile_to_dict(profile: SampleProfile) -> dict:
 
 def profile_from_dict(obj: dict) -> SampleProfile:
     return SampleProfile(
-        task_id=string(obj["task_id"]),
-        model_id=string(obj["model_id"]),
+        task_id=read_field(obj, "task_id", string),
+        model_id=read_field(obj, "model_id", string),
         labels=tuple(classification_from_dict(c) for c in obj.get("labels", [])),
-        pass_count=integer(obj.get("pass_count", 0)),
-        fault_count=integer(obj.get("fault_count", 0)),
-        test_count=integer(obj["test_count"]),
-        degenerate=boolean(obj.get("degenerate", False)),
+        pass_count=read_field(obj, "pass_count", integer, 0),
+        fault_count=read_field(obj, "fault_count", integer, 0),
+        test_count=read_field(obj, "test_count", integer),
+        degenerate=read_field(obj, "degenerate", boolean, False),
     )
 
 

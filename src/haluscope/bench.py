@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import integer, read_jsonl, string
+from .corpus import integer, read_field, read_jsonl, string, strings
 from .errors import ConfigError
 from .taxonomy import (
     CATEGORY_ORDER,
     SUBCATEGORY_ORDER,
-    Category,
     Subcategory,
     subcategories_of,
 )
@@ -61,32 +60,6 @@ class BenchmarkManifest:
         for subcategory in SUBCATEGORY_ORDER:
             result.extend(self.entries_by_subcategory.get(subcategory, ()))
         return result
-
-    def subcategory_stats(self) -> dict[Subcategory, tuple[int, int]]:
-        """(task_count, sample_count) per subcategory."""
-        stats = {}
-        for subcategory in SUBCATEGORY_ORDER:
-            entries = self.entries_by_subcategory.get(subcategory, ())
-            stats[subcategory] = (
-                len(entries),
-                sum(e.sample_count for e in entries),
-            )
-        return stats
-
-    def category_stats(self) -> dict[Category, tuple[int, int]]:
-        """(task_count, sample_count) per category: the sum over its two
-        subcategories (a task under both subcategories counts twice, which
-        keeps the additivity structure exact)."""
-        sub_stats = self.subcategory_stats()
-        stats = {}
-        for category in CATEGORY_ORDER:
-            tasks = samples = 0
-            for subcategory in subcategories_of(category):
-                t, s = sub_stats[subcategory]
-                tasks += t
-                samples += s
-            stats[category] = (tasks, samples)
-        return stats
 
 
 def build(
@@ -143,25 +116,25 @@ def build(
 
 
 def _summary_record(manifest: BenchmarkManifest) -> dict:
-    sub_stats = manifest.subcategory_stats()
-    cat_stats = manifest.category_stats()
+    """The manifest's counts: each subcategory's tasks and samples, and
+    each category's as the sum of its two subcategories' (a task under
+    both counts twice, which keeps the additivity exact)."""
     categories = []
     for category in CATEGORY_ORDER:
-        cat_tasks, cat_samples = cat_stats[category]
         subcategories = []
         for subcategory in subcategories_of(category):
-            tasks, samples = sub_stats[subcategory]
-            subcategories.append(
-                {"subcategory": subcategory.value, "tasks": tasks, "samples": samples}
-            )
-        categories.append(
-            {
-                "category": category.value,
-                "tasks": cat_tasks,
-                "samples": cat_samples,
-                "subcategories": subcategories,
-            }
-        )
+            entries = manifest.entries_by_subcategory.get(subcategory, ())
+            subcategories.append({
+                "subcategory": subcategory.value,
+                "tasks": len(entries),
+                "samples": sum(e.sample_count for e in entries),
+            })
+        categories.append({
+            "category": category.value,
+            "tasks": sum(sub["tasks"] for sub in subcategories),
+            "samples": sum(sub["samples"] for sub in subcategories),
+            "subcategories": subcategories,
+        })
     return {
         "record_type": "summary",
         "provenance": {
@@ -187,27 +160,20 @@ def manifest_records(manifest: BenchmarkManifest) -> list[dict]:
     ]
 
 
-def _strings(value) -> tuple[str, ...]:
-    """A JSON list of strings; tuple() would split a string into letters."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(string(item) for item in value)
-
-
 def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
     record_type = obj.get("record_type")
     if record_type == "summary":
         prov = obj.get("provenance", {})
         return Provenance(
-            run_ids=_strings(prov.get("run_ids", [])),
-            threshold_k=integer(prov.get("threshold_k", DEFAULT_THRESHOLD_K)),
+            run_ids=read_field(prov, "run_ids", strings, []),
+            threshold_k=read_field(prov, "threshold_k", integer, DEFAULT_THRESHOLD_K),
         )
     if record_type == "entry":
         return BenchmarkEntry(
-            task_id=string(obj["task_id"]),
-            target_subcategory=Subcategory(obj["target_subcategory"]),
-            observed_frequency=integer(obj["observed_frequency"]),
-            contributing_models=_strings(obj.get("contributing_models", [])),
+            task_id=read_field(obj, "task_id", string),
+            target_subcategory=read_field(obj, "target_subcategory", Subcategory),
+            observed_frequency=read_field(obj, "observed_frequency", integer),
+            contributing_models=read_field(obj, "contributing_models", strings, []),
         )
     raise ValueError(f"unknown record_type {record_type!r}")
 

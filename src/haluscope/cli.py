@@ -92,7 +92,8 @@ RUN_SETTINGS = (
              f"One of {', '.join(INDICATOR_MODES)}."),
     _Setting("--run-id", "run_id", "run_id", str),
     _Setting("--artifact-dir", "artifact_dir", "artifact_root", str,
-             "Store stdin/stdout/stderr/outcome.json per execution."),
+             "Store each execution's prog.py, stdin.txt, outcome.json, stdout.txt (the compared "
+             "output: empty unless pass or wrong output) and stderr.txt (the parsed traceback)."),
     _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", integer),
     _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", integer),
     _Setting("--degeneration.enum-count", "degeneration.enum_count", "enum_count", integer),

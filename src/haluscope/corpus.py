@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Hashable, Iterable, TypeVar
 
 from .errors import HaluscopeError, IngestionError, ValidationError
 
@@ -138,6 +138,30 @@ def string(value) -> str:
     return value
 
 
+def strings(value) -> tuple[str, ...]:
+    """A JSON list of strings; tuple() would split a string into letters."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return tuple(string(item) for item in value)
+
+
+_REQUIRED = object()
+
+
+def read_field(obj: dict, key: str, read: Callable[[Any], T], default: Any = _REQUIRED) -> T:
+    """`read(obj[key])`, with `default` standing in for a missing key; a
+    None default makes the field optional, read as None when missing or
+    null. A missing required key raises KeyError, and the TypeError or
+    ValueError `read` raises is re-raised naming `key`."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key}: {exc}") from exc
+
+
 def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:
     """The JSON object a UTF-8 file holds. A file that cannot be read, is
     not UTF-8, is not JSON or holds another JSON value raises `error`
@@ -193,7 +217,7 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 def task_from_dict(obj: dict) -> Task:
     task_id = str(obj["task_id"])
-    question = str(obj["question"])
+    question = read_field(obj, "question", string)
     raw_cases = obj["test_cases"]
     if not isinstance(raw_cases, list):
         raise TypeError("'test_cases' must be a list")
@@ -203,13 +227,12 @@ def task_from_dict(obj: dict) -> Task:
             raise TypeError("test case must be an object")
         # Missing expected_output is a schema error; the empty string is a
         # legitimate expectation and must survive ingestion.
-        cases.append(
-            TestCase(input=str(case["input"]), expected_output=str(case["expected_output"]))
-        )
+        cases.append(TestCase(input=read_field(case, "input", string),
+                              expected_output=read_field(case, "expected_output", string)))
     limits_obj = obj.get("limits") or {}
     limits = ResourceLimits(
-        wall_time_ms=integer(limits_obj.get("wall_time_ms", DEFAULT_WALL_TIME_MS)),
-        memory_bytes=integer(limits_obj.get("memory_bytes", DEFAULT_MEMORY_BYTES)),
+        wall_time_ms=read_field(limits_obj, "wall_time_ms", integer, DEFAULT_WALL_TIME_MS),
+        memory_bytes=read_field(limits_obj, "memory_bytes", integer, DEFAULT_MEMORY_BYTES),
     )
     return Task(task_id=task_id, question=question, test_cases=tuple(cases), limits=limits)
 
@@ -228,18 +251,15 @@ def load_dataset(path: str | Path, dataset_id: str | None = None) -> Dataset:
 def completion_from_dict(obj: dict) -> Completion:
     from .gateway import extract_code  # deferred: gateway imports corpus types
 
-    raw_response = str(obj["raw_response"])
-    source = obj.get("source_code")
-    if source is None:
-        source = extract_code(raw_response)
-    sample_index = obj.get("sample_index")
+    raw_response = read_field(obj, "raw_response", string)
+    source = read_field(obj, "source_code", string, None)
     return Completion(
         task_id=str(obj["task_id"]),
         model_id=str(obj["model_id"]),
         raw_response=raw_response,
-        source_code=str(source),
-        sample_index=None if sample_index is None else integer(sample_index),
-        truncated_at_limit=boolean(obj.get("truncated_at_limit", False)),
+        source_code=extract_code(raw_response) if source is None else source,
+        sample_index=read_field(obj, "sample_index", integer, None),
+        truncated_at_limit=read_field(obj, "truncated_at_limit", boolean, False),
     )
 
 

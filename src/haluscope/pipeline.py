@@ -32,6 +32,7 @@ from .corpus import (
     integer,
     load_completions,
     load_dataset,
+    read_field,
     read_jsonl,
     refuse_shared_names,
     safe_name,
@@ -121,22 +122,31 @@ def _state_row(
 
 
 def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
-    test_index = row.get("test_index")
     return aggregate.ClassifiedRecord(
-        task_id=string(row["task_id"]),
-        model_id=string(row["model_id"]),
-        test_index=None if test_index is None else integer(test_index),
-        test_count=integer(row["test_count"]),
+        task_id=read_field(row, "task_id", string),
+        model_id=read_field(row, "model_id", string),
+        test_index=read_field(row, "test_index", integer, None),
+        test_count=read_field(row, "test_count", integer),
         classification=taxonomy.classification_from_dict(row["classification"]),
     )
 
 
+def _artifact_key(completion: Completion) -> tuple:
+    """(task, model), plus the sample index when the completion has one."""
+    key = (completion.task_id, completion.model_id)
+    return key if completion.sample_index is None else (*key, completion.sample_index)
+
+
 def _artifact_name(completion: Completion) -> str:
-    return safe_name(f"{completion.task_id}__{completion.model_id}")
+    name = f"{completion.task_id}__{completion.model_id}"
+    if completion.sample_index is not None:
+        name += f"__s{completion.sample_index}"
+    return safe_name(name)
 
 
 def _artifact_dir(root: str | None, completion: Completion, index: int) -> str | None:
-    """`<root>/<task>__<model>/test_NNN`, with unsafe characters replaced."""
+    """`<root>/<task>__<model>/test_NNN`, or `<root>/<task>__<model>__s<N>/test_NNN`
+    for sample N, with unsafe characters replaced."""
     if root is None:
         return None
     return str(Path(root) / _artifact_name(completion) / f"test_{index:03d}")
@@ -157,7 +167,7 @@ def classify_corpus(
 
     Each executed completion's requests are built once, and every request
     goes to one `sandbox.execute_batch`. With `artifact_root`, two (task,
-    model) pairs that would share an artifact directory raise
+    model, sample) keys that would share an artifact directory raise
     ValidationError before anything runs."""
     tasks = dataset.task_map()
     interpreter = tuple(interpreter) if interpreter else None
@@ -203,7 +213,7 @@ def classify_corpus(
         ]
         executed.append((completion, verdict, requests))
     if artifact_root is not None:  # pairs sharing a directory would mix their files
-        refuse_shared_names(((c.task_id, c.model_id), _artifact_name(c)) for c, _, _ in executed)
+        refuse_shared_names((_artifact_key(c), _artifact_name(c)) for c, _, _ in executed)
 
     flat = iter(sandbox.execute_batch([r for _, _, reqs in executed for r in reqs], jobs=jobs))
     for completion, verdict, reqs in executed:
@@ -265,15 +275,10 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
     profiles_path = out_dir / PROFILES_FILE
     write_jsonl(profiles_path, (aggregate.profile_to_dict(p) for p in profiles))
 
-    freq_payload = {
-        "subcategory": aggregate.frequency_list_to_dict(
-            aggregate.frequency_list(profiles, "subcategory")
-        ),
-        "raw_cause": aggregate.frequency_list_to_dict(
-            aggregate.frequency_list(profiles, "raw_cause")
-        ),
-    }
-    _write_json(out_dir / FREQUENCIES_FILE, freq_payload)
+    _write_json(out_dir / FREQUENCIES_FILE, {
+        granularity: aggregate.frequency_list(profiles, granularity)
+        for granularity in ("subcategory", "raw_cause")
+    })
     return profiles_path
 
 
@@ -348,7 +353,7 @@ def report_stage(config: RunConfig, profiles_path: str | Path | None = None) -> 
     for model_id in sorted(grouped):
         matrix, rate = aggregate.cooccurrence(grouped[model_id])
         payload[model_id] = {
-            "matrix": matrix.to_dict(),
+            "matrix": matrix,
             "cross_task_rate": rate,
             "cross_task_rate_percent": aggregate.format_rate(rate),
         }

@@ -74,25 +74,6 @@ class HRCell:
         return 100.0 * self.hallucinated_samples / self.total_samples
 
 
-def indicator(profile: SampleProfile, target: Subcategory) -> int:
-    """1 iff the profile exhibits at least one label of the target
-    subcategory. Degeneration verdicts and syntax failures both surface as
-    logic-breakdown labels, so they satisfy a LOGIC_BREAKDOWN target."""
-    return 1 if profile.has_subcategory(target) else 0
-
-
-def any_indicator(profile: SampleProfile) -> int:
-    """1 iff the profile exhibits any hallucination label at all."""
-    return 1 if profile.labels else 0
-
-
-def hallucination_rate(indicators: Sequence[int]) -> float:
-    """Arithmetic mean of an indicator vector."""
-    if not indicators:
-        raise ReportError("hallucination rate over an empty sample set is undefined")
-    return sum(indicators) / len(indicators)
-
-
 @dataclass(frozen=True)
 class HRRow:
     model_id: str
@@ -191,12 +172,16 @@ def evaluate_model(
     """Score one model's profiles against a benchmark manifest.
 
     Each manifest sample (a task weighted by its contributing-model count)
-    contributes its task's indicator. Returns the eight HR cells plus the
-    cross-hit table: off-target subcategories observed on a target's
-    samples, which are surfaced separately instead of being folded into
-    the target cell. The model must have exactly one profile per task:
-    two profiles for one task raise ReportError rather than one of them
-    being scored."""
+    contributes its task's indicator. In "target" mode the indicator is 1
+    iff the profile exhibits at least one label of the entry's
+    subcategory; degeneration verdicts and syntax failures are
+    logic-breakdown labels, so they hit a LOGIC_BREAKDOWN target. In "any"
+    mode it is 1 iff the profile carries any hallucination label. Returns
+    the eight HR cells plus the cross-hit table: off-target subcategories
+    observed on a target's samples, which are surfaced separately instead
+    of being folded into the target cell. The model must have exactly one
+    profile per task: two profiles for one task raise ReportError rather
+    than one of them being scored."""
     if indicator_mode not in INDICATOR_MODES:
         raise ReportError(f"unknown indicator mode {indicator_mode!r}")
     profiles = list(profiles)
@@ -230,16 +215,13 @@ def evaluate_model(
         total = 0
         for entry in manifest.entries_by_subcategory.get(subcategory, ()):
             profile = by_task[entry.task_id]
+            observed = profile.subcategories()
             weight = entry.sample_count
-            if indicator_mode == "any":
-                hit = any_indicator(profile)
-            else:
-                hit = indicator(profile, subcategory)
+            hit = bool(profile.labels) if indicator_mode == "any" else subcategory in observed
             hallucinated += hit * weight
             total += weight
-            for observed in profile.subcategories():
-                if observed is not subcategory:
-                    crosshits[subcategory][observed] += weight
+            for other in observed - {subcategory}:
+                crosshits[subcategory][other] += weight
         cells.append(
             HRCell(
                 model_id=model_id,

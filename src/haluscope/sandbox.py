@@ -132,13 +132,15 @@ def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | No
     """Map a terminated process to a failure status and exception fields,
     without timing or output.
 
-    Returns None for a clean exit (status then depends on output
-    comparison). The final exception of the last traceback block wins when
+    Returns None for a clean exit, whatever stderr holds (status then
+    depends on output comparison). The final exception of the last traceback block wins when
     tracebacks are chained. A compile stage prints its error without a
     traceback, so there a bare last line names the exception too, and a
     SyntaxError (subclasses included) is a syntax failure; any other
     exception is read as a run stage's. Memory evidence outranks the timer,
     which outranks the parsed exception."""
+    if raw.returncode == 0 and not raw.timed_out:
+        return None
     compiling = raw.stage == "compile"
     exc_name, exc_message, traceback_text = _parse_last_exception(stderr, bare=compiling)
     if compiling and exc_name in _SYNTAX_EXCEPTIONS:
@@ -174,8 +176,6 @@ def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | No
             status=Status.TIME_LIMIT_EXCEEDED,
             exception_message="wall-time limit exceeded",
         )
-    if raw.returncode == 0:
-        return None
     if raw.returncode == -int(signal.SIGXFSZ):
         return ExecutionOutcome(
             status=Status.RUNTIME_FAILURE,
@@ -273,7 +273,10 @@ def execute(
     for harness-side faults (missing interpreter, temp-dir failure) and is
     never produced by program behavior. Status decision order:
     SandboxError > SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded
-    > RuntimeFailure > WrongOutput > Pass."""
+    > RuntimeFailure > WrongOutput > Pass. With `artifact_dir`, it holds
+    prog.py, stdin.txt, outcome.json, stdout.txt (the compared output:
+    empty for any status but pass or wrong output) and stderr.txt (the
+    parsed traceback, not the raw streams)."""
     if _SERVERS.get() is None:  # outside a batch: a batch of one
         request = ExecutionRequest(source_code, test, limits, interpreter, artifact_dir)
         return execute_batch([request])[0]

@@ -39,17 +39,10 @@ class Subcategory(str, Enum):
     LOGIC_BREAKDOWN = "logic_breakdown"
 
 
-# Canonical presentation order: two subcategories per category.
-SUBCATEGORY_ORDER: tuple[Subcategory, ...] = (
-    Subcategory.DATA_COMPLIANCE,
-    Subcategory.STRUCTURE_ACCESS,
-    Subcategory.IDENTITY,
-    Subcategory.EXTERNAL_SOURCE,
-    Subcategory.PHYSICAL_CONSTRAINT,
-    Subcategory.COMPUTATIONAL_BOUNDARY,
-    Subcategory.LOGIC_DEVIATION,
-    Subcategory.LOGIC_BREAKDOWN,
-)
+# The definition orders are the presentation order: two subcategories per
+# category, in category order.
+SUBCATEGORY_ORDER: tuple[Subcategory, ...] = tuple(Subcategory)
+CATEGORY_ORDER: tuple[Category, ...] = tuple(Category)
 
 _CATEGORY_OF: dict[Subcategory, Category] = {
     Subcategory.DATA_COMPLIANCE: Category.MAPPING,
@@ -61,13 +54,6 @@ _CATEGORY_OF: dict[Subcategory, Category] = {
     Subcategory.LOGIC_DEVIATION: Category.LOGIC,
     Subcategory.LOGIC_BREAKDOWN: Category.LOGIC,
 }
-
-CATEGORY_ORDER: tuple[Category, ...] = (
-    Category.MAPPING,
-    Category.NAMING,
-    Category.RESOURCE,
-    Category.LOGIC,
-)
 
 
 def category_of(subcategory: Subcategory) -> Category:

@@ -144,26 +144,83 @@ def test_criterion_3_manifest_additivity():
             manifest = bench.build(
                 _random_profiles(seed), threshold_k=1 + seed % 3
             )
-            sub_stats = manifest.subcategory_stats()
-            cat_stats = manifest.category_stats()
-            for category in Category:
-                subs = taxonomy.subcategories_of(category)
-                assert cat_stats[category][0] == sum(sub_stats[s][0] for s in subs)
-                assert cat_stats[category][1] == sum(sub_stats[s][1] for s in subs)
+            (summary,) = [
+                r for r in bench.manifest_records(manifest) if r["record_type"] == "summary"
+            ]
+            assert [c["category"] for c in summary["categories"]] == [c.value for c in Category]
+            for record in summary["categories"]:
+                subs = record["subcategories"]
+                assert [s["subcategory"] for s in subs] == [
+                    s.value for s in taxonomy.subcategories_of(Category(record["category"]))
+                ]
+                for sub in subs:
+                    entries = manifest.entries_by_subcategory[Subcategory(sub["subcategory"])]
+                    assert sub["tasks"] == len(entries)
+                    assert sub["samples"] == sum(len(e.contributing_models) for e in entries)
+                assert record["tasks"] == sum(s["tasks"] for s in subs)
+                assert record["samples"] == sum(s["samples"] for s in subs)
+
+
+def _random_manifest_and_profiles(rng: random.Random):
+    """A manifest drawn entry by entry (a task may sit under several
+    subcategories, each with its own sample count) and one model's profile
+    for every task, holding random labeled and unmapped labels."""
+    tasks = [f"t{t}" for t in range(rng.randint(1, 8))]
+    nonempty = rng.choice(SUBCATEGORY_ORDER)  # evaluate_model refuses an empty manifest
+    entries_by_subcategory = {}
+    for subcategory in SUBCATEGORY_ORDER:
+        least = 1 if subcategory is nonempty else 0
+        entries_by_subcategory[subcategory] = tuple(
+            bench.BenchmarkEntry(
+                task_id=task,
+                target_subcategory=subcategory,
+                observed_frequency=rng.randint(3, 9),
+                contributing_models=tuple(f"m{i}" for i in range(rng.randint(1, 5))),
+            )
+            for task in rng.sample(tasks, rng.randint(least, len(tasks)))
+        )
+    profiles = []
+    for task in tasks:
+        labels = []
+        for _ in range(rng.choice((0, 0, 1, 2, 4))):
+            if rng.random() < 0.2:
+                labels.append(taxonomy.Classification(kind=ClassKind.UNMAPPED, cause="EOFError"))
+            else:
+                sub = rng.choice(SUBCATEGORY_ORDER)
+                labels.append(taxonomy.Classification(ClassKind.LABELED, sub.value, sub))
+        profiles.append(
+            aggregate.SampleProfile(task, "m", tuple(labels), 0, 0, max(len(labels), 1))
+        )
+    return bench.BenchmarkManifest(entries_by_subcategory), profiles
 
 
 def test_criterion_4_hr_oracle_equivalence():
-    """hallucination_rate equals brute-force count/len exactly on 1,000
-    random indicator vectors."""
-    with criterion(4, "hallucination rate equals brute-force count/len bit-for-bit"):
+    """evaluate_model's cells equal a brute-force recount of the indicator
+    vector, each entry's indicator repeated once per sample, on 1,000
+    random (manifest, one-model profiles) draws in both indicator modes."""
+    with criterion(4, "HR cells equal a brute-force recount of the indicator vector"):
         rng = random.Random(8883)
         for _ in range(1000):
-            vector = [rng.randint(0, 1) for _ in range(rng.randint(1, 80))]
-            count = 0
-            for bit in vector:
-                if bit == 1:
-                    count += 1
-            assert report.hallucination_rate(vector) == count / len(vector)
+            manifest, profiles = _random_manifest_and_profiles(rng)
+            by_task = {p.task_id: p for p in profiles}
+            for mode in report.INDICATOR_MODES:
+                cells, _ = report.evaluate_model(manifest, profiles, indicator_mode=mode)
+                assert [c.subcategory for c in cells] == list(SUBCATEGORY_ORDER)
+                for cell in cells:
+                    vector = []
+                    for entry in manifest.entries_by_subcategory[cell.subcategory]:
+                        labels = by_task[entry.task_id].labels
+                        if mode == "target":
+                            labels = [la for la in labels if la.subcategory is cell.subcategory]
+                        bit = 1 if labels else 0
+                        vector += [bit] * len(entry.contributing_models)
+                    count = 0
+                    for bit in vector:
+                        if bit == 1:
+                            count += 1
+                    assert (cell.hallucinated_samples, cell.total_samples) == (
+                        count, len(vector)
+                    ), (mode, cell.subcategory)
 
 
 def test_criterion_5_aggregator_oracle_equivalence():
@@ -199,11 +256,11 @@ def test_criterion_5_aggregator_oracle_equivalence():
         for _, _, sub in observations:
             if sub is not None:
                 oracle_counts[sub.value] += 1
-        freq = aggregate.frequency_list(profiles, "subcategory")
-        assert {e.key: e.count for e in freq.entries} == dict(oracle_counts)
+        rows = aggregate.frequency_list(profiles, "subcategory")
+        assert {row["key"]: row["count"] for row in rows} == dict(oracle_counts)
         total = sum(oracle_counts.values())
-        for entry in freq.entries:
-            assert entry.share == pytest.approx(oracle_counts[entry.key] / total)
+        for row in rows:
+            assert row["share"] == pytest.approx(oracle_counts[row["key"]] / total)
 
         # co-occurrence oracle per model
         for model in ("m1", "m2", "m3"):
@@ -229,7 +286,7 @@ def test_criterion_5_aggregator_oracle_equivalence():
                         expected = sum(
                             1 for subs in task_subs.values() if a in subs and b in subs
                         )
-                    assert matrix.counts[i][j] == expected, (a, b)
+                    assert matrix["counts"][i][j] == expected, (a, b)
 
         # benchmark inclusion oracle + threshold monotonicity
         previous: set | None = None

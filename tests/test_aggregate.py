@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from haluscope.aggregate import (
     ClassifiedRecord,
-    CooccurrenceMatrix,
     SampleProfile,
     build_profiles,
     cooccurrence,
@@ -121,17 +120,17 @@ class TestFrequencyList:
             + [_record("t", "m", 3, _labeled(IDENTITY, "NameError"))]
         )
         profiles = build_profiles(records)
-        freq = frequency_list(profiles, "subcategory")
-        assert [(e.key, e.count) for e in freq.entries] == [
+        rows = frequency_list(profiles, "subcategory")
+        assert [(row["key"], row["count"]) for row in rows] == [
             ("data_compliance", 3),
             ("identity", 1),
         ]
-        assert freq.entries[0].share == pytest.approx(0.75)
-        assert freq.entries[1].share == pytest.approx(0.25)
+        assert rows[0]["share"] == pytest.approx(0.75)
+        assert rows[1]["share"] == pytest.approx(0.25)
 
     def test_empty_labels_empty_list(self):
         profiles = build_profiles([_record("t", "m", 0, PASS_RESULT, test_count=1)])
-        assert frequency_list(profiles, "subcategory").entries == ()
+        assert frequency_list(profiles, "subcategory") == []
 
     def test_shares_sum_to_one(self):
         rng = random.Random(7)
@@ -141,8 +140,8 @@ class TestFrequencyList:
             records.append(
                 _record(f"t{i % 9}", f"m{i % 3}", i // 9, _labeled(sub, sub.value), test_count=8)
             )
-        freq = frequency_list(build_profiles(records), "subcategory")
-        assert abs(sum(e.share for e in freq.entries) - 1.0) <= 1e-9
+        rows = frequency_list(build_profiles(records), "subcategory")
+        assert abs(sum(row["share"] for row in rows) - 1.0) <= 1e-9
 
     def test_unknown_granularity_rejected(self):
         with pytest.raises(ValueError):
@@ -158,9 +157,9 @@ class TestFrequencyList:
         profiles = build_profiles(records)
         by_sub = frequency_list(profiles, "subcategory")
         by_cause = frequency_list(profiles, "raw_cause")
-        assert sum(e.count for e in by_sub.entries) == sum(e.count for e in by_cause.entries) == 3
+        assert sum(row["count"] for row in by_sub) == sum(row["count"] for row in by_cause) == 3
         # subcategory granularity groups the two naming causes together
-        assert ("identity", 2) in [(e.key, e.count) for e in by_sub.entries]
+        assert ("identity", 2) in [(row["key"], row["count"]) for row in by_sub]
 
     def test_brute_force_recount_oracle(self):
         # synthetic 5-model corpus; oracle is an independent one-pass count
@@ -186,11 +185,11 @@ class TestFrequencyList:
             if sub is not None:
                 oracle[sub.value] += 1
 
-        freq = frequency_list(build_profiles(records), "subcategory")
-        assert {e.key: e.count for e in freq.entries} == dict(oracle)
+        rows = frequency_list(build_profiles(records), "subcategory")
+        assert {row["key"]: row["count"] for row in rows} == dict(oracle)
         total = sum(oracle.values())
-        for entry in freq.entries:
-            assert entry.share == pytest.approx(oracle[entry.key] / total)
+        for row in rows:
+            assert row["share"] == pytest.approx(oracle[row["key"]] / total)
 
     def test_permutation_invariance(self):
         rng = random.Random(3)
@@ -215,8 +214,8 @@ def _profile(task, model, subs):
     )
 
 
-def _at(matrix: CooccurrenceMatrix, a: Subcategory, b: Subcategory) -> int:
-    return matrix.counts[matrix.order.index(a)][matrix.order.index(b)]
+def _at(matrix: dict, a: Subcategory, b: Subcategory) -> int:
+    return matrix["counts"][matrix["order"].index(a.value)][matrix["order"].index(b.value)]
 
 
 class TestCooccurrence:
@@ -261,10 +260,10 @@ class TestCooccurrence:
         n = len(SUBCATEGORY_ORDER)
         for i in range(n):
             for j in range(n):
-                assert matrix.counts[i][j] == matrix.counts[j][i]
+                assert matrix["counts"][i][j] == matrix["counts"][j][i]
                 if i != j:
-                    assert matrix.counts[i][j] <= min(
-                        matrix.counts[i][i], matrix.counts[j][j]
+                    assert matrix["counts"][i][j] <= min(
+                        matrix["counts"][i][i], matrix["counts"][j][j]
                     )
 
     def test_multiple_models_rejected(self):
@@ -279,9 +278,8 @@ class TestCooccurrence:
 
     def test_matrix_dict_shape(self):
         matrix, _ = cooccurrence([_profile("A", "m", [IDENTITY])])
-        payload = matrix.to_dict()
-        assert payload["order"] == [s.value for s in SUBCATEGORY_ORDER]
-        assert len(payload["counts"]) == 8
+        assert matrix["order"] == [s.value for s in SUBCATEGORY_ORDER]
+        assert len(matrix["counts"]) == 8
 
 
 def test_profile_round_trip():

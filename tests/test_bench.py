@@ -23,6 +23,7 @@ from haluscope.pipeline import write_jsonl
 from haluscope.taxonomy import (
     CATEGORY_ORDER,
     SUBCATEGORY_ORDER,
+    Category,
     Classification,
     ClassKind,
     Subcategory,
@@ -180,17 +181,38 @@ class TestManifestStats:
             for t in range(15)
         ]
         manifest = build(profiles, threshold_k=threshold)
-        sub_stats = manifest.subcategory_stats()
-        cat_stats = manifest.category_stats()
-        for category in CATEGORY_ORDER:
-            subs = subcategories_of(category)
-            assert cat_stats[category][0] == sum(sub_stats[s][0] for s in subs)
-            assert cat_stats[category][1] == sum(sub_stats[s][1] for s in subs)
+        expected = _stats(manifest)
+        for category in _summary(manifest)["categories"]:
+            subs = category["subcategories"]
+            assert [sub["subcategory"] for sub in subs] == [
+                s.value for s in subcategories_of(Category(category["category"]))
+            ]
+            for sub in subs:
+                assert (sub["tasks"], sub["samples"]) == expected[Subcategory(sub["subcategory"])]
+            assert category["tasks"] == sum(sub["tasks"] for sub in subs)
+            assert category["samples"] == sum(sub["samples"] for sub in subs)
 
     def test_sample_counts_are_contributing_models(self):
         manifest = build(_identity_heavy_profiles(), threshold_k=2)
-        tasks, samples = manifest.subcategory_stats()[IDENTITY]
-        assert (tasks, samples) == (1, 2)  # task A, models m1+m2
+        (naming,) = [c for c in _summary(manifest)["categories"] if c["category"] == "naming"]
+        assert naming["subcategories"][0] == {
+            "subcategory": "identity", "tasks": 1, "samples": 2  # task A, models m1+m2
+        }
+
+
+def _summary(manifest: BenchmarkManifest) -> dict:
+    """The summary record the manifest is written with."""
+    (summary,) = [r for r in manifest_records(manifest) if r["record_type"] == "summary"]
+    return summary
+
+
+def _stats(manifest: BenchmarkManifest) -> dict[Subcategory, tuple[int, int]]:
+    """(task_count, sample_count) per subcategory, counted from the entries."""
+    stats = {s: (0, 0) for s in SUBCATEGORY_ORDER}
+    for entry in manifest.entries():
+        tasks, samples = stats[entry.target_subcategory]
+        stats[entry.target_subcategory] = (tasks + 1, samples + len(entry.contributing_models))
+    return stats
 
 
 def export_manifest(manifest: BenchmarkManifest, path: Path) -> None:
@@ -211,7 +233,12 @@ class TestExport:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 1  # summary only
         reloaded = load_manifest(path)
-        assert all(v == (0, 0) for v in reloaded.subcategory_stats().values())
+        assert reloaded.entries() == []
+        assert all(
+            (sub["tasks"], sub["samples"]) == (0, 0)
+            for category in _summary(reloaded)["categories"]
+            for sub in category["subcategories"]
+        )
 
     def test_entry_count(self, tmp_path):
         manifest = build(_identity_heavy_profiles(), threshold_k=1)
@@ -254,8 +281,11 @@ class TestExport:
 def _ref_render_summary_csv(manifest: BenchmarkManifest) -> str:
     """`render_summary_csv` as it stood before it flattened the summary
     record, kept as a byte oracle."""
-    sub_stats = manifest.subcategory_stats()
-    cat_stats = manifest.category_stats()
+    sub_stats = _stats(manifest)
+    cat_stats = {}
+    for category in CATEGORY_ORDER:
+        subs = [sub_stats[s] for s in subcategories_of(category)]
+        cat_stats[category] = (sum(t for t, _ in subs), sum(n for _, n in subs))
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(

@@ -175,6 +175,7 @@ _MANIFEST_SUMMARY = {
     "categories": [],
 }
 _TASK = {"task_id": "t", "question": "q", "test_cases": [{"input": "", "expected_output": ""}]}
+_COMPLETION = {"task_id": "t", "model_id": "m", "raw_response": "print()"}
 _MALFORMED = {
     "not-utf8": b'{"task_id": "\xff"}\n',
     "not-json": b"{broken\n",
@@ -307,46 +308,67 @@ class TestExitCodes:
         assert not (out / REPORT_CSV_FILE).exists()
 
     @pytest.mark.parametrize(
-        "command, filename, bad_record",
+        "command, filename, bad_record, field",
         [
             ("identify", STATES_FILE,
-             json.dumps({k: v for k, v in _STATE_ROW.items() if k != "test_count"})),
-            ("identify", STATES_FILE, "[1, 2]"),
-            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "test_count": 2.5})),
-            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "test_index": 0.5})),
+             json.dumps({k: v for k, v in _STATE_ROW.items() if k != "test_count"}), None),
+            ("identify", STATES_FILE, "[1, 2]", None),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "test_count": 2.5}), "test_count"),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "test_index": 0.5}), "test_index"),
             ("identify", STATES_FILE,
              json.dumps({**_STATE_ROW, "classification": {
                  "kind": "labeled", "cause": "NameError", "category": "mapping",
-                 "subcategory": "identity"}})),
-            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "task_id": 5})),
-            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "model_id": None})),
-            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "degenerate": "false"})),
-            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "pass_count": 1.9})),
-            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "task_id": 5})),
-            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "model_id": ["m"]})),
+                 "subcategory": "identity"}}), None),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "task_id": 5}), "task_id"),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "model_id": None}), "model_id"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "degenerate": "false"}),
+             "degenerate"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "pass_count": 1.9}),
+             "pass_count"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "task_id": 5}), "task_id"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "model_id": ["m"]}),
+             "model_id"),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "bogus",
-                         "observed_frequency": 3, "contributing_models": ["m"]})),
+                         "observed_frequency": 3, "contributing_models": ["m"]}),
+             "target_subcategory"),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
-                         "observed_frequency": 3.5, "contributing_models": ["m"]})),
+                         "observed_frequency": 3.5, "contributing_models": ["m"]}),
+             "observed_frequency"),
             ("evaluate", BENCHMARK_FILE,
-             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": [], "threshold_k": True}})),
+             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": [], "threshold_k": True}}),
+             "threshold_k"),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
-                         "observed_frequency": 3, "contributing_models": "m1"})),
+                         "observed_frequency": 3, "contributing_models": "m1"}),
+             "contributing_models"),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
-                         "observed_frequency": 3, "contributing_models": ["m", 1]})),
+                         "observed_frequency": 3, "contributing_models": ["m", 1]}),
+             "contributing_models"),
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": 5, "target_subcategory": "identity",
-                         "observed_frequency": 3, "contributing_models": ["m"]})),
+                         "observed_frequency": 3, "contributing_models": ["m"]}), "task_id"),
             ("evaluate", BENCHMARK_FILE,
-             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": "run", "threshold_k": 2}})),
+             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": "run", "threshold_k": 2}}),
+             "run_ids"),
             ("validate", "tasks.jsonl",
-             json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}})),
+             json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}}),
+             "wall_time_ms"),
             ("validate", "tasks.jsonl",
-             json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": 1500.9}})),
+             json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": 1500.9}}),
+             "wall_time_ms"),
+            ("validate", "tasks.jsonl",
+             json.dumps({**_TASK, "task_id": "u",
+                         "test_cases": [{"input": "", "expected_output": None}]}),
+             "expected_output"),
+            ("validate", "tasks.jsonl",
+             json.dumps({**_TASK, "task_id": "u",
+                         "test_cases": [{"input": None, "expected_output": "None"}]}),
+             "input"),
+            ("validate", "completions.jsonl",
+             json.dumps({**_COMPLETION, "model_id": "m2", "raw_response": None}), "raw_response"),
         ],
         ids=["states-missing-field", "states-not-an-object", "states-float-test-count",
              "states-float-test-index", "states-category-mismatch", "states-int-task-id",
@@ -354,30 +376,34 @@ class TestExitCodes:
              "profiles-int-task-id", "profiles-list-model-id", "manifest-bad-subcategory",
              "manifest-float-frequency", "manifest-bool-threshold", "manifest-string-models",
              "manifest-int-model", "manifest-int-task-id", "manifest-string-run-ids",
-             "tasks-bad-limit", "tasks-float-limit"],
+             "tasks-bad-limit", "tasks-float-limit", "tasks-null-expected-output",
+             "tasks-null-input", "completions-null-raw-response"],
     )
     def test_malformed_artifact_names_path_and_line(
-        self, tmp_path, capsys, command, filename, bad_record
+        self, tmp_path, capsys, command, filename, bad_record, field
     ):
+        # A strict read names its field; a missing field, a row that is not
+        # an object and an inconsistent classification say so without one.
         out = tmp_path / "out"
         out.mkdir()
         path = out / filename
+        inputs = {"tasks.jsonl": _TASK, "completions.jsonl": _COMPLETION}
         first = {STATES_FILE: _STATE_ROW, PROFILES_FILE: _PROFILE_ROW,
-                 BENCHMARK_FILE: _MANIFEST_SUMMARY}.get(filename, _TASK)
+                 BENCHMARK_FILE: _MANIFEST_SUMMARY, **inputs}[filename]
         _write_lines(path, [json.dumps(first), bad_record])
         args = ["--out-dir", out, command]
         if command == "validate":
-            completions = tmp_path / "completions.jsonl"
-            _write_lines(completions, [json.dumps({"task_id": "t", "model_id": "m",
-                                                   "raw_response": "print()"})])
-            args += ["--dataset", path, "--completions", completions]
+            for name, row in inputs.items():
+                if name != filename:
+                    _write_lines(out / name, [json.dumps(row)])
+            args += ["--dataset", out / "tasks.jsonl", "--completions", out / "completions.jsonl"]
         assert _run(args) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         payload = json.loads(err)
         assert payload["error"] == "IngestionError"
         assert payload["exit_code"] == 2
-        assert payload["message"].startswith(f"{path}:2: ")
+        assert payload["message"].startswith(f"{path}:2: " + (f"{field}: " if field else ""))
 
     @pytest.mark.parametrize("content", sorted(_MALFORMED))
     @pytest.mark.parametrize("target", sorted(_MALFORMED_EXIT_CODES))
@@ -813,23 +839,27 @@ class TestSafeNames:
 
     @pytest.mark.parametrize(
         "pairs",
-        [[("a b", "m"), ("a_b", "m")], [("a__b", "c"), ("a", "b__c")]],
-        ids=["unsafe-character", "separator"],
+        [[("a b", "m"), ("a_b", "m")], [("a__b", "c"), ("a", "b__c")],
+         [("t", "m__s0"), ("t", "m", 0)]],
+        ids=["unsafe-character", "separator", "sample-suffix"],
     )
     def test_artifact_dir_refuses_pairs_sharing_a_directory(self, pairs, tmp_path, capsys):
+        # Each key is (task, model), or (task, model, sample index).
         tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
         _write_lines(tasks, [json.dumps({**_TASK, "task_id": task_id})
-                             for task_id in sorted({task_id for task_id, _ in pairs})])
-        _write_lines(completions, [json.dumps({"task_id": task_id, "model_id": model_id,
-                                               "raw_response": "print()"})
-                                   for task_id, model_id in pairs])
+                             for task_id in sorted({key[0] for key in pairs})])
+        _write_lines(completions, [
+            json.dumps({"task_id": task_id, "model_id": model_id, "raw_response": "print()",
+                        **{"sample_index": index for index in sample}})
+            for task_id, model_id, *sample in pairs
+        ])
         artifacts = tmp_path / "artifacts"
         args = ["validate", "--dataset", tasks, "--completions", completions]
         assert _run(["--artifact-dir", artifacts, "--out-dir", tmp_path / "out", *args]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ValidationError"
-        for task_id, model_id in pairs:
-            assert repr((task_id, model_id)) in error["message"]
+        for key in pairs:
+            assert repr(key) in error["message"]
         assert not artifacts.exists()
         # Without --artifact-dir nothing is named after the pairs.
         assert _run(["--out-dir", tmp_path / "plain", *args]) == 0

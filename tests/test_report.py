@@ -10,16 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haluscope.aggregate import SampleProfile
+from haluscope.bench import BenchmarkEntry, BenchmarkManifest
 from haluscope.bench import build as build_bench
 from haluscope.errors import ReportError
 from haluscope.report import (
     HRCell,
     HRReport,
-    any_indicator,
     category_averages,
     evaluate_model,
-    hallucination_rate,
-    indicator,
     render_crosshits_markdown,
     render_csv,
     render_json,
@@ -88,18 +86,31 @@ def _profile(task, model, subs):
     )
 
 
+def _one_entry(target, profile, indicator_mode="target"):
+    """evaluate_model over a one-entry manifest: `profile`'s task under
+    `target`, one sample. Returns the target cell's hallucinated samples
+    and its cross-hit row."""
+    entry = BenchmarkEntry(profile.task_id, target, 3, (profile.model_id,))
+    manifest = BenchmarkManifest({target: (entry,)})
+    cells, crosshits = evaluate_model(manifest, [profile], indicator_mode)
+    (cell,) = [c for c in cells if c.subcategory is target]
+    assert cell.total_samples == 1
+    return cell.hallucinated_samples, crosshits[target]
+
+
 class TestIndicator:
     def test_target_present(self):
         profile = _profile("t", "m", [IDENTITY, IDENTITY])
-        assert indicator(profile, IDENTITY) == 1
+        assert _one_entry(IDENTITY, profile) == (1, {})
 
     def test_all_pass_is_zero(self):
         profile = SampleProfile("t", "m", (), pass_count=4, fault_count=0, test_count=4)
-        assert indicator(profile, DEVIATION) == 0
+        assert _one_entry(DEVIATION, profile) == (0, {})
 
     def test_off_target_does_not_count(self):
+        # ... but it shows up as a cross-hit
         profile = _profile("t", "m", [STRUCTURE])
-        assert indicator(profile, IDENTITY) == 0
+        assert _one_entry(IDENTITY, profile) == (0, {STRUCTURE: 1})
 
     def test_degeneration_satisfies_logic_breakdown(self):
         profile = SampleProfile(
@@ -117,23 +128,35 @@ class TestIndicator:
             test_count=3,
             degenerate=True,
         )
-        assert indicator(profile, Subcategory.LOGIC_BREAKDOWN) == 1
+        assert _one_entry(Subcategory.LOGIC_BREAKDOWN, profile) == (1, {})
 
     def test_any_indicator(self):
-        assert any_indicator(_profile("t", "m", [STRUCTURE])) == 1
-        assert any_indicator(_profile("t", "m", [])) == 0
+        assert _one_entry(IDENTITY, _profile("t", "m", [STRUCTURE]), "any") == (1, {STRUCTURE: 1})
+        assert _one_entry(IDENTITY, _profile("t", "m", []), "any") == (0, {})
+
+
+def _rate(vector):
+    """The identity HR `evaluate_model` gives over one one-sample manifest
+    entry per bit, whose task's profile hits the target iff the bit is 1."""
+    entries = tuple(BenchmarkEntry(f"t{i}", IDENTITY, 3, ("m",)) for i in range(len(vector)))
+    profiles = [
+        _profile(f"t{i}", "m", [IDENTITY] if bit else [STRUCTURE]) for i, bit in enumerate(vector)
+    ]
+    cells, _ = evaluate_model(BenchmarkManifest({IDENTITY: entries}), profiles)
+    (cell,) = [c for c in cells if c.subcategory is IDENTITY]
+    return cell.hr_percent_exact
 
 
 class TestHallucinationRate:
     def test_simple_mean(self):
-        assert hallucination_rate([1, 0, 0, 0]) == 0.25
+        assert _rate([1, 0, 0, 0]) == 25.0
 
     def test_zero(self):
-        assert hallucination_rate([0, 0]) == 0.0
+        assert _rate([0, 0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ReportError):
-            hallucination_rate([])
+            _rate([])
 
     def test_thousand_random_vectors_match_brute_force(self):
         rng = random.Random(2024)
@@ -143,15 +166,15 @@ class TestHallucinationRate:
             for bit in vector:  # independent brute-force recount
                 if bit == 1:
                     count += 1
-            assert hallucination_rate(vector) == count / len(vector)
+            assert _rate(vector) == 100.0 * count / len(vector)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=60))
     def test_bounds_and_append_monotonicity(self, vector):
-        rate = hallucination_rate(vector)
-        assert 0.0 <= rate <= 1.0
-        if rate < 1.0:
-            assert hallucination_rate(vector + [1]) >= rate
+        rate = _rate(vector)
+        assert 0.0 <= rate <= 100.0
+        if rate < 100.0:
+            assert _rate(vector + [1]) >= rate
 
 
 class TestRounding:

@@ -158,6 +158,11 @@ class TestExecute:
         second = execute(source, TestCase("", ""), LIMITS)
         assert first.actual_output == second.actual_output  # no leakage across runs
 
+    def test_thread_dying_of_memory_error_does_not_fail_a_clean_exit(self):
+        outcome = execute(PARITY_PROGRAMS["thread-exception"], TestCase("", "main"), LIMITS)
+        assert outcome.status is Status.PASS
+        assert outcome.exception_name == ""
+
     def test_artifact_directory(self, tmp_path):
         outcome = execute(
             "print(int(input())+1)", TestCase("1", "2"), LIMITS, artifact_dir=tmp_path / "a"
@@ -252,6 +257,21 @@ PARITY_PROGRAMS = {
         "print(sys.argv, sys.orig_argv[1:], sys.path)\n"
     ),
     "stdin": "import sys\nprint(sys.stdin.read().upper())\n",
+    "thread-exception": (
+        "import threading\n"
+        "def work():\n    raise MemoryError\n"
+        "worker = threading.Thread(target=work)\nworker.start()\nworker.join()\n"
+        "print('main')\n"
+    ),
+    "excepthook": (
+        "import sys, traceback\n"
+        "def hook(kind, value, tb):\n"
+        "    print('hooked', kind.__name__, file=sys.stderr)\n"
+        "    traceback.print_exception(kind, value, tb)\n"
+        "sys.excepthook = hook\n"
+        "def f():\n    raise ValueError('bad')\n"
+        "f()\n"
+    ),
     "segv": "import os, signal\nprint('x')\nos.kill(os.getpid(), signal.SIGSEGV)\n",
     "parser-exhausted": "x = " + "-" * 100000 + "1\n",
     "keyboard-interrupt": "print('a')\nraise KeyboardInterrupt\n",
@@ -506,8 +526,15 @@ class TestClassifyTermination:
         assert termination.exception_name == name
 
     def test_clean_exit_returns_none(self):
+        # A clean exit is judged by its output alone, even when a thread
+        # died or the program printed a caught traceback.
         raw = ProcessExit(returncode=0, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        assert classify_termination(raw, "") is None
+        memory_error = (
+            'Traceback (most recent call last):\n  File "prog.py", line 3, in <module>\n'
+            "MemoryError\n"
+        )
+        for stderr in ("", memory_error):
+            assert classify_termination(raw, stderr) is None
 
     def test_dotted_exception_name_uses_leaf(self):
         stderr = (
@@ -587,6 +614,20 @@ class TestIsolationAndBatch:
         for directory in dirs:
             model_id = directory.split("/")[0].split("__")[1]
             assert (tmp_path / directory / "prog.py").read_text() == sources[model_id]
+
+
+    def test_artifact_dirs_distinct_per_sample(self, tmp_path):
+        task = Task("t1", "q", (TestCase("1", "2"),), LIMITS)
+        sources = ("print(int(input())+1)", "print(int(input())+2)")
+        completions = [
+            Completion("t1", "m", src, src, sample_index=i) for i, src in enumerate(sources)
+        ]
+        pairs = classify_corpus(Dataset("d", (task,)), completions, artifact_root=str(tmp_path))
+        assert sorted(outcome.status for _, outcome in pairs) == [Status.PASS, Status.WRONG_OUTPUT]
+        dirs = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("prog.py"))
+        assert dirs == ["t1__m__s0/test_000", "t1__m__s1/test_000"]
+        for directory, source in zip(dirs, sources):
+            assert (tmp_path / directory / "prog.py").read_text() == source
 
 
 def _three_model_corpus() -> tuple[Dataset, list[Completion]]:

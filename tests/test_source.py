@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,40 @@ def test_unused_import_is_found():
         "def f(x: j.JSONDecoder) -> None:\n    return compile(x)\n"
     )
     assert unused_imports(source) == ["os"]
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Functions, classes and non-dunder methods defined in `sources` whose
+    name appears as a whole word nowhere in them besides its definitions.
+    Any occurrence counts, a string's included."""
+    defined: Counter = Counter()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defined[node.name] += 1
+    words = Counter(re.findall(r"\w+", "\n".join(sources)))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+def test_every_definition_is_referenced():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unreferenced_definitions(sources) == []
+
+
+def test_unreferenced_definition_is_found():
+    # A name read in another source or only in a string counts; a dunder
+    # is never flagged; a longer word holding the name does not count.
+    sources = [
+        "class Used:\n    def __init__(self):\n        pass\n"
+        "    def method(self):\n        pass\n"
+        "    def dead_method(self):\n        pass\n",
+        "def named():\n    pass\nCOMMANDS = {'run': 'named'}\n"
+        "def prefixed():\n    pass\nprefixed_value = 'unprefixed'\n",
+        "from .one import Used\nUsed().method()\n",
+    ]
+    assert unreferenced_definitions(sources) == ["dead_method", "prefixed"]
 
 
 def test_every_exported_name_exists():
