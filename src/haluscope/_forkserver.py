@@ -8,7 +8,7 @@ starts up as that child would. It never runs candidate code itself.
 Protocol, one line per message:
 
 - at start-up: `ready`;
-- request (JSON): `{"workdir", "env", "rlimits"}`;
+- request (JSON): `{"workdir", "rlimits"}`;
 - reply, from the forked child before it compiles the program: its pid,
   or `error <message>` when it could not be set up;
 - reply, from the forked child once the program compiled: `compiled`;
@@ -16,8 +16,9 @@ Protocol, one line per message:
   `<returncode> <ru_maxrss in bytes>`.
 
 EOF on REQUESTS_FD ends the server. The forked child starts its own
-session, takes the rlimits, the workdir and its environment, reads
-stdin.txt and writes stdout.txt/stderr.txt on fds 0-2, and then does what
+session, takes the rlimits and the workdir, sets HOME and TMPDIR to the
+workdir (the rest of its environment is the server's), reads stdin.txt and
+writes stdout.txt/stderr.txt on fds 0-2, and then does what
 `python <workdir>/prog.py` does, exit included. A child that exits without
 `compiled` ended while compiling: an error from compiling is printed, as
 CPython prints it, without a traceback.
@@ -72,9 +73,9 @@ def _child(request, requests, replies):
             resource.setrlimit(getattr(resource, name), tuple(limit))
         workdir = request["workdir"]
         os.chdir(workdir)
-        # Update, not replace: what start-up added (LC_CTYPE, by locale
-        # coercion) stays, as in a fresh interpreter.
-        os.environ.update(request["env"])
+        # The server started with the guard environment; what its start-up
+        # added (LC_CTYPE, by locale coercion) stays, as in a fresh interpreter.
+        os.environ.update(HOME=workdir, TMPDIR=workdir)
         for fd, name, flags in ((0, "stdin.txt", os.O_RDONLY), (1, "stdout.txt", _WRITE),
                                 (2, "stderr.txt", _WRITE)):
             opened = os.open(name, flags, 0o666)

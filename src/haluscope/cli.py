@@ -233,8 +233,8 @@ def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
 
     def fetched():
         for task in dataset.tasks:
-            instruction = gateway.render_instruction(task.question, task.limits, template)
-            yield completion_to_dict(gateway.fetch_completion(task, provider, instruction))
+            prompt = gateway.render_instruction(task.question, task.limits, template)
+            yield completion_to_dict(gateway.fetch_completion(task, provider, prompt))
 
     pipeline.write_jsonl(target, fetched())
     return str(target)

@@ -130,6 +130,14 @@ def integer(value) -> int:
     return int(value)
 
 
+def identifier(value) -> str:
+    """A task or model id: a JSON string, or an integer (not a bool) read
+    as its digits; str() would read null as "None"."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected a string or an integer, got {value!r}")
+    return str(value)
+
+
 def string(value) -> str:
     """A JSON string; str() would read 5 as "5", and ids of mixed types
     do not sort."""
@@ -216,7 +224,7 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 
 
 def task_from_dict(obj: dict) -> Task:
-    task_id = str(obj["task_id"])
+    task_id = read_field(obj, "task_id", identifier)
     question = read_field(obj, "question", string)
     raw_cases = obj["test_cases"]
     if not isinstance(raw_cases, list):
@@ -254,8 +262,8 @@ def completion_from_dict(obj: dict) -> Completion:
     raw_response = read_field(obj, "raw_response", string)
     source = read_field(obj, "source_code", string, None)
     return Completion(
-        task_id=str(obj["task_id"]),
-        model_id=str(obj["model_id"]),
+        task_id=read_field(obj, "task_id", identifier),
+        model_id=read_field(obj, "model_id", identifier),
         raw_response=raw_response,
         source_code=extract_code(raw_response) if source is None else source,
         sample_index=read_field(obj, "sample_index", integer, None),
@@ -281,22 +289,16 @@ def load_completions(path: str | Path) -> list[Completion]:
 
     Records may reference task ids the dataset lacks, so partial
     completion dumps stay loadable. Repeated (task_id, model_id) pairs are
-    rejected unless every repeat carries an explicit sample_index."""
-    seen_pairs: set[tuple[str, str]] = set()
-    seen_indexed: set[tuple[str, str, int]] = set()
+    rejected unless every repeat carries its own sample_index; a missing
+    sample_index is a value of its own."""
+    seen: set[tuple[str, str, int | None]] = set()
 
     def decode(obj: dict) -> Completion:
         completion = completion_from_dict(obj)
-        key = (completion.task_id, completion.model_id)
-        if completion.sample_index is None:
-            if key in seen_pairs:
-                raise ValidationError(f"repeated completion for {key} without sample_index")
-            seen_pairs.add(key)
-        else:
-            triple = key + (completion.sample_index,)
-            if triple in seen_indexed:
-                raise ValidationError(f"repeated completion {triple}")
-            seen_indexed.add(triple)
+        key = (completion.task_id, completion.model_id, completion.sample_index)
+        if key in seen:
+            raise ValidationError(f"repeated completion {key}")
+        seen.add(key)
         return completion
 
     return read_jsonl(path, decode)

@@ -37,12 +37,6 @@ _FENCE_CLOSE = re.compile(r"^```\s*$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
-class GenerationInstruction:
-    template: str
-    rendered: str
-
-
-@dataclass(frozen=True)
 class ProviderConfig:
     """Where completions come from: endpoint "file" reads a response cache
     directory; anything else is treated as an HTTP endpoint."""
@@ -82,9 +76,10 @@ class ProviderConfig:
 
 def render_instruction(
     question: str, limits: ResourceLimits, template: str = DEFAULT_TEMPLATE
-) -> GenerationInstruction:
-    """Substitute {question}, {wall_time_ms}, {memory_bytes} into the
-    template. Unknown or malformed placeholders raise TemplateError."""
+) -> str:
+    """The prompt: {question}, {wall_time_ms}, {memory_bytes} substituted
+    into the template. Unknown or malformed placeholders raise
+    TemplateError."""
     try:
         fields = [f for _, f, _, _ in string.Formatter().parse(template) if f is not None]
     except ValueError as exc:
@@ -92,12 +87,11 @@ def render_instruction(
     for name in fields:
         if name not in _ALLOWED_PLACEHOLDERS:
             raise TemplateError(f"unknown placeholder {{{name}}}")
-    rendered = template.format(
+    return template.format(
         question=question,
         wall_time_ms=limits.wall_time_ms,
         memory_bytes=limits.memory_bytes,
     )
-    return GenerationInstruction(template=template, rendered=rendered)
 
 
 def extract_code(raw_response: str) -> str:
@@ -122,27 +116,24 @@ def _cache_file(cache_dir: str, task_id: str, model_id: str) -> Path:
     return Path(cache_dir) / f"{safe_name(task_id)}__{safe_name(model_id)}.json"
 
 
-def fetch_completion(
-    task: Task, provider: ProviderConfig, instruction: GenerationInstruction
-) -> Completion:
-    """Fetch one completion for `task`.
+def fetch_completion(task: Task, provider: ProviderConfig, prompt: str) -> Completion:
+    """Fetch one completion for `task`, asking with `prompt`.
 
     A stored response (the file provider's directory, or the HTTP
     provider's cache) is used when present. HTTP transport failures and
-    non-2xx statuses are retried up to provider.max_retries; a well-formed
-    response is never retried. The raw response is stored exactly as
-    returned."""
+    non-2xx statuses are retried up to provider.max_retries; a 2xx response
+    is never retried, and one whose `text` is missing or not a string raises
+    ProviderError. The raw response is stored exactly as returned."""
     store = provider.path if provider.endpoint == "file" else provider.cache_dir
     stored = _cache_file(store, task.task_id, provider.model_id) if store else None
     if stored is not None and stored.exists():
-        obj = read_json_object(stored, ProviderError)
-        if "text" not in obj:
-            raise ProviderError(f"{stored}: stored response has no 'text' field")
-        text = str(obj["text"])
+        text = read_json_object(stored, ProviderError).get("text")
+        if not isinstance(text, str):
+            raise ProviderError(f"{stored}: stored response has no string 'text' field")
     elif provider.endpoint == "file":
         raise ProviderError(f"no stored response for ({task.task_id}, {provider.model_id})")
     else:
-        text = _http_fetch(provider, instruction.rendered)
+        text = _http_fetch(provider, prompt)
         if stored is not None:
             stored.parent.mkdir(parents=True, exist_ok=True)
             stored.write_text(json.dumps({"text": text}, sort_keys=True), encoding="utf-8")
@@ -190,9 +181,10 @@ def _http_fetch(provider: ProviderConfig, prompt: str) -> str:
             obj = json.loads(body)
         except ValueError as exc:
             raise ProviderError(f"provider returned non-JSON body: {exc}") from exc
-        if not isinstance(obj, dict) or "text" not in obj:
-            raise ProviderError("provider response missing 'text' field")
-        return str(obj["text"])
+        text = obj.get("text") if isinstance(obj, dict) else None
+        if not isinstance(text, str):
+            raise ProviderError("provider response has no string 'text' field")
+        return text
     raise ProviderError(
         f"provider failed after {provider.max_retries + 1} attempts: {last_error}",
         status=last_status,

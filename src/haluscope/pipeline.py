@@ -21,7 +21,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -165,15 +164,14 @@ def classify_corpus(
     execution of every test case, classification. Returns (record, outcome)
     pairs; degenerate completions carry a single record with no outcome.
 
-    Each executed completion's requests are built once, and every request
-    goes to one `sandbox.execute_batch`. With `artifact_root`, two (task,
-    model, sample) keys that would share an artifact directory raise
-    ValidationError before anything runs."""
+    Every (completion, test) request goes to one `sandbox.execute_batch`.
+    With `artifact_root`, two (task, model, sample) keys that would share
+    an artifact directory raise ValidationError before anything runs."""
     tasks = dataset.task_map()
     interpreter = tuple(interpreter) if interpreter else None
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
-    executed: list[
-        tuple[Completion, degeneration.DegenerationVerdict, list[sandbox.ExecutionRequest]]
+    executions: list[
+        tuple[Completion, degeneration.DegenerationVerdict, int, sandbox.ExecutionRequest]
     ] = []
 
     def record(completion, verdict, test_index, outcome) -> None:
@@ -201,24 +199,22 @@ def classify_corpus(
         if verdict.kind is not degeneration.DegenerationKind.NONE:
             record(completion, verdict, None, None)
             continue
-        requests = [
-            sandbox.ExecutionRequest(
+        executions.extend(
+            (completion, verdict, index, sandbox.ExecutionRequest(
                 source_code=completion.source_code,
                 test=test,
                 limits=task.limits,
                 interpreter=interpreter,
                 artifact_dir=_artifact_dir(artifact_root, completion, index),
-            )
+            ))
             for index, test in enumerate(task.test_cases)
-        ]
-        executed.append((completion, verdict, requests))
+        )
     if artifact_root is not None:  # pairs sharing a directory would mix their files
-        refuse_shared_names((_artifact_key(c), _artifact_name(c)) for c, _, _ in executed)
+        refuse_shared_names((_artifact_key(c), _artifact_name(c)) for c, _, _, _ in executions)
 
-    flat = iter(sandbox.execute_batch([r for _, _, reqs in executed for r in reqs], jobs=jobs))
-    for completion, verdict, reqs in executed:
-        for index, outcome in enumerate(islice(flat, len(reqs))):
-            record(completion, verdict, index, outcome)
+    outcomes = sandbox.execute_batch([request for *_, request in executions], jobs=jobs)
+    for (completion, verdict, index, _), outcome in zip(executions, outcomes, strict=True):
+        record(completion, verdict, index, outcome)
 
     results.sort(
         key=lambda pair: (
@@ -316,11 +312,10 @@ def evaluate_stage(
     all_cells: list[report_mod.HRCell] = []
     crosshits_by_model: dict[str, dict] = {}
     for model_id in sorted(grouped):
-        cells, crosshits = report_mod.evaluate_model(
+        cells, crosshits_by_model[model_id] = report_mod.evaluate_model(
             manifest, grouped[model_id], indicator_mode=config.indicator_mode
         )
         all_cells.extend(cells)
-        crosshits_by_model[model_id] = report_mod.crosshits_to_dict(crosshits)
     hr_report = report_mod.render_report(all_cells)
 
     _write_json(

@@ -168,7 +168,7 @@ def evaluate_model(
     manifest: BenchmarkManifest,
     profiles: Iterable[SampleProfile],
     indicator_mode: str = "target",
-) -> tuple[list[HRCell], dict[Subcategory, dict[Subcategory, int]]]:
+) -> tuple[list[HRCell], dict[str, dict[str, int]]]:
     """Score one model's profiles against a benchmark manifest.
 
     Each manifest sample (a task weighted by its contributing-model count)
@@ -179,7 +179,9 @@ def evaluate_model(
     mode it is 1 iff the profile carries any hallucination label. Returns
     the eight HR cells plus the cross-hit table: off-target subcategories
     observed on a target's samples, which are surfaced separately instead
-    of being folded into the target cell. The model must have exactly one
+    of being folded into the target cell. The table is evaluation.json's:
+    keyed by subcategory value, every target present, observed subcategories
+    sorted and zero counts left out. The model must have exactly one
     profile per task: two profiles for one task raise ReportError rather
     than one of them being scored."""
     if indicator_mode not in INDICATOR_MODES:
@@ -207,12 +209,11 @@ def evaluate_model(
         )
 
     cells = []
-    crosshits: dict[Subcategory, dict[Subcategory, int]] = {
-        s: defaultdict(int) for s in SUBCATEGORY_ORDER
-    }
+    crosshits: dict[str, dict[str, int]] = {}
     for subcategory in SUBCATEGORY_ORDER:
         hallucinated = 0
         total = 0
+        off_target: dict[str, int] = defaultdict(int)
         for entry in manifest.entries_by_subcategory.get(subcategory, ()):
             profile = by_task[entry.task_id]
             observed = profile.subcategories()
@@ -221,7 +222,7 @@ def evaluate_model(
             hallucinated += hit * weight
             total += weight
             for other in observed - {subcategory}:
-                crosshits[subcategory][other] += weight
+                off_target[other.value] += weight
         cells.append(
             HRCell(
                 model_id=model_id,
@@ -230,7 +231,8 @@ def evaluate_model(
                 total_samples=total,
             )
         )
-    return cells, {s: dict(v) for s, v in crosshits.items()}
+        crosshits[subcategory.value] = {o: n for o, n in sorted(off_target.items()) if n}
+    return cells, crosshits
 
 
 # report.csv's value columns, in order.
@@ -320,27 +322,12 @@ def render_json(report: HRReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
-def crosshits_to_dict(
-    crosshits: Mapping[Subcategory, Mapping[Subcategory, int]]
-) -> dict:
-    return {
-        target.value: {
-            observed.value: count
-            for observed, count in sorted(
-                crosshits.get(target, {}).items(), key=lambda kv: kv[0].value
-            )
-            if count
-        }
-        for target in SUBCATEGORY_ORDER
-    }
-
-
 def render_crosshits_markdown(
     crosshits_by_model: Mapping[str, Mapping[str, Mapping[str, int]]]
 ) -> str:
     """Markdown section of off-target hallucinations, one table per model
-    that has any, from `crosshits_to_dict` output keyed by model. Empty
-    when no model hallucinated off-target."""
+    that has any, from `evaluate_model` cross-hit tables keyed by model.
+    Empty when no model hallucinated off-target."""
     sections = []
     for model_id, crosshits in sorted(crosshits_by_model.items()):
         rows = [

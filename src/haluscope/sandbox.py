@@ -48,9 +48,6 @@ from .errors import HarnessFault
 
 logger = logging.getLogger(__name__)
 
-# Extra wall time the enforcement machinery may consume beyond the limit.
-ENFORCEMENT_SLACK_MS = 500
-
 # Cap on bytes a program may write to stdout/stderr or to scratch files.
 OUTPUT_LIMIT_BYTES = 64 * 2**20
 
@@ -371,7 +368,7 @@ class _ForkServer:
             raise
 
     def _start(self, argv: list[str]) -> None:
-        self._guard_dir = _write_guard(self._dir)
+        guard_dir = _write_guard(self._dir)
         with contextlib.ExitStack() as server_ends:
             requests_r, self._requests = os.pipe()
             server_ends.callback(os.close, requests_r)
@@ -381,7 +378,7 @@ class _ForkServer:
             self._proc = subprocess.Popen(
                 argv + [str(_FORK_SERVER_SCRIPT), str(requests_r), str(replies_w)],
                 cwd=self._dir,
-                env=_guard_env(self._dir, self._guard_dir),
+                env=_guard_env(self._dir, guard_dir),
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 stderr=log,
@@ -404,11 +401,7 @@ class _ForkServer:
         the child reports that prog.py compiled. None when the server died
         while the program ran; the program's group is killed and the server
         reaped then."""
-        request = {
-            "workdir": str(workdir),
-            "env": _guard_env(workdir, self._guard_dir),
-            "rlimits": _rlimits(limits),
-        }
+        request = {"workdir": str(workdir), "rlimits": _rlimits(limits)}
         deadline = time.monotonic() + limits.wall_time_ms / 1000.0
         os.write(self._requests, json.dumps(request).encode("utf-8") + b"\n")
         started = self._reply(deadline + _SERVER_GRACE_S)
@@ -571,18 +564,16 @@ def execute_batch(requests: Sequence[ExecutionRequest], jobs: int = 1) -> list[E
     independent of scheduling. Each worker thread forks its executions from
     one fork server per interpreter; every server is ended and reaped before
     this returns, so no process outlives the call and RUSAGE_CHILDREN counts
-    every child."""
+    every child.
+
+    The calling thread only waits, so a signal (Ctrl-C) raises in it while
+    it waits: the queued requests are cancelled, and each running one still
+    ends on its worker thread, which kills the program's group at the wall
+    limit or when its server dies, before the exception leaves this call."""
     servers = _ForkServers()
     try:
-        if jobs <= 1 or len(requests) <= 1:
-            token = _SERVERS.set(servers)
-            try:
-                return [execute_request(r) for r in requests]
-            finally:
-                _SERVERS.reset(token)
-        with ThreadPoolExecutor(
-            max_workers=jobs, initializer=_SERVERS.set, initargs=(servers,)
-        ) as pool:
+        workers = max(1, min(jobs, len(requests)))
+        with ThreadPoolExecutor(workers, initializer=_SERVERS.set, initargs=(servers,)) as pool:
             return list(pool.map(execute_request, requests))
     finally:
         servers.close()

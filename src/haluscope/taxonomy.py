@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from .corpus import read_json_object
+from .corpus import read_field, read_json_object, string
 from .degeneration import DegenerationKind, DegenerationVerdict
 from .errors import ConfigError
 from .sandbox import ExecutionOutcome, Status
@@ -210,13 +210,14 @@ def classification_from_dict(obj: dict) -> Classification:
     """The inverse of `classification_to_dict`. A labeled row whose stored
     "category" is not its subcategory's raises ValueError, which
     `read_jsonl` reports as an IngestionError naming the path and line."""
-    kind = ClassKind(obj["kind"])
-    cause = obj.get("cause", "")
+    kind = read_field(obj, "kind", ClassKind)
+    cause = read_field(obj, "cause", string, "")
     if kind is ClassKind.LABELED:
-        subcategory = Subcategory(obj["subcategory"])
-        if obj["category"] != category_of(subcategory).value:
+        subcategory = read_field(obj, "subcategory", Subcategory)
+        category = read_field(obj, "category", Category)
+        if category is not category_of(subcategory):
             raise ValueError(
-                f"category {obj['category']!r} does not own subcategory {subcategory.value!r}"
+                f"category {category.value!r} does not own subcategory {subcategory.value!r}"
             )
         return _labeled(subcategory, cause)
     if kind is ClassKind.PASS:

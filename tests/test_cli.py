@@ -169,6 +169,8 @@ _PROFILE_ROW = {
     "test_count": 1,
     "degenerate": False,
 }
+_LABELED = {"kind": "labeled", "cause": "NameError", "category": "naming",
+            "subcategory": "identity"}
 _MANIFEST_SUMMARY = {
     "record_type": "summary",
     "provenance": {"run_ids": [], "threshold_k": 2},
@@ -319,12 +321,16 @@ class TestExitCodes:
              json.dumps({**_STATE_ROW, "classification": {
                  "kind": "labeled", "cause": "NameError", "category": "mapping",
                  "subcategory": "identity"}}), None),
+            ("identify", STATES_FILE,
+             json.dumps({**_STATE_ROW, "classification": {**_LABELED, "cause": 5}}), "cause"),
             ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "task_id": 5}), "task_id"),
             ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "model_id": None}), "model_id"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "degenerate": "false"}),
              "degenerate"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "pass_count": 1.9}),
              "pass_count"),
+            ("build-bench", PROFILES_FILE,
+             json.dumps({**_PROFILE_ROW, "labels": [{**_LABELED, "cause": 5}]}), "cause"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "task_id": 5}), "task_id"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "model_id": ["m"]}),
              "model_id"),
@@ -353,6 +359,7 @@ class TestExitCodes:
             ("evaluate", BENCHMARK_FILE,
              json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": "run", "threshold_k": 2}}),
              "run_ids"),
+            ("validate", "tasks.jsonl", json.dumps({**_TASK, "task_id": None}), "task_id"),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}}),
              "wall_time_ms"),
@@ -369,15 +376,21 @@ class TestExitCodes:
              "input"),
             ("validate", "completions.jsonl",
              json.dumps({**_COMPLETION, "model_id": "m2", "raw_response": None}), "raw_response"),
+            ("validate", "completions.jsonl", json.dumps({**_COMPLETION, "model_id": None}),
+             "model_id"),
+            ("validate", "completions.jsonl", json.dumps({**_COMPLETION, "model_id": True}),
+             "model_id"),
         ],
         ids=["states-missing-field", "states-not-an-object", "states-float-test-count",
-             "states-float-test-index", "states-category-mismatch", "states-int-task-id",
-             "states-null-model-id", "profiles-string-degenerate", "profiles-float-count",
-             "profiles-int-task-id", "profiles-list-model-id", "manifest-bad-subcategory",
+             "states-float-test-index", "states-category-mismatch", "states-int-cause",
+             "states-int-task-id", "states-null-model-id", "profiles-string-degenerate",
+             "profiles-float-count", "profiles-int-cause", "profiles-int-task-id",
+             "profiles-list-model-id", "manifest-bad-subcategory",
              "manifest-float-frequency", "manifest-bool-threshold", "manifest-string-models",
              "manifest-int-model", "manifest-int-task-id", "manifest-string-run-ids",
-             "tasks-bad-limit", "tasks-float-limit", "tasks-null-expected-output",
-             "tasks-null-input", "completions-null-raw-response"],
+             "tasks-null-task-id", "tasks-bad-limit", "tasks-float-limit",
+             "tasks-null-expected-output", "tasks-null-input", "completions-null-raw-response",
+             "completions-null-model-id", "completions-bool-model-id"],
     )
     def test_malformed_artifact_names_path_and_line(
         self, tmp_path, capsys, command, filename, bad_record, field

@@ -279,6 +279,24 @@ class TestCompletions:
         completion = load_completions(path)[0]
         assert (completion.truncated_at_limit, completion.sample_index) == (True, 3)
 
+    def test_integer_ids_read_as_digits(self, tmp_path):
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_jsonl(tasks, [{"task_id": 7, "question": "q",
+                              "test_cases": [{"input": "", "expected_output": ""}]}])
+        _write_jsonl(completions, [{"task_id": 7, "model_id": 3, "raw_response": "x"}])
+        assert load_dataset(tasks).tasks[0].task_id == "7"
+        completion = load_completions(completions)[0]
+        assert (completion.task_id, completion.model_id) == ("7", "3")
+
+    def test_missing_sample_index_is_its_own_key(self, tmp_path):
+        path = tmp_path / "completions.jsonl"
+        row = {"task_id": "a", "model_id": "m", "raw_response": "x"}
+        _write_jsonl(path, [row, {**row, "sample_index": 0}])
+        assert [c.sample_index for c in load_completions(path)] == [None, 0]
+        _write_jsonl(path, [row, {**row, "sample_index": 0}, {**row, "sample_index": 0}])
+        with pytest.raises(ValidationError, match="repeated completion"):
+            load_completions(path)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "completions.jsonl"
         path.write_text('{"task_id": "a", "model_id": "m", "raw_response": "x"}\noops\n')

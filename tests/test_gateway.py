@@ -17,7 +17,6 @@ import haluscope
 from haluscope.corpus import ResourceLimits, Task, TestCase
 from haluscope.errors import ConfigError, ProviderError, TemplateError
 from haluscope.gateway import (
-    GenerationInstruction,
     ProviderConfig,
     extract_code,
     fetch_completion,
@@ -38,12 +37,12 @@ class TestRenderInstruction:
     def test_substitutes_placeholders(self):
         limits = ResourceLimits(wall_time_ms=2000, memory_bytes=64 * 2**20)
         out = render_instruction("add", limits, "Solve: {question} (time {wall_time_ms} ms)")
-        assert out.rendered == "Solve: add (time 2000 ms)"
+        assert out == "Solve: add (time 2000 ms)"
 
     def test_template_without_placeholders_is_identity(self):
         limits = ResourceLimits()
         template = "no placeholders here"
-        assert render_instruction("q", limits, template).rendered == template
+        assert render_instruction("q", limits, template) == template
 
     def test_unknown_placeholder_named_in_error(self):
         with pytest.raises(TemplateError, match="walltime"):
@@ -138,8 +137,7 @@ class TestFetchCompletion:
     def test_http_wire_contract(self, scripted_server):
         url, handler = scripted_server([200])
         provider = ProviderConfig(endpoint=url, model_id="m1", max_retries=0)
-        instruction = GenerationInstruction(template="t", rendered="solve please")
-        completion = fetch_completion(_task(), provider, instruction)
+        completion = fetch_completion(_task(), provider, "solve please")
         assert completion.raw_response == "print(1)"
         assert completion.source_code == "print(1)"
         assert handler.seen_payloads == [{"model": "m1", "prompt": "solve please"}]
@@ -147,9 +145,7 @@ class TestFetchCompletion:
     def test_retry_two_500s_then_success(self, scripted_server):
         url, handler = scripted_server([500, 500, 200])
         provider = ProviderConfig(endpoint=url, model_id="m1", max_retries=2)
-        completion = fetch_completion(
-            _task(), provider, GenerationInstruction(template="t", rendered="p")
-        )
+        completion = fetch_completion(_task(), provider, "p")
         assert completion.raw_response == "print(1)"
         assert handler.calls == 3
 
@@ -157,13 +153,13 @@ class TestFetchCompletion:
         url, _ = scripted_server([503])
         provider = ProviderConfig(endpoint=url, model_id="m1", max_retries=1)
         with pytest.raises(ProviderError) as exc_info:
-            fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+            fetch_completion(_task(), provider, "p")
         assert exc_info.value.status == 503
 
     def test_success_never_retried(self, scripted_server):
         url, handler = scripted_server([200])
         provider = ProviderConfig(endpoint=url, model_id="m1", max_retries=3)
-        fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+        fetch_completion(_task(), provider, "p")
         assert handler.calls == 1
 
     def test_auth_header_from_env(self, scripted_server, monkeypatch):
@@ -172,7 +168,7 @@ class TestFetchCompletion:
         provider = ProviderConfig(
             endpoint=url, model_id="m1", auth_token_env="TEST_PROVIDER_TOKEN"
         )
-        fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+        fetch_completion(_task(), provider, "p")
         assert handler.seen_auth == ["Bearer sekrit"]
 
     def test_missing_auth_env_is_config_error(self, monkeypatch):
@@ -181,20 +177,18 @@ class TestFetchCompletion:
             endpoint="http://127.0.0.1:1/x", model_id="m", auth_token_env="NOPE_TOKEN"
         )
         with pytest.raises(ConfigError, match="NOPE_TOKEN"):
-            fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+            fetch_completion(_task(), provider, "p")
 
     def test_file_provider_lookup(self, tmp_path):
         (tmp_path / "t1__m1.json").write_text(json.dumps({"text": "stored answer"}))
         provider = ProviderConfig(endpoint="file", model_id="m1", path=str(tmp_path))
-        completion = fetch_completion(
-            _task(), provider, GenerationInstruction(template="t", rendered="p")
-        )
+        completion = fetch_completion(_task(), provider, "p")
         assert completion.raw_response == "stored answer"
 
     def test_file_provider_missing_response(self, tmp_path):
         provider = ProviderConfig(endpoint="file", model_id="m1", path=str(tmp_path))
         with pytest.raises(ProviderError):
-            fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+            fetch_completion(_task(), provider, "p")
 
     def test_file_provider_requires_path(self):
         with pytest.raises(ConfigError):
@@ -205,9 +199,8 @@ class TestFetchCompletion:
         provider = ProviderConfig(
             endpoint=url, model_id="m1", cache_dir=str(tmp_path / "cache")
         )
-        instruction = GenerationInstruction(template="t", rendered="p")
-        first = fetch_completion(_task(), provider, instruction)
-        second = fetch_completion(_task(), provider, instruction)
+        first = fetch_completion(_task(), provider, "p")
+        second = fetch_completion(_task(), provider, "p")
         assert first == second
         assert handler.calls == 1  # second served from cache
 
@@ -216,7 +209,7 @@ class TestFetchCompletion:
         task = _task()
         before = task
         provider = ProviderConfig(endpoint=url, model_id="m1")
-        fetch_completion(task, provider, GenerationInstruction(template="t", rendered="p"))
+        fetch_completion(task, provider, "p")
         assert task == before
 
     def test_closed_port_is_transport_failure(self):
@@ -227,38 +220,53 @@ class TestFetchCompletion:
             endpoint=f"http://127.0.0.1:{port}/v1/complete", model_id="m1", max_retries=1
         )
         with pytest.raises(ProviderError) as exc_info:
-            fetch_completion(_task(), provider, GenerationInstruction(template="t", rendered="p"))
+            fetch_completion(_task(), provider, "p")
         assert "transport failure" in str(exc_info.value)
         assert exc_info.value.status is None
 
-    def test_non_json_body_not_retried(self):
+    @staticmethod
+    def _refused_after_one_request(body: bytes, match: str) -> None:
+        """A server answers every POST with status 200 and `body`: fetching
+        raises a ProviderError matching `match` after one request."""
         calls = []
 
-        class NonJSON(BaseHTTPRequestHandler):
+        class Fixed(BaseHTTPRequestHandler):
             def do_POST(self):
                 calls.append(self.rfile.read(int(self.headers["Content-Length"])))
                 self.send_response(200)
-                self.send_header("Content-Length", "8")
+                self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
-                self.wfile.write(b"not json")
+                self.wfile.write(body)
 
             def log_message(self, *args):
                 pass
 
-        server = HTTPServer(("127.0.0.1", 0), NonJSON)
+        server = HTTPServer(("127.0.0.1", 0), Fixed)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             provider = ProviderConfig(
                 endpoint=f"http://127.0.0.1:{server.server_port}/", model_id="m1", max_retries=3
             )
-            with pytest.raises(ProviderError, match="non-JSON"):
-                fetch_completion(
-                    _task(), provider, GenerationInstruction(template="t", rendered="p")
-                )
+            with pytest.raises(ProviderError, match=match):
+                fetch_completion(_task(), provider, "p")
         finally:
             server.shutdown()
             server.server_close()
         assert len(calls) == 1
+
+    def test_non_json_body_not_retried(self):
+        self._refused_after_one_request(b"not json", "non-JSON")
+
+    def test_null_text_not_retried(self):
+        # str() would run the program "None".
+        self._refused_after_one_request(b'{"text": null}', "no string 'text' field")
+
+    @pytest.mark.parametrize("text", [None, 5], ids=["null", "int"])
+    def test_stored_response_without_string_text(self, tmp_path, text):
+        (tmp_path / "t1__m1.json").write_text(json.dumps({"text": text}))
+        provider = ProviderConfig(endpoint="file", model_id="m1", path=str(tmp_path))
+        with pytest.raises(ProviderError, match="no string 'text' field"):
+            fetch_completion(_task(), provider, "p")
 
 
 def test_cli_import_loads_no_http_stack():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -19,7 +20,6 @@ from haluscope import sandbox
 from haluscope.corpus import Completion, Dataset, ResourceLimits, Task, TestCase
 from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
 from haluscope.sandbox import (
-    ENFORCEMENT_SLACK_MS,
     ExecutionOutcome,
     ExecutionRequest,
     ProcessExit,
@@ -33,6 +33,8 @@ from haluscope.sandbox import (
 from test_cli import LONE_SURROGATE
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
+# Extra wall time the enforcement machinery may consume beyond the limit.
+ENFORCEMENT_SLACK_MS = 500
 # An interpreter argv other than the harness's own, as `--interpreter` gives.
 FOREIGN = [sys.executable, "-u"]
 
@@ -257,6 +259,16 @@ PARITY_PROGRAMS = {
         "print(sys.argv, sys.orig_argv[1:], sys.path)\n"
     ),
     "stdin": "import sys\nprint(sys.stdin.read().upper())\n",
+    # fds 0-2 are files, as under `python prog.py < stdin.txt > ...`: a
+    # pipe is not seekable.
+    "stdio-seek": (
+        "import sys\n"
+        "print([stream.seekable() for stream in (sys.stdin, sys.stdout, sys.stderr)])\n"
+        "first = sys.stdin.read()\n"
+        "sys.stdin.seek(0)\n"
+        "print(repr(first), repr(sys.stdin.read()))\n"
+    ),
+    "environment": "import os\nprint(sorted(os.environ.items()))\n",
     "thread-exception": (
         "import threading\n"
         "def work():\n    raise MemoryError\n"
@@ -336,6 +348,16 @@ def _through_python(source: str, stdin: str, interpreter) -> tuple:
         )
 
 
+def _running(pid: int) -> bool:
+    """Whether `pid` is a process that has not exited (neither gone nor a
+    zombie)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 @pytest.fixture
 def popens(monkeypatch) -> list[subprocess.Popen]:
     """Every `subprocess.Popen` started while the test runs."""
@@ -388,6 +410,45 @@ class TestForkServer:
         assert killer == [
             "runtime_failure", "UnknownError", "the fork server was killed while the program ran"
         ]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=lambda jobs: f"jobs={jobs}")
+    def test_interrupt_leaves_no_program_running(self, jobs, tmp_path):
+        # Ctrl-C while the first program sleeps: the harness must still end
+        # every program it started before it exits.
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        program = (
+            "import os, time\n"
+            f"open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
+            "time.sleep(300)\n"
+        )
+        harness = (
+            "import os, signal, threading, time\n"
+            "from pathlib import Path\n"
+            "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.sandbox import ExecutionRequest, execute_batch\n"
+            "limits = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)\n"
+            "def interrupt():\n"
+            f"    while not any(Path({str(pids)!r}).iterdir()):\n"
+            "        time.sleep(0.01)\n"
+            "    os.kill(os.getpid(), signal.SIGINT)\n"
+            "threading.Thread(target=interrupt, daemon=True).start()\n"
+            f"execute_batch([ExecutionRequest({program!r}, TestCase('', ''), limits)] * 2,"
+            f" jobs={jobs})\n"
+        )
+        src_root = str(Path(haluscope.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        try:
+            subprocess.run([sys.executable, "-c", harness], env=env, capture_output=True,
+                           timeout=60)
+            started = [int(path.name) for path in pids.iterdir()]
+            assert started
+            assert [pid for pid in started if _running(pid)] == []
+        finally:
+            for path in pids.iterdir():
+                with contextlib.suppress(ProcessLookupError, PermissionError):
+                    os.killpg(int(path.name), signal.SIGKILL)
 
     def test_memory_of_a_program_that_dies_early(self):
         source = (

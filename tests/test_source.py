@@ -50,18 +50,26 @@ def test_unused_import_is_found():
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
-    """Functions, classes and non-dunder methods defined in `sources` whose
-    name appears as a whole word nowhere in them besides its definitions.
-    Any occurrence counts, a string's included."""
+    """Functions, classes, non-dunder methods and module-level names
+    (`__all__` and dunders aside) defined in `sources` whose name appears as
+    a whole word nowhere in them besides its definitions. Any occurrence
+    counts, a string's included."""
     defined: Counter = Counter()
     for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not (
-                node.name.startswith("__") and node.name.endswith("__")
-            ):
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] += 1
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
     words = Counter(re.findall(r"\w+", "\n".join(sources)))
-    return sorted(name for name, count in defined.items() if words[name] <= count)
+    return sorted(
+        name for name, count in defined.items()
+        if words[name] <= count and not (name.startswith("__") and name.endswith("__"))
+    )
 
 
 def test_every_definition_is_referenced():
@@ -80,7 +88,21 @@ def test_unreferenced_definition_is_found():
         "def prefixed():\n    pass\nprefixed_value = 'unprefixed'\n",
         "from .one import Used\nUsed().method()\n",
     ]
-    assert unreferenced_definitions(sources) == ["dead_method", "prefixed"]
+    assert unreferenced_definitions(sources) == [
+        "COMMANDS", "dead_method", "prefixed", "prefixed_value"
+    ]
+
+
+def test_unreferenced_constant_is_found():
+    # A module-level name another source imports counts; one that nothing
+    # else names is flagged, a tuple target's included; `__all__` and
+    # dunders never are.
+    sources = [
+        "LIMIT = 5\nSLACK_MS: int = 500\n_TABLE, _SPARE = {}, []\n"
+        "__all__ = ['LIMIT']\n__version__ = '1'\n",
+        "from .one import LIMIT, _TABLE\n",
+    ]
+    assert unreferenced_definitions(sources) == ["SLACK_MS", "_SPARE"]
 
 
 def test_every_exported_name_exists():
