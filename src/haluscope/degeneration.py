@@ -109,7 +109,7 @@ def detect(
     if stutter is not None:
         return DegenerationVerdict(DegenerationKind.STUTTERING, stutter)
 
-    enum_evidence = _find_enumeration([_pattern_key(line) for line in lines], config)
+    enum_evidence = _find_enumeration(map(_pattern_key, lines), config)
     if enum_evidence is not None:
         return DegenerationVerdict(DegenerationKind.INFINITE_ENUMERATION, enum_evidence)
 

@@ -22,7 +22,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import aggregate, bench, degeneration, report as report_mod, sandbox, taxonomy
 from .corpus import (
@@ -164,15 +164,19 @@ def classify_corpus(
     execution of every test case, classification. Returns (record, outcome)
     pairs; degenerate completions carry a single record with no outcome.
 
-    Every (completion, test) request goes to one `sandbox.execute_batch`.
-    With `artifact_root`, two (task, model, sample) keys that would share
-    an artifact directory raise ValidationError before anything runs."""
+    Every (completion, test) request goes to one `sandbox.execute_batch`
+    from a generator that gates each completion as the batch reads it, so
+    the gate runs while the fork server starts and programs run. With
+    `artifact_root`, two (task, model, sample) keys of known tasks, gated
+    or not, that would share an artifact directory raise ValidationError
+    before anything runs."""
     tasks = dataset.task_map()
-    interpreter = tuple(interpreter) if interpreter else None
+    if artifact_root is not None:  # pairs sharing a directory would mix their files
+        refuse_shared_names(
+            (_artifact_key(c), _artifact_name(c)) for c in completions if c.task_id in tasks
+        )
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
-    executions: list[
-        tuple[Completion, degeneration.DegenerationVerdict, int, sandbox.ExecutionRequest]
-    ] = []
+    executions: list[tuple[Completion, degeneration.DegenerationVerdict, int]] = []
 
     def record(completion, verdict, test_index, outcome) -> None:
         classified = aggregate.ClassifiedRecord(
@@ -184,36 +188,31 @@ def classify_corpus(
         )
         results.append((classified, outcome))
 
-    for completion in completions:
-        task = tasks.get(completion.task_id)
-        if task is None:
-            logger.warning(
-                "skipping completion for unknown task_id %r (model %s)",
-                completion.task_id,
-                completion.model_id,
+    def requests() -> Iterator[sandbox.ExecutionRequest]:
+        for completion in completions:
+            task = tasks.get(completion.task_id)
+            if task is None:
+                logger.warning(
+                    "skipping completion for unknown task_id %r (model %s)",
+                    completion.task_id,
+                    completion.model_id,
+                )
+                continue
+            verdict = degeneration.detect(
+                completion.source_code, completion.truncated_at_limit, degeneration_config
             )
-            continue
-        verdict = degeneration.detect(
-            completion.source_code, completion.truncated_at_limit, degeneration_config
-        )
-        if verdict.kind is not degeneration.DegenerationKind.NONE:
-            record(completion, verdict, None, None)
-            continue
-        executions.extend(
-            (completion, verdict, index, sandbox.ExecutionRequest(
-                source_code=completion.source_code,
-                test=test,
-                limits=task.limits,
-                interpreter=interpreter,
-                artifact_dir=_artifact_dir(artifact_root, completion, index),
-            ))
-            for index, test in enumerate(task.test_cases)
-        )
-    if artifact_root is not None:  # pairs sharing a directory would mix their files
-        refuse_shared_names((_artifact_key(c), _artifact_name(c)) for c, _, _, _ in executions)
+            if verdict.kind is not degeneration.DegenerationKind.NONE:
+                record(completion, verdict, None, None)
+                continue
+            for index, test in enumerate(task.test_cases):
+                executions.append((completion, verdict, index))
+                yield sandbox.ExecutionRequest(
+                    completion.source_code, test, task.limits,
+                    _artifact_dir(artifact_root, completion, index),
+                )
 
-    outcomes = sandbox.execute_batch([request for *_, request in executions], jobs=jobs)
-    for (completion, verdict, index, _), outcome in zip(executions, outcomes, strict=True):
+    outcomes = sandbox.execute_batch(requests(), jobs=jobs, interpreter=interpreter)
+    for (completion, verdict, index), outcome in zip(executions, outcomes, strict=True):
         record(completion, verdict, index, outcome)
 
     results.sort(

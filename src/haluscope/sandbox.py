@@ -8,9 +8,9 @@ targets honest resource accounting, not adversarial security.
 Each execution is forked from a fork server (`_forkserver.py`): one
 interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
-`ru_maxrss`. Inside `execute_batch` each worker thread keeps one server
-per interpreter until the call returns; a bare `execute` runs as a batch
-of one.
+`ru_maxrss`. A batch runs one interpreter; each of its worker threads
+keeps one server until the call returns, and the first one starts before
+any request is read. A bare `execute` runs as a batch of one.
 
 The forked child compiles prog.py, then runs it, so a syntax failure is
 judged by the interpreter that runs the program. The child replies once
@@ -41,7 +41,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import ResourceLimits, TestCase
 from .errors import HarnessFault
@@ -106,10 +106,6 @@ class ProcessExit:
     stage: str  # "compile" or "run"
     memory_limit_bytes: int
     peak_memory_bytes: int | None = None
-
-
-def default_interpreter() -> list[str]:
-    return [sys.executable]
 
 
 def compare_output(actual: str, expected: str) -> bool:
@@ -273,13 +269,13 @@ def execute(
     > RuntimeFailure > WrongOutput > Pass. With `artifact_dir`, it holds
     prog.py, stdin.txt, outcome.json, stdout.txt (the compared output:
     empty for any status but pass or wrong output) and stderr.txt (the
-    parsed traceback, not the raw streams)."""
+    parsed traceback, not the raw streams). Inside a batch the batch's
+    interpreter runs the program, and `interpreter` is not read."""
     if _SERVERS.get() is None:  # outside a batch: a batch of one
-        request = ExecutionRequest(source_code, test, limits, interpreter, artifact_dir)
-        return execute_batch([request])[0]
-    argv = list(interpreter) if interpreter else default_interpreter()
+        request = ExecutionRequest(source_code, test, limits, artifact_dir)
+        return execute_batch([request], interpreter=interpreter)[0]
     try:
-        outcome = _execute_in_tempdir(source_code, test, limits, argv)
+        outcome = _execute_in_tempdir(source_code, test, limits)
     except Exception as exc:  # harness fault, not program behavior
         logger.exception("sandbox fault while executing candidate")
         outcome = ExecutionOutcome(
@@ -295,12 +291,12 @@ def execute(
 
 
 def _execute_in_tempdir(
-    source_code: str, test: TestCase, limits: ResourceLimits, argv: list[str]
+    source_code: str, test: TestCase, limits: ResourceLimits
 ) -> ExecutionOutcome:
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
         _lay_out(workdir, source_code, test)
-        server = _SERVERS.get().get(argv)
+        server = _SERVERS.get().get()
         started = time.monotonic()
         raw = server.run(workdir, limits)
         elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -346,8 +342,7 @@ _FORK_SERVER_SCRIPT = Path(__file__).with_name("_forkserver.py")
 # How long a fork server may take to start up.
 _SERVER_START_TIMEOUT_S = 60.0
 # How long past the wall limit a fork server may take to reply with the
-# child's pid, or with its exit once its group was killed, and how long it
-# may take to exit once its request pipe is closed.
+# child's pid, or with its exit once its group was killed.
 _SERVER_GRACE_S = 5.0
 
 
@@ -456,16 +451,13 @@ class _ForkServer:
             self._proc.wait()
 
     def close(self) -> None:
-        """End the server by EOF on its request pipe, reap it (killing it if
-        it does not exit in time), and remove its directory."""
+        """Close the request pipe, kill and reap the server, and remove its
+        directory. No forked child is in flight: the server replies to a
+        request only once it has reaped the request's child."""
         if self._requests >= 0:
             os.close(self._requests)
             self._requests = -1
-        if self._proc is not None:
-            try:
-                self._proc.wait(timeout=_SERVER_GRACE_S)
-            except subprocess.TimeoutExpired:
-                self.kill()
+        self.kill()
         if self._replies >= 0:
             os.close(self._replies)
             self._replies = -1
@@ -473,21 +465,22 @@ class _ForkServer:
 
 
 class _ForkServers:
-    """The fork servers of one `execute_batch` call, one per worker thread
-    and interpreter. A thread's server starts at its first execution and
-    is replaced once dead; `close` ends and reaps every one."""
+    """The fork servers of one `execute_batch` call, all running `argv`, one
+    per worker thread. A thread's server starts at its first `get` and is
+    replaced once dead; `close` ends and reaps every one."""
 
-    def __init__(self) -> None:
-        self._servers: dict[tuple[int, tuple[str, ...]], _ForkServer] = {}
+    def __init__(self, argv: list[str]) -> None:
+        self._argv = argv
+        self._servers: dict[int, _ForkServer] = {}
 
-    def get(self, argv: list[str]) -> _ForkServer:
+    def get(self) -> _ForkServer:
         # Only the thread named in a key reads or writes that key.
-        key = (threading.get_ident(), tuple(argv))
+        key = threading.get_ident()
         server = self._servers.get(key)
         if server is None or not server.alive():
             if server is not None:
                 server.close()
-            server = self._servers[key] = _ForkServer(argv)
+            server = self._servers[key] = _ForkServer(self._argv)
         return server
 
     def close(self) -> None:
@@ -550,30 +543,35 @@ class ExecutionRequest:
     source_code: str
     test: TestCase
     limits: ResourceLimits
-    interpreter: tuple[str, ...] | None = None
     artifact_dir: str | None = None
 
 
 def execute_request(r: ExecutionRequest) -> ExecutionOutcome:
-    return execute(r.source_code, r.test, r.limits, r.interpreter, r.artifact_dir)
+    return execute(r.source_code, r.test, r.limits, artifact_dir=r.artifact_dir)
 
 
-def execute_batch(requests: Sequence[ExecutionRequest], jobs: int = 1) -> list[ExecutionOutcome]:
-    """Execute (completion, test) pairs on up to `jobs` worker threads, each
-    in its own temp dir; results come back in request order, so they are
-    independent of scheduling. Each worker thread forks its executions from
-    one fork server per interpreter; every server is ended and reaped before
-    this returns, so no process outlives the call and RUSAGE_CHILDREN counts
-    every child.
+def execute_batch(
+    requests: Iterable[ExecutionRequest], jobs: int = 1, interpreter: Sequence[str] | None = None
+) -> list[ExecutionOutcome]:
+    """Execute (completion, test) pairs with `interpreter` on up to `jobs`
+    worker threads, each in its own temp dir; results come back in request
+    order, so they are independent of scheduling. Each worker thread forks
+    its executions from one fork server; every server is ended and reaped
+    before this returns, so no process outlives the call and
+    RUSAGE_CHILDREN counts every child.
 
-    The calling thread only waits, so a signal (Ctrl-C) raises in it while
-    it waits: the queued requests are cancelled, and each running one still
-    ends on its worker thread, which kills the program's group at the wall
-    limit or when its server dies, before the exception leaves this call."""
-    servers = _ForkServers()
+    The first server starts before `requests` is read, so a generator's own
+    work (the degeneration gate) overlaps it; a batch without requests still
+    starts and kills that server. The calling thread only reads requests
+    and waits, so an exception raised there, by the generator or a signal
+    (Ctrl-C), cancels the queued requests, and each running one still ends
+    on its worker thread, which kills the program's group at the wall limit
+    or when its server dies, before the exception leaves this call."""
+    servers = _ForkServers(list(interpreter or [sys.executable]))
+    pool = ThreadPoolExecutor(max(1, jobs), initializer=_SERVERS.set, initargs=(servers,))
     try:
-        workers = max(1, min(jobs, len(requests)))
-        with ThreadPoolExecutor(workers, initializer=_SERVERS.set, initargs=(servers,)) as pool:
-            return list(pool.map(execute_request, requests))
+        pool.submit(servers.get)  # a failed start is retried, and reported, per request
+        return list(pool.map(execute_request, requests))
     finally:
+        pool.shutdown(cancel_futures=True)
         servers.close()

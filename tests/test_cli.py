@@ -41,6 +41,8 @@ EXPECTED = Path(__file__).parent / "fixtures" / "mini" / "expected"
 # A comment holding a lone surrogate, as a `\ud800` escape in a JSONL row
 # gives: `python prog.py` refuses the bytes it is written as.
 LONE_SURROGATE = "n = int(input())\nm = n * 2\n# note \ud800\nprint(m)\n"
+# A response the degeneration gate stops before it runs (stuttering).
+STUTTER = "print(1)\n" * 10
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +136,43 @@ class TestDeterminism:
             a = normalize_measurements(path.read_text())
             b = normalize_measurements((second / path.name).read_text())
             assert a == b, path.name
+
+    def test_gated_completions_anywhere_keep_states_order(self, tmp_path):
+        # Gated completions first, in the middle and last, and samples of one
+        # (task, model) on both sides of a gated one.
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps({
+            "task_id": task_id, "question": "q",
+            "test_cases": [{"input": str(n), "expected_output": str(n + 1)} for n in range(count)],
+        }) for task_id, count in (("t1", 2), ("t2", 1))])
+        increment = "print(int(input()) + 1)"
+        rows = [("t1", "a", STUTTER, None), ("t1", "b", increment, None),
+                ("t1", "s", increment, 0), ("t2", "b", STUTTER, None),
+                ("t1", "s", STUTTER, 1), ("t1", "s", "print(0)", 2),
+                ("t2", "a", "print(input())", None), ("t1", "c", STUTTER, None)]
+        _write_lines(completions, [
+            json.dumps({"task_id": task_id, "model_id": model_id, "raw_response": response,
+                        **({} if sample is None else {"sample_index": sample})})
+            for task_id, model_id, response, sample in rows
+        ])
+        states = []
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert _run(["--out-dir", out, "--jobs", jobs, "validate", "--dataset", tasks,
+                         "--completions", completions]) == 0
+            states.append(normalize_measurements((out / STATES_FILE).read_text()))
+        assert states[0] == states[1]
+        assert [(r["task_id"], r["model_id"], r["test_index"], r["status"])
+                for r in map(json.loads, states[0].splitlines())] == [
+            ("t1", "a", None, "not_executed"),
+            ("t1", "b", 0, "pass"), ("t1", "b", 1, "pass"),
+            ("t1", "c", None, "not_executed"),
+            ("t1", "s", None, "not_executed"),
+            ("t1", "s", 0, "pass"), ("t1", "s", 0, "wrong_output"),
+            ("t1", "s", 1, "pass"), ("t1", "s", 1, "wrong_output"),
+            ("t2", "a", 0, "wrong_output"),
+            ("t2", "b", None, "not_executed"),
+        ]
 
 
 class TestGoldenArtifacts:
@@ -851,18 +890,21 @@ class TestSafeNames:
         assert not (out / "completions.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "pairs",
-        [[("a b", "m"), ("a_b", "m")], [("a__b", "c"), ("a", "b__c")],
-         [("t", "m__s0"), ("t", "m", 0)]],
-        ids=["unsafe-character", "separator", "sample-suffix"],
+        "pairs, response",
+        [([("a b", "m"), ("a_b", "m")], "print()"), ([("a__b", "c"), ("a", "b__c")], "print()"),
+         ([("t", "m__s0"), ("t", "m", 0)], "print()"), ([("a b", "m"), ("a_b", "m")], STUTTER)],
+        ids=["unsafe-character", "separator", "sample-suffix", "gated-response"],
     )
-    def test_artifact_dir_refuses_pairs_sharing_a_directory(self, pairs, tmp_path, capsys):
-        # Each key is (task, model), or (task, model, sample index).
+    def test_artifact_dir_refuses_pairs_sharing_a_directory(
+        self, pairs, response, tmp_path, capsys
+    ):
+        # Each key is (task, model), or (task, model, sample index). Gated
+        # completions are refused too: they would share a directory as well.
         tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
         _write_lines(tasks, [json.dumps({**_TASK, "task_id": task_id})
                              for task_id in sorted({key[0] for key in pairs})])
         _write_lines(completions, [
-            json.dumps({"task_id": task_id, "model_id": model_id, "raw_response": "print()",
+            json.dumps({"task_id": task_id, "model_id": model_id, "raw_response": response,
                         **{"sample_index": index for index in sample}})
             for task_id, model_id, *sample in pairs
         ])

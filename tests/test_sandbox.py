@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -474,6 +475,56 @@ class TestForkServer:
         assert {o.status for o in execute_batch(requests, jobs=jobs)} == {Status.PASS}
         assert 1 <= len(popens) <= jobs
 
+    def test_server_starts_before_the_first_request_is_read(self, popens):
+        servers_at_first_pull = []
+
+        def requests():
+            deadline = time.monotonic() + 10
+            while not popens and time.monotonic() < deadline:
+                time.sleep(0.01)
+            servers_at_first_pull.append(len(popens))
+            yield ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)
+
+        assert [o.status for o in execute_batch(requests())] == [Status.PASS]
+        assert servers_at_first_pull == [1]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=lambda jobs: f"jobs={jobs}")
+    def test_exception_from_the_requests_cancels_the_queued_ones(self, jobs, tmp_path):
+        # Four requests are read before the generator raises; only those a
+        # worker had taken may run, and each ends before the exception leaves.
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        program = (
+            "import os, time\n"
+            f"open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
+            "time.sleep(300)\n"
+        )
+        limits = ResourceLimits(wall_time_ms=2000, memory_bytes=256 * 2**20)
+
+        def requests():
+            yield from [ExecutionRequest(program, TestCase("", ""), limits)] * 4
+            deadline = time.monotonic() + 10
+            while not any(pids.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                execute_batch(requests(), jobs=jobs)
+            started = [int(path.name) for path in pids.iterdir()]
+            assert 1 <= len(started) <= jobs
+            assert [pid for pid in started if _running(pid)] == []
+        finally:
+            for path in pids.iterdir():
+                with contextlib.suppress(ProcessLookupError, PermissionError):
+                    os.killpg(int(path.name), signal.SIGKILL)
+
+    def test_empty_batch_leaves_nothing(self, tmp_path, monkeypatch, popens):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert execute_batch(iter(())) == []
+        assert all(server.returncode is not None for server in popens)
+        assert list(tmp_path.iterdir()) == []
+
     def test_server_that_never_starts_is_sandbox_error(self):
         # `python -c pass <server> ...` exits at once, without a ready reply.
         outcome = execute(
@@ -636,6 +687,14 @@ class TestIsolationAndBatch:
         )
         assert [o.status for _, o in pairs] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
         assert [r.test_index for r, _ in pairs] == [0, 1, 2]
+
+    def test_missing_interpreter_fails_every_execution(self):
+        task = Task("t", "q", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
+        completions = [Completion("t", m, "print(1)", "print(1)") for m in ("m1", "m2")]
+        pairs = classify_corpus(
+            Dataset("d", (task,)), completions, interpreter=["/no/such/bin"], jobs=2
+        )
+        assert [o.status for _, o in pairs] == [Status.SANDBOX_ERROR] * 6
 
     def test_unknown_task_skipped_with_one_warning(self, tmp_path, caplog):
         tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
