@@ -9,6 +9,8 @@ so they can be tuned per corpus.
 from __future__ import annotations
 
 import ast
+import keyword
+import operator
 import re
 import warnings
 from dataclasses import dataclass
@@ -109,7 +111,7 @@ def detect(
     if stutter is not None:
         return DegenerationVerdict(DegenerationKind.STUTTERING, stutter)
 
-    enum_evidence = _find_enumeration(map(_pattern_key, lines), config)
+    enum_evidence = _find_enumeration(lines, config)
     if enum_evidence is not None:
         return DegenerationVerdict(DegenerationKind.INFINITE_ENUMERATION, enum_evidence)
 
@@ -123,29 +125,25 @@ def detect(
 def _find_stutter(lines: list[str], config: DegenerationConfig) -> str | None:
     """Return the repeated block (joined by newlines) with the largest
     coverage in the trailing window, or None. Ties go to the shorter block,
-    then to the earlier start."""
-    total = len(lines)
-    if total == 0:
-        return None
-    window = lines[int(total * (1.0 - config.window_frac)) :]
-    size = len(window)
+    then to the earlier start.
+
+    The block at i repeats 1 + r // block_len times, r being the run of
+    lines from i on that equal the line block_len further down. That count
+    peaks at a run's start, its earliest position, so run starts are the
+    only candidates and the tie-break holds."""
+    window = lines[int(len(lines) * (1.0 - config.window_frac)) :]
     best_block: list[str] | None = None
     best_coverage = 0
-    for block_len in range(1, config.block_size + 1):
-        # run[i]: how many consecutive lines from i on equal the line
-        # block_len further down, so the block at i repeats
-        # 1 + run[i] // block_len times in a row.
-        run = [0] * (size + 1)
-        for i in range(size - block_len - 1, -1, -1):
-            if window[i] == window[i + block_len]:
-                run[i] = run[i + 1] + 1
-        for start in range(size - block_len * config.repeat_count + 1):
-            repeats = 1 + run[start] // block_len
-            if repeats >= config.repeat_count:
-                coverage = repeats * block_len
-                if coverage > best_coverage:
-                    best_coverage = coverage
-                    best_block = window[start : start + block_len]
+    # A block longer than len(window) // repeat_count cannot repeat
+    # repeat_count times inside the window.
+    for block_len in range(1, min(config.block_size, len(window) // config.repeat_count) + 1):
+        same = bytes(map(operator.eq, window, window[block_len:]))
+        min_run = (config.repeat_count - 1) * block_len
+        for run in re.finditer(rb"\x01{%d,}" % min_run, same):
+            coverage = (1 + (run.end() - run.start()) // block_len) * block_len
+            if coverage > best_coverage:
+                best_coverage = coverage
+                best_block = window[run.start() : run.start() + block_len]
     return "\n".join(best_block) if best_block is not None else None
 
 
@@ -154,18 +152,26 @@ def _pattern_key(line: str) -> str:
     return _NUMBER_LITERAL.sub("<num>", masked)
 
 
-def _find_enumeration(keys: list[str], config: DegenerationConfig) -> str | None:
+def _find_enumeration(lines: list[str], config: DegenerationConfig) -> str | None:
     """Return the shared statement pattern (the _pattern_key of each line)
-    of the first literal-varying run that reaches enum_count, else None."""
-    run_key: str | None = None
-    run_len = 0
-    for key in keys:
-        if key == run_key:
-            run_len += 1
-        else:
-            run_key, run_len = key, 1
-        if run_len >= config.enum_count:
-            return run_key
+    of the first literal-varying run that reaches enum_count, else None.
+
+    Any enum_count consecutive lines hold exactly one probe (lines
+    enum_count-1, 2*enum_count-1, ...), so each run long enough holds one,
+    in run order. A probe's run is measured outward from it and cannot pass
+    a neighbouring probe without being long enough, so each line is keyed
+    about twice at most."""
+    step = config.enum_count
+    total = len(lines)
+    for probe in range(step - 1, total, step):
+        key = _pattern_key(lines[probe])
+        start = end = probe
+        while start > 0 and _pattern_key(lines[start - 1]) == key:
+            start -= 1
+        while end - start + 1 < step and end + 1 < total and _pattern_key(lines[end + 1]) == key:
+            end += 1
+        if end - start + 1 >= step:
+            return key
     return None
 
 
@@ -212,13 +218,22 @@ def _check_gibberish(
 def _program_like(line: str) -> bool:
     """Heuristic for "this line looks like code": comments, decorators,
     keyword-led statements, bare bracket lines, or lines that compile alone
-    (or wrapped in a function body, for return/yield)."""
+    (or wrapped in a function body, for return/yield).
+
+    Outside strings and comments, Python puts two names side by side only
+    after a soft keyword (`match x:`; from 3.12 `type X = int`). So a line
+    whose words before the first holding a quote or `#` include two
+    non-keyword identifiers in a row, the first no soft keyword, is not
+    code and skips compiling. On 3.11 no one-line statement starts with a
+    soft keyword and a name; the exclusion matters from 3.12 on."""
     if line.startswith(("#", "@")):
         return True
     if _KEYWORD_PREFIX.match(line):
         return True
     if _BRACKET_ONLY.match(line):
         return True
+    if _names_in_a_row(line):
+        return False
     try:
         compile(line, "<line>", "exec")
         return True
@@ -233,3 +248,15 @@ def _program_like(line: str) -> bool:
         return True
     except _UNPARSEABLE:
         return False
+
+
+def _names_in_a_row(line: str) -> bool:
+    follows_name = False
+    for word in line.split(" "):
+        if "'" in word or '"' in word or "#" in word:
+            return False
+        is_name = word.isidentifier() and not keyword.iskeyword(word)
+        if is_name and follows_name:
+            return True
+        follows_name = is_name and word not in keyword.softkwlist
+    return False

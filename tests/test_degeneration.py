@@ -16,6 +16,7 @@ from haluscope.degeneration import (
     _BRACKET_ONLY,
     _KEYWORD_PREFIX,
     _UNPARSEABLE,
+    _find_enumeration,
     _find_stutter,
     _nonblank_normalized,
     _normalize_line,
@@ -114,6 +115,30 @@ def _oracle_detect(source_code: str, truncated_at_limit: bool, config: Degenerat
     return "none", ""
 
 
+def _full_scan_enumeration(lines: list[str], enum_count: int) -> str | None:
+    """The key of the first run of enum_count equal pattern keys, keying
+    every line left to right."""
+    run_key, run_len = None, 0
+    for line in lines:
+        key = _pattern_key(line)
+        run_len = run_len + 1 if key == run_key else 1
+        run_key = key
+        if run_len >= enum_count:
+            return key
+    return None
+
+
+def _enumeration_document(enum_count: int, runs: list[tuple[int, int]], tail: int) -> list[str]:
+    """For each (gap, extra): gap lines whose keys all differ, then
+    enum_count + extra lines sharing one key of their own; then tail more
+    differing lines."""
+    lines: list[str] = []
+    for index, (gap, extra) in enumerate(runs):
+        lines += [f"gap_{len(lines) + i}()" for i in range(gap)]
+        lines += [f"emit_{index}({value})" for value in range(enum_count + extra)]
+    return lines + [f"gap_{len(lines) + i}()" for i in range(tail)]
+
+
 def _verdict(source_code: str, truncated_at_limit: bool, config: DegenerationConfig):
     verdict = detect(source_code, truncated_at_limit, config)
     return verdict.kind.value, verdict.evidence
@@ -130,12 +155,16 @@ _valid_configs = st.builds(
 
 # Words a generated line is built from: keywords that only compile inside a
 # function (or in neither place), operators, literals that draw
-# SyntaxWarnings, and brackets that may not balance.
+# SyntaxWarnings, brackets that may not balance, and what the two-names rule
+# must see through: soft keywords, a fullwidth `match` (the parser compares
+# raw bytes, so no soft keyword), non-ASCII names, string prefix letters and
+# quoted words holding spaces.
 _SOUP_TOKENS = [
     "return", "yield", "await", "nonlocal", "global", "import", "*", "from", "m", "x",
     "y", "=", "1", "0", "(", ")", "[", "]", "{", "}", ":", ";", ",", ".", "+", "-",
     "lambda", "if", "else", "for", "in", "is", "not", "async", "def", "'s'", '"\\d"',
     "print", "#", "@", "\\", "==", "->", "...", "_probe", "pass", "del",
+    "match", "case", "_", "type", "ｍａｔｃｈ", "é", "ｘ", "f", "rb", "'a b'", "f'{a b}'",
 ]
 _soup_lines = st.lists(st.sampled_from(_SOUP_TOKENS), min_size=1, max_size=8).map(
     lambda words: _normalize_line(" ".join(words))
@@ -165,6 +194,14 @@ class TestReferenceEquivalence:
     @example(line="returned = 1")
     @example(line="x is 1")
     @example(line='print(re.findall("\\d+", input()))')
+    @example(line="match x:")
+    @example(line="case _:")
+    @example(line="type X = int")
+    @example(line="print x")
+    @example(line="x = 1 # a b")
+    @example(line="x = ' a b '")
+    @example(line="ｍａｔｃｈ x:")
+    @example(line="f 'x'")
     def test_program_like_matches_reference(self, line):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -191,6 +228,33 @@ class TestReferenceEquivalence:
             body = data.draw(st.lists(_soup_lines, max_size=30))
         source = "\n".join(head + body)
         assert _verdict(source, truncated, config) == _oracle_detect(source, truncated, config)
+
+    # Runs of enum_count-1, enum_count and enum_count+1 equal-key lines after
+    # gaps of 0..50 differing-key lines, so at every offset from the probes
+    # for every enum_count drawn.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        enum_count=st.integers(min_value=2, max_value=25),
+        runs=st.lists(st.tuples(st.integers(0, 50), st.sampled_from([-1, 0, 1])), max_size=3),
+        tail=st.integers(0, 50),
+    )
+    @example(enum_count=2, runs=[], tail=0)
+    @example(enum_count=25, runs=[], tail=24)
+    @example(enum_count=25, runs=[(0, -1)], tail=0)
+    def test_enumeration_search_matches_full_scan(self, enum_count, runs, tail):
+        lines = _enumeration_document(enum_count, runs, tail)
+        config = DegenerationConfig(enum_count=enum_count)
+        assert _find_enumeration(lines, config) == _full_scan_enumeration(lines, enum_count)
+
+    def test_enumeration_search_finds_a_lone_run_at_every_offset(self):
+        for enum_count in range(2, 26):
+            for gap in range(2 * enum_count):
+                for extra in (-1, 0, 1):
+                    lines = _enumeration_document(enum_count, [(gap, extra)], gap)
+                    config = DegenerationConfig(enum_count=enum_count)
+                    assert _find_enumeration(lines, config) == (
+                        _full_scan_enumeration(lines, enum_count)
+                    ), (enum_count, gap, extra)
 
     def test_long_stutter_document_matches_reference(self):
         # 20,000 lines of 1- and 2-line blocks repeated 5 to 27 times. Runs
@@ -504,6 +568,57 @@ class TestConfig:
         assert DEFAULT_CONFIG.enum_count == 20
         assert DEFAULT_CONFIG.parse_valid_frac == 0.3
         assert DEFAULT_CONFIG.window_frac == 0.6
+
+
+class TestWorkSkipped:
+    """The work the gate skips because it cannot change a verdict, counted
+    in calls."""
+
+    def test_prose_reaches_gibberish_without_compiling(self, monkeypatch):
+        subjects = ["The function", "This loop", "The helper", "Each call", "The result"]
+        verbs = ["returns", "reads", "sorts", "prints", "checks"]
+        objects = ["the list", "every value", "the input", "a total", "the answer",
+                   "each line", "the count", "its argument"]
+        lines = [f"{s} {v} {o}" for s in subjects for v in verbs for o in objects]
+        assert len(lines) == 200
+        compiled: list[str] = []
+
+        def recording(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(degeneration, "compile", recording, raising=False)
+        assert _verdict("\n".join(lines), False, DEFAULT_CONFIG) == ("gibberish", lines[0])
+        assert compiled == []
+
+    def test_enumeration_keys_only_near_probes(self, monkeypatch):
+        lines = [f"value_{i} = f_{i}()" for i in range(1000)]
+        keyed: list[str] = []
+        pattern_key = degeneration._pattern_key
+
+        def recording(line: str) -> str:
+            keyed.append(line)
+            return pattern_key(line)
+
+        monkeypatch.setattr(degeneration, "_pattern_key", recording)
+        config = DegenerationConfig(enum_count=20)
+        assert _verdict("\n".join(lines), False, config) == ("none", "")
+        assert len(keyed) <= 3 * (1000 // 20)
+
+    @pytest.mark.parametrize("document, kind", [
+        ("stutter", DegenerationKind.STUTTERING),
+        ("plain", DegenerationKind.NONE),
+    ])
+    def test_block_size_beyond_the_window(self, document, kind):
+        # Block lengths past len(window) // repeat_count cannot repeat
+        # enough times, so a huge block_size costs no more than a small one.
+        lines = [f"step_{i} = f_{i}()" for i in range(1000)]
+        if document == "stutter":
+            lines[500:] = ["acc.append(v)", "acc.pop()"] * 250
+        source = "\n".join(lines)
+        verdict = detect(source, config=DegenerationConfig(block_size=10**8))
+        assert verdict.kind is kind
+        assert verdict == detect(source, config=DegenerationConfig(block_size=3))
 
 
 class TestMonotonicity:
