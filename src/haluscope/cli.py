@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import degeneration, gateway, pipeline, taxonomy
-from .corpus import completion_to_dict, integer, load_dataset, read_json_object
-from .corpus import refuse_shared_names, safe_name, with_limit_overrides
+from .corpus import MIN_MEMORY_BYTES, MIN_WALL_TIME_MS, completion_to_dict, integer, load_dataset
+from .corpus import read_json_object, refuse_shared_names, safe_name, with_limit_overrides
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
 
@@ -28,11 +28,15 @@ _EXIT_DATA = 2
 _EXIT_FAULT = 3
 
 
-def _positive_int(value) -> int:
-    number = integer(value)
-    if number < 1:
-        raise ValueError(f"must be at least 1, got {number}")
-    return number
+def _at_least(minimum: int) -> Callable[[Any], int]:
+    """A parser of integers that refuses one below `minimum`."""
+
+    def parse(value) -> int:
+        number = integer(value)
+        if number < minimum:
+            raise ValueError(f"must be at least {minimum}, got {number}")
+        return number
+    return parse
 
 
 def _indicator(value) -> str:
@@ -80,20 +84,22 @@ class _Setting:
 
 RUN_SETTINGS = (
     _Setting("--out-dir", "out_dir", "out_dir", str, "Artifact directory."),
-    _Setting("--jobs", "jobs", "jobs", _positive_int, "Parallel sandbox workers."),
+    _Setting("--jobs", "jobs", "jobs", _at_least(1), "Parallel sandbox workers."),
     _Setting("--interpreter", "interpreter", "interpreter", _command,
              "Interpreter command, e.g. 'python3 -u'."),
-    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", integer),
-    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", integer),
-    _Setting("--threshold-k", "threshold_k", "threshold_k", _positive_int,
+    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", _at_least(MIN_WALL_TIME_MS),
+             f"Wall-time limit of every execution, in milliseconds (at least {MIN_WALL_TIME_MS})."),
+    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", _at_least(MIN_MEMORY_BYTES),
+             f"Memory limit of every execution, in bytes (at least {MIN_MEMORY_BYTES})."),
+    _Setting("--threshold-k", "threshold_k", "threshold_k", _at_least(1),
              "Benchmark inclusion threshold."),
     _Setting("--classification-table", "classification_table", "table", taxonomy.load_table),
     _Setting("--indicator", "indicator", "indicator_mode", _indicator,
              f"One of {', '.join(INDICATOR_MODES)}."),
     _Setting("--run-id", "run_id", "run_id", str),
     _Setting("--artifact-dir", "artifact_dir", "artifact_root", str,
-             "Store each execution's prog.py, stdin.txt, outcome.json, stdout.txt (the compared "
-             "output: empty unless pass or wrong output) and stderr.txt (the parsed traceback)."),
+             "Store each execution's prog.py, stdin.txt, outcome.json (its status, exception, "
+             "wall time and peak memory), and all the program wrote to stdout.txt and stderr.txt."),
     _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", integer),
     _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", integer),
     _Setting("--degeneration.enum-count", "degeneration.enum_count", "enum_count", integer),

@@ -31,6 +31,7 @@ import re
 import select
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -89,10 +90,8 @@ class Status(str, Enum):
 @dataclass(frozen=True)
 class ExecutionOutcome:
     status: Status
-    actual_output: str = ""
     exception_name: str = ""
     exception_message: str = ""
-    traceback: str = ""
     wall_time_ms: int = 0
     peak_memory_bytes: int | None = None
 
@@ -135,19 +134,17 @@ def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | No
     if raw.returncode == 0 and not raw.timed_out:
         return None
     compiling = raw.stage == "compile"
-    exc_name, exc_message, traceback_text = _parse_last_exception(stderr, bare=compiling)
+    exc_name, exc_message = _parse_last_exception(stderr, bare=compiling)
     if compiling and exc_name in _SYNTAX_EXCEPTIONS:
         return ExecutionOutcome(
             status=Status.SYNTAX_FAILURE,
             exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
-            traceback=traceback_text,
         )
 
     if exc_name == "MemoryError":
         return ExecutionOutcome(
             status=Status.MEMORY_LIMIT_EXCEEDED,
             exception_message="interpreter allocator raised MemoryError",
-            traceback=traceback_text,
         )
     if (
         raw.returncode < 0
@@ -162,7 +159,6 @@ def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | No
                 f"killed by signal {-raw.returncode} with peak memory "
                 f"{raw.peak_memory_bytes} of {raw.memory_limit_bytes} bytes"
             ),
-            traceback=traceback_text,
         )
     if raw.timed_out or raw.returncode == -int(signal.SIGXCPU):
         return ExecutionOutcome(
@@ -180,22 +176,20 @@ def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | No
             status=Status.RUNTIME_FAILURE,
             exception_name=exc_name,
             exception_message=exc_message,
-            traceback=traceback_text,
         )
     return ExecutionOutcome(
         status=Status.RUNTIME_FAILURE,
         exception_name="UnknownError",
         exception_message=f"exit code {raw.returncode} with unparseable stderr",
-        traceback=stderr[-4000:],
     )
 
 
-def _parse_last_exception(stderr: str, bare: bool = False) -> tuple[str, str, str]:
-    """Extract (name, message, traceback_text) of the final exception in
-    the last traceback block. Chained blocks ("During handling..." /
-    "direct cause") resolve to the last exception line. Returns empty
-    strings when no traceback evidence exists; with `bare`, the last
-    non-blank line alone is such evidence."""
+def _parse_last_exception(stderr: str, bare: bool = False) -> tuple[str, str]:
+    """The (name, message) of the final exception in the last traceback
+    block; a dotted name gives its last part. Chained blocks ("During
+    handling..." / "direct cause") resolve to the last exception line.
+    Returns empty strings when no traceback evidence exists; with `bare`,
+    the last non-blank line alone is such evidence."""
     lines = stderr.split("\n")
     anchor = -1
     for idx, line in enumerate(lines):
@@ -204,28 +198,18 @@ def _parse_last_exception(stderr: str, bare: bool = False) -> tuple[str, str, st
     if anchor < 0 and bare:
         anchor = stderr.rstrip().count("\n")
     if anchor < 0:
-        return "", "", ""
-    name, message, line_idx = "", "", -1
-    for idx in range(anchor, len(lines)):
-        match = _EXC_LINE.match(lines[idx])
+        return "", ""
+    name, message = "", ""
+    for line in lines[anchor:]:
+        match = _EXC_LINE.match(line)
         if not match:
             continue
         candidate = match.group(1)
         leaf = candidate.rsplit(".", 1)[-1]
         if "." not in candidate and not leaf[0].isupper():
             continue
-        name, message, line_idx = leaf, match.group(2) or "", idx
-    if not name:
-        return "", "", ""
-    # Traceback text: from the first header of the block containing the
-    # winning line back to that line, bounded for storage.
-    start = anchor
-    for idx in range(line_idx, -1, -1):
-        if lines[idx].startswith(_TRACEBACK_HEADER):
-            start = idx
-            break
-    text = "\n".join(lines[start : line_idx + 1])
-    return name, message, text[-4000:]
+        name, message = leaf, match.group(2) or ""
+    return name, message
 
 
 def _rlimits(limits: ResourceLimits) -> dict[str, tuple[int, int]]:
@@ -267,15 +251,17 @@ def execute(
     never produced by program behavior. Status decision order:
     SandboxError > SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded
     > RuntimeFailure > WrongOutput > Pass. With `artifact_dir`, it holds
-    prog.py, stdin.txt, outcome.json, stdout.txt (the compared output:
-    empty for any status but pass or wrong output) and stderr.txt (the
-    parsed traceback, not the raw streams). Inside a batch the batch's
-    interpreter runs the program, and `interpreter` is not read."""
+    prog.py, stdin.txt, outcome.json (the outcome's fields), stdout.txt and
+    stderr.txt (what the program wrote to each, up to OUTPUT_LIMIT_BYTES,
+    as UTF-8 with invalid bytes replaced). The outcome holds no program
+    output. Inside a batch the batch's interpreter runs the program, and
+    `interpreter` is not read."""
     if _SERVERS.get() is None:  # outside a batch: a batch of one
         request = ExecutionRequest(source_code, test, limits, artifact_dir)
         return execute_batch([request], interpreter=interpreter)[0]
+    stdout_text = stderr_text = ""
     try:
-        outcome = _execute_in_tempdir(source_code, test, limits)
+        outcome, stdout_text, stderr_text = _execute_in_tempdir(source_code, test, limits)
     except Exception as exc:  # harness fault, not program behavior
         logger.exception("sandbox fault while executing candidate")
         outcome = ExecutionOutcome(
@@ -284,7 +270,9 @@ def execute(
         )
     if artifact_dir is not None:
         try:
-            _write_artifacts(Path(artifact_dir), source_code, test, outcome)
+            _write_artifacts(
+                Path(artifact_dir), source_code, test, outcome, stdout_text, stderr_text
+            )
         except OSError:
             logger.warning("failed to write execution artifacts to %s", artifact_dir)
     return outcome
@@ -292,7 +280,8 @@ def execute(
 
 def _execute_in_tempdir(
     source_code: str, test: TestCase, limits: ResourceLimits
-) -> ExecutionOutcome:
+) -> tuple[ExecutionOutcome, str, str]:
+    """The outcome of one execution, and the program's stdout and stderr."""
     with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
         workdir = Path(tmp)
         _lay_out(workdir, source_code, test)
@@ -300,27 +289,27 @@ def _execute_in_tempdir(
         started = time.monotonic()
         raw = server.run(workdir, limits)
         elapsed_ms = int((time.monotonic() - started) * 1000)
-        if raw is None:
-            return ExecutionOutcome(
-                status=Status.RUNTIME_FAILURE,
-                exception_name="UnknownError",
-                exception_message="the fork server was killed while the program ran",
-                wall_time_ms=elapsed_ms,
-            )
         stdout_text = _read_capped(workdir / "stdout.txt")
         stderr_text = _read_capped(workdir / "stderr.txt")
-    termination = classify_termination(raw, stderr_text)
-    if termination is not None:
-        return dataclasses.replace(
+    if raw is None:
+        outcome = ExecutionOutcome(
+            status=Status.RUNTIME_FAILURE,
+            exception_name="UnknownError",
+            exception_message="the fork server was killed while the program ran",
+            wall_time_ms=elapsed_ms,
+        )
+    elif (termination := classify_termination(raw, stderr_text)) is not None:
+        outcome = dataclasses.replace(
             termination, wall_time_ms=elapsed_ms, peak_memory_bytes=raw.peak_memory_bytes
         )
-    passed = compare_output(stdout_text, test.expected_output)
-    return ExecutionOutcome(
-        status=Status.PASS if passed else Status.WRONG_OUTPUT,
-        actual_output=stdout_text,
-        wall_time_ms=elapsed_ms,
-        peak_memory_bytes=raw.peak_memory_bytes,
-    )
+    else:
+        passed = compare_output(stdout_text, test.expected_output)
+        outcome = ExecutionOutcome(
+            status=Status.PASS if passed else Status.WRONG_OUTPUT,
+            wall_time_ms=elapsed_ms,
+            peak_memory_bytes=raw.peak_memory_bytes,
+        )
+    return outcome, stdout_text, stderr_text
 
 
 def _lay_out(directory: Path, source_code: str, test: TestCase) -> None:
@@ -502,38 +491,32 @@ def _kill_group(pid: int) -> None:
 
 
 def _read_capped(path: Path, cap: int = OUTPUT_LIMIT_BYTES) -> str:
-    """A capture file's text; empty when the program removed it or made it
-    unreadable."""
+    """A capture file's text; empty when the program removed it, made it
+    unreadable or put anything but a regular file in its place (opening a
+    FIFO without O_NONBLOCK would wait for a writer)."""
     try:
-        with path.open("rb") as fh:
-            data = fh.read(cap)
+        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+            data = fh.read(cap) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else b""
     except OSError:
         return ""
     return data.decode("utf-8", errors="replace")
 
 
 def _write_artifacts(
-    directory: Path, source_code: str, test: TestCase, outcome: ExecutionOutcome
+    directory: Path, source_code: str, test: TestCase, outcome: ExecutionOutcome,
+    stdout_text: str, stderr_text: str,
 ) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     _lay_out(directory, source_code, test)
-    (directory / "stdout.txt").write_text(outcome.actual_output, encoding="utf-8")
-    (directory / "stderr.txt").write_text(outcome.traceback, encoding="utf-8")
+    (directory / "stdout.txt").write_text(stdout_text, encoding="utf-8")
+    (directory / "stderr.txt").write_text(stderr_text, encoding="utf-8")
     (directory / "outcome.json").write_text(
         json.dumps(outcome_to_dict(outcome), sort_keys=True, indent=2), encoding="utf-8"
     )
 
 
 def outcome_to_dict(outcome: ExecutionOutcome) -> dict:
-    return {
-        "status": outcome.status.value,
-        "actual_output": outcome.actual_output,
-        "exception_name": outcome.exception_name,
-        "exception_message": outcome.exception_message,
-        "traceback": outcome.traceback,
-        "wall_time_ms": outcome.wall_time_ms,
-        "peak_memory_bytes": outcome.peak_memory_bytes,
-    }
+    return {**dataclasses.asdict(outcome), "status": outcome.status.value}
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ def test_criterion_5_aggregator_oracle_equivalence():
             previous = included
 
 
-def test_criterion_6_sandbox_limit_enforcement():
+def test_criterion_6_sandbox_limit_enforcement(tmp_path):
     """Busy loop stops inside the slack window, the allocation bomb hits the
     memory cap, and sockets cannot reach the network; all under 30s."""
     with criterion(6, "wall, memory, and network limits enforced"):
@@ -339,9 +339,9 @@ def test_criterion_6_sandbox_limit_enforcement():
             "print('CONNECTED')\n"
         )
         limits = ResourceLimits(wall_time_ms=8000, memory_bytes=256 * 2**20)
-        outcome = sandbox.execute(source, TestCase("", "CONNECTED"), limits)
+        outcome = sandbox.execute(source, TestCase("", "CONNECTED"), limits, artifact_dir=tmp_path)
         assert outcome.status is not sandbox.Status.PASS
-        assert "CONNECTED" not in outcome.actual_output
+        assert "CONNECTED" not in (tmp_path / "stdout.txt").read_text()
 
         assert time.monotonic() - started < 30.0
 

@@ -638,13 +638,15 @@ class TestSettingPrecedence:
          {"memory_bytes": 2.0**28}, {"degeneration": {"repeat_count": 7.9}},
          {"degeneration": {"window_frac": True}}, {"degeneration": {"parse_valid_frac": False}},
          {"completions": 5}, {"dataset": ["tasks.jsonl"]}, {"interpreter": [1, 2]},
-         {"interpreter": []}, {"interpreter": ""}],
+         {"interpreter": []}, {"interpreter": ""}, {"wall_time_ms": 50},
+         {"memory_bytes": 1024}],
         ids=["jobs", "threshold_k", "wall_time_ms", "interpreter", "indicator",
              "window_frac", "degeneration-section", "threshold_k-zero", "jobs-zero",
              "jobs-float", "threshold_k-bool", "wall_time_ms-float", "memory_bytes-float",
              "repeat_count-float", "window_frac-bool", "parse_valid_frac-bool",
              "completions-number", "dataset-list", "interpreter-non-string-word",
-             "interpreter-empty-list", "interpreter-empty-string"],
+             "interpreter-empty-list", "interpreter-empty-string",
+             "wall_time_ms-below-minimum", "memory_bytes-below-minimum"],
     )
     def test_mistyped_config_value_is_config_error(self, entry, mini_corpus, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -713,6 +715,18 @@ class TestSettingPrecedence:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigError"
         assert "must be at least 1" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--limits.wall-ms", "50"], ["--limits.mem-bytes", "5"]],
+                             ids=["wall-ms", "mem-bytes"])
+    def test_limit_flag_below_minimum_is_config_error(self, args, tmp_path, capsys):
+        # Refused also by a stage that runs no program.
+        code = _run([*args, "--out-dir", tmp_path / "out", "identify",
+                     "--states", EXPECTED / "states.jsonl"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert "must be at least" in error["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -66,10 +66,12 @@ class TestCompareOutput:
 
 
 class TestExecute:
-    def test_pass(self):
-        outcome = execute("print(int(input())*2)", TestCase("3", "6"), LIMITS)
+    def test_pass(self, tmp_path):
+        outcome = execute(
+            "print(int(input())*2)", TestCase("3", "6"), LIMITS, artifact_dir=tmp_path
+        )
         assert outcome.status is Status.PASS
-        assert outcome.actual_output == "6\n"
+        assert (tmp_path / "stdout.txt").read_text() == "6\n"
 
     def test_undefined_name_is_runtime_failure(self):
         outcome = execute("for i in range(N):\n    print(i)\n", TestCase("", ""), LIMITS)
@@ -93,20 +95,20 @@ class TestExecute:
         assert "SyntaxError" in outcome.exception_message
         assert outcome.exception_name == ""  # reserved for runtime failures
 
-    def test_wrong_output(self):
-        outcome = execute("print(5)", TestCase("", "6"), LIMITS)
+    def test_wrong_output(self, tmp_path):
+        outcome = execute("print(5)", TestCase("", "6"), LIMITS, artifact_dir=tmp_path)
         assert outcome.status is Status.WRONG_OUTPUT
-        assert outcome.actual_output == "5\n"
+        assert (tmp_path / "stdout.txt").read_text() == "5\n"
 
-    def test_socket_connect_blocked(self):
+    def test_socket_connect_blocked(self, tmp_path):
         source = (
             "import socket\n"
             "socket.create_connection(('93.184.216.34', 80), 3)\n"
             "print('CONNECTED')\n"
         )
-        outcome = execute(source, TestCase("", "CONNECTED"), LIMITS)
+        outcome = execute(source, TestCase("", "CONNECTED"), LIMITS, artifact_dir=tmp_path)
         assert outcome.status is not Status.PASS
-        assert "CONNECTED" not in outcome.actual_output
+        assert "CONNECTED" not in (tmp_path / "stdout.txt").read_text()
 
     def test_interpreter_started_by_the_program_is_guarded(self):
         connect = (
@@ -151,15 +153,17 @@ class TestExecute:
         assert outcome.status is Status.RUNTIME_FAILURE
         assert outcome.exception_name == "UnknownError"
 
-    def test_fresh_working_directory(self):
+    def test_fresh_working_directory(self, tmp_path):
         source = (
             "import os\n"
             "open('scratch.txt', 'w').write('x')\n"
             "print(sorted(os.listdir('.')))\n"
         )
-        first = execute(source, TestCase("", ""), LIMITS)
-        second = execute(source, TestCase("", ""), LIMITS)
-        assert first.actual_output == second.actual_output  # no leakage across runs
+        for run in ("first", "second"):
+            execute(source, TestCase("", ""), LIMITS, artifact_dir=tmp_path / run)
+        # no leakage across runs
+        assert (tmp_path / "first" / "stdout.txt").read_text() == (
+            tmp_path / "second" / "stdout.txt").read_text()
 
     def test_thread_dying_of_memory_error_does_not_fail_a_clean_exit(self):
         outcome = execute(PARITY_PROGRAMS["thread-exception"], TestCase("", "main"), LIMITS)
@@ -174,6 +178,59 @@ class TestExecute:
         stored = json.loads((tmp_path / "a" / "outcome.json").read_text())
         assert stored["status"] == "pass"
         assert (tmp_path / "a" / "stdin.txt").read_text() == "1"
+
+    def test_artifact_directory_holds_the_streams(self, tmp_path):
+        source = "print('partial')\nraise ValueError('bad')\n"
+        outcome = execute(source, TestCase("", "partial"), LIMITS, artifact_dir=tmp_path)
+        assert outcome.status is Status.RUNTIME_FAILURE
+        assert (tmp_path / "stdout.txt").read_text() == "partial\n"
+        stderr = (tmp_path / "stderr.txt").read_text()
+        assert stderr.startswith("Traceback (most recent call last):\n")
+        assert stderr.endswith("ValueError: bad\n")
+        assert set(json.loads((tmp_path / "outcome.json").read_text())) == {
+            "status", "exception_name", "exception_message", "wall_time_ms", "peak_memory_bytes"
+        }
+
+    def test_capture_file_replaced_by_a_fifo(self):
+        # Opening a FIFO for reading waits for a writer; the harness must not.
+        harness = (
+            "import json\n"
+            "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.sandbox import ExecutionRequest, execute_batch\n"
+            "limits = ResourceLimits(wall_time_ms=2000, memory_bytes=256 * 2**20)\n"
+            "fifo = 'import os\\nos.remove({0!r})\\nos.mkfifo({0!r})\\n'\n"
+            "sources = [fifo.format('stdout.txt'),"
+            " fifo.format('stderr.txt') + 'raise ValueError\\n']\n"
+            "requests = [ExecutionRequest(s, TestCase('', ''), limits) for s in sources]\n"
+            "outcomes = execute_batch(requests)\n"
+            "print(json.dumps([[o.status.value, o.exception_name] for o in outcomes]))\n"
+        )
+        proc = _run_harness(harness)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            ["pass", ""], ["runtime_failure", "UnknownError"]
+        ]
+
+    def test_memory_does_not_grow_with_the_executions(self):
+        # Each program prints 40 MiB; a harness keeping what they print
+        # would peak 40 MiB higher per execution.
+        harness = (
+            "import json, resource\n"
+            "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.sandbox import ExecutionRequest, execute_batch\n"
+            "limits = ResourceLimits(wall_time_ms=10000, memory_bytes=256 * 2**20)\n"
+            "request = ExecutionRequest(\"print('x' * (40 * 2**20))\", TestCase('', ''), limits)\n"
+            "peaks = []\n"
+            "for count in (1, 4):\n"
+            "    outcomes = execute_batch([request] * count)\n"
+            "    assert {o.status.value for o in outcomes} == {'wrong_output'}\n"
+            "    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(json.dumps(peaks))\n"
+        )
+        proc = _run_harness(harness)
+        assert proc.returncode == 0, proc.stderr
+        one, four = json.loads(proc.stdout.splitlines()[-1])
+        assert four - one < 8 * 2**10  # ru_maxrss is in KiB
 
 
 class TestCompileStage:
@@ -349,6 +406,17 @@ def _through_python(source: str, stdin: str, interpreter) -> tuple:
         )
 
 
+def _run_harness(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a child interpreter importing this checkout's
+    haluscope, so that a harness that hangs or dies fails the test alone."""
+    src_root = str(Path(haluscope.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def _running(pid: int) -> bool:
     """Whether `pid` is a process that has not exited (neither gone nor a
     zombie)."""
@@ -399,12 +467,7 @@ class TestForkServer:
             "print(json.dumps([[o.status.value, o.exception_name, o.exception_message]"
             " for o in outcomes]))\n"
         )
-        src_root = str(Path(haluscope.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run(
-            [sys.executable, "-c", harness], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = _run_harness(harness)
         assert proc.returncode == 0, proc.stderr
         first, killer, third = json.loads(proc.stdout.splitlines()[-1])
         assert first[0] == third[0] == "pass"
@@ -437,12 +500,8 @@ class TestForkServer:
             f"execute_batch([ExecutionRequest({program!r}, TestCase('', ''), limits)] * 2,"
             f" jobs={jobs})\n"
         )
-        src_root = str(Path(haluscope.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
         try:
-            subprocess.run([sys.executable, "-c", harness], env=env, capture_output=True,
-                           timeout=60)
+            _run_harness(harness)
             started = [int(path.name) for path in pids.iterdir()]
             assert started
             assert [pid for pid in started if _running(pid)] == []
