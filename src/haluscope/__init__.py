@@ -1,7 +1,7 @@
 """haluscope: execution-based detection, classification, and measurement
 of hallucinations in model-generated code."""
 
-from .corpus import Completion, Dataset, ResourceLimits, Task, TestCase
+from .corpus import Completion, ResourceLimits, Task, TestCase
 from .degeneration import DegenerationKind, DegenerationVerdict, detect
 from .sandbox import ExecutionOutcome, Status, compare_output, execute
 from .taxonomy import (
@@ -20,7 +20,6 @@ __all__ = [
     "Classification",
     "ClassKind",
     "Completion",
-    "Dataset",
     "DegenerationKind",
     "DegenerationVerdict",
     "ExecutionOutcome",

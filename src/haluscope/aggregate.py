@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .corpus import boolean, integer, read_field, string
+from .corpus import boolean, integer, json_object, list_of, read_field, string
 from .taxonomy import (
     SUBCATEGORY_ORDER,
     Classification,
@@ -172,7 +172,8 @@ def profile_from_dict(obj: dict) -> SampleProfile:
     return SampleProfile(
         task_id=read_field(obj, "task_id", string),
         model_id=read_field(obj, "model_id", string),
-        labels=tuple(classification_from_dict(c) for c in obj.get("labels", [])),
+        labels=tuple(map(classification_from_dict,
+                         read_field(obj, "labels", list_of(json_object), []))),
         pass_count=read_field(obj, "pass_count", integer, 0),
         fault_count=read_field(obj, "fault_count", integer, 0),
         test_count=read_field(obj, "test_count", integer),

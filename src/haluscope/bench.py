@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import integer, read_field, read_jsonl, string, strings
+from .corpus import integer, list_of, read_field, read_jsonl, refuse_repeats, string
 from .errors import ConfigError
 from .taxonomy import (
     CATEGORY_ORDER,
@@ -165,7 +165,7 @@ def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
     if record_type == "summary":
         prov = obj.get("provenance", {})
         return Provenance(
-            run_ids=read_field(prov, "run_ids", strings, []),
+            run_ids=read_field(prov, "run_ids", list_of(string), []),
             threshold_k=read_field(prov, "threshold_k", integer, DEFAULT_THRESHOLD_K),
         )
     if record_type == "entry":
@@ -173,15 +173,26 @@ def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
             task_id=read_field(obj, "task_id", string),
             target_subcategory=read_field(obj, "target_subcategory", Subcategory),
             observed_frequency=read_field(obj, "observed_frequency", integer),
-            contributing_models=read_field(obj, "contributing_models", strings, []),
+            contributing_models=read_field(obj, "contributing_models", list_of(string), []),
         )
     raise ValueError(f"unknown record_type {record_type!r}")
 
 
+def _entry_key(record: Provenance | BenchmarkEntry) -> tuple[str, str] | None:
+    """An entry's (task_id, target_subcategory); the summary has none."""
+    if isinstance(record, Provenance):
+        return None
+    return record.task_id, record.target_subcategory.value
+
+
 def load_manifest(path: str | Path) -> BenchmarkManifest:
+    """Read a benchmark.jsonl file. A repeated (task_id,
+    target_subcategory) entry, which `build` never writes and which would
+    count its samples twice, raises ValidationError naming the line."""
     provenance = Provenance()
     grouped: dict[Subcategory, list[BenchmarkEntry]] = defaultdict(list)
-    for record in read_jsonl(path, _manifest_record):
+    decode = refuse_repeats(_manifest_record, _entry_key, "repeated benchmark entry")
+    for record in read_jsonl(path, decode):
         if isinstance(record, Provenance):
             provenance = record
         else:

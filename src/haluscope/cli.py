@@ -1,7 +1,9 @@
 """Command-line surface: each pipeline stage as a subcommand plus a
 single-shot `pipeline` convenience.
 
-Exit codes: 0 success, 1 usage or configuration, 2 data validation,
+Exit codes: 0 success; 1 usage or configuration, which includes an
+input file that cannot be read, whether its path came from a flag, a
+config key or a stage's default input in the out dir; 2 data validation;
 3 harness fault. Failures emit machine-readable JSON on stderr.
 """
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import shlex
 import sys
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ from typing import Any, Callable
 
 from . import degeneration, gateway, pipeline, taxonomy
 from .corpus import MIN_MEMORY_BYTES, MIN_WALL_TIME_MS, completion_to_dict, integer, load_dataset
-from .corpus import read_json_object, refuse_shared_names, safe_name, with_limit_overrides
+from .corpus import read_json_object, refuse_shared_names, safe_name
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
 
@@ -133,12 +134,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _existing(path: str) -> str:
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
-    return path
-
-
 def _parser() -> _Parser:
     parser = _Parser(
         prog="haluscope",
@@ -156,7 +151,7 @@ def _parser() -> _Parser:
         command = commands.add_parser(name, help=help_text, description=help_text,
                                       allow_abbrev=False)
         for option in inputs:
-            command.add_argument(f"--{option}", type=_existing, metavar="PATH",
+            command.add_argument(f"--{option}", metavar="PATH",
                                  help=_PROVIDER_HELP if option == "provider" else None)
     return parser
 
@@ -230,15 +225,14 @@ def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
     completions.jsonl inside the out dir. Task ids that would share a
     stored-response file are refused before anything is fetched."""
     provider, template = _load_provider(provider_path)
-    dataset = load_dataset(config.dataset_path)
-    dataset = with_limit_overrides(dataset, config.wall_time_ms, config.memory_bytes)
-    refuse_shared_names((task.task_id, safe_name(task.task_id)) for task in dataset.tasks)
+    tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
+    refuse_shared_names((task_id, safe_name(task_id)) for task_id in tasks)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "completions.jsonl"
 
     def fetched():
-        for task in dataset.tasks:
+        for task in tasks.values():
             prompt = gateway.render_instruction(task.question, task.limits, template)
             yield completion_to_dict(gateway.fetch_completion(task, provider, prompt))
 

@@ -1,4 +1,5 @@
-"""Canonical data model: tasks, test cases, completions, datasets.
+"""Canonical data model: tasks, test cases and completions, and the
+strict readers of the JSON and JSON-lines files that hold them.
 
 All values are read-only after construction and safe to share across
 workers. The interchange format is JSON-lines with explicit field names.
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, TypeVar
 
-from .errors import HaluscopeError, IngestionError, ValidationError
+from .errors import ConfigError, HaluscopeError, IngestionError, ValidationError
 
 T = TypeVar("T")
 
@@ -79,22 +80,6 @@ class Completion:
     truncated_at_limit: bool = False
 
 
-@dataclass(frozen=True)
-class Dataset:
-    dataset_id: str
-    tasks: tuple[Task, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for task in self.tasks:
-            if task.task_id in seen:
-                raise ValidationError(f"duplicate task_id {task.task_id!r}")
-            seen.add(task.task_id)
-
-    def task_map(self) -> dict[str, Task]:
-        return {t.task_id: t for t in self.tasks}
-
-
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
@@ -146,11 +131,22 @@ def string(value) -> str:
     return value
 
 
-def strings(value) -> tuple[str, ...]:
-    """A JSON list of strings; tuple() would split a string into letters."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of strings, got {value!r}")
-    return tuple(string(item) for item in value)
+def json_object(value) -> dict:
+    """A JSON object; `or {}` would read "", false and [] as an empty one."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def list_of(read: Callable[[Any], T]) -> Callable[[Any], tuple[T, ...]]:
+    """A reader of a JSON list whose items `read` reads; tuple() would
+    split a string into letters."""
+
+    def read_list(value) -> tuple[T, ...]:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(map(read, value))
+    return read_list
 
 
 _REQUIRED = object()
@@ -183,41 +179,62 @@ def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:
     return obj
 
 
+def refuse_repeats(
+    decode: Callable[[dict], T], key: Callable[[T], Hashable], what: str
+) -> Callable[[dict], T]:
+    """`decode`, raising ValidationError("<what> <key>") for a value whose
+    key an earlier value had; a None key is never a repeat. `read_jsonl`
+    prefixes the error with the path and line."""
+    seen: set[Hashable] = set()
+
+    def decode_once(obj: dict) -> T:
+        value = decode(obj)
+        found = key(value)
+        if found is not None and found in seen:
+            raise ValidationError(f"{what} {found!r}")
+        seen.add(found)
+        return value
+    return decode_once
+
+
 def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     """Decode every non-blank line of a JSON-lines file, in file order.
 
-    Each line must be UTF-8 and hold a JSON object. `decode` turns the
-    object into a value; a KeyError, ValueError, TypeError or
-    AttributeError it raises (a missing field, an unparseable value, a
-    wrongly typed field) becomes an IngestionError naming the path and
-    line, and a ValidationError it raises is re-raised with the same
-    location prefixed."""
-    path = Path(path)
+    A file that cannot be opened (missing, a directory, unreadable)
+    raises ConfigError naming the path. Each line must be UTF-8 and hold
+    a JSON object. `decode` turns the object into a value; a KeyError,
+    ValueError, TypeError or AttributeError it raises (a missing field, an
+    unparseable value, a wrongly typed field) becomes an IngestionError
+    naming the path and line, and a ValidationError it raises is
+    re-raised with the same location prefixed."""
+    path = str(path)
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     records = []
-    with path.open("rb") as fh:
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise IngestionError(f"not UTF-8: {exc}", path=str(path), line=lineno) from exc
+                raise IngestionError(f"not UTF-8: {exc}", path=path, line=lineno) from exc
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise IngestionError(
-                    f"malformed JSON: {exc.msg}", path=str(path), line=lineno
-                ) from exc
+                raise IngestionError(f"malformed JSON: {exc.msg}", path=path, line=lineno) from exc
             if not isinstance(obj, dict):
-                raise IngestionError("expected a JSON object", path=str(path), line=lineno)
+                raise IngestionError("expected a JSON object", path=path, line=lineno)
             try:
                 records.append(decode(obj))
             except KeyError as exc:
                 raise IngestionError(
-                    f"missing required field {exc.args[0]!r}", path=str(path), line=lineno
+                    f"missing required field {exc.args[0]!r}", path=path, line=lineno
                 ) from exc
             except (ValueError, TypeError, AttributeError) as exc:
-                raise IngestionError(str(exc), path=str(path), line=lineno) from exc
+                raise IngestionError(str(exc), path=path, line=lineno) from exc
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return records
@@ -226,34 +243,32 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
 def task_from_dict(obj: dict) -> Task:
     task_id = read_field(obj, "task_id", identifier)
     question = read_field(obj, "question", string)
-    raw_cases = obj["test_cases"]
-    if not isinstance(raw_cases, list):
-        raise TypeError("'test_cases' must be a list")
-    cases = []
-    for case in raw_cases:
-        if not isinstance(case, dict):
-            raise TypeError("test case must be an object")
-        # Missing expected_output is a schema error; the empty string is a
-        # legitimate expectation and must survive ingestion.
-        cases.append(TestCase(input=read_field(case, "input", string),
-                              expected_output=read_field(case, "expected_output", string)))
-    limits_obj = obj.get("limits") or {}
+    # Missing expected_output is a schema error; the empty string is a
+    # legitimate expectation and must survive ingestion.
+    cases = tuple(TestCase(input=read_field(case, "input", string),
+                           expected_output=read_field(case, "expected_output", string))
+                  for case in read_field(obj, "test_cases", list_of(json_object)))
+    limits_obj = read_field(obj, "limits", json_object, None) or {}
     limits = ResourceLimits(
         wall_time_ms=read_field(limits_obj, "wall_time_ms", integer, DEFAULT_WALL_TIME_MS),
         memory_bytes=read_field(limits_obj, "memory_bytes", integer, DEFAULT_MEMORY_BYTES),
     )
-    return Task(task_id=task_id, question=question, test_cases=tuple(cases), limits=limits)
+    return Task(task_id=task_id, question=question, test_cases=cases, limits=limits)
 
 
-def load_dataset(path: str | Path, dataset_id: str | None = None) -> Dataset:
-    """Load a tasks.jsonl file, preserving file order.
-
-    Raises IngestionError (naming the line) on malformed records and
-    ValidationError on invariant violations (duplicate ids, empty test
-    lists)."""
-    path = Path(path)
-    tasks = read_jsonl(path, task_from_dict)
-    return Dataset(dataset_id=dataset_id or path.stem, tasks=tuple(tasks))
+def load_dataset(
+    path: str | Path, wall_time_ms: int | None = None, memory_bytes: int | None = None
+) -> dict[str, Task]:
+    """The tasks of a tasks.jsonl file by id, in file order; a repeated id
+    is a ValidationError naming the line. The run's limits, where given,
+    replace a task's own once those have passed `ResourceLimits`."""
+    tasks = read_jsonl(path, refuse_repeats(
+        task_from_dict, lambda task: task.task_id, "duplicate task_id"))
+    overrides = {"wall_time_ms": wall_time_ms, "memory_bytes": memory_bytes}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides:
+        tasks = [replace(task, limits=replace(task.limits, **overrides)) for task in tasks]
+    return {task.task_id: task for task in tasks}
 
 
 def completion_from_dict(obj: dict) -> Completion:
@@ -291,30 +306,7 @@ def load_completions(path: str | Path) -> list[Completion]:
     completion dumps stay loadable. Repeated (task_id, model_id) pairs are
     rejected unless every repeat carries its own sample_index; a missing
     sample_index is a value of its own."""
-    seen: set[tuple[str, str, int | None]] = set()
+    return read_jsonl(path, refuse_repeats(
+        completion_from_dict, lambda c: (c.task_id, c.model_id, c.sample_index),
+        "repeated completion"))
 
-    def decode(obj: dict) -> Completion:
-        completion = completion_from_dict(obj)
-        key = (completion.task_id, completion.model_id, completion.sample_index)
-        if key in seen:
-            raise ValidationError(f"repeated completion {key}")
-        seen.add(key)
-        return completion
-
-    return read_jsonl(path, decode)
-
-
-def with_limit_overrides(
-    dataset: Dataset, wall_time_ms: int | None = None, memory_bytes: int | None = None
-) -> Dataset:
-    """Return a copy of the dataset with per-run limit overrides applied."""
-    if wall_time_ms is None and memory_bytes is None:
-        return dataset
-    tasks = []
-    for task in dataset.tasks:
-        limits = ResourceLimits(
-            wall_time_ms=wall_time_ms if wall_time_ms is not None else task.limits.wall_time_ms,
-            memory_bytes=memory_bytes if memory_bytes is not None else task.limits.memory_bytes,
-        )
-        tasks.append(replace(task, limits=limits))
-    return Dataset(dataset_id=dataset.dataset_id, tasks=tuple(tasks))

@@ -22,13 +22,14 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import aggregate, bench, degeneration, report as report_mod, sandbox, taxonomy
 from .corpus import (
     Completion,
-    Dataset,
+    Task,
     integer,
+    json_object,
     load_completions,
     load_dataset,
     read_field,
@@ -36,7 +37,6 @@ from .corpus import (
     refuse_shared_names,
     safe_name,
     string,
-    with_limit_overrides,
 )
 from .errors import IngestionError, ReportError
 from .taxonomy import ClassificationTable, ClassKind
@@ -126,7 +126,8 @@ def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
         model_id=read_field(row, "model_id", string),
         test_index=read_field(row, "test_index", integer, None),
         test_count=read_field(row, "test_count", integer),
-        classification=taxonomy.classification_from_dict(row["classification"]),
+        classification=taxonomy.classification_from_dict(
+            read_field(row, "classification", json_object)),
     )
 
 
@@ -152,7 +153,7 @@ def _artifact_dir(root: str | None, completion: Completion, index: int) -> str |
 
 
 def classify_corpus(
-    dataset: Dataset,
+    tasks: Mapping[str, Task],
     completions: Sequence[Completion],
     table: ClassificationTable = taxonomy.DEFAULT_TABLE,
     degeneration_config: degeneration.DegenerationConfig = degeneration.DEFAULT_CONFIG,
@@ -160,7 +161,8 @@ def classify_corpus(
     jobs: int = 1,
     artifact_root: str | None = None,
 ) -> list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]]:
-    """Run the full detection flow for every completion: degeneration gate,
+    """Run the full detection flow for every completion of a task in
+    `tasks`, the task map `load_dataset` returns: degeneration gate,
     execution of every test case, classification. Returns (record, outcome)
     pairs; degenerate completions carry a single record with no outcome.
 
@@ -170,7 +172,6 @@ def classify_corpus(
     `artifact_root`, two (task, model, sample) keys of known tasks, gated
     or not, that would share an artifact directory raise ValidationError
     before anything runs."""
-    tasks = dataset.task_map()
     if artifact_root is not None:  # pairs sharing a directory would mix their files
         refuse_shared_names(
             (_artifact_key(c), _artifact_name(c)) for c in completions if c.task_id in tasks
@@ -228,15 +229,14 @@ def classify_corpus(
 def validate_stage(config: RunConfig) -> Path:
     """Detection pass over a corpus: writes one classified record per
     (task, model, test) to states.jsonl."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset(config.dataset_path)
-    dataset = with_limit_overrides(dataset, config.wall_time_ms, config.memory_bytes)
+    tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
     if config.completions_path is None:
         raise IngestionError("validate requires a completions file (use --completions)")
     completions = load_completions(config.completions_path)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     pairs = classify_corpus(
-        dataset,
+        tasks,
         completions,
         table=config.table,
         degeneration_config=config.degeneration_config,
@@ -263,8 +263,8 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
     """Aggregation pass: profiles.jsonl plus frequency lists at both
     granularities."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     states = load_states(states_path or out_dir / STATES_FILE)
+    out_dir.mkdir(parents=True, exist_ok=True)
     profiles = aggregate.build_profiles(states)
 
     profiles_path = out_dir / PROFILES_FILE
@@ -283,8 +283,8 @@ def load_profiles(path: str | Path) -> list[aggregate.SampleProfile]:
 
 def build_bench_stage(config: RunConfig, profiles_path: str | Path | None = None) -> Path:
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = bench.build(profiles, threshold_k=config.threshold_k, run_ids=(config.run_id,))
     benchmark_path = out_dir / BENCHMARK_FILE
     write_jsonl(benchmark_path, bench.manifest_records(manifest))
@@ -301,9 +301,9 @@ def evaluate_stage(
     render the report: evaluation.json, report.md, report.csv and
     report.json."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = bench.load_manifest(benchmark_path or out_dir / BENCHMARK_FILE)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
+    out_dir.mkdir(parents=True, exist_ok=True)
     grouped = aggregate.profiles_by_model(profiles)
     if not grouped:
         raise ReportError("no profiles to evaluate")
@@ -339,8 +339,8 @@ def report_stage(config: RunConfig, profiles_path: str | Path | None = None) -> 
     """Co-occurrence pass: cooccurrence.json, one subcategory matrix and
     cross-task rate per model."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
+    out_dir.mkdir(parents=True, exist_ok=True)
     grouped = aggregate.profiles_by_model(profiles)
 
     payload = {}

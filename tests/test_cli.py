@@ -348,6 +348,35 @@ class TestExitCodes:
         assert error["message"] == "model model-good has two profiles for task 'mini-wc'"
         assert not (out / REPORT_CSV_FILE).exists()
 
+    def test_evaluate_refuses_a_repeated_benchmark_entry(self, tmp_path, capsys):
+        # Kept, the copy would double identity's sample count without a word.
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (EXPECTED / BENCHMARK_FILE).read_text().splitlines()
+        entry = next(line for line in lines if json.loads(line)["record_type"] == "entry")
+        _write_lines(out / BENCHMARK_FILE, [*lines, entry])
+        (out / PROFILES_FILE).write_bytes((EXPECTED / PROFILES_FILE).read_bytes())
+        assert _run(["--out-dir", out, "evaluate"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"].startswith(
+            f"{out / BENCHMARK_FILE}:{len(lines) + 1}: repeated benchmark entry ")
+        assert not (out / REPORT_CSV_FILE).exists()
+
+    @pytest.mark.parametrize("limit", ["wall_time_ms", "memory_bytes"])
+    def test_file_limit_below_minimum_is_two_under_override(
+        self, limit, mini_corpus, tmp_path, capsys
+    ):
+        # The overrides replace a task's limits only after they are checked.
+        tasks = tmp_path / "tasks.jsonl"
+        _write_lines(tasks, [json.dumps({**_TASK, "limits": {limit: 50}})])
+        assert _run(["--limits.wall-ms", "1000", "--limits.mem-bytes", str(64 * 2**20),
+                     "--out-dir", tmp_path / "out", "validate", "--dataset", tasks,
+                     "--completions", mini_corpus["completions"]]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"].startswith(f"{tasks}:1: {limit} must be >= ")
+
     @pytest.mark.parametrize(
         "command, filename, bad_record, field",
         [
@@ -362,6 +391,8 @@ class TestExitCodes:
                  "subcategory": "identity"}}), None),
             ("identify", STATES_FILE,
              json.dumps({**_STATE_ROW, "classification": {**_LABELED, "cause": 5}}), "cause"),
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "classification": "x"}),
+             "classification"),
             ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "task_id": 5}), "task_id"),
             ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "model_id": None}), "model_id"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "degenerate": "false"}),
@@ -370,6 +401,8 @@ class TestExitCodes:
              "pass_count"),
             ("build-bench", PROFILES_FILE,
              json.dumps({**_PROFILE_ROW, "labels": [{**_LABELED, "cause": 5}]}), "cause"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "labels": "ab"}), "labels"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "labels": ["a"]}), "labels"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "task_id": 5}), "task_id"),
             ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "model_id": ["m"]}),
              "model_id"),
@@ -405,6 +438,12 @@ class TestExitCodes:
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": 1500.9}}),
              "wall_time_ms"),
+            ("validate", "tasks.jsonl", json.dumps({**_TASK, "task_id": "u", "limits": "fast"}),
+             "limits"),
+            ("validate", "tasks.jsonl", json.dumps({**_TASK, "task_id": "u", "test_cases": "x"}),
+             "test_cases"),
+            ("validate", "tasks.jsonl", json.dumps({**_TASK, "task_id": "u", "test_cases": [5]}),
+             "test_cases"),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u",
                          "test_cases": [{"input": "", "expected_output": None}]}),
@@ -422,12 +461,14 @@ class TestExitCodes:
         ],
         ids=["states-missing-field", "states-not-an-object", "states-float-test-count",
              "states-float-test-index", "states-category-mismatch", "states-int-cause",
-             "states-int-task-id", "states-null-model-id", "profiles-string-degenerate",
-             "profiles-float-count", "profiles-int-cause", "profiles-int-task-id",
+             "states-string-classification", "states-int-task-id", "states-null-model-id",
+             "profiles-string-degenerate", "profiles-float-count", "profiles-int-cause",
+             "profiles-string-labels", "profiles-string-label", "profiles-int-task-id",
              "profiles-list-model-id", "manifest-bad-subcategory",
              "manifest-float-frequency", "manifest-bool-threshold", "manifest-string-models",
              "manifest-int-model", "manifest-int-task-id", "manifest-string-run-ids",
              "tasks-null-task-id", "tasks-bad-limit", "tasks-float-limit",
+             "tasks-string-limits", "tasks-string-test-cases", "tasks-int-test-case",
              "tasks-null-expected-output", "tasks-null-input", "completions-null-raw-response",
              "completions-null-model-id", "completions-bool-model-id"],
     )
@@ -865,6 +906,39 @@ class TestParser:
         assert _run(["--out-dir", tmp_path / "out", "identify",
                      "--states", tmp_path / "absent.jsonl"]) == 1
         assert "absent.jsonl" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize(
+        "route",
+        ["flag", "directory", "provider", "config-dataset", "config-completions", "identify",
+         "build-bench", "evaluate", "report"],
+    )
+    def test_missing_input_is_one_on_every_route(self, route, mini_corpus, tmp_path, capsys):
+        # A path from a config key or a stage's default input in the out
+        # dir is read as one from a flag is; so is a directory.
+        out, absent = tmp_path / "out", tmp_path / "absent.jsonl"
+        if route == "directory":
+            absent.mkdir()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "config-dataset": {"dataset": str(absent),
+                               "completions": str(mini_corpus["completions"])},
+            "config-completions": {"dataset": str(mini_corpus["tasks"]),
+                                   "completions": str(absent)},
+        }.get(route, {})))
+        flag = ["validate", "--dataset", absent, "--completions", mini_corpus["completions"]]
+        args = {
+            "flag": flag,
+            "directory": flag,
+            "provider": ["validate", "--dataset", mini_corpus["tasks"], "--provider", absent],
+            "config-dataset": ["validate"],
+            "config-completions": ["validate"],
+        }.get(route, [route])
+        assert _run(["--config", config, "--out-dir", out, *args]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        missing = out if route in ("identify", "build-bench", "evaluate", "report") else absent
+        assert error["message"].startswith(f"cannot read {missing}")
+        assert not out.exists()
 
     def test_import_loads_only_stdlib_modules(self):
         # Compared with a bare interpreter, since site hooks may preload

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haluscope.corpus import (
-    Dataset,
     ResourceLimits,
     Task,
     TestCase,
     load_completions,
     load_dataset,
-    with_limit_overrides,
 )
 from haluscope.errors import IngestionError, ValidationError
 
@@ -24,8 +22,8 @@ def _write_jsonl(path, records):
             fh.write(json.dumps(record) + "\n")
 
 
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write `dataset` as the tasks.jsonl `load_dataset` reads."""
+def save_dataset(tasks, path) -> None:
+    """Write `tasks`, in order, as the tasks.jsonl `load_dataset` reads."""
     _write_jsonl(path, [
         {
             "task_id": task.task_id,
@@ -38,7 +36,7 @@ def save_dataset(dataset: Dataset, path) -> None:
                 "memory_bytes": task.limits.memory_bytes,
             },
         }
-        for task in dataset.tasks
+        for task in tasks
     ])
 
 
@@ -58,14 +56,14 @@ class TestDatasetLoading:
     def test_two_tasks_preserve_order(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
         _write_jsonl(path, [_task_record("a"), _task_record("b")])
-        dataset = load_dataset(path)
-        assert [t.task_id for t in dataset.tasks] == ["a", "b"]
-        assert dataset.dataset_id == "tasks"
+        tasks = load_dataset(path)
+        assert list(tasks) == ["a", "b"]
+        assert [t.task_id for t in tasks.values()] == ["a", "b"]
 
     def test_default_limits_applied(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
         _write_jsonl(path, [_task_record()])
-        task = load_dataset(path).tasks[0]
+        task = load_dataset(path)["t1"]
         assert task.limits == ResourceLimits()
 
     def test_empty_test_cases_names_task(self, tmp_path):
@@ -88,8 +86,27 @@ class TestDatasetLoading:
     def test_duplicate_task_id_rejected(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
         _write_jsonl(path, [_task_record("same"), _task_record("same")])
-        with pytest.raises(ValidationError, match="same"):
+        with pytest.raises(ValidationError, match="same") as exc_info:
             load_dataset(path)
+        assert str(exc_info.value).startswith(f"{path}:2: ")
+
+    @pytest.mark.parametrize("limits", ["", False, [], "fast", [1], 5],
+                             ids=["empty-string", "false", "empty-list", "string", "list",
+                                  "number"])
+    def test_limits_not_an_object_names_field(self, limits, tmp_path):
+        # `or {}` read the first three as the defaults; .get() failed on the
+        # rest without naming the field.
+        path = tmp_path / "tasks.jsonl"
+        _write_jsonl(path, [_task_record("a"), _task_record("b", limits=limits)])
+        with pytest.raises(IngestionError) as exc_info:
+            load_dataset(path)
+        assert str(exc_info.value).startswith(f"{path}:2: limits: expected a JSON object")
+
+    @pytest.mark.parametrize("limits", [None, {}], ids=["null", "empty"])
+    def test_null_or_empty_limits_are_the_defaults(self, limits, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        _write_jsonl(path, [_task_record(limits=limits)])
+        assert load_dataset(path)["t1"].limits == ResourceLimits()
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
@@ -108,7 +125,7 @@ class TestDatasetLoading:
     def test_empty_expected_output_survives(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
         _write_jsonl(path, [_task_record(cases=[{"input": "x", "expected_output": ""}])])
-        task = load_dataset(path).tasks[0]
+        task = load_dataset(path)["t1"]
         assert task.test_cases[0].expected_output == ""
 
     def test_apps_style_record_keeps_pair_count(self, tmp_path):
@@ -128,7 +145,7 @@ class TestDatasetLoading:
         )
         path = tmp_path / "tasks.jsonl"
         _write_jsonl(path, [converted])
-        task = load_dataset(path).tasks[0]
+        task = load_dataset(path)["apps-1"]
         assert len(task.test_cases) == expected_count == 4
 
     def test_identical_bytes_identical_dataset(self, tmp_path):
@@ -150,11 +167,10 @@ class TestRoundTrip:
                 _task_record("b", cases=[{"input": "", "expected_output": "ok"}]),
             ],
         )
-        dataset = load_dataset(path)
+        tasks = load_dataset(path)
         out = tmp_path / "tasks2.jsonl"
-        save_dataset(dataset, out)
-        reloaded = load_dataset(out, dataset_id=dataset.dataset_id)
-        assert reloaded == dataset
+        save_dataset(tasks.values(), out)
+        assert list(load_dataset(out).items()) == list(tasks.items())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -177,20 +193,13 @@ class TestRoundTrip:
         )
     )
     def test_round_trip_property(self, tmp_path_factory, tasks):
-        dataset = Dataset(
-            dataset_id="gen",
-            tasks=tuple(
-                Task(
-                    task_id=task_id,
-                    question="q",
-                    test_cases=tuple(TestCase(i, o) for i, o in cases),
-                )
-                for task_id, cases in tasks
-            ),
-        )
+        saved = [
+            Task(task_id=task_id, question="q", test_cases=tuple(TestCase(i, o) for i, o in cases))
+            for task_id, cases in tasks
+        ]
         path = tmp_path_factory.mktemp("rt") / "tasks.jsonl"
-        save_dataset(dataset, path)
-        assert load_dataset(path, dataset_id="gen") == dataset
+        save_dataset(saved, path)
+        assert list(load_dataset(path).values()) == saved
 
 
 class TestCompletions:
@@ -284,7 +293,7 @@ class TestCompletions:
         _write_jsonl(tasks, [{"task_id": 7, "question": "q",
                               "test_cases": [{"input": "", "expected_output": ""}]}])
         _write_jsonl(completions, [{"task_id": 7, "model_id": 3, "raw_response": "x"}])
-        assert load_dataset(tasks).tasks[0].task_id == "7"
+        assert [task.task_id for task in load_dataset(tasks).values()] == ["7"]
         completion = load_completions(completions)[0]
         assert (completion.task_id, completion.model_id) == ("7", "3")
 
@@ -314,10 +323,11 @@ class TestLimits:
         with pytest.raises(ValidationError):
             ResourceLimits(memory_bytes=2**20)
 
-    def test_override_helper(self, tmp_path):
+    def test_override_replaces_the_file_limit(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
-        _write_jsonl(path, [_task_record("a")])
-        dataset = load_dataset(path)
-        overridden = with_limit_overrides(dataset, wall_time_ms=1234)
-        assert overridden.tasks[0].limits.wall_time_ms == 1234
-        assert overridden.tasks[0].limits.memory_bytes == dataset.tasks[0].limits.memory_bytes
+        _write_jsonl(path, [_task_record("a", limits={"wall_time_ms": 1500,
+                                                      "memory_bytes": 64 * 2**20})])
+        assert load_dataset(path, wall_time_ms=1234)["a"].limits == ResourceLimits(
+            wall_time_ms=1234, memory_bytes=64 * 2**20)
+        assert load_dataset(path, memory_bytes=32 * 2**20)["a"].limits == ResourceLimits(
+            wall_time_ms=1500, memory_bytes=32 * 2**20)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import haluscope
 from haluscope import sandbox
-from haluscope.corpus import Completion, Dataset, ResourceLimits, Task, TestCase
+from haluscope.corpus import Completion, ResourceLimits, Task, TestCase
 from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
 from haluscope.sandbox import (
     ExecutionOutcome,
@@ -742,7 +742,7 @@ class TestIsolationAndBatch:
         )
         source = "print(int(input())+1)"
         pairs = classify_corpus(
-            Dataset("d", (task,)), [Completion("t", "m", source, source)], jobs=2
+            {"t": task}, [Completion("t", "m", source, source)], jobs=2
         )
         assert [o.status for _, o in pairs] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
         assert [r.test_index for r, _ in pairs] == [0, 1, 2]
@@ -751,7 +751,7 @@ class TestIsolationAndBatch:
         task = Task("t", "q", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
         completions = [Completion("t", m, "print(1)", "print(1)") for m in ("m1", "m2")]
         pairs = classify_corpus(
-            Dataset("d", (task,)), completions, interpreter=["/no/such/bin"], jobs=2
+            {"t": task}, completions, interpreter=["/no/such/bin"], jobs=2
         )
         assert [o.status for _, o in pairs] == [Status.SANDBOX_ERROR] * 6
 
@@ -773,8 +773,8 @@ class TestIsolationAndBatch:
         ]
 
     def test_artifact_dirs_distinct_per_model(self, tmp_path):
-        dataset, completions = _three_model_corpus()
-        pairs = classify_corpus(dataset, completions, artifact_root=str(tmp_path))
+        tasks, completions = _three_model_corpus()
+        pairs = classify_corpus(tasks, completions, artifact_root=str(tmp_path))
         statuses: dict[str, list[Status]] = {}
         for record, outcome in pairs:
             statuses.setdefault(record.model_id, []).append(outcome.status)
@@ -801,7 +801,7 @@ class TestIsolationAndBatch:
         completions = [
             Completion("t1", "m", src, src, sample_index=i) for i, src in enumerate(sources)
         ]
-        pairs = classify_corpus(Dataset("d", (task,)), completions, artifact_root=str(tmp_path))
+        pairs = classify_corpus({"t1": task}, completions, artifact_root=str(tmp_path))
         assert sorted(outcome.status for _, outcome in pairs) == [Status.PASS, Status.WRONG_OUTPUT]
         dirs = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("prog.py"))
         assert dirs == ["t1__m__s0/test_000", "t1__m__s1/test_000"]
@@ -809,7 +809,7 @@ class TestIsolationAndBatch:
             assert (tmp_path / directory / "prog.py").read_text() == source
 
 
-def _three_model_corpus() -> tuple[Dataset, list[Completion]]:
+def _three_model_corpus() -> tuple[dict[str, Task], list[Completion]]:
     """One three-test task answered by a program passing every test, one
     failing the first test and one failing the second."""
     task = Task(
@@ -824,7 +824,7 @@ def _three_model_corpus() -> tuple[Dataset, list[Completion]]:
         "m-second": "n = int(input())\nprint(n+1 if n < 2 else 0)",
     }
     completions = [Completion("t", model, src, src) for model, src in sources.items()]
-    return Dataset("d", (task,)), completions
+    return {"t": task}, completions
 
 
 def test_outcome_round_trip():
