@@ -41,6 +41,8 @@ class BenchmarkEntry:
 
     @property
     def sample_count(self) -> int:
+        """The entry's samples: one per contributing model, each model's
+        one profile of the task."""
         return len(self.contributing_models)
 
 
@@ -60,6 +62,13 @@ class BenchmarkManifest:
         for subcategory in SUBCATEGORY_ORDER:
             result.extend(self.entries_by_subcategory.get(subcategory, ()))
         return result
+
+    def sample_count(self, subcategory: Subcategory) -> int:
+        """The subcategory's samples: one per contributing model of each of
+        its entries, that model's profile of the entry's task. This is the
+        one count of a subcategory's samples; the summary record and the
+        HR report both read it."""
+        return sum(e.sample_count for e in self.entries_by_subcategory.get(subcategory, ()))
 
 
 def build(
@@ -127,7 +136,7 @@ def _summary_record(manifest: BenchmarkManifest) -> dict:
             subcategories.append({
                 "subcategory": subcategory.value,
                 "tasks": len(entries),
-                "samples": sum(e.sample_count for e in entries),
+                "samples": manifest.sample_count(subcategory),
             })
         categories.append({
             "category": category.value,
@@ -178,20 +187,22 @@ def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
     raise ValueError(f"unknown record_type {record_type!r}")
 
 
-def _entry_key(record: Provenance | BenchmarkEntry) -> tuple[str, str] | None:
-    """An entry's (task_id, target_subcategory); the summary has none."""
+def _record_key(record: Provenance | BenchmarkEntry) -> tuple[str, str] | str:
+    """An entry's (task_id, target_subcategory); the summary's is "summary",
+    so a second summary record is a repeat too."""
     if isinstance(record, Provenance):
-        return None
+        return "summary"
     return record.task_id, record.target_subcategory.value
 
 
 def load_manifest(path: str | Path) -> BenchmarkManifest:
     """Read a benchmark.jsonl file. A repeated (task_id,
     target_subcategory) entry, which `build` never writes and which would
-    count its samples twice, raises ValidationError naming the line."""
+    count its samples twice, or a second summary record, whose provenance
+    would replace the first, raises ValidationError naming the line."""
     provenance = Provenance()
     grouped: dict[Subcategory, list[BenchmarkEntry]] = defaultdict(list)
-    decode = refuse_repeats(_manifest_record, _entry_key, "repeated benchmark entry")
+    decode = refuse_repeats(_manifest_record, _record_key, "repeated benchmark entry")
     for record in read_jsonl(path, decode):
         if isinstance(record, Provenance):
             provenance = record

@@ -256,6 +256,9 @@ def _dispatch(args: argparse.Namespace) -> Path:
     run_config = _run_config(args, config, args.dataset, args.completions)
     if not run_config.dataset_path:
         raise ConfigError("a dataset is required (--dataset or config key 'dataset')")
+    if not (run_config.completions_path or args.provider):
+        raise ConfigError("a completions source is required "
+                          "(--completions, --provider or config key 'completions')")
     if args.provider:
         run_config.completions_path = _fetch_completions(run_config, args.provider)
     return stage(run_config)

@@ -183,14 +183,14 @@ def refuse_repeats(
     decode: Callable[[dict], T], key: Callable[[T], Hashable], what: str
 ) -> Callable[[dict], T]:
     """`decode`, raising ValidationError("<what> <key>") for a value whose
-    key an earlier value had; a None key is never a repeat. `read_jsonl`
-    prefixes the error with the path and line."""
+    key an earlier value had. `read_jsonl` prefixes the error with the path
+    and line."""
     seen: set[Hashable] = set()
 
     def decode_once(obj: dict) -> T:
         value = decode(obj)
         found = key(value)
-        if found is not None and found in seen:
+        if found in seen:
             raise ValidationError(f"{what} {found!r}")
         seen.add(found)
         return value

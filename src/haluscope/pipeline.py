@@ -38,7 +38,6 @@ from .corpus import (
     safe_name,
     string,
 )
-from .errors import IngestionError, ReportError
 from .taxonomy import ClassificationTable, ClassKind
 
 logger = logging.getLogger(__name__)
@@ -230,8 +229,6 @@ def validate_stage(config: RunConfig) -> Path:
     """Detection pass over a corpus: writes one classified record per
     (task, model, test) to states.jsonl."""
     tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
-    if config.completions_path is None:
-        raise IngestionError("validate requires a completions file (use --completions)")
     completions = load_completions(config.completions_path)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,30 +295,30 @@ def evaluate_stage(
     profiles_path: str | Path | None = None,
 ) -> Path:
     """Score every model found in the profiles against the benchmark and
-    render the report: evaluation.json, report.md, report.csv and
-    report.json."""
+    render the report over the manifest's sample counts: evaluation.json,
+    report.md, report.csv and report.json."""
     out_dir = Path(config.out_dir)
     manifest = bench.load_manifest(benchmark_path or out_dir / BENCHMARK_FILE)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
     out_dir.mkdir(parents=True, exist_ok=True)
     grouped = aggregate.profiles_by_model(profiles)
-    if not grouped:
-        raise ReportError("no profiles to evaluate")
 
-    all_cells: list[report_mod.HRCell] = []
+    hallucinated_by_model: dict[str, dict] = {}
     crosshits_by_model: dict[str, dict] = {}
     for model_id in sorted(grouped):
-        cells, crosshits_by_model[model_id] = report_mod.evaluate_model(
+        hallucinated, crosshits_by_model[model_id] = report_mod.evaluate_model(
             manifest, grouped[model_id], indicator_mode=config.indicator_mode
         )
-        all_cells.extend(cells)
-    hr_report = report_mod.render_report(all_cells)
+        hallucinated_by_model[model_id] = hallucinated
+    hr_report = report_mod.render_report(
+        {s: manifest.sample_count(s) for s in taxonomy.SUBCATEGORY_ORDER}, hallucinated_by_model
+    )
 
     _write_json(
         out_dir / EVALUATION_FILE,
         {
             "indicator_mode": config.indicator_mode,
-            "report": report_mod.report_to_dict(hr_report),
+            "report": hr_report,
             "crosshits": crosshits_by_model,
         },
     )

@@ -195,32 +195,33 @@ def _random_manifest_and_profiles(rng: random.Random):
 
 
 def test_criterion_4_hr_oracle_equivalence():
-    """evaluate_model's cells equal a brute-force recount of the indicator
-    vector, each entry's indicator repeated once per sample, on 1,000
-    random (manifest, one-model profiles) draws in both indicator modes."""
-    with criterion(4, "HR cells equal a brute-force recount of the indicator vector"):
+    """evaluate_model's hallucinated counts and the manifest's sample counts
+    equal a brute-force recount of the indicator vector, each entry's
+    indicator repeated once per sample, on 1,000 random (manifest,
+    one-model profiles) draws in both indicator modes."""
+    with criterion(4, "HR counts equal a brute-force recount of the indicator vector"):
         rng = random.Random(8883)
         for _ in range(1000):
             manifest, profiles = _random_manifest_and_profiles(rng)
             by_task = {p.task_id: p for p in profiles}
             for mode in report.INDICATOR_MODES:
-                cells, _ = report.evaluate_model(manifest, profiles, indicator_mode=mode)
-                assert [c.subcategory for c in cells] == list(SUBCATEGORY_ORDER)
-                for cell in cells:
+                hallucinated, _ = report.evaluate_model(manifest, profiles, indicator_mode=mode)
+                assert list(hallucinated) == list(SUBCATEGORY_ORDER)
+                for subcategory in SUBCATEGORY_ORDER:
                     vector = []
-                    for entry in manifest.entries_by_subcategory[cell.subcategory]:
+                    for entry in manifest.entries_by_subcategory[subcategory]:
                         labels = by_task[entry.task_id].labels
                         if mode == "target":
-                            labels = [la for la in labels if la.subcategory is cell.subcategory]
+                            labels = [la for la in labels if la.subcategory is subcategory]
                         bit = 1 if labels else 0
                         vector += [bit] * len(entry.contributing_models)
                     count = 0
                     for bit in vector:
                         if bit == 1:
                             count += 1
-                    assert (cell.hallucinated_samples, cell.total_samples) == (
+                    assert (hallucinated[subcategory], manifest.sample_count(subcategory)) == (
                         count, len(vector)
-                    ), (mode, cell.subcategory)
+                    ), (mode, subcategory)
 
 
 def test_criterion_5_aggregator_oracle_equivalence():

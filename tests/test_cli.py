@@ -244,6 +244,19 @@ class TestExitCodes:
     def test_missing_dataset_config_is_one(self, tmp_path, capsys):
         assert _run(["--out-dir", tmp_path, "validate"]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "pipeline"])
+    def test_missing_completions_source_is_one(self, command, tmp_path, capsys):
+        # A usage error, found before the dataset (here unreadable as
+        # JSON, which would be exit 2) is read and before the out dir is made.
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("{broken\n")
+        out = tmp_path / "out"
+        assert _run(["--out-dir", out, command, "--dataset", tasks]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert "completions" in error["message"]
+        assert not out.exists()
+
     def test_validation_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "tasks.jsonl"
         bad.write_text(json.dumps({"task_id": "t", "question": "q", "test_cases": []}) + "\n")
@@ -346,6 +359,23 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ReportError"
         assert error["message"] == "model model-good has two profiles for task 'mini-wc'"
+        assert not (out / REPORT_CSV_FILE).exists()
+
+    def test_evaluate_refuses_a_second_summary_record(self, tmp_path, capsys):
+        # Kept, the second record's provenance would replace the first's.
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (EXPECTED / BENCHMARK_FILE).read_text().splitlines()
+        summary = json.loads(lines[0])
+        assert summary["record_type"] == "summary"
+        summary["provenance"] = {"run_ids": ["other"], "threshold_k": 99}
+        _write_lines(out / BENCHMARK_FILE, [*lines, json.dumps(summary)])
+        (out / PROFILES_FILE).write_bytes((EXPECTED / PROFILES_FILE).read_bytes())
+        assert _run(["--out-dir", out, "evaluate"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"] == (
+            f"{out / BENCHMARK_FILE}:{len(lines) + 1}: repeated benchmark entry 'summary'")
         assert not (out / REPORT_CSV_FILE).exists()
 
     def test_evaluate_refuses_a_repeated_benchmark_entry(self, tmp_path, capsys):

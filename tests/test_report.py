@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fold_reference as ref
 from haluscope.aggregate import SampleProfile
 from haluscope.bench import BenchmarkEntry, BenchmarkManifest
 from haluscope.bench import build as build_bench
 from haluscope.errors import ReportError
 from haluscope.report import (
-    HRCell,
-    HRReport,
     category_averages,
     evaluate_model,
     render_crosshits_markdown,
@@ -23,7 +22,6 @@ from haluscope.report import (
     render_json,
     render_markdown,
     render_report,
-    report_to_dict,
     round_half_even,
 )
 from haluscope.taxonomy import (
@@ -65,10 +63,21 @@ PUBLISHED_ROWS = {
 }
 
 
-def _published_cell(model, subcategory, rate, total_samples):
-    """The cell whose counts give a published rate: the hallucinated count
-    is the rate's share of the samples, rounded to a whole sample."""
-    return HRCell(model, subcategory, round(rate * total_samples / 100), total_samples)
+def _hallucinated(rates, sample_counts=SAMPLE_COUNTS):
+    """Hallucinated samples per subcategory that give `rates`, one rate or
+    eight: each rate's share of the subcategory's samples, rounded to a
+    whole sample."""
+    if isinstance(rates, (int, float)):
+        rates = [rates] * len(SUBCATEGORY_ORDER)
+    return {
+        s: round(rate * sample_counts[s] / 100) for s, rate in zip(SUBCATEGORY_ORDER, rates)
+    }
+
+
+def _row(sample_counts, hallucinated, model="m"):
+    """report.json's row for one model."""
+    (row,) = render_report(sample_counts, {model: hallucinated})["rows"]
+    return row
 
 
 def _profile(task, model, subs):
@@ -92,10 +101,9 @@ def _one_entry(target, profile, indicator_mode="target"):
     and its cross-hit row."""
     entry = BenchmarkEntry(profile.task_id, target, 3, (profile.model_id,))
     manifest = BenchmarkManifest({target: (entry,)})
-    cells, crosshits = evaluate_model(manifest, [profile], indicator_mode)
-    (cell,) = [c for c in cells if c.subcategory is target]
-    assert cell.total_samples == 1
-    return cell.hallucinated_samples, crosshits[target]
+    hallucinated, crosshits = evaluate_model(manifest, [profile], indicator_mode)
+    assert manifest.sample_count(target) == 1
+    return hallucinated[target], crosshits[target]
 
 
 class TestIndicator:
@@ -135,16 +143,24 @@ class TestIndicator:
         assert _one_entry(IDENTITY, _profile("t", "m", []), "any") == (0, {})
 
 
-def _rate(vector):
-    """The identity HR `evaluate_model` gives over one one-sample manifest
-    entry per bit, whose task's profile hits the target iff the bit is 1."""
+def _identity(vector):
+    """Over one one-sample identity entry per bit, whose task's profile
+    hits the target iff the bit is 1: the hallucinated samples
+    `evaluate_model` counts, the manifest's samples, and the identity HR
+    report.json shows."""
     entries = tuple(BenchmarkEntry(f"t{i}", IDENTITY, 3, ("m",)) for i in range(len(vector)))
     profiles = [
         _profile(f"t{i}", "m", [IDENTITY] if bit else [STRUCTURE]) for i, bit in enumerate(vector)
     ]
-    cells, _ = evaluate_model(BenchmarkManifest({IDENTITY: entries}), profiles)
-    (cell,) = [c for c in cells if c.subcategory is IDENTITY]
-    return cell.hr_percent_exact
+    manifest = BenchmarkManifest({IDENTITY: entries})
+    hallucinated, _ = evaluate_model(manifest, profiles)
+    sample_counts = {s: manifest.sample_count(s) for s in SUBCATEGORY_ORDER}
+    row = _row(sample_counts, hallucinated)
+    return hallucinated[IDENTITY], sample_counts[IDENTITY], row["subcategory_hr"][IDENTITY.value]
+
+
+def _rate(vector):
+    return _identity(vector)[2]
 
 
 class TestHallucinationRate:
@@ -166,7 +182,9 @@ class TestHallucinationRate:
             for bit in vector:  # independent brute-force recount
                 if bit == 1:
                     count += 1
-            assert _rate(vector) == 100.0 * count / len(vector)
+            assert _identity(vector) == (
+                count, len(vector), round_half_even(100.0 * count / len(vector))
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=60))
@@ -185,8 +203,9 @@ class TestRounding:
         assert round_half_even(0.135) == 0.14
 
     def test_cell_rounding(self):
-        cell = HRCell("m", IDENTITY, hallucinated_samples=1, total_samples=3)
-        assert round_half_even(cell.hr_percent_exact) == 33.33
+        sample_counts = {s: 3 if s is IDENTITY else 0 for s in SUBCATEGORY_ORDER}
+        hallucinated = {s: 1 if s is IDENTITY else 0 for s in SUBCATEGORY_ORDER}
+        assert _row(sample_counts, hallucinated)["subcategory_hr"][IDENTITY.value] == 33.33
 
 
 class TestPublishedArithmetic:
@@ -200,78 +219,64 @@ class TestPublishedArithmetic:
         assert overall == pytest.approx(expected_overall, abs=0.01)
 
     def test_render_report_with_published_cells(self):
-        # Cells built from counts round back to every published rate, and
-        # their averages stay within 0.005 of the published ones.
+        # Counts built from the published rates round back to every one of
+        # them, and both their exact averages and the rendered (rounded)
+        # ones stay within 0.01 of the published ones.
         for model, (rates, expected_categories, expected_overall) in PUBLISHED_ROWS.items():
-            cells = [
-                _published_cell(model, sub, rate, SAMPLE_COUNTS[sub])
-                for sub, rate in zip(SUBCATEGORY_ORDER, rates)
-            ]
-            assert [round_half_even(c.hr_percent_exact) for c in cells] == list(rates)
-            row = render_report(cells).rows[0]
+            hallucinated = _hallucinated(rates)
+            row = _row(SAMPLE_COUNTS, hallucinated, model)
+            assert list(row["subcategory_hr"].values()) == list(rates)
+            exact_rates = {s: 100.0 * hallucinated[s] / SAMPLE_COUNTS[s] for s in SUBCATEGORY_ORDER}
+            per_category, overall = category_averages(exact_rates, SAMPLE_COUNTS)
             for category, expected in zip(Category, expected_categories):
-                assert row.category_avgs[category] == pytest.approx(expected, abs=0.01)
-            assert row.overall == pytest.approx(expected_overall, abs=0.01)
+                assert per_category[category] == pytest.approx(expected, abs=0.01)
+                assert row["category_avg"][category.value] == pytest.approx(expected, abs=0.01)
+            assert overall == pytest.approx(expected_overall, abs=0.01)
+            assert row["overall"] == pytest.approx(expected_overall, abs=0.01)
 
     def test_total_sample_count(self):
         assert sum(SAMPLE_COUNTS.values()) == 8883
 
 
 class TestRenderReport:
-    def _cells(self, model="m", rate=10.0):
-        return [
-            _published_cell(model, sub, rate, SAMPLE_COUNTS[sub]) for sub in SUBCATEGORY_ORDER
-        ]
-
     def test_all_zero(self):
-        report = render_report(self._cells(rate=0.0))
-        row = report.rows[0]
-        assert row.overall == 0.0
-        assert all(v == 0.0 for v in row.category_avgs.values())
+        row = _row(SAMPLE_COUNTS, _hallucinated(0.0))
+        assert row["overall"] == 0.0
+        assert all(v == 0.0 for v in row["category_avg"].values())
 
     def test_equal_counts_degenerate_to_simple_mean(self):
-        cells = []
-        for sub, rate in zip(SUBCATEGORY_ORDER, (10, 20, 30, 40, 50, 60, 70, 80)):
-            cells.append(_published_cell("m", sub, rate, 100))
-        report = render_report(cells)
-        row = report.rows[0]
-        assert row.category_avgs[Category.MAPPING] == pytest.approx(15.0)
-        assert row.overall == pytest.approx(45.0)
-        assert row.overall == pytest.approx(row.overall_uniform)
-
-    def test_missing_subcategory_rejected(self):
-        with pytest.raises(ReportError, match="missing"):
-            render_report(self._cells()[:-1])
-
-    def test_duplicate_cell_rejected(self):
-        cells = self._cells()
-        with pytest.raises(ReportError, match="duplicate"):
-            render_report(cells + [cells[0]])
+        sample_counts = {s: 100 for s in SUBCATEGORY_ORDER}
+        row = _row(sample_counts, _hallucinated((10, 20, 30, 40, 50, 60, 70, 80), sample_counts))
+        assert row["category_avg"][Category.MAPPING.value] == pytest.approx(15.0)
+        assert row["overall"] == pytest.approx(45.0)
+        assert row["overall"] == pytest.approx(row["overall_uniform"])
 
     def test_rows_sorted_by_overall_ascending(self):
-        cells = self._cells("worse", 50.0) + self._cells("better", 5.0)
-        report = render_report(cells)
-        assert [r.model_id for r in report.rows] == ["better", "worse"]
+        report = render_report(
+            SAMPLE_COUNTS, {"worse": _hallucinated(50.0), "better": _hallucinated(5.0)}
+        )
+        assert [r["model_id"] for r in report["rows"]] == ["better", "worse"]
 
     def test_empty_rejected(self):
         with pytest.raises(ReportError):
-            render_report([])
+            render_report(SAMPLE_COUNTS, {})
 
     def test_renderings_deterministic(self):
-        cells = self._cells()
-        a, b = render_report(cells), render_report(list(reversed(cells)))
+        models = {"x": _hallucinated(10.0), "y": _hallucinated(10.0), "z": _hallucinated(3.0)}
+        a = render_report(SAMPLE_COUNTS, models)
+        b = render_report(SAMPLE_COUNTS, dict(reversed(models.items())))
         assert render_markdown(a) == render_markdown(b)
         assert render_csv(a) == render_csv(b)
         assert render_json(a) == render_json(b)
 
     def test_markdown_shape(self):
-        text = render_markdown(render_report(self._cells()))
+        text = render_markdown(render_report(SAMPLE_COUNTS, {"m": _hallucinated(10.0)}))
         assert "| Model |" in text
         assert "Mapping Avg" in text
         assert "Average (uniform)" in text
 
     def test_json_contains_both_weightings(self):
-        payload = report_to_dict(render_report(self._cells()))
+        payload = json.loads(render_json(render_report(SAMPLE_COUNTS, {"m": _hallucinated(10.0)})))
         row = payload["rows"][0]
         assert "category_avg" in row and "category_avg_uniform" in row
 
@@ -294,20 +299,18 @@ class TestEvaluateModel:
 
     def test_target_mode_cells(self):
         manifest, profiles = self._benchmark_and_profiles()
-        cells, crosshits = evaluate_model(manifest, profiles)
-        by_sub = {c.subcategory: c for c in cells}
-        assert by_sub[IDENTITY].hallucinated_samples == 2  # A x {m1, m2}
-        assert by_sub[IDENTITY].total_samples == 2
-        assert by_sub[DEVIATION].hallucinated_samples == 0  # m1 missed the target
-        assert by_sub[DEVIATION].total_samples == 2
+        hallucinated, crosshits = evaluate_model(manifest, profiles)
+        assert hallucinated[IDENTITY] == 2  # A x {m1, m2}
+        assert manifest.sample_count(IDENTITY) == 2
+        assert hallucinated[DEVIATION] == 0  # m1 missed the target
+        assert manifest.sample_count(DEVIATION) == 2
         # ... but the off-target structure hit is surfaced in the cross-hit table
         assert crosshits[DEVIATION][STRUCTURE] == 2
 
     def test_any_mode_counts_any_hallucination(self):
         manifest, profiles = self._benchmark_and_profiles()
-        cells, _ = evaluate_model(manifest, profiles, indicator_mode="any")
-        by_sub = {c.subcategory: c for c in cells}
-        assert by_sub[DEVIATION].hallucinated_samples == 2
+        hallucinated, _ = evaluate_model(manifest, profiles, indicator_mode="any")
+        assert hallucinated[DEVIATION] == 2
 
     def test_missing_profile_rejected(self):
         manifest, profiles = self._benchmark_and_profiles()
@@ -359,10 +362,8 @@ class TestRenderCrosshitsMarkdown:
         assert render_crosshits_markdown({"model-clean": {"identity": {}}}) == ""
 
 
-# The renderers as they stood before each rendered from `row_values`,
-# kept as byte oracles. Only their reads of a row changed: `row.cell(s)`
-# is now `row.cells[s]`, and the removed `HRCell.hr_percent` is
-# `round_half_even(hr_percent_exact)`.
+# report.md and report.csv as independent byte oracles, rendering the exact
+# rows `fold_reference.report_rows` computes from the drawn counts.
 _REF_SHORT = {
     Subcategory.DATA_COMPLIANCE: "DC",
     Subcategory.STRUCTURE_ACCESS: "SA",
@@ -376,10 +377,10 @@ _REF_SHORT = {
 
 
 def _ref_fmt(value: float) -> str:
-    return f"{round_half_even(value):.2f}"
+    return f"{ref.round2(value):.2f}"
 
 
-def _ref_render_markdown(report: HRReport) -> str:
+def _ref_render_markdown(sample_counts, rows) -> str:
     out = io.StringIO()
     header = ["Model"]
     for category in CATEGORY_ORDER:
@@ -389,24 +390,22 @@ def _ref_render_markdown(report: HRReport) -> str:
     header += ["Average", "Average (uniform)"]
     out.write("| " + " | ".join(header) + " |\n")
     out.write("|" + "---|" * len(header) + "\n")
-    for row in report.rows:
-        fields = [row.model_id]
+    for row in rows:
+        fields = [row["model"]]
         for category in CATEGORY_ORDER:
             for subcategory in subcategories_of(category):
-                fields.append(_ref_fmt(row.cells[subcategory].hr_percent_exact))
-            fields.append(_ref_fmt(row.category_avgs[category]))
-        fields.append(_ref_fmt(row.overall))
-        fields.append(_ref_fmt(row.overall_uniform))
+                fields.append(_ref_fmt(row["rate"][subcategory]))
+            fields.append(_ref_fmt(row["category"][category]))
+        fields.append(_ref_fmt(row["overall"]))
+        fields.append(_ref_fmt(row["overall_uniform"]))
         out.write("| " + " | ".join(fields) + " |\n")
-    counts = ", ".join(
-        f"{_REF_SHORT[s]}={report.sample_counts[s]}" for s in SUBCATEGORY_ORDER
-    )
+    counts = ", ".join(f"{_REF_SHORT[s]}={sample_counts[s]}" for s in SUBCATEGORY_ORDER)
     out.write(f"\nSample counts: {counts}. Category and Average columns are "
               f"sample-weighted; the uniform column is a simple mean.\n")
     return out.getvalue()
 
 
-def _ref_render_csv(report: HRReport) -> str:
+def _ref_render_csv(rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     header = ["model"]
@@ -414,41 +413,13 @@ def _ref_render_csv(report: HRReport) -> str:
     header += [f"{c.value}_avg" for c in CATEGORY_ORDER]
     header += ["overall", "overall_uniform"]
     writer.writerow(header)
-    for row in report.rows:
-        record = [row.model_id]
-        record += [_ref_fmt(row.cells[s].hr_percent_exact) for s in SUBCATEGORY_ORDER]
-        record += [_ref_fmt(row.category_avgs[c]) for c in CATEGORY_ORDER]
-        record += [_ref_fmt(row.overall), _ref_fmt(row.overall_uniform)]
+    for row in rows:
+        record = [row["model"]]
+        record += [_ref_fmt(row["rate"][s]) for s in SUBCATEGORY_ORDER]
+        record += [_ref_fmt(row["category"][c]) for c in CATEGORY_ORDER]
+        record += [_ref_fmt(row["overall"]), _ref_fmt(row["overall_uniform"])]
         writer.writerow(record)
     return out.getvalue()
-
-
-def _ref_report_to_dict(report: HRReport) -> dict:
-    return {
-        "sample_counts": {s.value: report.sample_counts[s] for s in SUBCATEGORY_ORDER},
-        "rows": [
-            {
-                "model_id": row.model_id,
-                "subcategory_hr": {
-                    s.value: round_half_even(row.cells[s].hr_percent_exact)
-                    for s in SUBCATEGORY_ORDER
-                },
-                "hallucinated_samples": {
-                    s.value: row.cells[s].hallucinated_samples for s in SUBCATEGORY_ORDER
-                },
-                "category_avg": {
-                    c.value: round_half_even(row.category_avgs[c]) for c in CATEGORY_ORDER
-                },
-                "overall": round_half_even(row.overall),
-                "category_avg_uniform": {
-                    c.value: round_half_even(row.category_avgs_uniform[c])
-                    for c in CATEGORY_ORDER
-                },
-                "overall_uniform": round_half_even(row.overall_uniform),
-            }
-            for row in report.rows
-        ],
-    }
 
 
 # Totals whose rates land on half-even ties at two decimals (800: k/8,
@@ -457,23 +428,25 @@ _TOTALS = st.sampled_from([0, 1, 3, 7, 100, 800, 941, 2443, 4000])
 
 
 @st.composite
-def _reports(draw) -> HRReport:
+def _counts(draw):
+    """Sample counts per subcategory and hallucinated counts per model."""
     totals = {s: draw(_TOTALS) for s in SUBCATEGORY_ORDER}
     models = draw(st.lists(st.text("abcxyz-", min_size=1, max_size=6),
                            min_size=1, max_size=4, unique=True))
-    return render_report(
-        HRCell(model, s, draw(st.integers(0, totals[s])), totals[s])
-        for model in models
-        for s in SUBCATEGORY_ORDER
-    )
+    return totals, {
+        model: {s: draw(st.integers(0, totals[s])) for s in SUBCATEGORY_ORDER} for model in models
+    }
 
 
 class TestRendererOracles:
     @settings(max_examples=300, deadline=None)
-    @given(_reports())
-    def test_renderings_match_reference_bytes(self, report):
-        assert render_markdown(report) == _ref_render_markdown(report)
-        assert render_csv(report) == _ref_render_csv(report)
+    @given(_counts())
+    def test_renderings_match_reference_bytes(self, counts):
+        sample_counts, hallucinated_by_model = counts
+        report = render_report(sample_counts, hallucinated_by_model)
+        rows = ref.report_rows(sample_counts, hallucinated_by_model)
+        assert render_markdown(report) == _ref_render_markdown(sample_counts, rows)
+        assert render_csv(report) == _ref_render_csv(rows)
         assert render_json(report) == (
-            json.dumps(_ref_report_to_dict(report), sort_keys=True, indent=2) + "\n"
+            json.dumps(ref.report_payload(sample_counts, rows), sort_keys=True, indent=2) + "\n"
         )
