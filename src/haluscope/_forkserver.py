@@ -19,7 +19,9 @@ EOF on REQUESTS_FD ends the server. The forked child starts its own
 session, takes the rlimits and the workdir, sets HOME and TMPDIR to the
 workdir (the rest of its environment is the server's), reads stdin.txt and
 writes stdout.txt/stderr.txt on fds 0-2, and then does what
-`python <workdir>/prog.py` does, exit included. A child that exits without
+`python <workdir>/prog.py` does, exit included. The guard environment sets
+PYTHONHASHSEED to the harness constant `sandbox.HASH_SEED` (0), so the
+server and every child it forks hash strings with one fixed secret. A child that exits without
 `compiled` ended while compiling: an error from compiling is printed, as
 CPython prints it, without a traceback.
 

@@ -13,7 +13,7 @@ import csv
 import io
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -47,15 +47,8 @@ class BenchmarkEntry:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    run_ids: tuple[str, ...] = ()
-    threshold_k: int = DEFAULT_THRESHOLD_K
-
-
-@dataclass(frozen=True)
 class BenchmarkManifest:
     entries_by_subcategory: Mapping[Subcategory, tuple[BenchmarkEntry, ...]]
-    provenance: Provenance = field(default_factory=Provenance)
 
     def entries(self) -> list[BenchmarkEntry]:
         result = []
@@ -72,9 +65,7 @@ class BenchmarkManifest:
 
 
 def build(
-    profiles: Iterable[SampleProfile],
-    threshold_k: int = DEFAULT_THRESHOLD_K,
-    run_ids: Iterable[str] = (),
+    profiles: Iterable[SampleProfile], threshold_k: int = DEFAULT_THRESHOLD_K
 ) -> BenchmarkManifest:
     """Threshold cross-model frequencies into a manifest.
 
@@ -118,13 +109,10 @@ def build(
             if count > threshold_k
         )
         entries_by_subcategory[subcategory] = entries
-    return BenchmarkManifest(
-        entries_by_subcategory=entries_by_subcategory,
-        provenance=Provenance(run_ids=tuple(run_ids), threshold_k=threshold_k),
-    )
+    return BenchmarkManifest(entries_by_subcategory=entries_by_subcategory)
 
 
-def _summary_record(manifest: BenchmarkManifest) -> dict:
+def _category_counts(manifest: BenchmarkManifest) -> list[dict]:
     """The manifest's counts: each subcategory's tasks and samples, and
     each category's as the sum of its two subcategories' (a task under
     both counts twice, which keeps the additivity exact)."""
@@ -144,20 +132,21 @@ def _summary_record(manifest: BenchmarkManifest) -> dict:
             "samples": sum(sub["samples"] for sub in subcategories),
             "subcategories": subcategories,
         })
-    return {
+    return categories
+
+
+def manifest_records(
+    manifest: BenchmarkManifest, run_ids: Iterable[str], threshold_k: int
+) -> list[dict]:
+    """The manifest's JSONL records: one summary header record, with the
+    counts and the provenance (the run ids and the threshold `build` was
+    given), then one record per entry."""
+    summary = {
         "record_type": "summary",
-        "provenance": {
-            "run_ids": list(manifest.provenance.run_ids),
-            "threshold_k": manifest.provenance.threshold_k,
-        },
-        "categories": categories,
+        "provenance": {"run_ids": list(run_ids), "threshold_k": threshold_k},
+        "categories": _category_counts(manifest),
     }
-
-
-def manifest_records(manifest: BenchmarkManifest) -> list[dict]:
-    """The manifest's JSONL records: one summary header record, then one
-    record per entry."""
-    return [_summary_record(manifest)] + [
+    return [summary] + [
         {
             "record_type": "entry",
             "task_id": entry.task_id,
@@ -169,14 +158,13 @@ def manifest_records(manifest: BenchmarkManifest) -> list[dict]:
     ]
 
 
-def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
+def _manifest_record(obj: dict) -> BenchmarkEntry | None:
+    """An entry record's entry; None for the summary record, whose counts
+    and provenance are written for readers of the file and not read
+    back."""
     record_type = obj.get("record_type")
     if record_type == "summary":
-        prov = obj.get("provenance", {})
-        return Provenance(
-            run_ids=read_field(prov, "run_ids", list_of(string), []),
-            threshold_k=read_field(prov, "threshold_k", integer, DEFAULT_THRESHOLD_K),
-        )
+        return None
     if record_type == "entry":
         return BenchmarkEntry(
             task_id=read_field(obj, "task_id", string),
@@ -187,10 +175,10 @@ def _manifest_record(obj: dict) -> Provenance | BenchmarkEntry:
     raise ValueError(f"unknown record_type {record_type!r}")
 
 
-def _record_key(record: Provenance | BenchmarkEntry) -> tuple[str, str] | str:
+def _record_key(record: BenchmarkEntry | None) -> tuple[str, str] | str:
     """An entry's (task_id, target_subcategory); the summary's is "summary",
     so a second summary record is a repeat too."""
-    if isinstance(record, Provenance):
+    if record is None:
         return "summary"
     return record.task_id, record.target_subcategory.value
 
@@ -198,21 +186,16 @@ def _record_key(record: Provenance | BenchmarkEntry) -> tuple[str, str] | str:
 def load_manifest(path: str | Path) -> BenchmarkManifest:
     """Read a benchmark.jsonl file. A repeated (task_id,
     target_subcategory) entry, which `build` never writes and which would
-    count its samples twice, or a second summary record, whose provenance
-    would replace the first, raises ValidationError naming the line."""
-    provenance = Provenance()
+    count its samples twice, or a second summary record, which would leave
+    the file two provenances, raises ValidationError naming the line. The
+    summary record is otherwise not read: the entries are the manifest."""
     grouped: dict[Subcategory, list[BenchmarkEntry]] = defaultdict(list)
     decode = refuse_repeats(_manifest_record, _record_key, "repeated benchmark entry")
     for record in read_jsonl(path, decode):
-        if isinstance(record, Provenance):
-            provenance = record
-        else:
+        if record is not None:
             grouped[record.target_subcategory].append(record)
-    entries_by_subcategory = {
-        sub: tuple(grouped.get(sub, ())) for sub in SUBCATEGORY_ORDER
-    }
     return BenchmarkManifest(
-        entries_by_subcategory=entries_by_subcategory, provenance=provenance
+        entries_by_subcategory={sub: tuple(grouped.get(sub, ())) for sub in SUBCATEGORY_ORDER}
     )
 
 
@@ -224,7 +207,7 @@ def render_summary_csv(manifest: BenchmarkManifest) -> str:
     writer.writerow(
         ["category", "category_tasks", "category_samples", "subcategory", "tasks", "samples"]
     )
-    for cat in _summary_record(manifest)["categories"]:
+    for cat in _category_counts(manifest):
         for sub in cat["subcategories"]:
             writer.writerow([cat["category"], cat["tasks"], cat["samples"],
                              sub["subcategory"], sub["tasks"], sub["samples"]])

@@ -1,5 +1,7 @@
 """Command-line surface: each pipeline stage as a subcommand plus a
-single-shot `pipeline` convenience.
+single-shot `pipeline` convenience. `validate` and `pipeline` read their
+sources, a dataset and a completions file, from --dataset and
+--completions or from the config keys of the same names.
 
 Exit codes: 0 success; 1 usage or configuration, which includes an
 input file that cannot be read, whether its path came from a flag, a
@@ -18,9 +20,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from . import degeneration, gateway, pipeline, taxonomy
-from .corpus import MIN_MEMORY_BYTES, MIN_WALL_TIME_MS, completion_to_dict, integer, load_dataset
-from .corpus import read_json_object, refuse_shared_names, safe_name
+from . import degeneration, pipeline, taxonomy
+from .corpus import MIN_MEMORY_BYTES, MIN_WALL_TIME_MS, integer, read_json_object
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
 
@@ -113,8 +114,7 @@ RUN_SETTINGS = (
 # runs), its input-file options and its help. A stage reading another
 # stage's output takes those paths after the run configuration; a stage
 # reading `_SOURCES` (a dataset plus completions) takes the configuration.
-_SOURCES = ("dataset", "completions", "provider")
-_PROVIDER_HELP = "Provider config JSON; completions are fetched through it."
+_SOURCES = ("dataset", "completions")
 COMMANDS = {
     "validate": ("validate_stage", _SOURCES, "Gate, execute and classify: states.jsonl."),
     "identify": ("identify_stage", ("states",), "Aggregate: profiles.jsonl, frequencies.json."),
@@ -151,8 +151,7 @@ def _parser() -> _Parser:
         command = commands.add_parser(name, help=help_text, description=help_text,
                                       allow_abbrev=False)
         for option in inputs:
-            command.add_argument(f"--{option}", metavar="PATH",
-                                 help=_PROVIDER_HELP if option == "provider" else None)
+            command.add_argument(f"--{option}", metavar="PATH")
     return parser
 
 
@@ -208,38 +207,6 @@ def _run_config(args: argparse.Namespace, config: dict, dataset: str | None = No
     )
 
 
-def _load_provider(path: str) -> tuple[gateway.ProviderConfig, str]:
-    obj = read_json_object(path, ConfigError)
-    template = obj.pop("template", gateway.DEFAULT_TEMPLATE)
-    if not isinstance(template, str):
-        raise ConfigError(f"bad provider config {path}: 'template' must be a string")
-    try:
-        provider = gateway.ProviderConfig(**obj)
-    except (TypeError, AttributeError) as exc:
-        raise ConfigError(f"bad provider config {path}: {exc}") from exc
-    return provider, template
-
-
-def _fetch_completions(config: pipeline.RunConfig, provider_path: str) -> str:
-    """Fetch a completion for every dataset task and write them to
-    completions.jsonl inside the out dir. Task ids that would share a
-    stored-response file are refused before anything is fetched."""
-    provider, template = _load_provider(provider_path)
-    tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
-    refuse_shared_names((task_id, safe_name(task_id)) for task_id in tasks)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "completions.jsonl"
-
-    def fetched():
-        for task in tasks.values():
-            prompt = gateway.render_instruction(task.question, task.limits, template)
-            yield completion_to_dict(gateway.fetch_completion(task, provider, prompt))
-
-    pipeline.write_jsonl(target, fetched())
-    return str(target)
-
-
 def _dispatch(args: argparse.Namespace) -> Path:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -250,17 +217,12 @@ def _dispatch(args: argparse.Namespace) -> Path:
     stage = getattr(pipeline, function)
     if inputs is not _SOURCES:
         return stage(_run_config(args, config), *(getattr(args, name) for name in inputs))
-    # Completions come from a file or are fetched through a provider.
-    if args.completions and args.provider:
-        raise ConfigError("--completions and --provider are mutually exclusive")
     run_config = _run_config(args, config, args.dataset, args.completions)
     if not run_config.dataset_path:
         raise ConfigError("a dataset is required (--dataset or config key 'dataset')")
-    if not (run_config.completions_path or args.provider):
-        raise ConfigError("a completions source is required "
-                          "(--completions, --provider or config key 'completions')")
-    if args.provider:
-        run_config.completions_path = _fetch_completions(run_config, args.provider)
+    if not run_config.completions_path:
+        raise ConfigError("a completions file is required "
+                          "(--completions or config key 'completions')")
     return stage(run_config)
 
 

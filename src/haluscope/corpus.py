@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, TypeVar
 
+from . import gateway
 from .errors import ConfigError, HaluscopeError, IngestionError, ValidationError
 
 T = TypeVar("T")
@@ -272,31 +273,16 @@ def load_dataset(
 
 
 def completion_from_dict(obj: dict) -> Completion:
-    from .gateway import extract_code  # deferred: gateway imports corpus types
-
     raw_response = read_field(obj, "raw_response", string)
     source = read_field(obj, "source_code", string, None)
     return Completion(
         task_id=read_field(obj, "task_id", identifier),
         model_id=read_field(obj, "model_id", identifier),
         raw_response=raw_response,
-        source_code=extract_code(raw_response) if source is None else source,
+        source_code=gateway.extract_code(raw_response) if source is None else source,
         sample_index=read_field(obj, "sample_index", integer, None),
         truncated_at_limit=read_field(obj, "truncated_at_limit", boolean, False),
     )
-
-
-def completion_to_dict(completion: Completion) -> dict:
-    obj = {
-        "task_id": completion.task_id,
-        "model_id": completion.model_id,
-        "raw_response": completion.raw_response,
-        "source_code": completion.source_code,
-        "truncated_at_limit": completion.truncated_at_limit,
-    }
-    if completion.sample_index is not None:
-        obj["sample_index"] = completion.sample_index
-    return obj
 
 
 def load_completions(path: str | Path) -> list[Completion]:

@@ -8,12 +8,8 @@ class HaluscopeError(Exception):
 
 
 class ConfigError(HaluscopeError):
-    """Bad configuration or usage: unknown placeholder, invalid threshold,
-    missing auth variable, contradictory flags. CLI exit code 1."""
-
-
-class TemplateError(ConfigError):
-    """Prompt template refers to an unknown or malformed placeholder."""
+    """Bad configuration or usage: an unknown flag or config key, an invalid
+    setting, a missing or unreadable input. CLI exit code 1."""
 
 
 class IngestionError(HaluscopeError):
@@ -31,15 +27,6 @@ class IngestionError(HaluscopeError):
 
 class ValidationError(HaluscopeError):
     """A loaded value violates a domain invariant. CLI exit code 2."""
-
-
-class ProviderError(HaluscopeError):
-    """Completion provider failed after exhausting retries. Carries the last
-    HTTP status when one was observed. CLI exit code 3."""
-
-    def __init__(self, message: str, *, status: int | None = None):
-        self.status = status
-        super().__init__(message)
 
 
 class ReportError(HaluscopeError):

@@ -282,9 +282,10 @@ def build_bench_stage(config: RunConfig, profiles_path: str | Path | None = None
     out_dir = Path(config.out_dir)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = bench.build(profiles, threshold_k=config.threshold_k, run_ids=(config.run_id,))
+    manifest = bench.build(profiles, threshold_k=config.threshold_k)
     benchmark_path = out_dir / BENCHMARK_FILE
-    write_jsonl(benchmark_path, bench.manifest_records(manifest))
+    write_jsonl(benchmark_path, bench.manifest_records(
+        manifest, run_ids=(config.run_id,), threshold_k=config.threshold_k))
     _write_text(out_dir / BENCHMARK_SUMMARY_FILE, bench.render_summary_csv(manifest))
     return benchmark_path
 

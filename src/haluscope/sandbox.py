@@ -17,6 +17,11 @@ judged by the interpreter that runs the program. The child replies once
 prog.py compiled; a child that ends without that reply ended in the
 compile stage. Both stages run under the wall limit, timed from the
 request to the server's reply, without interpreter start-up.
+
+Every server starts with PYTHONHASHSEED set to HASH_SEED, so every
+program of every run shares one str and bytes hash secret: a program
+printing a set of strings prints it in one order, where a plain
+`python prog.py` would draw a random secret per run.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ logger = logging.getLogger(__name__)
 
 # Cap on bytes a program may write to stdout/stderr or to scratch files.
 OUTPUT_LIMIT_BYTES = 64 * 2**20
+
+# PYTHONHASHSEED of every fork server and so of every program; 0 turns
+# hash randomization off.
+HASH_SEED = "0"
 
 _SYNTAX_EXCEPTIONS = frozenset({"SyntaxError", "IndentationError", "TabError"})
 _MEMORY_KILL_SIGNALS = frozenset({signal.SIGKILL, signal.SIGSEGV, signal.SIGABRT, signal.SIGBUS})
@@ -225,6 +234,7 @@ def _rlimits(limits: ResourceLimits) -> dict[str, tuple[int, int]]:
 def _guard_env(workdir: Path, guard_dir: Path) -> dict[str, str]:
     env = {
         "PYTHONPATH": str(guard_dir),
+        "PYTHONHASHSEED": HASH_SEED,
         "PYTHONDONTWRITEBYTECODE": "1",
         "PYTHONIOENCODING": "utf-8",
         "HOME": str(workdir),

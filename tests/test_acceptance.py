@@ -141,11 +141,11 @@ def test_criterion_3_manifest_additivity():
     for both task and sample counts, over randomized profiles."""
     with criterion(3, "manifest category totals equal subcategory sums"):
         for seed in range(25):
-            manifest = bench.build(
-                _random_profiles(seed), threshold_k=1 + seed % 3
-            )
+            threshold_k = 1 + seed % 3
+            manifest = bench.build(_random_profiles(seed), threshold_k=threshold_k)
             (summary,) = [
-                r for r in bench.manifest_records(manifest) if r["record_type"] == "summary"
+                r for r in bench.manifest_records(manifest, ("r",), threshold_k)
+                if r["record_type"] == "summary"
             ]
             assert [c["category"] for c in summary["categories"]] == [c.value for c in Category]
             for record in summary["categories"]:

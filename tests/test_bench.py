@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -202,7 +203,8 @@ class TestManifestStats:
 
 def _summary(manifest: BenchmarkManifest) -> dict:
     """The summary record the manifest is written with."""
-    (summary,) = [r for r in manifest_records(manifest) if r["record_type"] == "summary"]
+    (summary,) = [r for r in manifest_records(manifest, ("r",), 2)
+                  if r["record_type"] == "summary"]
     return summary
 
 
@@ -215,15 +217,30 @@ def _stats(manifest: BenchmarkManifest) -> dict[Subcategory, tuple[int, int]]:
     return stats
 
 
-def export_manifest(manifest: BenchmarkManifest, path: Path) -> None:
-    write_jsonl(path, manifest_records(manifest))
+def export_manifest(
+    manifest: BenchmarkManifest, path: Path, run_ids=("r",), threshold_k: int = 2
+) -> None:
+    write_jsonl(path, manifest_records(manifest, run_ids, threshold_k))
 
 
 class TestExport:
     def test_round_trip(self, tmp_path):
-        manifest = build(_identity_heavy_profiles(), threshold_k=1, run_ids=("run-7",))
+        manifest = build(_identity_heavy_profiles(), threshold_k=1)
         path = tmp_path / "benchmark.jsonl"
-        export_manifest(manifest, path)
+        export_manifest(manifest, path, ("run-7",), 1)
+        assert load_manifest(path) == manifest
+        summary = json.loads(path.read_text().splitlines()[0])
+        assert summary["provenance"] == {"run_ids": ["run-7"], "threshold_k": 1}
+
+    def test_summary_record_is_not_read_back(self, tmp_path):
+        # Its provenance and counts are written for readers of the file;
+        # the entries are the manifest.
+        manifest = build(_identity_heavy_profiles(), threshold_k=1)
+        records = manifest_records(manifest, ("r",), 1)
+        records[0] = {"record_type": "summary",
+                      "provenance": {"run_ids": "r", "threshold_k": True}}
+        path = tmp_path / "benchmark.jsonl"
+        write_jsonl(path, records)
         assert load_manifest(path) == manifest
 
     def test_empty_manifest_summary_all_zero(self, tmp_path):
@@ -250,8 +267,8 @@ class TestExport:
     def test_byte_identical_determinism(self, tmp_path):
         profiles = _identity_heavy_profiles()
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        export_manifest(build(profiles, threshold_k=2, run_ids=("r",)), a)
-        export_manifest(build(list(reversed(profiles)), threshold_k=2, run_ids=("r",)), b)
+        export_manifest(build(profiles, threshold_k=2), a)
+        export_manifest(build(list(reversed(profiles)), threshold_k=2), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_summary_csv(self):

@@ -174,6 +174,25 @@ class TestDeterminism:
             ("t2", "b", None, "not_executed"),
         ]
 
+    def test_hash_order_gives_one_verdict(self, tmp_path):
+        # Four identical programs printing a set of strings, whose order
+        # follows the hash secret, on two identical tests: every execution
+        # of every run, at one job and at three, gets the same verdict.
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps({**_TASK, "test_cases": [
+            {"input": "", "expected_output": "x y"}] * 2})])
+        _write_lines(completions, [
+            json.dumps({**_COMPLETION, "model_id": f"m{n}", "raw_response": "print(*{'x', 'y'})"})
+            for n in range(4)
+        ])
+        statuses = set()
+        for run, jobs in enumerate([1] * 4 + [3] * 3):
+            out = tmp_path / f"run{run}"
+            assert _run(["--out-dir", out, "--jobs", jobs, "validate", "--dataset", tasks,
+                         "--completions", completions]) == 0
+            statuses |= {row["status"] for row in _read_lines(out / STATES_FILE)}
+        assert len(statuses) == 1, statuses
+
 
 class TestGoldenArtifacts:
     def test_pipeline_matches_expected_files(self, mini_corpus, tmp_path):
@@ -226,9 +245,7 @@ _MALFORMED = {
 # reader documents.
 _MALFORMED_EXIT_CODES = {
     "config": 1,
-    "provider": 1,
     "classification-table": 1,
-    "provider-response": 3,
     "tasks": 2,
     "completions": 2,
     "states": 2,
@@ -256,6 +273,20 @@ class TestExitCodes:
         assert error["error"] == "ConfigError"
         assert "completions" in error["message"]
         assert not out.exists()
+
+    def test_out_dir_naming_a_file_is_three(self, mini_corpus, tmp_path, capsys):
+        # The out dir cannot be made: a harness fault, reported as one
+        # JSON line without a traceback.
+        out = tmp_path / "out"
+        out.write_text("")
+        assert _run(["--out-dir", out, "validate", "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["exit_code"]) == ("FileExistsError", 3)
+        assert str(out) in error["message"]
 
     def test_validation_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "tasks.jsonl"
@@ -362,7 +393,7 @@ class TestExitCodes:
         assert not (out / REPORT_CSV_FILE).exists()
 
     def test_evaluate_refuses_a_second_summary_record(self, tmp_path, capsys):
-        # Kept, the second record's provenance would replace the first's.
+        # Kept, the file would record two provenances for one benchmark.
         out = tmp_path / "out"
         out.mkdir()
         lines = (EXPECTED / BENCHMARK_FILE).read_text().splitlines()
@@ -445,9 +476,6 @@ class TestExitCodes:
                          "observed_frequency": 3.5, "contributing_models": ["m"]}),
              "observed_frequency"),
             ("evaluate", BENCHMARK_FILE,
-             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": [], "threshold_k": True}}),
-             "threshold_k"),
-            ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
                          "observed_frequency": 3, "contributing_models": "m1"}),
              "contributing_models"),
@@ -458,9 +486,6 @@ class TestExitCodes:
             ("evaluate", BENCHMARK_FILE,
              json.dumps({"record_type": "entry", "task_id": 5, "target_subcategory": "identity",
                          "observed_frequency": 3, "contributing_models": ["m"]}), "task_id"),
-            ("evaluate", BENCHMARK_FILE,
-             json.dumps({**_MANIFEST_SUMMARY, "provenance": {"run_ids": "run", "threshold_k": 2}}),
-             "run_ids"),
             ("validate", "tasks.jsonl", json.dumps({**_TASK, "task_id": None}), "task_id"),
             ("validate", "tasks.jsonl",
              json.dumps({**_TASK, "task_id": "u", "limits": {"wall_time_ms": "x"}}),
@@ -494,9 +519,8 @@ class TestExitCodes:
              "states-string-classification", "states-int-task-id", "states-null-model-id",
              "profiles-string-degenerate", "profiles-float-count", "profiles-int-cause",
              "profiles-string-labels", "profiles-string-label", "profiles-int-task-id",
-             "profiles-list-model-id", "manifest-bad-subcategory",
-             "manifest-float-frequency", "manifest-bool-threshold", "manifest-string-models",
-             "manifest-int-model", "manifest-int-task-id", "manifest-string-run-ids",
+             "profiles-list-model-id", "manifest-bad-subcategory", "manifest-float-frequency",
+             "manifest-string-models", "manifest-int-model", "manifest-int-task-id",
              "tasks-null-task-id", "tasks-bad-limit", "tasks-float-limit",
              "tasks-string-limits", "tasks-string-test-cases", "tasks-int-test-case",
              "tasks-null-expected-output", "tasks-null-input", "completions-null-raw-response",
@@ -537,18 +561,12 @@ class TestExitCodes:
         _write_lines(tasks, [json.dumps(_TASK)])
         _write_lines(completions, [json.dumps({"task_id": "t", "model_id": "m",
                                                "raw_response": "print()"})])
-        store = tmp_path / "responses"
-        store.mkdir()
-        provider = tmp_path / "provider.json"
-        provider.write_text(json.dumps({"endpoint": "file", "model_id": "m", "path": str(store)}))
-        bad = store / "t__m.json" if target == "provider-response" else tmp_path / "bad.json"
+        bad = tmp_path / "bad.json"
         bad.write_bytes(_MALFORMED[content])
         validate = ["validate", "--dataset", tasks, "--completions", completions]
         args = {
             "config": ["--config", bad, *validate],
             "classification-table": ["--classification-table", bad, *validate],
-            "provider": ["validate", "--dataset", tasks, "--provider", bad],
-            "provider-response": ["validate", "--dataset", tasks, "--provider", provider],
             "tasks": ["validate", "--dataset", bad, "--completions", completions],
             "completions": ["validate", "--dataset", tasks, "--completions", bad],
             "states": ["identify", "--states", bad],
@@ -560,26 +578,6 @@ class TestExitCodes:
         errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert [e["exit_code"] for e in errors] == [code]
         assert str(bad) in errors[0]["message"]
-
-    @pytest.mark.parametrize(
-        "fields",
-        [{"endpoint": 5}, {"template": 7}, {"max_retries": "2"}, {"max_retries": True},
-         {"model_id": 5}, {"path": 5}, {"endpoint": "http://127.0.0.1:1/x", "cache_dir": 5}],
-        ids=["endpoint", "template", "max-retries", "max-retries-bool",
-             "model-id", "path", "cache-dir"],
-    )
-    def test_mistyped_provider_config_is_config_error(self, fields, tmp_path, capsys):
-        tasks = tmp_path / "tasks.jsonl"
-        _write_lines(tasks, [json.dumps(_TASK)])
-        provider = tmp_path / "provider.json"
-        provider.write_text(
-            json.dumps({"endpoint": "file", "model_id": "m", "path": ".", **fields})
-        )
-        assert _run(["--out-dir", tmp_path / "out", "validate", "--dataset", tasks,
-                     "--provider", provider]) == 1
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert json.loads(err)["error"] == "ConfigError"
 
     @pytest.mark.parametrize("options", [[], ["--artifact-dir", "artifacts"]],
                              ids=["plain", "artifact-dir"])
@@ -603,15 +601,6 @@ class TestExitCodes:
             stdins = list((tmp_path / "artifacts").rglob("stdin.txt"))
             assert len(stdins) == 2
             assert {p.read_bytes() for p in stdins} == {"\ud800".encode("utf-8", "surrogatepass")}
-
-    def test_mutually_exclusive_sources(self, mini_corpus, tmp_path):
-        provider = tmp_path / "provider.json"
-        provider.write_text(json.dumps({"endpoint": "file", "model_id": "m", "path": "."}))
-        code = _run(["--out-dir", tmp_path / "out", "validate",
-                     "--dataset", mini_corpus["tasks"],
-                     "--completions", mini_corpus["completions"],
-                     "--provider", provider])
-        assert code == 1
 
 
 class TestConfigFile:
@@ -826,38 +815,6 @@ class TestSettingPrecedence:
         assert not (tmp_path / "out").exists()
 
 
-class TestFileProviderFlow:
-    def test_validate_with_file_provider(self, tmp_path):
-        dataset = tmp_path / "tasks.jsonl"
-        dataset.write_text(
-            json.dumps(
-                {
-                    "task_id": "pt",
-                    "question": "print double",
-                    "test_cases": [{"input": "4", "expected_output": "8"}],
-                }
-            )
-            + "\n"
-        )
-        store = tmp_path / "responses"
-        store.mkdir()
-        (store / "pt__stored-model.json").write_text(
-            json.dumps({"text": "```python\nprint(int(input())*2)\n```"})
-        )
-        provider = tmp_path / "provider.json"
-        provider.write_text(
-            json.dumps({"endpoint": "file", "model_id": "stored-model", "path": str(store)})
-        )
-        out = tmp_path / "out"
-        assert _run(["--out-dir", out, "validate", "--dataset", dataset,
-                     "--provider", provider]) == 0
-        records = _read_lines(out / STATES_FILE)
-        assert len(records) == 1
-        assert records[0]["status"] == "pass"
-        # fetched completions are persisted for audit
-        assert (out / "completions.jsonl").exists()
-
-
 class TestDegenerationFlags:
     def test_threshold_flag_changes_verdict(self, tmp_path):
         dataset = tmp_path / "tasks.jsonl"
@@ -892,12 +849,12 @@ class TestDegenerationFlags:
 
 # The input-file options each command takes.
 _COMMAND_INPUTS = {
-    "validate": ["--dataset", "--completions", "--provider"],
+    "validate": ["--dataset", "--completions"],
     "identify": ["--states"],
     "build-bench": ["--profiles"],
     "evaluate": ["--benchmark", "--profiles"],
     "report": ["--profiles"],
-    "pipeline": ["--dataset", "--completions", "--provider"],
+    "pipeline": ["--dataset", "--completions"],
 }
 
 
@@ -939,7 +896,7 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "route",
-        ["flag", "directory", "provider", "config-dataset", "config-completions", "identify",
+        ["flag", "directory", "config-dataset", "config-completions", "identify",
          "build-bench", "evaluate", "report"],
     )
     def test_missing_input_is_one_on_every_route(self, route, mini_corpus, tmp_path, capsys):
@@ -959,7 +916,6 @@ class TestParser:
         args = {
             "flag": flag,
             "directory": flag,
-            "provider": ["validate", "--dataset", mini_corpus["tasks"], "--provider", absent],
             "config-dataset": ["validate"],
             "config-completions": ["validate"],
         }.get(route, [route])
@@ -990,23 +946,6 @@ class TestParser:
 
 
 class TestSafeNames:
-    def test_provider_refuses_tasks_sharing_a_response_file(self, tmp_path, capsys):
-        tasks = tmp_path / "tasks.jsonl"
-        _write_lines(tasks, [json.dumps({**_TASK, "task_id": task_id})
-                             for task_id in ("a b", "a_b")])
-        store = tmp_path / "responses"
-        store.mkdir()
-        (store / "a_b__m.json").write_text(json.dumps({"text": "print()"}))
-        provider = tmp_path / "provider.json"
-        provider.write_text(json.dumps({"endpoint": "file", "model_id": "m", "path": str(store)}))
-        out = tmp_path / "out"
-        assert _run(["--out-dir", out, "validate", "--dataset", tasks,
-                     "--provider", provider]) == 2
-        error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "ValidationError"
-        assert "'a b'" in error["message"] and "'a_b'" in error["message"]
-        assert not (out / "completions.jsonl").exists()
-
     @pytest.mark.parametrize(
         "pairs, response",
         [([("a b", "m"), ("a_b", "m")], "print()"), ([("a__b", "c"), ("a", "b__c")], "print()"),

@@ -454,6 +454,14 @@ class TestForkServer:
         if name == "parser-exhausted":
             assert forked[2] == "MemoryError\n"
 
+    def test_programs_hash_with_one_fixed_secret(self, monkeypatch):
+        # A forked child and a `python prog.py` child under the guard
+        # environment: hash randomization off, and one hash of a string.
+        source = "import sys\nprint(sys.flags.hash_randomization, hash('x'))\n"
+        forked = _through_execute(source, "", None, monkeypatch)
+        assert forked == _through_python(source, "", None)
+        assert forked[1].split()[0] == "0"
+
     def test_program_killing_its_server_spares_the_harness(self):
         harness = (
             "import json\n"

@@ -33,3 +33,9 @@ def test_traced_run_yields_every_declared_layer_metric(mini_corpus, tmp_path, mo
     # run.py adds the tracer's own overhead, which needs an untraced run.
     assert sorted(declared - {"trace.overhead_frac"} - set(metrics)) == []
     assert metrics["report.render_calls"] == (1, "count")
+    # No mini-corpus completion carries source_code, so each one's code is
+    # extracted through the wrapped name; a caller bound to the unwrapped
+    # function would leave gateway.extract_s reading 0.
+    rows = [json.loads(line) for line in mini_corpus["completions"].read_text().splitlines()]
+    assert len(rows) == 24 and not any("source_code" in row for row in rows)
+    assert sum(span.name == "gateway.extract_code" for span in tracer.spans) == 24
