@@ -44,24 +44,15 @@ _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 def main():
     requests, replies = int(sys.argv[1]), int(sys.argv[2])
     os.write(replies, b"ready\n")
-    for line in _lines(requests):
-        request = json.loads(line)
-        pid = os.fork()
-        if pid == 0:
-            _child(request, requests, replies)
-        _, status, usage = os.wait4(pid, 0)
-        returncode = os.waitstatus_to_exitcode(status)
-        os.write(replies, b"%d %d\n" % (returncode, usage.ru_maxrss * 1024))
-
-
-def _lines(fd):
-    pending = b""
-    while True:
-        chunk = os.read(fd, 65536)
-        if not chunk:
-            return
-        *lines, pending = (pending + chunk).split(b"\n")
-        yield from lines
+    with open(requests, "rb") as lines:
+        for line in lines:
+            request = json.loads(line)
+            pid = os.fork()
+            if pid == 0:
+                _child(request, requests, replies)
+            _, status, usage = os.wait4(pid, 0)
+            returncode = os.waitstatus_to_exitcode(status)
+            os.write(replies, b"%d %d\n" % (returncode, usage.ru_maxrss * 1024))
 
 
 def _child(request, requests, replies):
@@ -206,7 +197,12 @@ def _print_uncaught(exc, code):
 def _exit(status, interrupted):
     """Finish as `Py_FinalizeEx` does: threading shutdown, atexit handlers,
     then a flush of stdout and stderr (a failed flush exits 120). An
-    uncaught KeyboardInterrupt ends the process by SIGINT."""
+    uncaught KeyboardInterrupt ends the process by SIGINT.
+
+    The emulation is for speed: ending through the interpreter finalizes
+    the whole heap the child inherited from this server, about 18 ms of CPU
+    per child against 1 ms for `os._exit` (2 CPUs, CPython 3.11). Its price
+    is that `__del__` of objects alive at exit does not run."""
     threading = sys.modules.get("threading")
     if threading is not None:
         threading._shutdown()

@@ -56,7 +56,6 @@ class ResourceLimits:
 @dataclass(frozen=True)
 class Task:
     task_id: str
-    question: str
     test_cases: tuple[TestCase, ...]
     limits: ResourceLimits = field(default_factory=ResourceLimits)
 
@@ -69,16 +68,19 @@ class Task:
 
 @dataclass(frozen=True)
 class Completion:
-    """One model's response for one task. `source_code` is derived
-    deterministically from `raw_response` (first fenced block, else the
-    response itself) unless the record supplies it explicitly."""
+    """One model's program for one task."""
 
     task_id: str
     model_id: str
-    raw_response: str
     source_code: str
     sample_index: int | None = None
     truncated_at_limit: bool = False
+
+    @property
+    def key(self) -> tuple:
+        """(task, model), plus the sample index when the completion has one."""
+        key = (self.task_id, self.model_id)
+        return key if self.sample_index is None else (*key, self.sample_index)
 
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
@@ -173,7 +175,7 @@ def read_json_object(path: str | Path, error: type[HaluscopeError]) -> dict:
     naming the path."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
         raise error(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise error(f"{path}: expected a JSON object")
@@ -205,9 +207,9 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     raises ConfigError naming the path. Each line must be UTF-8 and hold
     a JSON object. `decode` turns the object into a value; a KeyError,
     ValueError, TypeError or AttributeError it raises (a missing field, an
-    unparseable value, a wrongly typed field) becomes an IngestionError
-    naming the path and line, and a ValidationError it raises is
-    re-raised with the same location prefixed."""
+    unparseable value, a wrongly typed field) becomes an IngestionError,
+    and a ValidationError it raises is re-raised; both messages start
+    with `path:line: `."""
     path = str(path)
     try:
         fh = open(path, "rb")
@@ -216,34 +218,32 @@ def read_jsonl(path: str | Path, decode: Callable[[dict], T]) -> list[T]:
     records = []
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}: "
             try:
                 line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise IngestionError(f"not UTF-8: {exc}", path=path, line=lineno) from exc
-            if not line.strip():
-                continue
-            try:
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestionError(f"malformed JSON: {exc.msg}", path=path, line=lineno) from exc
-            if not isinstance(obj, dict):
-                raise IngestionError("expected a JSON object", path=path, line=lineno)
-            try:
+                if not isinstance(obj, dict):
+                    raise TypeError("expected a JSON object")
                 records.append(decode(obj))
+            except UnicodeDecodeError as exc:
+                raise IngestionError(f"{where}not UTF-8: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise IngestionError(f"{where}malformed JSON: {exc.msg}") from exc
+            except RecursionError as exc:  # nested too deep for json.loads
+                raise IngestionError(f"{where}malformed JSON: {exc}") from exc
             except KeyError as exc:
-                raise IngestionError(
-                    f"missing required field {exc.args[0]!r}", path=path, line=lineno
-                ) from exc
+                raise IngestionError(f"{where}missing required field {exc.args[0]!r}") from exc
             except (ValueError, TypeError, AttributeError) as exc:
-                raise IngestionError(str(exc), path=path, line=lineno) from exc
+                raise IngestionError(where + str(exc)) from exc
             except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+                raise ValidationError(where + str(exc)) from exc
     return records
 
 
 def task_from_dict(obj: dict) -> Task:
     task_id = read_field(obj, "task_id", identifier)
-    question = read_field(obj, "question", string)
     # Missing expected_output is a schema error; the empty string is a
     # legitimate expectation and must survive ingestion.
     cases = tuple(TestCase(input=read_field(case, "input", string),
@@ -254,14 +254,16 @@ def task_from_dict(obj: dict) -> Task:
         wall_time_ms=read_field(limits_obj, "wall_time_ms", integer, DEFAULT_WALL_TIME_MS),
         memory_bytes=read_field(limits_obj, "memory_bytes", integer, DEFAULT_MEMORY_BYTES),
     )
-    return Task(task_id=task_id, question=question, test_cases=cases, limits=limits)
+    return Task(task_id=task_id, test_cases=cases, limits=limits)
 
 
 def load_dataset(
     path: str | Path, wall_time_ms: int | None = None, memory_bytes: int | None = None
 ) -> dict[str, Task]:
-    """The tasks of a tasks.jsonl file by id, in file order; a repeated id
-    is a ValidationError naming the line. The run's limits, where given,
+    """The tasks of a tasks.jsonl file by id, in file order. A row is read
+    for `task_id`, `test_cases` (`input`, `expected_output`) and optional
+    `limits` (`wall_time_ms`, `memory_bytes`); a repeated id is a
+    ValidationError naming the line. The run's limits, where given,
     replace a task's own once those have passed `ResourceLimits`."""
     tasks = read_jsonl(path, refuse_repeats(
         task_from_dict, lambda task: task.task_id, "duplicate task_id"))
@@ -273,12 +275,13 @@ def load_dataset(
 
 
 def completion_from_dict(obj: dict) -> Completion:
+    """A record's completion. `source_code` is the record's own, else
+    derived from `raw_response` (first fenced block, else all of it)."""
     raw_response = read_field(obj, "raw_response", string)
     source = read_field(obj, "source_code", string, None)
     return Completion(
         task_id=read_field(obj, "task_id", identifier),
         model_id=read_field(obj, "model_id", identifier),
-        raw_response=raw_response,
         source_code=gateway.extract_code(raw_response) if source is None else source,
         sample_index=read_field(obj, "sample_index", integer, None),
         truncated_at_limit=read_field(obj, "truncated_at_limit", boolean, False),
@@ -293,6 +296,5 @@ def load_completions(path: str | Path) -> list[Completion]:
     rejected unless every repeat carries its own sample_index; a missing
     sample_index is a value of its own."""
     return read_jsonl(path, refuse_repeats(
-        completion_from_dict, lambda c: (c.task_id, c.model_id, c.sample_index),
-        "repeated completion"))
+        completion_from_dict, lambda c: c.key, "repeated completion"))
 

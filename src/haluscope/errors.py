@@ -13,16 +13,8 @@ class ConfigError(HaluscopeError):
 
 
 class IngestionError(HaluscopeError):
-    """A data file could not be parsed. Carries the offending line number.
-    CLI exit code 2."""
-
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        prefix = ""
-        if path is not None:
-            prefix = f"{path}:{line}: " if line is not None else f"{path}: "
-        super().__init__(prefix + message)
+    """A data file could not be parsed; the message starts with
+    `path:line:`, naming the offending line. CLI exit code 2."""
 
 
 class ValidationError(HaluscopeError):

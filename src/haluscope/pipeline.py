@@ -130,12 +130,6 @@ def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
     )
 
 
-def _artifact_key(completion: Completion) -> tuple:
-    """(task, model), plus the sample index when the completion has one."""
-    key = (completion.task_id, completion.model_id)
-    return key if completion.sample_index is None else (*key, completion.sample_index)
-
-
 def _artifact_name(completion: Completion) -> str:
     name = f"{completion.task_id}__{completion.model_id}"
     if completion.sample_index is not None:
@@ -172,9 +166,7 @@ def classify_corpus(
     or not, that would share an artifact directory raise ValidationError
     before anything runs."""
     if artifact_root is not None:  # pairs sharing a directory would mix their files
-        refuse_shared_names(
-            (_artifact_key(c), _artifact_name(c)) for c in completions if c.task_id in tasks
-        )
+        refuse_shared_names((c.key, _artifact_name(c)) for c in completions if c.task_id in tasks)
     results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
     executions: list[tuple[Completion, degeneration.DegenerationVerdict, int]] = []
 

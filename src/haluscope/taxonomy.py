@@ -127,8 +127,6 @@ PASS_RESULT = Classification(kind=ClassKind.PASS, cause="pass")
 
 CAUSE_OUTPUT_MISMATCH = "output_mismatch"
 CAUSE_SYNTACTIC = "syntactic"
-CAUSE_TIME_LIMIT = "time_limit_exceeded"
-CAUSE_MEMORY_LIMIT = "memory_limit_exceeded"
 
 
 def _labeled(subcategory: Subcategory, cause: str) -> Classification:
@@ -162,9 +160,9 @@ def classify(
     if status is Status.SYNTAX_FAILURE:
         return _labeled(Subcategory.LOGIC_BREAKDOWN, CAUSE_SYNTACTIC)
     if status is Status.MEMORY_LIMIT_EXCEEDED:
-        return _labeled(Subcategory.PHYSICAL_CONSTRAINT, CAUSE_MEMORY_LIMIT)
+        return _labeled(Subcategory.PHYSICAL_CONSTRAINT, status.value)
     if status is Status.TIME_LIMIT_EXCEEDED:
-        return _labeled(Subcategory.COMPUTATIONAL_BOUNDARY, CAUSE_TIME_LIMIT)
+        return _labeled(Subcategory.COMPUTATIONAL_BOUNDARY, status.value)
     if status is Status.RUNTIME_FAILURE:
         name = outcome.exception_name
         subcategory = table.exception_map.get(name)

@@ -240,6 +240,7 @@ _MALFORMED = {
     "not-utf8": b'{"task_id": "\xff"}\n',
     "not-json": b"{broken\n",
     "not-an-object": b"[1]\n",
+    "too-deep": b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
 }
 # Each input file a malformed file is fed as, and the exit code its
 # reader documents.

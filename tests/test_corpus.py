@@ -27,7 +27,6 @@ def save_dataset(tasks, path) -> None:
     _write_jsonl(path, [
         {
             "task_id": task.task_id,
-            "question": task.question,
             "test_cases": [
                 {"input": c.input, "expected_output": c.expected_output} for c in task.test_cases
             ],
@@ -81,7 +80,7 @@ class TestDatasetLoading:
         _write_jsonl(path, [_task_record("a"), _task_record("b", limits=limits)])
         with pytest.raises(IngestionError) as exc_info:
             load_dataset(path)
-        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith(f"{path}:2: ")
 
     def test_duplicate_task_id_rejected(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
@@ -113,7 +112,7 @@ class TestDatasetLoading:
         path.write_text(json.dumps(_task_record()) + "\n{not json\n")
         with pytest.raises(IngestionError) as exc_info:
             load_dataset(path)
-        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith(f"{path}:2: ")
 
     def test_missing_expected_output_is_schema_error(self, tmp_path):
         # empty expected_output is legal; an absent one is not
@@ -121,6 +120,14 @@ class TestDatasetLoading:
         _write_jsonl(path, [_task_record(cases=[{"input": "x"}])])
         with pytest.raises(IngestionError, match="expected_output"):
             load_dataset(path)
+
+    def test_task_without_question_loads(self, tmp_path):
+        # Nothing reads a task's question, so a row need not carry one.
+        path = tmp_path / "tasks.jsonl"
+        record = _task_record()
+        del record["question"]
+        _write_jsonl(path, [record])
+        assert load_dataset(path)["t1"].test_cases == (TestCase("3", "6"),)
 
     def test_empty_expected_output_survives(self, tmp_path):
         path = tmp_path / "tasks.jsonl"
@@ -194,7 +201,7 @@ class TestRoundTrip:
     )
     def test_round_trip_property(self, tmp_path_factory, tasks):
         saved = [
-            Task(task_id=task_id, question="q", test_cases=tuple(TestCase(i, o) for i, o in cases))
+            Task(task_id=task_id, test_cases=tuple(TestCase(i, o) for i, o in cases))
             for task_id, cases in tasks
         ]
         path = tmp_path_factory.mktemp("rt") / "tasks.jsonl"
@@ -252,8 +259,9 @@ class TestCompletions:
                 {"task_id": "a", "model_id": "m", "raw_response": "y"},
             ],
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc_info:
             load_completions(path)
+        assert str(exc_info.value) == f"{path}:2: repeated completion ('a', 'm')"
 
     def test_repeat_with_sample_index_allowed(self, tmp_path):
         path = tmp_path / "completions.jsonl"
@@ -279,7 +287,7 @@ class TestCompletions:
                             {"task_id": "b", "model_id": "m", "raw_response": "x", **fields}])
         with pytest.raises(IngestionError) as exc_info:
             load_completions(path)
-        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith(f"{path}:2: ")
 
     def test_typed_fields_read(self, tmp_path):
         path = tmp_path / "completions.jsonl"
@@ -311,7 +319,7 @@ class TestCompletions:
         path.write_text('{"task_id": "a", "model_id": "m", "raw_response": "x"}\noops\n')
         with pytest.raises(IngestionError) as exc_info:
             load_completions(path)
-        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith(f"{path}:2: ")
 
 
 class TestLimits:

@@ -744,20 +744,19 @@ class TestIsolationAndBatch:
     def test_classify_corpus_runs_every_test(self):
         task = Task(
             task_id="t",
-            question="q",
             test_cases=(TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "5")),
             limits=LIMITS,
         )
         source = "print(int(input())+1)"
         pairs = classify_corpus(
-            {"t": task}, [Completion("t", "m", source, source)], jobs=2
+            {"t": task}, [Completion("t", "m", source)], jobs=2
         )
         assert [o.status for _, o in pairs] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
         assert [r.test_index for r, _ in pairs] == [0, 1, 2]
 
     def test_missing_interpreter_fails_every_execution(self):
-        task = Task("t", "q", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
-        completions = [Completion("t", m, "print(1)", "print(1)") for m in ("m1", "m2")]
+        task = Task("t", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
+        completions = [Completion("t", m, "print(1)") for m in ("m1", "m2")]
         pairs = classify_corpus(
             {"t": task}, completions, interpreter=["/no/such/bin"], jobs=2
         )
@@ -804,10 +803,10 @@ class TestIsolationAndBatch:
 
 
     def test_artifact_dirs_distinct_per_sample(self, tmp_path):
-        task = Task("t1", "q", (TestCase("1", "2"),), LIMITS)
+        task = Task("t1", (TestCase("1", "2"),), LIMITS)
         sources = ("print(int(input())+1)", "print(int(input())+2)")
         completions = [
-            Completion("t1", "m", src, src, sample_index=i) for i, src in enumerate(sources)
+            Completion("t1", "m", src, sample_index=i) for i, src in enumerate(sources)
         ]
         pairs = classify_corpus({"t1": task}, completions, artifact_root=str(tmp_path))
         assert sorted(outcome.status for _, outcome in pairs) == [Status.PASS, Status.WRONG_OUTPUT]
@@ -822,7 +821,6 @@ def _three_model_corpus() -> tuple[dict[str, Task], list[Completion]]:
     failing the first test and one failing the second."""
     task = Task(
         task_id="t",
-        question="q",
         test_cases=(TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")),
         limits=LIMITS,
     )
@@ -831,7 +829,7 @@ def _three_model_corpus() -> tuple[dict[str, Task], list[Completion]]:
         "m-first": "print(int(input())+2)",
         "m-second": "n = int(input())\nprint(n+1 if n < 2 else 0)",
     }
-    completions = [Completion("t", model, src, src) for model, src in sources.items()]
+    completions = [Completion("t", model, src) for model, src in sources.items()]
     return {"t": task}, completions
 
 
