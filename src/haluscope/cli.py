@@ -5,8 +5,10 @@ sources, a dataset and a completions file, from --dataset and
 
 Exit codes: 0 success; 1 usage or configuration, which includes an
 input file that cannot be read, whether its path came from a flag, a
-config key or a stage's default input in the out dir; 2 data validation;
-3 harness fault. Failures emit machine-readable JSON on stderr.
+config key or a stage's default input in the out dir, and an out dir or
+artifact dir that cannot be created (--out-dir or --artifact-dir naming
+a regular file, say); 2 data validation; 3 harness fault. Failures emit
+machine-readable JSON on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import degeneration, pipeline, taxonomy
-from .corpus import MIN_MEMORY_BYTES, MIN_WALL_TIME_MS, integer, read_json_object
+from .corpus import (
+    MAX_MEMORY_BYTES,
+    MAX_WALL_TIME_MS,
+    MIN_MEMORY_BYTES,
+    MIN_WALL_TIME_MS,
+    integer,
+    read_json_object,
+)
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
 
@@ -30,13 +39,16 @@ _EXIT_DATA = 2
 _EXIT_FAULT = 3
 
 
-def _at_least(minimum: int) -> Callable[[Any], int]:
-    """A parser of integers that refuses one below `minimum`."""
+def _at_least(minimum: int, maximum: int | None = None) -> Callable[[Any], int]:
+    """A parser of integers that refuses one below `minimum` or, given a
+    `maximum`, above it."""
 
     def parse(value) -> int:
         number = integer(value)
         if number < minimum:
             raise ValueError(f"must be at least {minimum}, got {number}")
+        if maximum is not None and number > maximum:
+            raise ValueError(f"must be at most {maximum}, got {number}")
         return number
     return parse
 
@@ -89,10 +101,14 @@ RUN_SETTINGS = (
     _Setting("--jobs", "jobs", "jobs", _at_least(1), "Parallel sandbox workers."),
     _Setting("--interpreter", "interpreter", "interpreter", _command,
              "Interpreter command, e.g. 'python3 -u'."),
-    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms", _at_least(MIN_WALL_TIME_MS),
-             f"Wall-time limit of every execution, in milliseconds (at least {MIN_WALL_TIME_MS})."),
-    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes", _at_least(MIN_MEMORY_BYTES),
-             f"Memory limit of every execution, in bytes (at least {MIN_MEMORY_BYTES})."),
+    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms",
+             _at_least(MIN_WALL_TIME_MS, MAX_WALL_TIME_MS),
+             "Wall-time limit of every execution, in milliseconds "
+             f"({MIN_WALL_TIME_MS} to {MAX_WALL_TIME_MS})."),
+    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes",
+             _at_least(MIN_MEMORY_BYTES, MAX_MEMORY_BYTES),
+             "Memory limit of every execution, in bytes "
+             f"({MIN_MEMORY_BYTES} to {MAX_MEMORY_BYTES})."),
     _Setting("--threshold-k", "threshold_k", "threshold_k", _at_least(1),
              "Benchmark inclusion threshold."),
     _Setting("--classification-table", "classification_table", "table", taxonomy.load_table),

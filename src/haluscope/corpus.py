@@ -23,6 +23,11 @@ DEFAULT_MEMORY_BYTES = 256 * 2**20
 
 MIN_WALL_TIME_MS = 100
 MIN_MEMORY_BYTES = 16 * 2**20
+# The sandbox waits for a fork server's reply up to the wall limit plus its
+# 5 s grace (`sandbox._SERVER_GRACE_S`), through poll(), whose timeout is a
+# C int of milliseconds; setrlimit() takes the memory limit as a C long.
+MAX_WALL_TIME_MS = 2**31 - 1 - 5_000
+MAX_MEMORY_BYTES = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -43,14 +48,13 @@ class ResourceLimits:
     memory_bytes: int = DEFAULT_MEMORY_BYTES
 
     def __post_init__(self) -> None:
-        if self.wall_time_ms < MIN_WALL_TIME_MS:
-            raise ValidationError(
-                f"wall_time_ms must be >= {MIN_WALL_TIME_MS}, got {self.wall_time_ms}"
-            )
-        if self.memory_bytes < MIN_MEMORY_BYTES:
-            raise ValidationError(
-                f"memory_bytes must be >= {MIN_MEMORY_BYTES}, got {self.memory_bytes}"
-            )
+        for name, least, most in (("wall_time_ms", MIN_WALL_TIME_MS, MAX_WALL_TIME_MS),
+                                  ("memory_bytes", MIN_MEMORY_BYTES, MAX_MEMORY_BYTES)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
+            if value > most:
+                raise ValidationError(f"{name} must be <= {most}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ evaluate -> report.
 Each stage reads and writes JSONL/JSON artifacts so intermediate states
 can be audited or injected:
 
-- validate writes states.jsonl;
+- validate writes states.jsonl: a row per (completion, test), or one per
+  gated completion, ordered by `Completion.key`, then test index;
 - identify writes profiles.jsonl and frequencies.json;
 - build-bench writes benchmark.jsonl and benchmark_summary.csv;
 - evaluate writes evaluation.json, report.md, report.csv and report.json;
@@ -34,10 +35,12 @@ from .corpus import (
     load_dataset,
     read_field,
     read_jsonl,
+    refuse_repeats,
     refuse_shared_names,
     safe_name,
     string,
 )
+from .errors import ConfigError
 from .taxonomy import ClassificationTable, ClassKind
 
 logger = logging.getLogger(__name__)
@@ -80,6 +83,17 @@ def atomic_write(path: Path, write: Callable[[Path], None]) -> None:
     partial = path.with_name(path.name + ".partial")
     write(partial)
     os.replace(partial, path)
+
+
+def _make_dir(path: str | Path) -> Path:
+    """Create the directory `path` and its parents if missing. A path that
+    cannot be a directory (a regular file, say) raises ConfigError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {path}: {exc}") from exc
+    return path
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -157,63 +171,59 @@ def classify_corpus(
     """Run the full detection flow for every completion of a task in
     `tasks`, the task map `load_dataset` returns: degeneration gate,
     execution of every test case, classification. Returns (record, outcome)
-    pairs; degenerate completions carry a single record with no outcome.
+    pairs ordered by `Completion.key`, then test index, whatever the order
+    of `completions`; a degenerate completion carries a single record with
+    no outcome.
 
     Every (completion, test) request goes to one `sandbox.execute_batch`
     from a generator that gates each completion as the batch reads it, so
     the gate runs while the fork server starts and programs run. With
     `artifact_root`, two (task, model, sample) keys of known tasks, gated
-    or not, that would share an artifact directory raise ValidationError
-    before anything runs."""
+    or not, that would share an artifact directory raise ValidationError,
+    and a root that cannot be created raises ConfigError, before anything
+    runs."""
+    known = []
+    for completion in completions:
+        if completion.task_id in tasks:
+            known.append(completion)
+        else:
+            logger.warning("skipping completion for unknown task_id %r (model %s)",
+                           completion.task_id, completion.model_id)
     if artifact_root is not None:  # pairs sharing a directory would mix their files
-        refuse_shared_names((c.key, _artifact_name(c)) for c in completions if c.task_id in tasks)
-    results: list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]] = []
-    executions: list[tuple[Completion, degeneration.DegenerationVerdict, int]] = []
-
-    def record(completion, verdict, test_index, outcome) -> None:
-        classified = aggregate.ClassifiedRecord(
-            task_id=completion.task_id,
-            model_id=completion.model_id,
-            test_index=test_index,
-            test_count=len(tasks[completion.task_id].test_cases),
-            classification=taxonomy.classify(verdict, outcome, table),
-        )
-        results.append((classified, outcome))
+        refuse_shared_names((c.key, _artifact_name(c)) for c in known)
+        _make_dir(artifact_root)
+    known.sort(key=lambda completion: completion.key)
+    verdicts: list[degeneration.DegenerationVerdict] = []
 
     def requests() -> Iterator[sandbox.ExecutionRequest]:
-        for completion in completions:
-            task = tasks.get(completion.task_id)
-            if task is None:
-                logger.warning(
-                    "skipping completion for unknown task_id %r (model %s)",
-                    completion.task_id,
-                    completion.model_id,
-                )
-                continue
+        for completion in known:
             verdict = degeneration.detect(
                 completion.source_code, completion.truncated_at_limit, degeneration_config
             )
-            if verdict.kind is not degeneration.DegenerationKind.NONE:
-                record(completion, verdict, None, None)
-                continue
-            for index, test in enumerate(task.test_cases):
-                executions.append((completion, verdict, index))
-                yield sandbox.ExecutionRequest(
-                    completion.source_code, test, task.limits,
-                    _artifact_dir(artifact_root, completion, index),
-                )
+            verdicts.append(verdict)
+            if verdict.kind is degeneration.DegenerationKind.NONE:
+                task = tasks[completion.task_id]
+                for index, test in enumerate(task.test_cases):
+                    yield sandbox.ExecutionRequest(
+                        completion.source_code, test, task.limits,
+                        _artifact_dir(artifact_root, completion, index),
+                    )
 
-    outcomes = sandbox.execute_batch(requests(), jobs=jobs, interpreter=interpreter)
-    for (completion, verdict, index), outcome in zip(executions, outcomes, strict=True):
-        record(completion, verdict, index, outcome)
-
-    results.sort(
-        key=lambda pair: (
-            pair[0].task_id,
-            pair[0].model_id,
-            -1 if pair[0].test_index is None else pair[0].test_index,
-        )
-    )
+    outcomes = iter(sandbox.execute_batch(requests(), jobs=jobs, interpreter=interpreter))
+    results = []
+    for completion, verdict in zip(known, verdicts, strict=True):
+        test_count = len(tasks[completion.task_id].test_cases)
+        executed = verdict.kind is degeneration.DegenerationKind.NONE
+        for index in range(test_count) if executed else (None,):
+            outcome = None if index is None else next(outcomes)
+            classified = aggregate.ClassifiedRecord(
+                task_id=completion.task_id,
+                model_id=completion.model_id,
+                test_index=index,
+                test_count=test_count,
+                classification=taxonomy.classify(verdict, outcome, table),
+            )
+            results.append((classified, outcome))
     return results
 
 
@@ -222,8 +232,7 @@ def validate_stage(config: RunConfig) -> Path:
     (task, model, test) to states.jsonl."""
     tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
     completions = load_completions(config.completions_path)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_dir(config.out_dir)
     pairs = classify_corpus(
         tasks,
         completions,
@@ -253,7 +262,7 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
     granularities."""
     out_dir = Path(config.out_dir)
     states = load_states(states_path or out_dir / STATES_FILE)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     profiles = aggregate.build_profiles(states)
 
     profiles_path = out_dir / PROFILES_FILE
@@ -267,13 +276,17 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
 
 
 def load_profiles(path: str | Path) -> list[aggregate.SampleProfile]:
-    return read_jsonl(path, aggregate.profile_from_dict)
+    """The profiles of a profiles.jsonl file, in file order. A second row
+    for one (task, model) is a ValidationError naming its line, so build-bench,
+    evaluate and report never count one profile twice or pick one."""
+    return read_jsonl(path, refuse_repeats(
+        aggregate.profile_from_dict, lambda p: (p.task_id, p.model_id), "repeated profile"))
 
 
 def build_bench_stage(config: RunConfig, profiles_path: str | Path | None = None) -> Path:
     out_dir = Path(config.out_dir)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     manifest = bench.build(profiles, threshold_k=config.threshold_k)
     benchmark_path = out_dir / BENCHMARK_FILE
     write_jsonl(benchmark_path, bench.manifest_records(
@@ -293,7 +306,7 @@ def evaluate_stage(
     out_dir = Path(config.out_dir)
     manifest = bench.load_manifest(benchmark_path or out_dir / BENCHMARK_FILE)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     grouped = aggregate.profiles_by_model(profiles)
 
     hallucinated_by_model: dict[str, dict] = {}
@@ -330,7 +343,7 @@ def report_stage(config: RunConfig, profiles_path: str | Path | None = None) -> 
     cross-task rate per model."""
     out_dir = Path(config.out_dir)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     grouped = aggregate.profiles_by_model(profiles)
 
     payload = {}

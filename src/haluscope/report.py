@@ -84,8 +84,8 @@ def evaluate_model(
     surfaced separately instead of being counted for the target. The
     table is evaluation.json's: keyed by subcategory value, every target
     present, observed subcategories sorted and zero counts left out. The
-    model must have exactly one profile per task: two profiles for one
-    task raise ReportError rather than one of them being scored."""
+    profiles are keyed by task: `pipeline.load_profiles` refuses a second
+    profile of one (task, model) where it reads them."""
     if indicator_mode not in INDICATOR_MODES:
         raise ReportError(f"unknown indicator mode {indicator_mode!r}")
     profiles = list(profiles)
@@ -93,10 +93,7 @@ def evaluate_model(
     if len(models) != 1:
         raise ReportError(f"evaluate_model expects one model, got {sorted(models)}")
     model_id = next(iter(models))
-    by_task: dict[str, SampleProfile] = {}
-    for profile in profiles:
-        if by_task.setdefault(profile.task_id, profile) is not profile:
-            raise ReportError(f"model {model_id} has two profiles for task {profile.task_id!r}")
+    by_task = {profile.task_id: profile for profile in profiles}
 
     entries = manifest.entries()
     if not entries:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 from haluscope import pipeline, taxonomy
 from haluscope.cli import RUN_SETTINGS, main
+from haluscope.corpus import MAX_MEMORY_BYTES, MAX_WALL_TIME_MS
 from haluscope.pipeline import (
     BENCHMARK_FILE,
     BENCHMARK_SUMMARY_FILE,
@@ -167,12 +169,35 @@ class TestDeterminism:
             ("t1", "a", None, "not_executed"),
             ("t1", "b", 0, "pass"), ("t1", "b", 1, "pass"),
             ("t1", "c", None, "not_executed"),
+            ("t1", "s", 0, "pass"), ("t1", "s", 1, "pass"),
             ("t1", "s", None, "not_executed"),
-            ("t1", "s", 0, "pass"), ("t1", "s", 0, "wrong_output"),
-            ("t1", "s", 1, "pass"), ("t1", "s", 1, "wrong_output"),
+            ("t1", "s", 0, "wrong_output"), ("t1", "s", 1, "wrong_output"),
             ("t2", "a", 0, "wrong_output"),
             ("t2", "b", None, "not_executed"),
         ]
+
+    def test_states_do_not_depend_on_the_completions_order(self, tmp_path):
+        # Samples of one (task, model), executed and gated, with and without
+        # a sample index: every line order gives one states.jsonl.
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps({**_TASK, "test_cases": [
+            {"input": str(n), "expected_output": str(n + 1)} for n in range(2)]})])
+        lines = [json.dumps({**_COMPLETION, "raw_response": response, **sample})
+                 for response, sample in (("print(int(input()) + 1)", {}),
+                                          ("print(0)", {"sample_index": 0}),
+                                          (STUTTER, {"sample_index": 1}))]
+        states = set()
+        for run, order in enumerate(itertools.permutations(lines)):
+            _write_lines(completions, list(order))
+            for jobs in (1, 2):
+                out = tmp_path / f"run{run}-jobs{jobs}"
+                assert _run(["--out-dir", out, "--jobs", jobs, "validate", "--dataset", tasks,
+                             "--completions", completions]) == 0
+                states.add(normalize_measurements((out / STATES_FILE).read_text()))
+        assert len(states) == 1
+        assert [(r["test_index"], r["status"]) for r in map(json.loads, states.pop().splitlines())
+                ] == [(0, "pass"), (1, "pass"), (0, "wrong_output"), (1, "wrong_output"),
+                      (None, "not_executed")]
 
     def test_hash_order_gives_one_verdict(self, tmp_path):
         # Four identical programs printing a set of strings, whose order
@@ -275,19 +300,24 @@ class TestExitCodes:
         assert "completions" in error["message"]
         assert not out.exists()
 
-    def test_out_dir_naming_a_file_is_three(self, mini_corpus, tmp_path, capsys):
-        # The out dir cannot be made: a harness fault, reported as one
-        # JSON line without a traceback.
+    @pytest.mark.parametrize("flag", ["--out-dir", "--artifact-dir"],
+                             ids=["out-dir", "artifact-dir"])
+    def test_directory_naming_a_file_is_one(self, flag, mini_corpus, tmp_path, capsys):
+        # A directory the run cannot make is a usage error, reported as one
+        # JSON line without a traceback, before any program runs.
+        directory = tmp_path / "taken"
+        directory.write_text("")
         out = tmp_path / "out"
-        out.write_text("")
-        assert _run(["--out-dir", out, "validate", "--dataset", mini_corpus["tasks"],
-                     "--completions", mini_corpus["completions"]]) == 3
+        assert _run(["--out-dir", out, flag, directory, "validate",
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         (line,) = err.splitlines()
         error = json.loads(line)
-        assert (error["error"], error["exit_code"]) == ("FileExistsError", 3)
-        assert str(out) in error["message"]
+        assert (error["error"], error["exit_code"]) == ("ConfigError", 1)
+        assert error["message"].startswith(f"cannot create {directory}: ")
+        assert not (out / STATES_FILE).exists()
 
     def test_validation_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "tasks.jsonl"
@@ -389,9 +419,30 @@ class TestExitCodes:
         )
         assert _run(["--out-dir", out, "evaluate"]) == 2
         error = json.loads(capsys.readouterr().err)
-        assert error["error"] == "ReportError"
-        assert error["message"] == "model model-good has two profiles for task 'mini-wc'"
+        assert error["error"] == "ValidationError"
+        lineno = len((EXPECTED / PROFILES_FILE).read_text().splitlines()) + 1
+        assert error["message"] == (
+            f"{out / PROFILES_FILE}:{lineno}: repeated profile ('mini-wc', 'model-good')")
         assert not (out / REPORT_CSV_FILE).exists()
+
+    @pytest.mark.parametrize("command, output", [("build-bench", BENCHMARK_FILE),
+                                                 ("report", COOCCURRENCE_FILE)])
+    def test_profile_readers_refuse_a_repeated_profile(self, command, output, tmp_path, capsys):
+        # Kept, the second row would be counted beside the first: build-bench
+        # would give mini-wc's identity entry an observed frequency of 6, not
+        # 4, and report would count it twice in model-good's matrix.
+        out = tmp_path / "out"
+        out.mkdir()
+        expected = (EXPECTED / PROFILES_FILE).read_text()
+        repeated = next(line for line in expected.splitlines()
+                        if '"model-good"' in line and '"mini-wc"' in line)
+        (out / PROFILES_FILE).write_text(expected + repeated + "\n")
+        assert _run(["--threshold-k", "2", "--out-dir", out, command]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"] == (f"{out / PROFILES_FILE}:{len(expected.splitlines()) + 1}: "
+                                    "repeated profile ('mini-wc', 'model-good')")
+        assert not (out / output).exists()
 
     def test_evaluate_refuses_a_second_summary_record(self, tmp_path, capsys):
         # Kept, the file would record two provenances for one benchmark.
@@ -438,6 +489,52 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ValidationError"
         assert error["message"].startswith(f"{tasks}:1: {limit} must be >= ")
+
+    @pytest.mark.parametrize("limit, bound", [("wall_time_ms", MAX_WALL_TIME_MS),
+                                              ("memory_bytes", MAX_MEMORY_BYTES)])
+    def test_file_limit_up_to_its_maximum(self, limit, bound, mini_corpus, tmp_path, capsys):
+        # The largest limit runs the program; one more is refused with its
+        # line, where the sandbox could not honour it.
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(completions, [json.dumps(_COMPLETION)])
+        _write_lines(tasks, [json.dumps({**_TASK, "limits": {limit: bound}})])
+        args = ["validate", "--dataset", tasks, "--completions", completions]
+        assert _run(["--out-dir", tmp_path / "out", *args]) == 0
+        assert [row["status"] for row in _read_lines(tmp_path / "out" / STATES_FILE)] == ["pass"]
+        _write_lines(tasks, [json.dumps({**_TASK, "limits": {limit: bound + 1}})])
+        assert _run(["--out-dir", tmp_path / "past", *args]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"] == f"{tasks}:1: {limit} must be <= {bound}, got {bound + 1}"
+        assert not (tmp_path / "past").exists()
+
+    @pytest.mark.parametrize("source", ["cli", "config"])
+    @pytest.mark.parametrize("flag, key, bound", [
+        ("--limits.wall-ms", "wall_time_ms", MAX_WALL_TIME_MS),
+        ("--limits.mem-bytes", "memory_bytes", MAX_MEMORY_BYTES)])
+    def test_limit_setting_up_to_its_maximum(self, source, flag, key, bound, tmp_path, capsys):
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        _write_lines(tasks, [json.dumps(_TASK)])
+        _write_lines(completions, [json.dumps(_COMPLETION)])
+
+        def run(value, out):
+            if source == "cli":
+                setting = [flag, value]
+            else:
+                config = tmp_path / f"{out}.json"
+                config.write_text(json.dumps({key: value}))
+                setting = ["--config", config]
+            return _run([*setting, "--out-dir", tmp_path / out, "validate",
+                         "--dataset", tasks, "--completions", completions])
+
+        assert run(bound, "out") == 0
+        assert [row["status"] for row in _read_lines(tmp_path / "out" / STATES_FILE)] == ["pass"]
+        assert run(bound + 1, "past") == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"] == (
+            f"bad value for {key!r}: must be at most {bound}, got {bound + 1}")
+        assert not (tmp_path / "past").exists()
 
     @pytest.mark.parametrize(
         "command, filename, bad_record, field",

@@ -328,14 +328,6 @@ class TestEvaluateModel:
         with pytest.raises(ReportError, match="one model"):
             evaluate_model(manifest, mixed)
 
-    def test_two_profiles_for_one_task_rejected(self):
-        # Neither profile is picked: the rate would depend on file order.
-        manifest, profiles = self._benchmark_and_profiles()
-        clean = _profile("A", "m1", [])
-        for doubled in (profiles + [clean], [clean] + profiles):
-            with pytest.raises(ReportError, match="two profiles for task 'A'"):
-                evaluate_model(manifest, doubled)
-
 
 class TestRenderCrosshitsMarkdown:
     def test_one_table_per_model_with_off_target_hits(self):

@@ -296,6 +296,13 @@ class TestCompileStage:
         assert outcome.exception_message == "SyntaxError: unknown encoding: bogus"
 
 
+_DELETED = (
+    "import atexit\n"
+    "atexit.register(lambda: print('atexit'))\n"
+    "class Deleted:\n"
+    "    def __init__(self, name):\n        self.name = name\n"
+    "    def __del__(self):\n        print('del', self.name)\n"
+)
 # Programs whose every observable must match a plain `python prog.py`.
 PARITY_PROGRAMS = {
     "uncaught": "def f():\n    return 1 / 0\nf()\n",
@@ -355,6 +362,12 @@ PARITY_PROGRAMS = {
     "null-byte-before-non-utf8": "x = 1\0 # \udcff",
     "non-utf8-line-before-null-byte": "# \udcff\nx = 1\0",
     "null-byte-alone-on-line-2": "print(1)\n\0\n",
+    # `__del__` of what the program's globals hold runs at exit, after the
+    # atexit handlers, in the order the globals were bound.
+    "del-global": _DELETED + "a = Deleted('a')\nprint('main')\n",
+    "del-two-in-order": _DELETED + "a = Deleted('a')\nb = Deleted('b')\nprint('main')\n",
+    "del-exit": _DELETED + "import sys\na = Deleted('a')\nsys.exit(3)\n",
+    "del-uncaught": _DELETED + "a = Deleted('a')\nraise ValueError('bad')\n",
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +48,35 @@ def test_unused_import_is_found():
         "def f(x: j.JSONDecoder) -> None:\n    return compile(x)\n"
     )
     assert unused_imports(source) == ["os"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules a source imports that are neither the standard
+    library (`sys.stdlib_module_names`) nor this package."""
+    modules: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    return sorted(modules - sys.stdlib_module_names - {"haluscope"})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_the_standard_library_or_the_package(path):
+    # The package declares no dependencies, and a foreign interpreter runs
+    # _forkserver.py with the standard library alone.
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, requests.adapters\nimport json as j\n"
+        "from click import command\nfrom . import corpus\nfrom .errors import ConfigError\n"
+        "from haluscope.pipeline import RunConfig\n"
+    )
+    assert foreign_imports(source) == ["click", "requests"]
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
