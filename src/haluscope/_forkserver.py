@@ -25,7 +25,9 @@ server and every child it forks hash strings with one fixed secret. A child that
 `compiled` ended while compiling: an error from compiling is printed, as
 CPython prints it, without a traceback.
 
-Standard library only: a foreign interpreter runs this file too.
+Standard library only: a foreign interpreter runs this file too. An
+interpreter older than CPython 3.11 is refused before `ready`, with its
+version on stderr: the emulation of `python prog.py` follows 3.11 and later.
 """
 
 import atexit
@@ -42,6 +44,8 @@ _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 def main():
+    if sys.version_info < (3, 11):
+        sys.exit(f"the fork server needs CPython 3.11 or newer, not {sys.version.split()[0]}")
     requests, replies = int(sys.argv[1]), int(sys.argv[2])
     os.write(replies, b"ready\n")
     with open(requests, "rb") as lines:
@@ -221,7 +225,9 @@ def _exit(status, interrupted):
         except Exception as exc:
             status = 120
             if stream is sys.stdout:
-                sys.stderr.write(f"Exception ignored in: {stream!r}\n")
+                sys.stderr.write("Exception ignored on flushing sys.stdout:\n"
+                                 if sys.version_info >= (3, 13)
+                                 else f"Exception ignored in: {stream!r}\n")
                 sys.excepthook(type(exc), exc.with_traceback(None), None)
     if interrupted:
         signal.signal(signal.SIGINT, signal.SIG_DFL)

@@ -23,7 +23,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import aggregate, bench, degeneration, report as report_mod, sandbox, taxonomy
 from .corpus import (
@@ -175,13 +175,12 @@ def classify_corpus(
     of `completions`; a degenerate completion carries a single record with
     no outcome.
 
-    Every (completion, test) request goes to one `sandbox.execute_batch`
-    from a generator that gates each completion as the batch reads it, so
-    the gate runs while the fork server starts and programs run. With
-    `artifact_root`, two (task, model, sample) keys of known tasks, gated
-    or not, that would share an artifact directory raise ValidationError,
-    and a root that cannot be created raises ConfigError, before anything
-    runs."""
+    Every completion is gated first; the (completion, test) requests of
+    the completions the gate passes then go to one `sandbox.execute_batch`.
+    With `artifact_root`, two (task, model, sample) keys of known tasks,
+    gated or not, that would share an artifact directory raise
+    ValidationError, and a root that cannot be created raises ConfigError,
+    before anything runs."""
     known = []
     for completion in completions:
         if completion.task_id in tasks:
@@ -193,23 +192,20 @@ def classify_corpus(
         refuse_shared_names((c.key, _artifact_name(c)) for c in known)
         _make_dir(artifact_root)
     known.sort(key=lambda completion: completion.key)
-    verdicts: list[degeneration.DegenerationVerdict] = []
-
-    def requests() -> Iterator[sandbox.ExecutionRequest]:
-        for completion in known:
-            verdict = degeneration.detect(
-                completion.source_code, completion.truncated_at_limit, degeneration_config
-            )
-            verdicts.append(verdict)
-            if verdict.kind is degeneration.DegenerationKind.NONE:
-                task = tasks[completion.task_id]
-                for index, test in enumerate(task.test_cases):
-                    yield sandbox.ExecutionRequest(
-                        completion.source_code, test, task.limits,
-                        _artifact_dir(artifact_root, completion, index),
-                    )
-
-    outcomes = iter(sandbox.execute_batch(requests(), jobs=jobs, interpreter=interpreter))
+    verdicts = [
+        degeneration.detect(c.source_code, c.truncated_at_limit, degeneration_config)
+        for c in known
+    ]
+    requests = [
+        sandbox.ExecutionRequest(
+            completion.source_code, test, tasks[completion.task_id].limits,
+            _artifact_dir(artifact_root, completion, index),
+        )
+        for completion, verdict in zip(known, verdicts)
+        if verdict.kind is degeneration.DegenerationKind.NONE
+        for index, test in enumerate(tasks[completion.task_id].test_cases)
+    ]
+    outcomes = iter(sandbox.execute_batch(requests, jobs=jobs, interpreter=interpreter))
     results = []
     for completion, verdict in zip(known, verdicts, strict=True):
         test_count = len(tasks[completion.task_id].test_cases)

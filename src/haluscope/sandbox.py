@@ -9,8 +9,8 @@ Each execution is forked from a fork server (`_forkserver.py`): one
 interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
 `ru_maxrss`. A batch runs one interpreter; each of its worker threads
-keeps one server until the call returns, and the first one starts before
-any request is read. A bare `execute` runs as a batch of one.
+starts one server with its first request and keeps it until the call
+returns. A bare `execute` runs as a batch of one.
 
 The forked child compiles prog.py, then runs it, so a syntax failure is
 judged by the interpreter that runs the program. The child replies once
@@ -257,10 +257,10 @@ def execute(
     """Run `source_code` against one test case under `limits`.
 
     Total: every path yields an ExecutionOutcome; SandboxError is reserved
-    for harness-side faults (missing interpreter, temp-dir failure) and is
-    never produced by program behavior. Status decision order:
-    SandboxError > SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded
-    > RuntimeFailure > WrongOutput > Pass. With `artifact_dir`, it holds
+    for harness-side faults (a missing interpreter or one older than 3.11,
+    a temp-dir failure) and is never produced by program behavior. Status
+    decision order: SandboxError > SyntaxFailure > MemoryLimitExceeded >
+    TimeLimitExceeded > RuntimeFailure > WrongOutput > Pass. With `artifact_dir`, it holds
     prog.py, stdin.txt, outcome.json (the outcome's fields), stdout.txt and
     stderr.txt (what the program wrote to each, up to OUTPUT_LIMIT_BYTES,
     as UTF-8 with invalid bytes replaced). The outcome holds no program
@@ -551,19 +551,17 @@ def execute_batch(
     order, so they are independent of scheduling. Each worker thread forks
     its executions from one fork server; every server is ended and reaped
     before this returns, so no process outlives the call and
-    RUSAGE_CHILDREN counts every child.
+    RUSAGE_CHILDREN counts every child. A worker starts its server with its
+    first request, so a batch without requests starts none.
 
-    The first server starts before `requests` is read, so a generator's own
-    work (the degeneration gate) overlaps it; a batch without requests still
-    starts and kills that server. The calling thread only reads requests
-    and waits, so an exception raised there, by the generator or a signal
-    (Ctrl-C), cancels the queued requests, and each running one still ends
-    on its worker thread, which kills the program's group at the wall limit
-    or when its server dies, before the exception leaves this call."""
+    The calling thread only reads requests and waits, so an exception
+    raised there, by a generator or a signal (Ctrl-C), cancels the queued
+    requests, and each running one still ends on its worker thread, which
+    kills the program's group at the wall limit or when its server dies,
+    before the exception leaves this call."""
     servers = _ForkServers(list(interpreter or [sys.executable]))
     pool = ThreadPoolExecutor(max(1, jobs), initializer=_SERVERS.set, initargs=(servers,))
     try:
-        pool.submit(servers.get)  # a failed start is retried, and reported, per request
         return list(pool.map(execute_request, requests))
     finally:
         pool.shutdown(cancel_futures=True)

@@ -464,8 +464,10 @@ class TestForkServer:
         assert [_normalized(part) if isinstance(part, str) else part for part in forked] == [
             _normalized(part) if isinstance(part, str) else part for part in plain
         ]
-        if name == "parser-exhausted":
-            assert forked[2] == "MemoryError\n"
+        if name == "parser-exhausted":  # 3.12 and later add a message
+            assert forked[2].splitlines()[-1].split(":")[0] == "MemoryError"
+            outcome = execute(source, TestCase("hello\n", ""), LIMITS, interpreter=interpreter)
+            assert outcome.status is Status.MEMORY_LIMIT_EXCEEDED
 
     def test_programs_hash_with_one_fixed_secret(self, monkeypatch):
         # A forked child and a `python prog.py` child under the guard
@@ -555,18 +557,10 @@ class TestForkServer:
         assert {o.status for o in execute_batch(requests, jobs=jobs)} == {Status.PASS}
         assert 1 <= len(popens) <= jobs
 
-    def test_server_starts_before_the_first_request_is_read(self, popens):
-        servers_at_first_pull = []
-
-        def requests():
-            deadline = time.monotonic() + 10
-            while not popens and time.monotonic() < deadline:
-                time.sleep(0.01)
-            servers_at_first_pull.append(len(popens))
-            yield ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)
-
-        assert [o.status for o in execute_batch(requests())] == [Status.PASS]
-        assert servers_at_first_pull == [1]
+    def test_a_worker_without_requests_starts_no_server(self, popens):
+        request = ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)
+        assert [o.status for o in execute_batch([request], jobs=2)] == [Status.PASS]
+        assert len(popens) == 1
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=lambda jobs: f"jobs={jobs}")
     def test_exception_from_the_requests_cancels_the_queued_ones(self, jobs, tmp_path):
@@ -602,7 +596,7 @@ class TestForkServer:
     def test_empty_batch_leaves_nothing(self, tmp_path, monkeypatch, popens):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert execute_batch(iter(())) == []
-        assert all(server.returncode is not None for server in popens)
+        assert popens == []
         assert list(tmp_path.iterdir()) == []
 
     def test_server_that_never_starts_is_sandbox_error(self):
@@ -612,6 +606,24 @@ class TestForkServer:
         )
         assert outcome.status is Status.SANDBOX_ERROR
         assert "fork server failed to start" in outcome.exception_message
+
+    def test_interpreter_older_than_3_11_is_sandbox_error(self, tmp_path):
+        # An interpreter that reports itself as 3.10.13, then runs the server.
+        wrapper = tmp_path / "as_3_10.py"
+        wrapper.write_text(
+            "import runpy, sys\n"
+            "sys.version_info = (3, 10, 13, 'final', 0)\n"
+            "sys.version = '3.10.13 (wrapped)'\n"
+            "del sys.argv[0]\n"
+            "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        )
+        outcome = execute(
+            "print(1)", TestCase("", "1"), LIMITS, interpreter=[sys.executable, str(wrapper)]
+        )
+        assert outcome.status is Status.SANDBOX_ERROR
+        assert outcome.exception_message.endswith(
+            "fork server failed to start: the fork server needs CPython 3.11 or newer, not 3.10.13"
+        )
 
 
 class TestClassifyTermination:
@@ -766,6 +778,16 @@ class TestIsolationAndBatch:
         )
         assert [o.status for _, o in pairs] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
         assert [r.test_index for r, _ in pairs] == [0, 1, 2]
+
+    def test_all_gated_corpus_starts_no_server(self, popens):
+        task = Task("t", (TestCase("", "1"),), LIMITS)
+        completions = [
+            Completion("t", "m-stutter", "print(1)\n" * 50),
+            Completion("t", "m-gibberish", "qz xv ## @@ !! zz"),
+        ]
+        pairs = classify_corpus({"t": task}, completions, jobs=2)
+        assert [(r.model_id, o) for r, o in pairs] == [("m-gibberish", None), ("m-stutter", None)]
+        assert popens == []
 
     def test_missing_interpreter_fails_every_execution(self):
         task = Task("t", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
