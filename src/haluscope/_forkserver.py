@@ -41,6 +41,9 @@ import signal
 import sys
 
 _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+# Compiled here, in the server, so that every forked child inherits them.
+_CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*[-\w.]+")
+_BLANK_OR_COMMENT = re.compile(rb"[ \t\f]*(?:#|$)")
 
 
 def main():
@@ -132,21 +135,15 @@ def _refuse_what_python_refuses(source, prog):
     bytes in a comment and reports a null byte without its location.
     Python checks line by line; on one line it checks UTF-8 only up to the
     first null byte."""
-    if b"\0" not in source:
-        try:
-            source.decode("utf-8")
-            return  # the common case, without compiling the patterns below
-        except UnicodeDecodeError:
-            pass
     declared = source.startswith(b"\xef\xbb\xbf")
     if declared:
         source = source[3:]
     lines = source.splitlines()
     for line in lines[:2]:
-        if re.match(rb"[ \t\f]*#.*?coding[:=][ \t]*[-\w.]+", line):
+        if _CODING_COOKIE.match(line):
             declared = True
             break
-        if not re.match(rb"[ \t\f]*(?:#|$)", line):
+        if not _BLANK_OR_COMMENT.match(line):
             break
     for lineno, line in enumerate(lines, start=1):
         text, null, _ = line.partition(b"\0")

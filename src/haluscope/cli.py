@@ -78,52 +78,41 @@ def _command(value) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class _Setting:
-    """A top-level option that sets one run setting. Its parameter name is
-    its config-file key; a "degeneration." key names a field of the config
-    file's "degeneration" object. `field` is the RunConfig field it sets,
-    or the DegenerationConfig field for a degeneration key. `parse`
+    """A top-level option that sets one run setting. Its key is its
+    argparse dest, its config-file key and the RunConfig field it sets; a
+    "degeneration.<f>" key is the entry <f> of the config file's
+    "degeneration" object and sets DegenerationConfig.<f>. `parse`
     converts the CLI string or the config-file value into the field's
     value. Its help shows the last word of its key as the value's name."""
 
     flag: str
     key: str
-    field: str
     parse: Callable[[Any], Any]
     help: str | None = None
 
-    @property
-    def param(self) -> str:
-        return self.key.replace(".", "_")
-
 
 RUN_SETTINGS = (
-    _Setting("--out-dir", "out_dir", "out_dir", str, "Artifact directory."),
-    _Setting("--jobs", "jobs", "jobs", _at_least(1), "Parallel sandbox workers."),
-    _Setting("--interpreter", "interpreter", "interpreter", _command,
-             "Interpreter command, e.g. 'python3 -u'."),
-    _Setting("--limits.wall-ms", "wall_time_ms", "wall_time_ms",
-             _at_least(MIN_WALL_TIME_MS, MAX_WALL_TIME_MS),
+    _Setting("--out-dir", "out_dir", str, "Artifact directory."),
+    _Setting("--jobs", "jobs", _at_least(1), "Parallel sandbox workers."),
+    _Setting("--interpreter", "interpreter", _command, "Interpreter command, e.g. 'python3 -u'."),
+    _Setting("--limits.wall-ms", "wall_time_ms", _at_least(MIN_WALL_TIME_MS, MAX_WALL_TIME_MS),
              "Wall-time limit of every execution, in milliseconds "
              f"({MIN_WALL_TIME_MS} to {MAX_WALL_TIME_MS})."),
-    _Setting("--limits.mem-bytes", "memory_bytes", "memory_bytes",
-             _at_least(MIN_MEMORY_BYTES, MAX_MEMORY_BYTES),
+    _Setting("--limits.mem-bytes", "memory_bytes", _at_least(MIN_MEMORY_BYTES, MAX_MEMORY_BYTES),
              "Memory limit of every execution, in bytes "
              f"({MIN_MEMORY_BYTES} to {MAX_MEMORY_BYTES})."),
-    _Setting("--threshold-k", "threshold_k", "threshold_k", _at_least(1),
-             "Benchmark inclusion threshold."),
-    _Setting("--classification-table", "classification_table", "table", taxonomy.load_table),
-    _Setting("--indicator", "indicator", "indicator_mode", _indicator,
-             f"One of {', '.join(INDICATOR_MODES)}."),
-    _Setting("--run-id", "run_id", "run_id", str),
-    _Setting("--artifact-dir", "artifact_dir", "artifact_root", str,
+    _Setting("--threshold-k", "threshold_k", _at_least(1), "Benchmark inclusion threshold."),
+    _Setting("--classification-table", "classification_table", taxonomy.load_table),
+    _Setting("--indicator", "indicator", _indicator, f"One of {', '.join(INDICATOR_MODES)}."),
+    _Setting("--run-id", "run_id", str),
+    _Setting("--artifact-dir", "artifact_dir", str,
              "Store each execution's prog.py, stdin.txt, outcome.json (its status, exception, "
              "wall time and peak memory), and all the program wrote to stdout.txt and stderr.txt."),
-    _Setting("--degeneration.repeat-count", "degeneration.repeat_count", "repeat_count", integer),
-    _Setting("--degeneration.block-size", "degeneration.block_size", "block_size", integer),
-    _Setting("--degeneration.enum-count", "degeneration.enum_count", "enum_count", integer),
-    _Setting("--degeneration.parse-valid-frac", "degeneration.parse_valid_frac",
-             "parse_valid_frac", _fraction),
-    _Setting("--degeneration.window-frac", "degeneration.window_frac", "window_frac", _fraction),
+    _Setting("--degeneration.repeat-count", "degeneration.repeat_count", integer),
+    _Setting("--degeneration.block-size", "degeneration.block_size", integer),
+    _Setting("--degeneration.enum-count", "degeneration.enum_count", integer),
+    _Setting("--degeneration.parse-valid-frac", "degeneration.parse_valid_frac", _fraction),
+    _Setting("--degeneration.window-frac", "degeneration.window_frac", _fraction),
 )
 
 # Each subcommand: the `pipeline` function it runs (looked up when it
@@ -159,7 +148,7 @@ def _parser() -> _Parser:
     )
     parser.add_argument("--config", metavar="PATH", help="JSON file of defaults.")
     for setting in RUN_SETTINGS:
-        parser.add_argument(setting.flag, dest=setting.param, help=setting.help,
+        parser.add_argument(setting.flag, dest=setting.key, help=setting.help,
                             metavar=setting.key.rpartition("_")[2].upper())
     parser.add_argument("-v", "--verbose", action="store_true")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
@@ -172,28 +161,25 @@ def _parser() -> _Parser:
 
 
 def _read_config(path: str) -> dict:
-    """The config file's object. A key that no setting reads, a
-    "degeneration" that is not an object, or a dataset or completions path
-    that is not a string raises ConfigError."""
+    """The config file's values by setting key, with its "dataset" and
+    "completions": an entry <f> of its "degeneration" object is read as
+    "degeneration.<f>". A key that no setting reads, a "degeneration" that
+    is not an object, or a dataset or completions path that is not a
+    string raises ConfigError."""
     config = read_json_object(path, ConfigError)
-    section = config.get("degeneration", {})
+    section = config.pop("degeneration", {})
     if not isinstance(section, dict):
         raise ConfigError("config key 'degeneration' must hold a JSON object")
-    known = {setting.key.rpartition(".")[::2] for setting in RUN_SETTINGS}
-    known |= {("", "dataset"), ("", "completions"), ("", "degeneration")}
-    keys = [("", key) for key in config] + [("degeneration", key) for key in section]
-    unknown = [".".join(filter(None, key)) for key in keys if key not in known]
+    section = {f"degeneration.{name}": value for name, value in section.items()}
+    keys = {setting.key for setting in RUN_SETTINGS}
+    unknown = [key for key in config if "." in key or key not in keys | {*_SOURCES}]
+    unknown += [key for key in section if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(map(repr, unknown))}")
-    for key in ("dataset", "completions"):
+    for key in _SOURCES:
         if not isinstance(config.get(key, ""), str):
             raise ConfigError(f"bad value for {key!r}: expected a path, got {config[key]!r}")
-    return config
-
-
-def _config_value(config: dict, key: str):
-    section, _, name = key.rpartition(".")
-    return (config.get(section, {}) if section else config).get(name)
+    return {**config, **section}
 
 
 def _run_config(args: argparse.Namespace, config: dict, dataset: str | None = None,
@@ -203,17 +189,17 @@ def _run_config(args: argparse.Namespace, config: dict, dataset: str | None = No
     fields: dict = {}
     thresholds: dict = {}
     for setting in RUN_SETTINGS:
-        value = getattr(args, setting.param)
+        value = getattr(args, setting.key)
         if value is None:
-            value = _config_value(config, setting.key)
+            value = config.get(setting.key)
         if value is None:
             continue
         try:
             value = setting.parse(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {setting.key!r}: {exc}") from exc
-        target = thresholds if setting.key.startswith("degeneration.") else fields
-        target[setting.field] = value
+        section, _, name = setting.key.rpartition(".")
+        (thresholds if section else fields)[name] = value
     if thresholds:
         fields["degeneration_config"] = replace(degeneration.DEFAULT_CONFIG, **thresholds)
     return pipeline.RunConfig(

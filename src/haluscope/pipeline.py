@@ -68,13 +68,13 @@ class RunConfig:
     memory_bytes: int | None = None
     jobs: int = 1
     threshold_k: int = bench.DEFAULT_THRESHOLD_K
-    table: ClassificationTable = field(default_factory=lambda: taxonomy.DEFAULT_TABLE)
+    classification_table: ClassificationTable = field(default_factory=lambda: taxonomy.DEFAULT_TABLE)
     degeneration_config: degeneration.DegenerationConfig = field(
         default_factory=lambda: degeneration.DEFAULT_CONFIG
     )
-    indicator_mode: str = "target"
+    indicator: str = "target"
     run_id: str = "run"
-    artifact_root: str | None = None
+    artifact_dir: str | None = None
 
 
 def atomic_write(path: Path, write: Callable[[Path], None]) -> None:
@@ -232,17 +232,16 @@ def validate_stage(config: RunConfig) -> Path:
     pairs = classify_corpus(
         tasks,
         completions,
-        table=config.table,
+        table=config.classification_table,
         degeneration_config=config.degeneration_config,
         interpreter=config.interpreter,
         jobs=config.jobs,
-        artifact_root=config.artifact_root,
+        artifact_root=config.artifact_dir,
     )
-    fault_count = sum(
-        1 for record, _ in pairs if record.classification.kind is ClassKind.HARNESS_FAULT
-    )
-    if fault_count:
-        logger.warning("%d executions ended in harness faults", fault_count)
+    faults = [r.classification for r, _ in pairs if r.classification.kind is ClassKind.HARNESS_FAULT]
+    if faults:
+        logger.warning("%d executions ended in harness faults, the first: %s",
+                       len(faults), faults[0].cause)
 
     states_path = out_dir / STATES_FILE
     write_jsonl(states_path, (_state_row(record, outcome) for record, outcome in pairs))
@@ -309,7 +308,7 @@ def evaluate_stage(
     crosshits_by_model: dict[str, dict] = {}
     for model_id in sorted(grouped):
         hallucinated, crosshits_by_model[model_id] = report_mod.evaluate_model(
-            manifest, grouped[model_id], indicator_mode=config.indicator_mode
+            manifest, grouped[model_id], indicator_mode=config.indicator
         )
         hallucinated_by_model[model_id] = hallucinated
     hr_report = report_mod.render_report(
@@ -319,7 +318,7 @@ def evaluate_stage(
     _write_json(
         out_dir / EVALUATION_FILE,
         {
-            "indicator_mode": config.indicator_mode,
+            "indicator_mode": config.indicator,
             "report": hr_report,
             "crosshits": crosshits_by_model,
         },

@@ -10,7 +10,9 @@ interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
 `ru_maxrss`. A batch runs one interpreter; each of its worker threads
 starts one server with its first request and keeps it until the call
-returns. A bare `execute` runs as a batch of one.
+returns, replacing it if it dies. After a failed start none starts again:
+every later execution fails as that start did. A bare `execute` runs as a
+batch of one.
 
 The forked child compiles prog.py, then runs it, so a syntax failure is
 judged by the interpreter that runs the program. The child replies once
@@ -27,6 +29,7 @@ printing a set of strings prints it in one order, where a plain
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import json
 import logging
@@ -257,69 +260,66 @@ def execute(
     """Run `source_code` against one test case under `limits`.
 
     Total: every path yields an ExecutionOutcome; SandboxError is reserved
-    for harness-side faults (a missing interpreter or one older than 3.11,
-    a temp-dir failure) and is never produced by program behavior. Status
-    decision order: SandboxError > SyntaxFailure > MemoryLimitExceeded >
-    TimeLimitExceeded > RuntimeFailure > WrongOutput > Pass. With `artifact_dir`, it holds
-    prog.py, stdin.txt, outcome.json (the outcome's fields), stdout.txt and
-    stderr.txt (what the program wrote to each, up to OUTPUT_LIMIT_BYTES,
-    as UTF-8 with invalid bytes replaced). The outcome holds no program
-    output. Inside a batch the batch's interpreter runs the program, and
-    `interpreter` is not read."""
+    for harness-side faults (a missing interpreter or one older than 3.11, a
+    temp-dir failure), logged at DEBUG with their traceback, and is never
+    produced by program behavior. Status decision order: SandboxError >
+    SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded > RuntimeFailure >
+    WrongOutput > Pass. With `artifact_dir`, it holds prog.py, stdin.txt,
+    outcome.json (the outcome's fields), stdout.txt and stderr.txt (what the
+    program wrote to each, up to OUTPUT_LIMIT_BYTES, as UTF-8 with invalid
+    bytes replaced). The outcome holds no program output. Inside a batch the
+    batch's interpreter runs the program, and `interpreter` is not read."""
     if _SERVERS.get() is None:  # outside a batch: a batch of one
         request = ExecutionRequest(source_code, test, limits, artifact_dir)
         return execute_batch([request], interpreter=interpreter)[0]
     stdout_text = stderr_text = ""
     try:
-        outcome, stdout_text, stderr_text = _execute_in_tempdir(source_code, test, limits)
+        with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
+            workdir = Path(tmp)
+            _lay_out(workdir, source_code, test)
+            server = _SERVERS.get().get()
+            started = time.monotonic()
+            raw = server.run(workdir, limits)
+            elapsed_ms = int((time.monotonic() - started) * 1000)
+            stdout_text = _read_capped(workdir / "stdout.txt")
+            stderr_text = _read_capped(workdir / "stderr.txt")
+        if raw is None:
+            outcome = ExecutionOutcome(
+                status=Status.RUNTIME_FAILURE,
+                exception_name="UnknownError",
+                exception_message="the fork server was killed while the program ran",
+                wall_time_ms=elapsed_ms,
+            )
+        elif (termination := classify_termination(raw, stderr_text)) is not None:
+            outcome = dataclasses.replace(
+                termination, wall_time_ms=elapsed_ms, peak_memory_bytes=raw.peak_memory_bytes
+            )
+        else:
+            passed = compare_output(stdout_text, test.expected_output)
+            outcome = ExecutionOutcome(
+                status=Status.PASS if passed else Status.WRONG_OUTPUT,
+                wall_time_ms=elapsed_ms,
+                peak_memory_bytes=raw.peak_memory_bytes,
+            )
     except Exception as exc:  # harness fault, not program behavior
-        logger.exception("sandbox fault while executing candidate")
+        logger.debug("sandbox fault while executing candidate", exc_info=True)
         outcome = ExecutionOutcome(
             status=Status.SANDBOX_ERROR,
             exception_message=f"{type(exc).__name__}: {exc}",
         )
     if artifact_dir is not None:
+        directory = Path(artifact_dir)
         try:
-            _write_artifacts(
-                Path(artifact_dir), source_code, test, outcome, stdout_text, stderr_text
+            directory.mkdir(parents=True, exist_ok=True)
+            _lay_out(directory, source_code, test)
+            (directory / "stdout.txt").write_text(stdout_text, encoding="utf-8")
+            (directory / "stderr.txt").write_text(stderr_text, encoding="utf-8")
+            (directory / "outcome.json").write_text(
+                json.dumps(dataclasses.asdict(outcome), sort_keys=True, indent=2), encoding="utf-8"
             )
         except OSError:
             logger.warning("failed to write execution artifacts to %s", artifact_dir)
     return outcome
-
-
-def _execute_in_tempdir(
-    source_code: str, test: TestCase, limits: ResourceLimits
-) -> tuple[ExecutionOutcome, str, str]:
-    """The outcome of one execution, and the program's stdout and stderr."""
-    with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
-        workdir = Path(tmp)
-        _lay_out(workdir, source_code, test)
-        server = _SERVERS.get().get()
-        started = time.monotonic()
-        raw = server.run(workdir, limits)
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-        stdout_text = _read_capped(workdir / "stdout.txt")
-        stderr_text = _read_capped(workdir / "stderr.txt")
-    if raw is None:
-        outcome = ExecutionOutcome(
-            status=Status.RUNTIME_FAILURE,
-            exception_name="UnknownError",
-            exception_message="the fork server was killed while the program ran",
-            wall_time_ms=elapsed_ms,
-        )
-    elif (termination := classify_termination(raw, stderr_text)) is not None:
-        outcome = dataclasses.replace(
-            termination, wall_time_ms=elapsed_ms, peak_memory_bytes=raw.peak_memory_bytes
-        )
-    else:
-        passed = compare_output(stdout_text, test.expected_output)
-        outcome = ExecutionOutcome(
-            status=Status.PASS if passed else Status.WRONG_OUTPUT,
-            wall_time_ms=elapsed_ms,
-            peak_memory_bytes=raw.peak_memory_bytes,
-        )
-    return outcome, stdout_text, stderr_text
 
 
 def _lay_out(directory: Path, source_code: str, test: TestCase) -> None:
@@ -466,11 +466,13 @@ class _ForkServer:
 class _ForkServers:
     """The fork servers of one `execute_batch` call, all running `argv`, one
     per worker thread. A thread's server starts at its first `get` and is
-    replaced once dead; `close` ends and reaps every one."""
+    replaced once dead; once a start failed, a `get` that would start one
+    raises a copy of that failure instead. `close` ends and reaps every one."""
 
     def __init__(self, argv: list[str]) -> None:
         self._argv = argv
         self._servers: dict[int, _ForkServer] = {}
+        self._failure: Exception | None = None
 
     def get(self) -> _ForkServer:
         # Only the thread named in a key reads or writes that key.
@@ -479,7 +481,13 @@ class _ForkServers:
         if server is None or not server.alive():
             if server is not None:
                 server.close()
-            server = self._servers[key] = _ForkServer(self._argv)
+            if self._failure is not None:  # a copy: no traceback grows across raises
+                raise copy.copy(self._failure)
+            try:
+                server = self._servers[key] = _ForkServer(self._argv)
+            except Exception as exc:  # a missing interpreter raises OSError
+                self._failure = exc
+                raise
         return server
 
     def close(self) -> None:
@@ -512,23 +520,6 @@ def _read_capped(path: Path, cap: int = OUTPUT_LIMIT_BYTES) -> str:
     return data.decode("utf-8", errors="replace")
 
 
-def _write_artifacts(
-    directory: Path, source_code: str, test: TestCase, outcome: ExecutionOutcome,
-    stdout_text: str, stderr_text: str,
-) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    _lay_out(directory, source_code, test)
-    (directory / "stdout.txt").write_text(stdout_text, encoding="utf-8")
-    (directory / "stderr.txt").write_text(stderr_text, encoding="utf-8")
-    (directory / "outcome.json").write_text(
-        json.dumps(outcome_to_dict(outcome), sort_keys=True, indent=2), encoding="utf-8"
-    )
-
-
-def outcome_to_dict(outcome: ExecutionOutcome) -> dict:
-    return {**dataclasses.asdict(outcome), "status": outcome.status.value}
-
-
 @dataclass(frozen=True)
 class ExecutionRequest:
     """One (completion, test) pair for the worker pool."""
@@ -539,20 +530,17 @@ class ExecutionRequest:
     artifact_dir: str | None = None
 
 
-def execute_request(r: ExecutionRequest) -> ExecutionOutcome:
-    return execute(r.source_code, r.test, r.limits, artifact_dir=r.artifact_dir)
-
-
 def execute_batch(
     requests: Iterable[ExecutionRequest], jobs: int = 1, interpreter: Sequence[str] | None = None
 ) -> list[ExecutionOutcome]:
     """Execute (completion, test) pairs with `interpreter` on up to `jobs`
     worker threads, each in its own temp dir; results come back in request
-    order, so they are independent of scheduling. Each worker thread forks
-    its executions from one fork server; every server is ended and reaped
-    before this returns, so no process outlives the call and
-    RUSAGE_CHILDREN counts every child. A worker starts its server with its
-    first request, so a batch without requests starts none.
+    order, so they are independent of scheduling. Each runs as one call of
+    `execute`, looked up at call time, so a wrapper of it sees each one.
+    Each worker thread forks its executions from one fork server; every
+    server is ended and reaped before this returns, so no process outlives
+    the call and RUSAGE_CHILDREN counts every child. A worker starts its
+    server with its first request, so a batch without requests starts none.
 
     The calling thread only reads requests and waits, so an exception
     raised there, by a generator or a signal (Ctrl-C), cancels the queued
@@ -562,7 +550,8 @@ def execute_batch(
     servers = _ForkServers(list(interpreter or [sys.executable]))
     pool = ThreadPoolExecutor(max(1, jobs), initializer=_SERVERS.set, initargs=(servers,))
     try:
-        return list(pool.map(execute_request, requests))
+        return list(pool.map(lambda r: execute(
+            r.source_code, r.test, r.limits, artifact_dir=r.artifact_dir), requests))
     finally:
         pool.shutdown(cancel_futures=True)
         servers.close()

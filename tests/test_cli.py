@@ -754,7 +754,7 @@ def _setting_samples(tmp_path: Path) -> dict:
 
 def _setting_field(config: pipeline.RunConfig, setting):
     owner = config.degeneration_config if setting.key.startswith("degeneration.") else config
-    return getattr(owner, setting.field)
+    return getattr(owner, setting.key.rpartition(".")[2])
 
 
 class TestSettingPrecedence:
@@ -822,8 +822,10 @@ class TestSettingPrecedence:
         ("entry", "named"),
         [({"thershold_k": 9}, "thershold_k"),
          ({"degeneration": {"repeat_cont": 3}}, "degeneration.repeat_cont"),
-         ({"fail_fast": True}, "fail_fast")],
-        ids=["misspelt", "misspelt-threshold", "removed"],
+         ({"fail_fast": True}, "fail_fast"),
+         # A degeneration threshold is read only from the "degeneration" object.
+         ({"degeneration.repeat_count": 7}, "degeneration.repeat_count")],
+        ids=["misspelt", "misspelt-threshold", "removed", "dotted-top-level"],
     )
     def test_unknown_config_key_is_config_error(
         self, entry, named, mini_corpus, tmp_path, capsys

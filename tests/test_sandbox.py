@@ -29,7 +29,6 @@ from haluscope.sandbox import (
     compare_output,
     execute,
     execute_batch,
-    outcome_to_dict,
 )
 from test_cli import LONE_SURROGATE
 
@@ -362,6 +361,10 @@ PARITY_PROGRAMS = {
     "null-byte-before-non-utf8": "x = 1\0 # \udcff",
     "non-utf8-line-before-null-byte": "# \udcff\nx = 1\0",
     "null-byte-alone-on-line-2": "print(1)\n\0\n",
+    # A declared encoding: a BOM, or a cookie that lets a byte that is not
+    # UTF-8 through.
+    "bom": "\ufeffprint(1)\n",
+    "cookie-then-non-utf8": "# coding: latin-1\nprint('\udce9')\n",
     # `__del__` of what the program's globals hold runs at exit, after the
     # atexit handlers, in the order the globals were bound.
     "del-global": _DELETED + "a = Deleted('a')\nprint('main')\n",
@@ -555,6 +558,15 @@ class TestForkServer:
     def test_batch_reuses_one_server_per_worker(self, jobs, popens):
         requests = [ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)] * 6
         assert {o.status for o in execute_batch(requests, jobs=jobs)} == {Status.PASS}
+        assert 1 <= len(popens) <= jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_server_that_never_starts_is_started_once_per_worker(self, jobs, popens):
+        requests = [ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)] * 6
+        outcomes = execute_batch(requests, jobs=jobs, interpreter=[sys.executable, "-c", "pass"])
+        assert {(o.status, o.exception_message) for o in outcomes} == {
+            (Status.SANDBOX_ERROR, "HarnessFault: fork server failed to start: ")
+        }
         assert 1 <= len(popens) <= jobs
 
     def test_a_worker_without_requests_starts_no_server(self, popens):
@@ -814,6 +826,19 @@ class TestIsolationAndBatch:
             "skipping completion for unknown task_id 'ghost' (model m)"
         ]
 
+    def test_harness_faults_logged_once_with_the_first_cause(self, mini_corpus, tmp_path, caplog):
+        config = RunConfig(str(mini_corpus["tasks"]), str(mini_corpus["completions"]),
+                           out_dir=str(tmp_path), interpreter=(sys.executable, "-c", "pass"), jobs=2)
+        with caplog.at_level("WARNING"):
+            states = validate_stage(config)
+        rows = [json.loads(line) for line in states.read_text().splitlines()]
+        faults = [row for row in rows if row["status"] != "not_executed"]
+        assert faults and {row["status"] for row in faults} == {"sandbox_error"}
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{len(faults)} executions ended in harness faults, the first: "
+             "HarnessFault: fork server failed to start: ")
+        ]
+
     def test_artifact_dirs_distinct_per_model(self, tmp_path):
         tasks, completions = _three_model_corpus()
         pairs = classify_corpus(tasks, completions, artifact_root=str(tmp_path))
@@ -868,7 +893,10 @@ def _three_model_corpus() -> tuple[dict[str, Task], list[Completion]]:
     return {"t": task}, completions
 
 
-def test_outcome_round_trip():
-    outcome = execute("print(undefined)", TestCase("", ""), LIMITS)
-    stored = outcome_to_dict(outcome)
+def test_outcome_round_trip(tmp_path):
+    outcome = execute("print(undefined)", TestCase("", ""), LIMITS, artifact_dir=tmp_path)
+    text = (tmp_path / "outcome.json").read_text(encoding="utf-8")
+    stored = json.loads(text)
+    assert text == json.dumps(stored, sort_keys=True, indent=2)
+    assert stored["status"] == "runtime_failure"
     assert ExecutionOutcome(**{**stored, "status": Status(stored["status"])}) == outcome

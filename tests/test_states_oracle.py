@@ -119,7 +119,7 @@ def _run_stages(rows: list[dict], threshold_k: int, mode: str) -> dict[str, str 
         out = Path(tmp)
         (out / pipeline.STATES_FILE).write_text(_jsonl(rows), encoding="utf-8")
         config = pipeline.RunConfig(dataset_path="", out_dir=tmp, threshold_k=threshold_k,
-                                    indicator_mode=mode, run_id="oracle")
+                                    indicator=mode, run_id="oracle")
         pipeline.identify_stage(config)
         pipeline.build_bench_stage(config)
         try:
