@@ -8,7 +8,9 @@ starts up as that child would. It never runs candidate code itself.
 Protocol, one line per message:
 
 - at start-up: `ready`;
-- request (JSON): `{"workdir", "rlimits"}`;
+- request: six integers, the soft and hard RLIMIT_AS, RLIMIT_CPU and
+  RLIMIT_FSIZE, then the workdir as the hex of its bytes, all
+  space-separated (ASCII, so that every path round-trips);
 - reply, from the forked child before it compiles the program: its pid,
   or `error <message>` when it could not be set up;
 - reply, from the forked child once the program compiled: `compiled`;
@@ -30,20 +32,20 @@ interpreter older than CPython 3.11 is refused before `ready`, with its
 version on stderr: the emulation of `python prog.py` follows 3.11 and later.
 """
 
-import atexit
+# Beyond `resource`, only modules every interpreter has loaded once it
+# started, so that a program finds the modules `python prog.py` would.
+import _frozen_importlib_external
+import _signal
 import builtins
-import importlib.machinery
-import json
+import io
 import os
-import re
 import resource
-import signal
 import sys
 
 _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-# Compiled here, in the server, so that every forked child inherits them.
-_CODING_COOKIE = re.compile(rb"[ \t\f]*#.*?coding[:=][ \t]*[-\w.]+")
-_BLANK_OR_COMMENT = re.compile(rb"[ \t\f]*(?:#|$)")
+_BOM = b"\xef\xbb\xbf"
+# The bytes of an encoding name in a coding cookie.
+_NAME_BYTES = b"-_." + bytes(b for b in range(128) if chr(b).isalnum())
 
 
 def main():
@@ -52,8 +54,7 @@ def main():
     requests, replies = int(sys.argv[1]), int(sys.argv[2])
     os.write(replies, b"ready\n")
     with open(requests, "rb") as lines:
-        for line in lines:
-            request = json.loads(line)
+        for request in lines:
             pid = os.fork()
             if pid == 0:
                 _child(request, requests, replies)
@@ -69,13 +70,16 @@ def _child(request, requests, replies):
     cannot hide it."""
     try:
         os.setsid()
-        for name, limit in request["rlimits"].items():
-            resource.setrlimit(getattr(resource, name), tuple(limit))
-        workdir = request["workdir"]
+        *limits, workdir = request.split()
+        limits = [int(limit) for limit in limits]
+        resource.setrlimit(resource.RLIMIT_AS, limits[0:2])
+        resource.setrlimit(resource.RLIMIT_CPU, limits[2:4])
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits[4:6])
+        workdir = os.fsdecode(bytes.fromhex(workdir.decode("ascii")))
         os.chdir(workdir)
         # The server started with the guard environment; what its start-up
         # added (LC_CTYPE, by locale coercion) stays, as in a fresh interpreter.
-        os.environ.update(HOME=workdir, TMPDIR=workdir)
+        os.environ["HOME"] = os.environ["TMPDIR"] = workdir
         for fd, name, flags in ((0, "stdin.txt", os.O_RDONLY), (1, "stdout.txt", _WRITE),
                                 (2, "stderr.txt", _WRITE)):
             opened = os.open(name, flags, 0o666)
@@ -102,7 +106,7 @@ def _run(prog, replies):
     main_module.__cached__ = None
     main_module.__builtins__ = builtins
     main_module.__annotations__ = {}
-    main_module.__loader__ = importlib.machinery.SourceFileLoader("__main__", prog)
+    main_module.__loader__ = _frozen_importlib_external.SourceFileLoader("__main__", prog)
     sys.modules["__main__"] = main_module
     sys.argv[:] = [prog]
     sys.orig_argv[-3:] = [prog]  # was: this file, REQUESTS_FD, REPLIES_FD
@@ -129,21 +133,26 @@ def _run(prog, replies):
 
 
 def _refuse_what_python_refuses(source, prog):
-    """Raise the SyntaxError `python prog` raises for a null byte, or for a
-    byte that is not UTF-8 in a file that declares no encoding (neither a
-    BOM nor a coding cookie on its first two lines). compile() accepts such
-    bytes in a comment and reports a null byte without its location.
-    Python checks line by line; on one line it checks UTF-8 only up to the
-    first null byte."""
-    declared = source.startswith(b"\xef\xbb\xbf")
-    if declared:
+    """Raise the SyntaxError `python prog` raises for a coding cookie its
+    tokenizer cannot use, for a null byte, or for a byte that is not UTF-8
+    in a file that declares no encoding (neither a BOM nor a coding cookie
+    on its first two lines). compile() decodes with such a cookie without
+    these checks, accepts such bytes in a comment and reports a null byte
+    without its location. Python checks line by line; on one line it
+    checks UTF-8 only up to the first null byte."""
+    declared = bom = source.startswith(_BOM)
+    if bom:
         source = source[3:]
-    lines = source.splitlines()
+    lines = source.splitlines(keepends=True)
+    end = 0
     for line in lines[:2]:
-        if _CODING_COOKIE.match(line):
+        end += len(line)
+        name = _coding_cookie(line)
+        if name is not None:
+            _refuse_cookie(name, bom, source[end - 1:])
             declared = True
             break
-        if not _BLANK_OR_COMMENT.match(line):
+        if line.lstrip(b" \t\f")[:1] not in (b"", b"#", b"\r", b"\n"):
             break
     for lineno, line in enumerate(lines, start=1):
         text, null, _ = line.partition(b"\0")
@@ -161,6 +170,43 @@ def _refuse_what_python_refuses(source, prog):
                 "source code cannot contain null bytes",
                 (prog, lineno, 0, text.decode("utf-8", "replace"), lineno, 0),
             )
+
+
+def _coding_cookie(line):
+    """The encoding a coding cookie on `line` names, found as CPython's
+    tokenizer finds it: the first `coding:` or `coding=` followed by a name,
+    in a comment that is all the line holds. None without one."""
+    comment = line.lstrip(b" \t\f")
+    start = comment.find(b"coding") if comment.startswith(b"#") else -1
+    while start >= 0:
+        start += len(b"coding")
+        if comment[start:start + 1] in (b":", b"="):
+            rest = comment[start + 1:].lstrip(b" \t")
+            name = rest[:len(rest) - len(rest.lstrip(_NAME_BYTES))]
+            if name:
+                return name.decode("ascii")
+        start = comment.find(b"coding", start)
+    return None
+
+
+def _refuse_cookie(name, bom, rest):
+    """Raise the SyntaxError, without a location, that the tokenizer raises
+    for a cookie naming `name` (normalized as its `get_normal_name` does):
+    after a BOM it must name UTF-8; otherwise its decoder must read `rest`,
+    the file from the cookie line's last byte, up to the first line end,
+    as the tokenizer's switch to that decoder does."""
+    spelling = name[:12].lower().replace("_", "-")
+    if spelling == "utf-8" or spelling.startswith("utf-8-"):
+        return
+    if (spelling in ("latin-1", "iso-8859-1", "iso-latin-1")
+            or spelling.startswith(("latin-1-", "iso-8859-1-", "iso-latin-1-"))):
+        name = "iso-8859-1"
+    if bom:
+        raise SyntaxError(f"encoding problem: {name} with BOM")
+    try:
+        io.TextIOWrapper(io.BytesIO(rest), encoding=name).readline()
+    except Exception:
+        raise SyntaxError(f"encoding problem: {name}") from None
 
 
 def _depth():
@@ -211,7 +257,9 @@ def _exit(status, interrupted):
     threading = sys.modules.get("threading")
     if threading is not None:
         threading._shutdown()
-    atexit._run_exitfuncs()
+    atexit = sys.modules.get("atexit")  # without it, no handler was registered
+    if atexit is not None:
+        atexit._run_exitfuncs()
     main = sys.modules.get("__main__")
     if main is not None:
         vars(main).clear()
@@ -227,8 +275,8 @@ def _exit(status, interrupted):
                                  else f"Exception ignored in: {stream!r}\n")
                 sys.excepthook(type(exc), exc.with_traceback(None), None)
     if interrupted:
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGINT)
+        _signal.signal(_signal.SIGINT, _signal.SIG_DFL)
+        os.kill(os.getpid(), _signal.SIGINT)
     os._exit(status)
 
 

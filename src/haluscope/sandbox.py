@@ -2,8 +2,11 @@
 
 Each execution runs in a fresh temporary directory with an allowlisted
 environment, an OS virtual-memory cap, a CPU-time backstop, and a
-socket-denying interpreter guard. Isolation is best effort: the harness
-targets honest resource accounting, not adversarial security.
+network-denying interpreter guard: a `sitecustomize` audit hook, inherited
+by every interpreter the program starts, raises EPERM on the audit events
+of connect, sendto, getaddrinfo and a sendmsg with an address, however the
+program reaches them. Isolation is best effort: the harness targets honest
+resource accounting, not adversarial security.
 
 Each execution is forked from a fork server (`_forkserver.py`): one
 interpreter started with the run child's argv and guard environment,
@@ -74,18 +77,18 @@ _EXC_LINE = re.compile(
 )
 _SITECUSTOMIZE_GUARD = """\
 import errno
-import socket
+import sys
 
 
-def _deny(*args, **kwargs):
-    raise OSError(errno.EPERM, "network access disabled by sandbox")
+def _deny(event, args):
+    # A sendmsg without an address sends as send() does, which raises no
+    # audit event, to a connected socket's peer (a socketpair's, say).
+    if event in _NETWORK_EVENTS or event == "socket.sendmsg" and args[1] is not None:
+        raise OSError(errno.EPERM, "network access disabled by sandbox")
 
 
-socket.socket.connect = _deny
-socket.socket.connect_ex = _deny
-socket.socket.sendto = _deny
-socket.create_connection = _deny
-socket.getaddrinfo = _deny
+_NETWORK_EVENTS = frozenset({"socket.connect", "socket.sendto", "socket.getaddrinfo"})
+sys.addaudithook(_deny)
 """
 
 
@@ -224,14 +227,12 @@ def _parse_last_exception(stderr: str, bare: bool = False) -> tuple[str, str]:
     return name, message
 
 
-def _rlimits(limits: ResourceLimits) -> dict[str, tuple[int, int]]:
-    """The kernel limits of a sandboxed process, by `resource` name."""
+def _rlimits(limits: ResourceLimits) -> tuple[int, ...]:
+    """The kernel limits of a sandboxed process: the soft and hard
+    RLIMIT_AS, RLIMIT_CPU and RLIMIT_FSIZE, in that order."""
     wall_s = math.ceil(limits.wall_time_ms / 1000)
-    return {
-        "RLIMIT_AS": (limits.memory_bytes, limits.memory_bytes),
-        "RLIMIT_CPU": (wall_s + 1, wall_s + 2),
-        "RLIMIT_FSIZE": (OUTPUT_LIMIT_BYTES, OUTPUT_LIMIT_BYTES),
-    }
+    return (limits.memory_bytes, limits.memory_bytes, wall_s + 1, wall_s + 2,
+            OUTPUT_LIMIT_BYTES, OUTPUT_LIMIT_BYTES)
 
 
 def _guard_env(workdir: Path, guard_dir: Path) -> dict[str, str]:
@@ -395,9 +396,9 @@ class _ForkServer:
         the child reports that prog.py compiled. None when the server died
         while the program ran; the program's group is killed and the server
         reaped then."""
-        request = {"workdir": str(workdir), "rlimits": _rlimits(limits)}
+        request = " ".join(map(str, (*_rlimits(limits), os.fsencode(workdir).hex())))
         deadline = time.monotonic() + limits.wall_time_ms / 1000.0
-        os.write(self._requests, json.dumps(request).encode("utf-8") + b"\n")
+        os.write(self._requests, request.encode("ascii") + b"\n")
         started = self._reply(deadline + _SERVER_GRACE_S)
         if not started:
             self.kill()
@@ -514,7 +515,9 @@ def _read_capped(path: Path, cap: int = OUTPUT_LIMIT_BYTES) -> str:
     FIFO without O_NONBLOCK would wait for a writer)."""
     try:
         with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
-            data = fh.read(cap) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else b""
+            info = os.fstat(fh.fileno())
+            # A read allocates what it asks for: ask for the file's size.
+            data = fh.read(min(info.st_size, cap)) if stat.S_ISREG(info.st_mode) else b""
     except OSError:
         return ""
     return data.decode("utf-8", errors="replace")

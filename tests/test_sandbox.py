@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
@@ -124,6 +125,32 @@ class TestExecute:
         )
         outcome = execute(source, TestCase("", str(errno.EPERM)), LIMITS)
         assert outcome.status is Status.PASS, outcome
+
+    @pytest.mark.parametrize(
+        "attempt",
+        [
+            "import _socket\n_socket.socket().connect(('127.0.0.1', 9))\n",
+            "import socket\nudp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)\n"
+            "udp.sendmsg([b'x'], [], 0, ('127.0.0.1', 9))\n",
+            "import importlib, socket\nimportlib.reload(socket)\n"
+            "socket.socket().connect(('127.0.0.1', 9))\n",
+        ],
+        ids=["socket-extension", "udp-sendmsg", "reloaded-socket"],
+    )
+    def test_network_denied_past_the_socket_module(self, attempt):
+        source = "try:\n" + textwrap.indent(attempt, "    ") + (
+            "except OSError as exc:\n    print(exc.errno)\n")
+        outcome = execute(source, TestCase("", str(errno.EPERM)), LIMITS)
+        assert outcome.status is Status.PASS, outcome
+
+    def test_socketpair_messages_pass(self):
+        source = (
+            "import socket\n"
+            "ours, theirs = socket.socketpair()\n"
+            "ours.sendmsg([b'x'])\n"
+            "print(theirs.recv(1))\n"
+        )
+        assert execute(source, TestCase("", "b'x'"), LIMITS).status is Status.PASS
 
     def test_missing_interpreter_is_sandbox_error(self):
         outcome = execute("print(1)", TestCase("", "1"), LIMITS, interpreter=["/no/such/bin"])
@@ -245,9 +272,15 @@ class TestCompileStage:
             ("return 1\n", Status.SYNTAX_FAILURE, "SyntaxError: 'return' outside function"),
             ("print(1)\x00", Status.SYNTAX_FAILURE, "SyntaxError: source code"),
             ("print(1)\n", Status.PASS, ""),
+            ("# coding: ascii\nprint('\u00e9')\n", Status.SYNTAX_FAILURE,
+             "SyntaxError: encoding problem: ascii"),
+            ("# coding: utf-16\nprint(1)\n", Status.SYNTAX_FAILURE,
+             "SyntaxError: encoding problem: utf-16"),
+            ("\ufeff# coding: latin-1\nprint(1)\n", Status.SYNTAX_FAILURE,
+             "SyntaxError: encoding problem: iso-8859-1 with BOM"),
         ],
         ids=["invalid", "missing-indent", "unexpected-indent", "mixed-tabs", "return-outside",
-             "null-byte", "valid"],
+             "null-byte", "valid", "cookie-ascii", "cookie-utf-16", "bom-cookie-latin-1"],
     )
     def test_own_and_foreign_interpreter_agree(self, source, status, prefix):
         own = execute(source, TestCase("", "1"), LIMITS)
@@ -288,11 +321,11 @@ class TestCompileStage:
         assert outcome.exception_name == "SyntaxError"
 
     def test_coding_cookie_read_from_the_bytes(self):
-        # prog.py's bytes are compiled, not the str, so an unknown encoding
-        # is a syntax failure, as it is for a child reading the file.
+        # prog.py's bytes are read, not the str, so an unknown encoding is a
+        # syntax failure, as it is for `python prog.py`.
         outcome = execute("# coding: bogus\nprint(1)\n", TestCase("", "1"), LIMITS)
         assert outcome.status is Status.SYNTAX_FAILURE
-        assert outcome.exception_message == "SyntaxError: unknown encoding: bogus"
+        assert outcome.exception_message == "SyntaxError: encoding problem: bogus"
 
 
 _DELETED = (
@@ -365,6 +398,13 @@ PARITY_PROGRAMS = {
     # UTF-8 through.
     "bom": "\ufeffprint(1)\n",
     "cookie-then-non-utf8": "# coding: latin-1\nprint('\udce9')\n",
+    # A cookie the tokenizer cannot use is an error without a location; one
+    # on line 2 after code is not a cookie.
+    "cookie-unknown": "# coding: bogus\nprint(1)\n",
+    "cookie-ascii-then-non-ascii": "# coding: ascii\nprint('\u00e9')\n",
+    "cookie-utf-16": "# coding: utf-16\nprint(1)\n",
+    "bom-then-cookie-latin-1": "\ufeff# coding: latin-1\nprint(1)\n",
+    "cookie-after-code": "x=1\n# coding: bogus\nprint(2)\n",
     # `__del__` of what the program's globals hold runs at exit, after the
     # atexit handlers, in the order the globals were bound.
     "del-global": _DELETED + "a = Deleted('a')\nprint('main')\n",
@@ -479,6 +519,31 @@ class TestForkServer:
         forked = _through_execute(source, "", None, monkeypatch)
         assert forked == _through_python(source, "", None)
         assert forked[1].split()[0] == "0"
+
+    def test_programs_find_the_modules_of_plain_python(self, monkeypatch):
+        # The server imports only `resource` beyond what every interpreter
+        # has loaded at start-up, so a child holds what `python prog.py` holds.
+        source = "import sys\nprint(*sorted(sys.modules))\n"
+        forked = _through_execute(source, "", None, monkeypatch)[1].split()
+        plain = _through_python(source, "", None)[1].split()
+        assert set(forked) - set(plain) <= {"resource"}
+        assert set(plain) <= set(forked)
+
+    def test_workdir_of_any_bytes(self, tmp_path, monkeypatch):
+        # The request carries the workdir's bytes: a space, a line end and a
+        # byte that is not UTF-8 reach the child as they are.
+        base = tmp_path / os.fsdecode(b"a b\nc\xff")
+        base.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(base))
+        source = (
+            "import os\n"
+            "cwd = os.getcwd()\n"
+            "print(cwd == os.environ['HOME'] == os.environ['TMPDIR'],"
+            " os.fsencode(os.path.dirname(cwd)).hex())\n"
+        )
+        expected = f"True {os.fsencode(os.path.realpath(base)).hex()}"
+        outcome = execute(source, TestCase("", expected), LIMITS)
+        assert outcome.status is Status.PASS, outcome
 
     def test_program_killing_its_server_spares_the_harness(self):
         harness = (
