@@ -13,9 +13,16 @@ Protocol, one line per message:
   space-separated (ASCII, so that every path round-trips);
 - reply, from the forked child before it compiles the program: its pid,
   or `error <message>` when it could not be set up;
-- reply, from the forked child once the program compiled: `compiled`;
 - reply, from the server once it reaped the child with `os.wait4`:
-  `<returncode> <ru_maxrss in bytes>`.
+  `<returncode> <ru_maxrss in bytes> <report as hex, empty without one>`.
+
+The child closes REPLIES_FD after its pid, so no compile and no program
+holds a reply fd. It reports an uncaught exception on a pipe the server
+makes per request: once the program's globals are dropped, one `os.write`
+of `1` for a SyntaxError from compiling (else `0`), the type's name, a
+null byte and the message, in UTF-8, cut to PIPE_BUF so that the write is
+atomic and never blocks. The server reads the pipe after `wait4` without
+blocking: a grandchild the program forked may still hold it open.
 
 EOF on REQUESTS_FD ends the server. The forked child starts its own
 session, takes the rlimits and the workdir, sets HOME and TMPDIR to the
@@ -23,9 +30,9 @@ workdir (the rest of its environment is the server's), reads stdin.txt and
 writes stdout.txt/stderr.txt on fds 0-2, and then does what
 `python <workdir>/prog.py` does, exit included. The guard environment sets
 PYTHONHASHSEED to the harness constant `sandbox.HASH_SEED` (0), so the
-server and every child it forks hash strings with one fixed secret. A child that exits without
-`compiled` ended while compiling: an error from compiling is printed, as
-CPython prints it, without a traceback.
+server and every child it forks hash strings with one fixed secret. An
+error from compiling is printed, as CPython prints it, without a
+traceback.
 
 Standard library only: a foreign interpreter runs this file too. An
 interpreter older than CPython 3.11 is refused before `ready`, with its
@@ -46,6 +53,8 @@ _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 _BOM = b"\xef\xbb\xbf"
 # The bytes of an encoding name in a coding cookie.
 _NAME_BYTES = b"-_." + bytes(b for b in range(128) if chr(b).isalnum())
+# Linux's PIPE_BUF: a write of at most this many bytes to a pipe is atomic.
+_REPORT_CAP = 4096
 
 
 def main():
@@ -55,19 +64,28 @@ def main():
     os.write(replies, b"ready\n")
     with open(requests, "rb") as lines:
         for request in lines:
+            report_r, report_w = os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC)
             pid = os.fork()
             if pid == 0:
-                _child(request, requests, replies)
+                os.close(report_r)
+                _child(request, requests, replies, report_w)
+            os.close(report_w)
             _, status, usage = os.wait4(pid, 0)
+            try:
+                report = os.read(report_r, _REPORT_CAP)
+            except BlockingIOError:  # empty, and a grandchild holds the write end
+                report = b""
+            os.close(report_r)
             returncode = os.waitstatus_to_exitcode(status)
-            os.write(replies, b"%d %d\n" % (returncode, usage.ru_maxrss * 1024))
+            os.write(replies, b"%d %d %s\n" % (returncode, usage.ru_maxrss * 1024,
+                                               report.hex().encode("ascii")))
 
 
-def _child(request, requests, replies):
-    """Set up the forked child, then compile and run the program; never
-    returns. The pid is replied before the program compiles, so the harness
-    can kill a child stuck compiling, and a program that kills this server
-    cannot hide it."""
+def _child(request, requests, replies, report_fd):
+    """Set up the forked child, then compile and run the program, reporting
+    an uncaught exception on `report_fd`; never returns. The pid is
+    replied before the program compiles, so the harness can kill a child
+    stuck compiling, and a program that kills this server cannot hide it."""
     try:
         os.setsid()
         *limits, workdir = request.split()
@@ -91,16 +109,17 @@ def _child(request, requests, replies):
         os._exit(1)
     os.write(replies, b"%d\n" % os.getpid())
     os.close(requests)
+    os.close(replies)
     try:
-        _exit(*_run(os.path.join(workdir, "prog.py"), replies))
+        _exit(*_run(os.path.join(workdir, "prog.py")), report_fd)
     finally:
         os._exit(1)  # reached only if finishing raised: never back into the server loop
 
 
-def _run(prog, replies):
-    """Run `prog` as `python prog` runs its main module, replying
-    `compiled` and closing `replies` once it compiled. Returns the exit
-    status and whether an uncaught KeyboardInterrupt ended it."""
+def _run(prog):
+    """Run `prog` as `python prog` runs its main module. Returns the exit
+    status, whether an uncaught KeyboardInterrupt ended it, and the report
+    on an uncaught exception ("" without one)."""
     main_module = type(sys)("__main__")
     main_module.__file__ = prog
     main_module.__cached__ = None
@@ -121,15 +140,19 @@ def _run(prog, replies):
             source = fh.read()
         _refuse_what_python_refuses(source, prog)
         code = compile(source, prog, "exec", dont_inherit=True)
-        os.write(replies, b"compiled\n")
-        os.close(replies)
         exec(code, vars(main_module))
     except SystemExit as exc:
-        return _exit_status(exc.code), False
+        return _exit_status(exc.code), False, ""
     except BaseException as exc:
         _print_uncaught(exc, code)
-        return 1, isinstance(exc, KeyboardInterrupt)
-    return 0, False
+        syntax = isinstance(exc, SyntaxError)
+        try:  # now, while the globals its `__str__` may use are still bound
+            message = str(exc.msg if syntax else exc)
+        except Exception:
+            message = "<exception str() failed>"
+        report = f"{code is None and syntax:d}{type(exc).__name__}\0{message[:_REPORT_CAP]}"
+        return 1, isinstance(exc, KeyboardInterrupt), report
+    return 0, False, ""
 
 
 def _refuse_what_python_refuses(source, prog):
@@ -241,9 +264,10 @@ def _print_uncaught(exc, code):
     sys.excepthook(type(exc), exc, tb)
 
 
-def _exit(status, interrupted):
+def _exit(status, interrupted, report, report_fd):
     """Finish as `Py_FinalizeEx` does: threading shutdown, atexit handlers,
-    the program's globals dropped, then a flush of stdout and stderr (a
+    the program's globals dropped, `report` written to `report_fd` (once a
+    memory bomb's heap is free again), then a flush of stdout and stderr (a
     failed flush exits 120). An uncaught KeyboardInterrupt ends the process
     by SIGINT.
 
@@ -263,6 +287,11 @@ def _exit(status, interrupted):
     main = sys.modules.get("__main__")
     if main is not None:
         vars(main).clear()
+    if report:
+        try:
+            os.write(report_fd, report.encode("utf-8", "backslashreplace")[:_REPORT_CAP])
+        except OSError:  # the program closed the fd or filled the pipe
+            pass
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None and not stream.closed:

@@ -18,10 +18,11 @@ every later execution fails as that start did. A bare `execute` runs as a
 batch of one.
 
 The forked child compiles prog.py, then runs it, so a syntax failure is
-judged by the interpreter that runs the program. The child replies once
-prog.py compiled; a child that ends without that reply ended in the
-compile stage. Both stages run under the wall limit, timed from the
-request to the server's reply, without interpreter start-up.
+judged by the interpreter that runs the program; both run under the wall
+limit, timed from the request to the server's reply, without interpreter
+start-up. The child reports the exception that ended the program
+uncaught, and that report, never the program's stderr, decides an
+outcome's exception fields.
 
 Every server starts with PYTHONHASHSEED set to HASH_SEED, so every
 program of every run shares one str and bytes hash secret: a program
@@ -38,7 +39,6 @@ import json
 import logging
 import math
 import os
-import re
 import select
 import shutil
 import signal
@@ -67,14 +67,8 @@ OUTPUT_LIMIT_BYTES = 64 * 2**20
 # hash randomization off.
 HASH_SEED = "0"
 
-_SYNTAX_EXCEPTIONS = frozenset({"SyntaxError", "IndentationError", "TabError"})
 _MEMORY_KILL_SIGNALS = frozenset({signal.SIGKILL, signal.SIGSEGV, signal.SIGABRT, signal.SIGBUS})
 
-_TRACEBACK_HEADER = "Traceback (most recent call last):"
-_FILE_LINE = re.compile(r'^\s+File "')
-_EXC_LINE = re.compile(
-    r"^([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)(?::\s?(.*))?\s*$"
-)
 _SITECUSTOMIZE_GUARD = """\
 import errno
 import sys
@@ -113,13 +107,16 @@ class ExecutionOutcome:
 
 @dataclass(frozen=True)
 class ProcessExit:
-    """Raw observables of a terminated child, fed to classify_termination."""
+    """Raw observables of a terminated child, fed to classify_termination,
+    with the uncaught exception the child reported ("" names none)."""
 
     returncode: int
     timed_out: bool
-    stage: str  # "compile" or "run"
     memory_limit_bytes: int
     peak_memory_bytes: int | None = None
+    exception_name: str = ""
+    exception_message: str = ""
+    syntax_error: bool = False  # the exception is a SyntaxError from compiling
 
 
 def compare_output(actual: str, expected: str) -> bool:
@@ -135,22 +132,22 @@ def _normalized_lines(text: str) -> list[str]:
     return lines
 
 
-def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | None:
+def classify_termination(raw: ProcessExit) -> ExecutionOutcome | None:
     """Map a terminated process to a failure status and exception fields,
-    without timing or output.
+    without timing or output; None for a clean exit (status then depends
+    on output comparison).
 
-    Returns None for a clean exit, whatever stderr holds (status then
-    depends on output comparison). The final exception of the last traceback block wins when
-    tracebacks are chained. A compile stage prints its error without a
-    traceback, so there a bare last line names the exception too, and a
-    SyntaxError (subclasses included) is a syntax failure; any other
-    exception is read as a run stage's. Memory evidence outranks the timer,
-    which outranks the parsed exception."""
+    The exception the child reported wins over any text on stderr, which
+    the program controls, and is classified under its own type's name (an
+    ExceptionGroup too). A SyntaxError from compiling is a syntax failure.
+    A nonzero exit without an uncaught exception (`sys.exit(2)`,
+    `sys.exit("msg")`, `os._exit(1)`, a failed final flush) is an
+    UnknownError. Memory evidence outranks the timer, which outranks the
+    reported exception."""
     if raw.returncode == 0 and not raw.timed_out:
         return None
-    compiling = raw.stage == "compile"
-    exc_name, exc_message = _parse_last_exception(stderr, bare=compiling)
-    if compiling and exc_name in _SYNTAX_EXCEPTIONS:
+    exc_name, exc_message = raw.exception_name, raw.exception_message
+    if raw.syntax_error:
         return ExecutionOutcome(
             status=Status.SYNTAX_FAILURE,
             exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
@@ -195,36 +192,8 @@ def classify_termination(raw: ProcessExit, stderr: str) -> ExecutionOutcome | No
     return ExecutionOutcome(
         status=Status.RUNTIME_FAILURE,
         exception_name="UnknownError",
-        exception_message=f"exit code {raw.returncode} with unparseable stderr",
+        exception_message=f"exit code {raw.returncode} without an uncaught exception",
     )
-
-
-def _parse_last_exception(stderr: str, bare: bool = False) -> tuple[str, str]:
-    """The (name, message) of the final exception in the last traceback
-    block; a dotted name gives its last part. Chained blocks ("During
-    handling..." / "direct cause") resolve to the last exception line.
-    Returns empty strings when no traceback evidence exists; with `bare`,
-    the last non-blank line alone is such evidence."""
-    lines = stderr.split("\n")
-    anchor = -1
-    for idx, line in enumerate(lines):
-        if line.startswith(_TRACEBACK_HEADER) or _FILE_LINE.match(line):
-            anchor = idx
-    if anchor < 0 and bare:
-        anchor = stderr.rstrip().count("\n")
-    if anchor < 0:
-        return "", ""
-    name, message = "", ""
-    for line in lines[anchor:]:
-        match = _EXC_LINE.match(line)
-        if not match:
-            continue
-        candidate = match.group(1)
-        leaf = candidate.rsplit(".", 1)[-1]
-        if "." not in candidate and not leaf[0].isupper():
-            continue
-        name, message = leaf, match.group(2) or ""
-    return name, message
 
 
 def _rlimits(limits: ResourceLimits) -> tuple[int, ...]:
@@ -283,7 +252,8 @@ def execute(
             raw = server.run(workdir, limits)
             elapsed_ms = int((time.monotonic() - started) * 1000)
             stdout_text = _read_capped(workdir / "stdout.txt")
-            stderr_text = _read_capped(workdir / "stderr.txt")
+            if artifact_dir is not None:
+                stderr_text = _read_capped(workdir / "stderr.txt")
         if raw is None:
             outcome = ExecutionOutcome(
                 status=Status.RUNTIME_FAILURE,
@@ -291,7 +261,7 @@ def execute(
                 exception_message="the fork server was killed while the program ran",
                 wall_time_ms=elapsed_ms,
             )
-        elif (termination := classify_termination(raw, stderr_text)) is not None:
+        elif (termination := classify_termination(raw)) is not None:
             outcome = dataclasses.replace(
                 termination, wall_time_ms=elapsed_ms, peak_memory_bytes=raw.peak_memory_bytes
             )
@@ -392,8 +362,7 @@ class _ForkServer:
     def run(self, workdir: Path, limits: ResourceLimits) -> ProcessExit | None:
         """Fork one child compiling and running workdir/prog.py, with this
         server's guard, and time it against the wall limit, killing its
-        process group once the limit passes. The stage is "compile" until
-        the child reports that prog.py compiled. None when the server died
+        process group once the limit passes. None when the server died
         while the program ran; the program's group is killed and the server
         reaped then."""
         request = " ".join(map(str, (*_rlimits(limits), os.fsencode(workdir).hex())))
@@ -404,31 +373,30 @@ class _ForkServer:
             self.kill()
             raise HarnessFault("fork server did not start the program")
         if started.startswith(b"error "):
-            self._reply(deadline)  # the server's report on the child, unused
+            self._reply(deadline)  # the server's final reply on the child, unused
             reason = started[len(b"error "):].decode("utf-8", errors="replace")
             raise HarnessFault(f"fork server could not set up the program: {reason}")
         pid = int(started)
-        stage, timed_out = "compile", False
-        while True:
-            finished = self._reply(time.monotonic() + _SERVER_GRACE_S if timed_out else deadline)
-            if finished == b"compiled":
-                stage = "run"
-            elif finished is None and not timed_out:
-                timed_out = True
-                _kill_group(pid)
-            else:
-                break
+        finished = self._reply(deadline)
+        timed_out = finished is None
+        if timed_out:
+            _kill_group(pid)
+            finished = self._reply(time.monotonic() + _SERVER_GRACE_S)
         if not finished:
             _kill_group(pid)
             self.kill()
             return None
-        returncode, peak = (int(value) for value in finished.split())
+        returncode, peak, report = finished.split(b" ")
+        report = bytes.fromhex(report.decode("ascii")).decode("utf-8", errors="replace")
+        name, _, message = report[1:].partition("\0")
         return ProcessExit(
-            returncode=returncode,
+            returncode=int(returncode),
             timed_out=timed_out,
-            stage=stage,
             memory_limit_bytes=limits.memory_bytes,
-            peak_memory_bytes=peak,
+            peak_memory_bytes=int(peak),
+            exception_name=name,
+            exception_message=message,
+            syntax_error=report[:1] == "1",
         )
 
     def _reply(self, deadline: float) -> bytes | None:

@@ -175,9 +175,71 @@ class TestExecute:
         assert outcome.status is Status.PASS
 
     def test_sys_exit_nonzero_is_unknown_runtime_failure(self):
-        outcome = execute("import sys\nsys.exit(7)", TestCase("", ""), LIMITS)
+        for source, code in (("import sys\nsys.exit(7)", 7), ("import sys\nsys.exit('msg')", 1),
+                             ("import os\nos._exit(1)", 1)):
+            outcome = execute(source, TestCase("", ""), LIMITS)
+            assert outcome.status is Status.RUNTIME_FAILURE
+            assert outcome.exception_name == "UnknownError"
+            assert outcome.exception_message == f"exit code {code} without an uncaught exception"
+
+    @pytest.mark.parametrize(
+        "source, name, message",
+        [
+            ("x = 5\nraise Exception(f'bad value\\nDetails: {x}')\n",
+             "Exception", "bad value\nDetails: 5"),
+            ("a, b = 1, 2\nassert a == b, f'Mismatch:\\nGot: {a}'\n",
+             "AssertionError", "Mismatch:\nGot: 1"),
+            ("e = ValueError('v')\ne.add_note('IndexError: note')\nraise e\n", "ValueError", "v"),
+            ("raise ExceptionGroup('eg', [ValueError(1)])\n",
+             "ExceptionGroup", "eg (1 sub-exception)"),
+            ("import sys, traceback\ntry:\n    raise ValueError('v')\nexcept ValueError:\n"
+             "    traceback.print_exc()\nsys.exit(1)\n",
+             "UnknownError", "exit code 1 without an uncaught exception"),
+            ("class myerr(Exception):\n    pass\nraise myerr('m')\n", "myerr", "m"),
+        ],
+        ids=["multi-line-message", "multi-line-assert", "note", "exception-group",
+             "printed-traceback", "lowercase-class"],
+    )
+    def test_exception_is_the_one_that_ended_the_program(self, source, name, message):
+        # The exception comes from the child, not from what stderr holds;
+        # TestClassifyTermination has a forged traceback.
+        outcome = execute(source, TestCase("", ""), LIMITS)
         assert outcome.status is Status.RUNTIME_FAILURE
-        assert outcome.exception_name == "UnknownError"
+        assert (outcome.exception_name, outcome.exception_message) == (name, message)
+
+    @pytest.mark.parametrize(
+        "ending, name", [("raise KeyError('k')", "KeyError"), ("sys.exit(2)", "UnknownError")]
+    )
+    def test_grandchild_holding_the_report_pipe_does_not_stall(self, ending, name, tmp_path):
+        source = (
+            "import os, sys, time\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n    time.sleep(3)\n    os._exit(0)\n"
+            "print(pid)\n" + ending + "\n"
+        )
+        started = time.monotonic()
+        outcome = execute(source, TestCase("", ""), LIMITS, artifact_dir=tmp_path)
+        elapsed = time.monotonic() - started
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(int((tmp_path / "stdout.txt").read_text()), signal.SIGKILL)
+        assert elapsed < 1.5
+        assert (outcome.status, outcome.exception_name) == (Status.RUNTIME_FAILURE, name)
+
+    def test_long_message_is_capped(self):
+        outcome = execute("raise ValueError('x' * 10**6)\n", TestCase("", ""), LIMITS)
+        assert (outcome.status, outcome.exception_name) == (Status.RUNTIME_FAILURE, "ValueError")
+        assert 0 < len(outcome.exception_message) < 4096
+        assert set(outcome.exception_message) == {"x"}
+
+    def test_exception_whose_str_raises(self):
+        source = (
+            "class Broken(Exception):\n"
+            "    def __str__(self):\n        raise RuntimeError('no')\n"
+            "raise Broken()\n"
+        )
+        outcome = execute(source, TestCase("", ""), LIMITS)
+        assert (outcome.exception_name, outcome.exception_message) == (
+            "Broken", "<exception str() failed>")
 
     def test_fresh_working_directory(self, tmp_path):
         source = (
@@ -234,7 +296,7 @@ class TestExecute:
         proc = _run_harness(harness)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [
-            ["pass", ""], ["runtime_failure", "UnknownError"]
+            ["pass", ""], ["runtime_failure", "ValueError"]
         ]
 
     def test_memory_does_not_grow_with_the_executions(self):
@@ -314,6 +376,16 @@ class TestCompileStage:
         monkeypatch.setattr(subprocess, "Popen", CountingPopen)
         execute(source, TestCase("", "1"), LIMITS, interpreter=interpreter)
         assert len(started) == 1
+
+    @pytest.mark.parametrize(
+        "source, status, name",
+        [("x = " + "-" * 100000 + "1\n", Status.MEMORY_LIMIT_EXCEEDED, ""),
+         ("x = " + "1+" * 100000 + "1\n", Status.RUNTIME_FAILURE, "RecursionError")],
+        ids=["memory", "recursion"],
+    )
+    def test_error_from_compiling_that_is_no_syntax_error(self, source, status, name):
+        outcome = execute(source, TestCase("", "1"), LIMITS)
+        assert (outcome.status, outcome.exception_name) == (status, name)
 
     def test_syntax_error_raised_by_the_program_is_runtime_failure(self):
         outcome = execute("print(1)\neval('def f(:')\n", TestCase("", "1"), LIMITS)
@@ -420,22 +492,22 @@ def _normalized(text: str) -> str:
 
 
 def _through_execute(source: str, stdin: str, interpreter, monkeypatch) -> tuple:
-    """(returncode, stdout, stderr) of the run stage of `execute`."""
+    """(returncode, stdout, stderr) of the forked child of `execute`, the
+    streams as its artifact directory holds them."""
     seen = {}
-    read, classify = sandbox._read_capped, sandbox.classify_termination
+    classify = sandbox.classify_termination
 
-    def reading(path, *args):
-        seen[path.name] = read(path, *args)
-        return seen[path.name]
-
-    def classifying(raw, stderr):
+    def classifying(raw):
         seen["returncode"] = raw.returncode
-        return classify(raw, stderr)
+        return classify(raw)
 
-    monkeypatch.setattr(sandbox, "_read_capped", reading)
     monkeypatch.setattr(sandbox, "classify_termination", classifying)
-    execute(source, TestCase(stdin, ""), LIMITS, interpreter=interpreter)
-    return seen["returncode"], seen["stdout.txt"], seen["stderr.txt"]
+    with tempfile.TemporaryDirectory() as artifacts:
+        execute(source, TestCase(stdin, ""), LIMITS, interpreter=interpreter,
+                artifact_dir=artifacts)
+        streams = [(Path(artifacts) / name).read_bytes().decode("utf-8")
+                   for name in ("stdout.txt", "stderr.txt")]
+    return seen["returncode"], *streams
 
 
 def _through_python(source: str, stdin: str, interpreter) -> tuple:
@@ -705,126 +777,90 @@ class TestForkServer:
 
 class TestClassifyTermination:
     def test_last_exception_line_wins_for_chained(self):
-        stderr = (
-            "Traceback (most recent call last):\n"
-            '  File "prog.py", line 2, in <module>\n'
-            "ValueError: invalid literal for int() with base 10: 'x'\n"
-            "\nThe above exception was the direct cause of the following exception:\n\n"
-            "Traceback (most recent call last):\n"
-            '  File "prog.py", line 4, in <module>\n'
-            "ValueError: bad literal\n"
-        )
-        raw = ProcessExit(returncode=1, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        termination = classify_termination(raw, stderr)
-        assert termination.status is Status.RUNTIME_FAILURE
-        assert termination.exception_name == "ValueError"
-        assert termination.exception_message == "bad literal"
+        source = "try:\n    int('x')\nexcept ValueError as e:\n    raise KeyError('k') from e\n"
+        outcome = execute(source, TestCase("", ""), LIMITS)
+        assert outcome.status is Status.RUNTIME_FAILURE
+        assert (outcome.exception_name, outcome.exception_message) == ("KeyError", "'k'")
 
     def test_nameerror_final_line(self):
-        stderr = (
-            "Traceback (most recent call last):\n"
-            '  File "prog.py", line 1, in <module>\n'
-            "NameError: name 'N' is not defined\n"
-        )
-        raw = ProcessExit(returncode=1, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        assert classify_termination(raw, stderr).exception_name == "NameError"
+        raw = _exit(exception_name="NameError", exception_message="name 'N' is not defined")
+        termination = classify_termination(raw)
+        assert termination.status is Status.RUNTIME_FAILURE
+        assert termination.exception_name == "NameError"
+        assert termination.exception_message == "name 'N' is not defined"
 
-    def test_unparseable_stderr_is_unknown(self):
-        raw = ProcessExit(returncode=2, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        termination = classify_termination(raw, "something exploded, no traceback")
+    def test_nonzero_exit_without_exception_is_unknown(self):
+        termination = classify_termination(_exit(2))
         assert termination.status is Status.RUNTIME_FAILURE
         assert termination.exception_name == "UnknownError"
+        assert termination.exception_message == "exit code 2 without an uncaught exception"
 
     def test_program_stderr_noise_not_mistaken_for_exception(self):
-        raw = ProcessExit(returncode=3, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        termination = classify_termination(raw, "progress: 10%\ndone: ok\n")
-        assert termination.exception_name == "UnknownError"
+        source = (
+            "import sys\n"
+            "sys.stderr.write('progress: 10%\\nTraceback (most recent call last):\\n"
+            "  File \"prog.py\", line 1, in <module>\\nKeyError: 1\\n')\n"
+            "sys.exit(3)\n"
+        )
+        outcome = execute(source, TestCase("", ""), LIMITS)
+        assert outcome.status is Status.RUNTIME_FAILURE
+        assert outcome.exception_name == "UnknownError"
 
     def test_memory_error_beats_timer(self):
-        stderr = (
-            "Traceback (most recent call last):\n"
-            '  File "prog.py", line 3, in <module>\n'
-            "MemoryError\n"
-        )
-        raw = ProcessExit(returncode=1, timed_out=True, stage="run", memory_limit_bytes=2**28)
-        assert classify_termination(raw, stderr).status is Status.MEMORY_LIMIT_EXCEEDED
+        raw = _exit(exception_name="MemoryError", timed_out=True)
+        assert classify_termination(raw).status is Status.MEMORY_LIMIT_EXCEEDED
 
     def test_sigkill_with_peak_near_limit_is_memory(self):
-        raw = ProcessExit(
-            returncode=-int(signal.SIGKILL),
-            timed_out=False,
-            stage="run",
-            memory_limit_bytes=2**28,
-            peak_memory_bytes=int(0.97 * 2**28),
-        )
-        assert classify_termination(raw, "").status is Status.MEMORY_LIMIT_EXCEEDED
+        raw = _exit(-int(signal.SIGKILL), peak_memory_bytes=int(0.97 * 2**28))
+        assert classify_termination(raw).status is Status.MEMORY_LIMIT_EXCEEDED
 
     def test_timer_kill_with_high_peak_is_still_timeout(self):
-        raw = ProcessExit(
-            returncode=-int(signal.SIGKILL),
-            timed_out=True,
-            stage="run",
-            memory_limit_bytes=2**28,
-            peak_memory_bytes=int(0.97 * 2**28),
-        )
-        assert classify_termination(raw, "").status is Status.TIME_LIMIT_EXCEEDED
+        raw = _exit(-int(signal.SIGKILL), timed_out=True, peak_memory_bytes=int(0.97 * 2**28))
+        assert classify_termination(raw).status is Status.TIME_LIMIT_EXCEEDED
 
     def test_sigxcpu_is_timeout(self):
-        raw = ProcessExit(
-            returncode=-int(signal.SIGXCPU),
-            timed_out=False,
-            stage="run",
-            memory_limit_bytes=2**28,
-        )
-        assert classify_termination(raw, "").status is Status.TIME_LIMIT_EXCEEDED
+        raw = _exit(-int(signal.SIGXCPU))
+        assert classify_termination(raw).status is Status.TIME_LIMIT_EXCEEDED
 
     def test_compile_stage_syntax(self):
-        stderr = (
-            '  File "prog.py", line 1\n'
-            "    def f(:\n"
-            "          ^\n"
-            "SyntaxError: invalid syntax\n"
-        )
-        raw = ProcessExit(returncode=1, timed_out=False, stage="compile", memory_limit_bytes=2**28)
-        termination = classify_termination(raw, stderr)
+        raw = _exit(exception_name="SyntaxError", exception_message="invalid syntax",
+                    syntax_error=True)
+        termination = classify_termination(raw)
         assert termination.status is Status.SYNTAX_FAILURE
+        assert termination.exception_message == "SyntaxError: invalid syntax"
+        assert termination.exception_name == ""
 
     @pytest.mark.parametrize(
-        "stage, stderr, status, name",
+        "name, syntax_error, status, reported",
         [
-            ("compile", "MemoryError\n", Status.MEMORY_LIMIT_EXCEEDED, ""),
-            ("compile", "RecursionError: maximum recursion depth exceeded during compilation\n",
-             Status.RUNTIME_FAILURE, "RecursionError"),
-            ("run", "MemoryError\n", Status.RUNTIME_FAILURE, "UnknownError"),
+            ("MemoryError", False, Status.MEMORY_LIMIT_EXCEEDED, ""),
+            ("RecursionError", False, Status.RUNTIME_FAILURE, "RecursionError"),
+            ("SyntaxError", False, Status.RUNTIME_FAILURE, "SyntaxError"),
+            ("IndentationError", True, Status.SYNTAX_FAILURE, ""),
         ],
-        ids=["compile-memory", "compile-recursion", "run-memory"],
+        ids=["memory", "recursion", "syntax-while-running", "indentation-while-compiling"],
     )
-    def test_bare_exception_line_read_in_compile_stage_only(self, stage, stderr, status, name):
-        # An error from compiling is printed without a traceback.
-        raw = ProcessExit(returncode=1, timed_out=False, stage=stage, memory_limit_bytes=2**28)
-        termination = classify_termination(raw, stderr)
+    def test_syntax_failure_only_by_the_syntax_flag(self, name, syntax_error, status, reported):
+        # The child sets the flag for a SyntaxError (an isinstance check)
+        # from compiling; any other exception is classified by its name.
+        termination = classify_termination(_exit(exception_name=name, syntax_error=syntax_error))
         assert termination.status is status
-        assert termination.exception_name == name
+        assert termination.exception_name == reported
 
     def test_clean_exit_returns_none(self):
         # A clean exit is judged by its output alone, even when a thread
-        # died or the program printed a caught traceback.
-        raw = ProcessExit(returncode=0, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        memory_error = (
-            'Traceback (most recent call last):\n  File "prog.py", line 3, in <module>\n'
-            "MemoryError\n"
-        )
-        for stderr in ("", memory_error):
-            assert classify_termination(raw, stderr) is None
+        # died of an exception.
+        assert classify_termination(_exit(0)) is None
 
     def test_dotted_exception_name_uses_leaf(self):
-        stderr = (
-            "Traceback (most recent call last):\n"
-            '  File "prog.py", line 1, in <module>\n'
-            "socket.gaierror: [Errno -2] Name or service not known\n"
-        )
-        raw = ProcessExit(returncode=1, timed_out=False, stage="run", memory_limit_bytes=2**28)
-        assert classify_termination(raw, stderr).exception_name == "gaierror"
+        source = "import socket\nraise socket.gaierror(-2, 'Name or service not known')\n"
+        outcome = execute(source, TestCase("", ""), LIMITS)
+        assert outcome.exception_name == "gaierror"
+
+
+def _exit(returncode: int = 1, timed_out: bool = False, **fields) -> ProcessExit:
+    """A ProcessExit under a 256 MiB limit."""
+    return ProcessExit(returncode, timed_out, memory_limit_bytes=2**28, **fields)
 
 
 class TestIsolationAndBatch:
