@@ -17,12 +17,12 @@ returns, replacing it if it dies. After a failed start none starts again:
 every later execution fails as that start did. A bare `execute` runs as a
 batch of one.
 
-The forked child compiles prog.py, then runs it, so a syntax failure is
-judged by the interpreter that runs the program; both run under the wall
-limit, timed from the request to the server's reply, without interpreter
-start-up. The child reports the exception that ended the program
-uncaught, and that report, never the program's stderr, decides an
-outcome's exception fields.
+The forked child runs prog.py through the C call `python prog.py` ends
+in, so the program's interpreter reads it with its own file tokenizer.
+Reading, compiling and running it share the wall limit, timed from the
+request to the server's reply, without interpreter start-up. The child
+reports the exception that ended the program uncaught, and that report,
+never the program's stderr, decides an outcome's exception fields.
 
 Every server starts with PYTHONHASHSEED set to HASH_SEED, so every
 program of every run shares one str and bytes hash secret: a program
@@ -360,9 +360,9 @@ class _ForkServer:
         return self._proc is not None and self._proc.poll() is None
 
     def run(self, workdir: Path, limits: ResourceLimits) -> ProcessExit | None:
-        """Fork one child compiling and running workdir/prog.py, with this
-        server's guard, and time it against the wall limit, killing its
-        process group once the limit passes. None when the server died
+        """Fork one child running workdir/prog.py, with this server's
+        guard, and time it against the wall limit, killing its process
+        group once the limit passes. None when the server died
         while the program ran; the program's group is killed and the server
         reaped then."""
         request = " ".join(map(str, (*_rlimits(limits), os.fsencode(workdir).hex())))

@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -36,8 +37,9 @@ from test_cli import LONE_SURROGATE
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
 # Extra wall time the enforcement machinery may consume beyond the limit.
 ENFORCEMENT_SLACK_MS = 500
-# An interpreter argv other than the harness's own, as `--interpreter` gives.
-FOREIGN = [sys.executable, "-u"]
+# An interpreter argv other than the harness's own, as `--interpreter` gives:
+# HALUSCOPE_TEST_FOREIGN, split as a shell would, may name another version.
+FOREIGN = shlex.split(os.environ.get("HALUSCOPE_TEST_FOREIGN", "")) or [sys.executable, "-u"]
 
 
 class TestCompareOutput:
@@ -453,6 +455,16 @@ PARITY_PROGRAMS = {
         "def f():\n    raise ValueError('bad')\n"
         "f()\n"
     ),
+    "excepthook-raises": (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('atexit'))\n"
+        "def hook(kind, value, tb):\n"
+        "    print('handling', sys.exc_info()[0])\n"
+        "    raise RuntimeError('hook')\n"
+        "sys.excepthook = hook\n"
+        "print('out')\n"
+        "raise ValueError('v')\n"
+    ),
     "segv": "import os, signal\nprint('x')\nos.kill(os.getpid(), signal.SIGSEGV)\n",
     "parser-exhausted": "x = " + "-" * 100000 + "1\n",
     "keyboard-interrupt": "print('a')\nraise KeyboardInterrupt\n",
@@ -477,6 +489,11 @@ PARITY_PROGRAMS = {
     "cookie-utf-16": "# coding: utf-16\nprint(1)\n",
     "bom-then-cookie-latin-1": "\ufeff# coding: latin-1\nprint(1)\n",
     "cookie-after-code": "x=1\n# coding: bogus\nprint(2)\n",
+    # Switching to the cookie's decoder reads the rest of its line: cp037
+    # finds no line end and takes the file; a refused byte past the first
+    # 8 KiB is reported at its position in the tokenizer's second read.
+    "cookie-cp037": "# coding: cp037\nprint(1)\n",
+    "cookie-ascii-non-ascii-past-8-kib": "# coding: ascii\n" + "#" * 9000 + "\nprint('\u00e9')\n",
     # `__del__` of what the program's globals hold runs at exit, after the
     # atexit handlers, in the order the globals were bound.
     "del-global": _DELETED + "a = Deleted('a')\nprint('main')\n",
@@ -592,14 +609,28 @@ class TestForkServer:
         assert forked == _through_python(source, "", None)
         assert forked[1].split()[0] == "0"
 
-    def test_programs_find_the_modules_of_plain_python(self, monkeypatch):
-        # The server imports only `resource` beyond what every interpreter
-        # has loaded at start-up, so a child holds what `python prog.py` holds.
+    @pytest.mark.parametrize("interpreter", [None, FOREIGN], ids=["own", "foreign"])
+    def test_programs_find_the_modules_of_plain_python(self, interpreter, monkeypatch):
+        # The server keeps only `resource` beyond what every interpreter has
+        # loaded at start-up, so a child holds what `python prog.py` holds.
         source = "import sys\nprint(*sorted(sys.modules))\n"
-        forked = _through_execute(source, "", None, monkeypatch)[1].split()
-        plain = _through_python(source, "", None)[1].split()
+        forked = _through_execute(source, "", interpreter, monkeypatch)[1].split()
+        plain = _through_python(source, "", interpreter)[1].split()
         assert set(forked) - set(plain) <= {"resource"}
         assert set(plain) <= set(forked)
+
+    @pytest.mark.parametrize("interpreter", [None, FOREIGN], ids=["own", "foreign"])
+    def test_program_using_ctypes(self, interpreter):
+        # The server's own import of ctypes left sys.modules again, so the
+        # program's loads a fresh copy.
+        source = ("import ctypes\nlibc = ctypes.CDLL(None)\n"
+                  "print(libc.abs(-3), libc.strlen(b'four'), ctypes.sizeof(ctypes.c_int32))\n")
+        outcome = execute(source, TestCase("", "3 4 4"), LIMITS, interpreter=interpreter)
+        assert outcome.status is Status.PASS
+
+    def test_excepthook_that_raises_leaves_the_original_exception(self):
+        outcome = execute(PARITY_PROGRAMS["excepthook-raises"], TestCase("", ""), LIMITS)
+        assert (outcome.status, outcome.exception_name) == (Status.RUNTIME_FAILURE, "ValueError")
 
     def test_workdir_of_any_bytes(self, tmp_path, monkeypatch):
         # The request carries the workdir's bytes: a space, a line end and a
