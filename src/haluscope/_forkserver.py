@@ -27,9 +27,9 @@ grandchild the program forked may still hold it open.
 
 EOF on REQUESTS_FD ends the server. The forked child starts its own
 session, takes the rlimits and the workdir, sets HOME and TMPDIR to the
-workdir (the rest of its environment is the server's), reads stdin.txt and
-writes stdout.txt/stderr.txt on fds 0-2, and then does what
-`python <workdir>/prog.py` does, exit included. The guard environment sets
+workdir (the rest of its environment is the server's), opens stdin.txt and
+the stdout.txt and stderr.txt the harness created as fds 0-2, and then does
+what `python <workdir>/prog.py` does, exit included. The guard environment sets
 PYTHONHASHSEED to the harness constant `sandbox.HASH_SEED` (0), so the
 server and every child it forks hash strings with one fixed secret.
 
@@ -57,6 +57,8 @@ _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 _PY_FILE_INPUT = 257  # Py_file_input: the start symbol of a module
 # Linux's PIPE_BUF: a write of at most this many bytes to a pipe is atomic.
 _REPORT_CAP = 4096
+# `PyErr_Display`: how CPython prints an exception where no hook of the program does.
+_display = sys.__excepthook__
 
 
 def main():
@@ -169,7 +171,10 @@ def _run(prog, fopen, get_errno, run_file):
     # exception is handled. ctypes raised it in this frame; below are the
     # program's frames, none for an error from reading or compiling.
     tb = uncaught.__traceback__.tb_next
-    _print_uncaught(uncaught, tb)
+    try:
+        _print_uncaught(uncaught, tb)
+    except SystemExit as exc:  # the hook ends the program as `sys.exit` does
+        return _exit_status(exc.code), False, ""
     syntax = isinstance(uncaught, SyntaxError) and tb is None
     try:  # now, while the globals its `__str__` may use are still bound
         message = str(uncaught.msg if syntax else uncaught)
@@ -187,42 +192,69 @@ def _depth():
 
 
 def _exit_status(code):
-    """The exit status `Py_Exit` gives a SystemExit code; any value other
-    than None or an int is printed to stderr."""
+    """The exit status `_Py_HandleSystemExit` gives a SystemExit code: 0 for
+    None, an int cast to a C long (255 out of its range), and 1 for any other
+    value, printed to sys.stderr, or to fd 2 without one."""
     if code is None:
         return 0
     if isinstance(code, int):
-        return code & 0xFF
+        return code & 0xFF if -sys.maxsize - 1 <= code <= sys.maxsize else 255
     try:
-        print(code, file=sys.stderr)
+        if getattr(sys, "stderr", None) is None:
+            os.write(2, str(code).encode())
+        else:
+            sys.stderr.write(str(code))
     except Exception:
         pass
+    _write_stderr("\n")
     return 1
+
+
+def _write_stderr(text):
+    """Write `text` as `PySys_WriteStderr` does: to fd 2 if sys.stderr fails."""
+    try:
+        sys.stderr.write(text)
+    except Exception:
+        try:
+            os.write(2, text.encode())
+        except OSError:
+            pass
 
 
 def _print_uncaught(exc, tb):
     """Hand an uncaught exception to sys.excepthook with `tb`, the program's
-    frames. When the hook raises, print both exceptions as CPython does."""
+    frames, as `PyErr_Print` does: after setting sys.last_* (last_exc from
+    3.12 on), printing CPython's text for a hook that is missing or raises,
+    but letting a SystemExit from the hook propagate."""
     exc.__traceback__ = tb
+    if sys.version_info >= (3, 12):
+        sys.last_exc = exc
+    sys.last_type, sys.last_value, sys.last_traceback = type(exc), exc, tb
     try:
-        sys.excepthook(type(exc), exc, tb)
+        hook = sys.excepthook
+    except AttributeError:
+        _write_stderr("sys.excepthook is missing\n")
+        _display(type(exc), exc, tb)
+        return
+    try:
+        hook(type(exc), exc, tb)
+    except SystemExit:
+        raise
     except BaseException as hook_exc:
-        try:
-            sys.stderr.write("Error in sys.excepthook:\n")
-            hook_exc.__traceback__ = hook_exc.__traceback__.tb_next  # the hook's frames
-            sys.__excepthook__(type(hook_exc), hook_exc, hook_exc.__traceback__)
-            sys.stderr.write("\nOriginal exception was:\n")
-            sys.__excepthook__(type(exc), exc, tb)
-        except Exception:  # CPython ignores a failed write to stderr
-            pass
+        _write_stderr("Error in sys.excepthook:\n")
+        hook_exc.__traceback__ = hook_exc.__traceback__.tb_next  # the hook's frames
+        _display(type(hook_exc), hook_exc, hook_exc.__traceback__)
+        _write_stderr("\nOriginal exception was:\n")
+        _display(type(exc), exc, tb)
 
 
 def _exit(status, interrupted, report, report_fd):
     """Finish as `Py_FinalizeEx` does: threading shutdown, atexit handlers,
     the program's globals dropped, `report` written to `report_fd` (once a
-    memory bomb's heap is free again), then a flush of stdout and stderr (a
-    failed flush exits 120). An uncaught KeyboardInterrupt ends the process
-    by SIGINT.
+    memory bomb's heap is free again), a flush of sys.stdout and sys.stderr
+    where they exist (a failed flush exits 120), then one of sys.__stdout__
+    and sys.__stderr__, which finalization drops and so closes, ignoring a
+    failure. An uncaught KeyboardInterrupt ends the process by SIGINT.
 
     The emulation is for speed: finalizing the heap the child inherited
     from this server costs about 18 ms of CPU per child, `os._exit` 1 ms
@@ -243,17 +275,26 @@ def _exit(status, interrupted, report, report_fd):
             os.write(report_fd, report.encode("utf-8", "backslashreplace")[:_REPORT_CAP])
         except OSError:  # the program closed the fd or filled the pipe
             pass
-    for stream in (sys.stdout, sys.stderr):
+    for name in ("stdout", "stderr"):
+        stream = getattr(sys, name, None)
         try:
-            if stream is not None and not stream.closed:
+            if stream is not None and not getattr(stream, "closed", False):
                 stream.flush()
         except Exception as exc:
             status = 120
-            if stream is sys.stdout:
-                sys.stderr.write("Exception ignored on flushing sys.stdout:\n"
-                                 if sys.version_info >= (3, 13)
-                                 else f"Exception ignored in: {stream!r}\n")
-                sys.excepthook(type(exc), exc.with_traceback(None), None)
+            if name == "stdout":
+                try:  # as the default sys.unraisablehook prints it, if sys.stderr is there
+                    sys.stderr.write("Exception ignored on flushing sys.stdout:\n"
+                                     if sys.version_info >= (3, 13)
+                                     else f"Exception ignored in: {stream!r}\n")
+                    _display(type(exc), exc.with_traceback(exc.__traceback__.tb_next), None)
+                except Exception:
+                    pass
+    for name in ("__stdout__", "__stderr__"):
+        try:
+            getattr(sys, name).flush()
+        except Exception:
+            pass
     if interrupted:
         _signal.signal(_signal.SIGINT, _signal.SIG_DFL)
         os.kill(os.getpid(), _signal.SIGINT)

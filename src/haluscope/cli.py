@@ -107,7 +107,8 @@ RUN_SETTINGS = (
     _Setting("--run-id", "run_id", str),
     _Setting("--artifact-dir", "artifact_dir", str,
              "Store each execution's prog.py, stdin.txt, outcome.json (its status, exception, "
-             "wall time and peak memory), and all the program wrote to stdout.txt and stderr.txt."),
+             "wall time and peak memory), and in stdout.txt and stderr.txt all the program wrote "
+             "to its stdout and stderr, read through files the harness made."),
     _Setting("--degeneration.repeat-count", "degeneration.repeat_count", integer),
     _Setting("--degeneration.block-size", "degeneration.block_size", integer),
     _Setting("--degeneration.enum-count", "degeneration.enum_count", integer),

@@ -301,6 +301,31 @@ class TestExecute:
             ["pass", ""], ["runtime_failure", "ValueError"]
         ]
 
+    @pytest.mark.parametrize(
+        "source, status, captured",
+        [
+            ("import os\nprint(1)\nos.remove('stdout.txt')\n", Status.PASS, "1\n"),
+            ("import os\nprint(1)\nos.remove('stdout.txt')\nopen('other.txt', 'w').write('2')\n"
+             "os.symlink('other.txt', 'stdout.txt')\n", Status.PASS, "1\n"),
+            ("import os\nos.remove('stdout.txt')\nopen('stdout.txt', 'w').write('1')\n",
+             Status.WRONG_OUTPUT, ""),
+        ],
+        ids=["print-then-remove", "print-then-symlink", "new-file-without-printing"],
+    )
+    def test_output_is_what_the_program_printed(self, source, status, captured, tmp_path):
+        # What the program wrote to its stdout is judged, not what it left
+        # at the name stdout.txt.
+        outcome = execute(source, TestCase("", "1"), LIMITS, artifact_dir=tmp_path)
+        assert outcome.status is status
+        assert (tmp_path / "stdout.txt").read_text() == captured
+
+    def test_exit_code_out_of_the_range_of_a_c_long(self):
+        # CPython casts the code to a C long and exits 255 when it does not
+        # fit, where its low byte would read 2**64 as a clean exit.
+        outcome = execute("import sys\nprint(1)\nsys.exit(2**64)\n", TestCase("", "1"), LIMITS)
+        assert (outcome.status, outcome.exception_message) == (
+            Status.RUNTIME_FAILURE, "exit code 255 without an uncaught exception")
+
     def test_memory_does_not_grow_with_the_executions(self):
         # Each program prints 40 MiB; a harness keeping what they print
         # would peak 40 MiB higher per execution.
@@ -465,10 +490,58 @@ PARITY_PROGRAMS = {
         "print('out')\n"
         "raise ValueError('v')\n"
     ),
+    # As `PyErr_Print`: sys.last_* are set before the hook runs; a missing
+    # hook is reported; a hook's SystemExit is the program's exit.
+    "excepthook-last-vars": (
+        "import atexit, sys\n"
+        "def show():\n"
+        "    print(sys.last_type.__name__, repr(sys.last_value), sys.last_traceback.tb_lineno,"
+        " getattr(sys, 'last_exc', None) is sys.last_value)\n"
+        "atexit.register(show)\n"
+        "raise ValueError('v')\n"
+    ),
+    "excepthook-missing": "import sys\ndel sys.excepthook\nprint('out')\nraise ValueError('v')\n",
+    "excepthook-exits": (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('atexit'))\n"
+        "def hook(kind, value, tb):\n    raise SystemExit(5)\n"
+        "sys.excepthook = hook\n"
+        "print('out')\n"
+        "raise ValueError('v')\n"
+    ),
+    # Without a sys.stderr a non-int exit code goes to fd 2.
+    "exit-str-stderr-none": "import sys\nsys.stderr = None\nprint('out')\nsys.exit('bye')\n",
+    "exit-str-stderr-deleted": "import sys\ndel sys.stderr\nprint('out')\nsys.exit('bye')\n",
     "segv": "import os, signal\nprint('x')\nos.kill(os.getpid(), signal.SIGSEGV)\n",
     "parser-exhausted": "x = " + "-" * 100000 + "1\n",
     "keyboard-interrupt": "print('a')\nraise KeyboardInterrupt\n",
     "stdout-closed": "import os\nprint('lost')\nos.close(1)\n",
+    # Finalization flushes the sys.stdout and sys.stderr that exist (a
+    # failure exits 120), then drops sys.__stdout__ and sys.__stderr__, which
+    # flushes them and ignores a failure.
+    "stdout-replaced-by-stringio": (
+        "import io, sys\n"
+        "sys.stdout = io.StringIO()\n"
+        "print(1)\nprint(2)\n"
+        "sys.__stdout__.write(sys.stdout.getvalue())\n"
+    ),
+    "stdout-deleted": "import sys\nprint(1)\ndel sys.stdout\n",
+    "stderr-deleted": "import sys\nprint(1)\ndel sys.stderr\n",
+    "stdout-closed-then-deleted": "import os, sys\nprint('lost')\nos.close(1)\ndel sys.stdout\n",
+    "stdout-closed-stderr-none": "import os, sys\nprint('lost')\nos.close(1)\nsys.stderr = None\n",
+    "stdout-closed-own-excepthook": (
+        "import os, sys\n"
+        "sys.excepthook = lambda *args: print('hooked', file=sys.stderr)\n"
+        "print('lost')\nos.close(1)\n"
+    ),
+    "stdout-without-closed": (
+        "import sys\n"
+        "class Upper:\n"
+        "    def write(self, text):\n        sys.__stdout__.write(text.upper())\n"
+        "    def flush(self):\n        pass\n"
+        "sys.stdout = Upper()\n"
+        "print('x')\n"
+    ),
     "cwd-listing": "import os\nprint(sorted(os.listdir('.')))\n",
     "syntax-error": "def f(:\n",
     "lone-surrogate": LONE_SURROGATE,
@@ -721,6 +794,32 @@ class TestForkServer:
         assert statuses == [Status.PASS, Status.RUNTIME_FAILURE] * 3
         assert popens and all(server.returncode is not None for server in popens)
         assert list(tmp_path.iterdir()) == []
+
+    def test_no_descriptor_outlives_its_execution(self):
+        # A leaked raw descriptor raises no ResourceWarning, so compare the
+        # open descriptors around a pass, a timeout, a program killing its
+        # server, a FIFO in place of stdout.txt and a server that never starts.
+        harness = (
+            "import json, os, sys\n"
+            "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.sandbox import ExecutionRequest, execute_batch\n"
+            "limits = ResourceLimits(wall_time_ms=1000, memory_bytes=256 * 2**20)\n"
+            "sources = ['print(1)', 'while True: pass',"
+            " 'import os, signal\\nos.kill(os.getppid(), signal.SIGKILL)\\n',"
+            " 'import os\\nos.remove(\"stdout.txt\")\\nos.mkfifo(\"stdout.txt\")\\n']\n"
+            "requests = [ExecutionRequest(s, TestCase('', '1'), limits) for s in sources]\n"
+            "before = sorted(os.listdir('/proc/self/fd'))\n"
+            "outcomes = execute_batch(requests)\n"
+            "outcomes += execute_batch(requests[:1], interpreter=[sys.executable, '-c', 'pass'])\n"
+            "after = sorted(os.listdir('/proc/self/fd'))\n"
+            "print(json.dumps([[o.status.value for o in outcomes], before, after]))\n"
+        )
+        proc = _run_harness(harness)
+        assert proc.returncode == 0, proc.stderr
+        statuses, before, after = json.loads(proc.stdout.splitlines()[-1])
+        assert statuses == ["pass", "time_limit_exceeded", "runtime_failure", "wrong_output",
+                            "sandbox_error"]
+        assert after == before
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_batch_reuses_one_server_per_worker(self, jobs, popens):
