@@ -20,10 +20,10 @@ The child closes REPLIES_FD after its pid, so neither the interpreter
 reading the program nor the program holds a reply fd. It reports an
 uncaught exception on a pipe the server makes per request: once the
 program's globals are dropped, one `os.write` of `1` for a SyntaxError
-from reading or compiling (else `0`), the type's name, a null byte and the
-message, in UTF-8, cut to PIPE_BUF so that the write is atomic and never
-blocks. The server reads the pipe after `wait4` without blocking: a
-grandchild the program forked may still hold it open.
+from reading or compiling (else `0`) and the type's name, in UTF-8, cut to
+PIPE_BUF so that the write is atomic and never blocks. The server reads the
+pipe after `wait4` without blocking: a grandchild the program forked may
+still hold it open.
 
 EOF on REQUESTS_FD ends the server. The forked child starts its own
 session, takes the rlimits and the workdir, sets HOME and TMPDIR to the
@@ -59,6 +59,9 @@ _PY_FILE_INPUT = 257  # Py_file_input: the start symbol of a module
 _REPORT_CAP = 4096
 # `PyErr_Display`: how CPython prints an exception where no hook of the program does.
 _display = sys.__excepthook__
+# What `PyErr_Print` sets and finalization sets to None before it clears `__main__`.
+_LAST_EXCEPTION = ("last_type", "last_value", "last_traceback") + (
+    ("last_exc",) if sys.version_info >= (3, 12) else ())
 
 
 def main():
@@ -140,7 +143,8 @@ def _child(request, requests, replies, report_fd, c_api):
 def _run(prog, fopen, get_errno, run_file):
     """Run `prog` as `python prog` runs its main module. Returns the exit
     status, whether an uncaught KeyboardInterrupt ended it, and the report
-    on an uncaught exception ("" without one)."""
+    on an uncaught exception: the syntax flag and the type's name ("" without
+    one)."""
     main_module = type(sys)("__main__")
     main_module.__file__ = prog
     main_module.__cached__ = None
@@ -162,26 +166,31 @@ def _run(prog, fopen, get_errno, run_file):
         if fp is None:  # NULL would crash PyRun_FileExFlags
             raise OSError(errno := get_errno(), os.strerror(errno), prog)
         run_file(fp, path, _PY_FILE_INPUT, vars(main_module), vars(main_module), 1, None)
-        return 0, False, ""
+        uncaught = None
     except SystemExit as exc:
         return _exit_status(exc.code), False, ""
     except BaseException as exc:
         uncaught = exc
-    # Out of the `except`: as under `python prog`, the hook runs while no
-    # exception is handled. ctypes raised it in this frame; below are the
-    # program's frames, none for an error from reading or compiling.
-    tb = uncaught.__traceback__.tb_next
-    try:
-        _print_uncaught(uncaught, tb)
-    except SystemExit as exc:  # the hook ends the program as `sys.exit` does
-        return _exit_status(exc.code), False, ""
-    syntax = isinstance(uncaught, SyntaxError) and tb is None
-    try:  # now, while the globals its `__str__` may use are still bound
-        message = str(uncaught.msg if syntax else uncaught)
-    except Exception:
-        message = "<exception str() failed>"
-    report = f"{syntax:d}{type(uncaught).__name__}\0{message[:_REPORT_CAP]}"
-    return 1, isinstance(uncaught, KeyboardInterrupt), report
+    status, interrupted, report = 0, False, ""
+    if uncaught is not None:
+        # Out of the `except`: as under `python prog`, the hook runs while no
+        # exception is handled. ctypes raised it in this frame; below are the
+        # program's frames, none for an error from reading or compiling.
+        tb = uncaught.__traceback__.tb_next
+        try:
+            _print_uncaught(uncaught, tb)
+        except SystemExit as exc:  # the hook ends the program as `sys.exit` does
+            return _exit_status(exc.code), False, ""
+        syntax = isinstance(uncaught, SyntaxError) and tb is None
+        status, interrupted = 1, isinstance(uncaught, KeyboardInterrupt)
+        report = f"{syntax:d}{type(uncaught).__name__}"
+        # The program's frames hold this frame (f_back): without these, what
+        # only the exception holds goes when `_exit` drops sys.last_*.
+        uncaught = tb = None
+    # As `_PyRun_SimpleFileObject` does after a run that did not exit.
+    for name in ("__file__", "__cached__"):
+        vars(main_module).pop(name, None)
+    return status, interrupted, report
 
 
 def _depth():
@@ -250,23 +259,27 @@ def _print_uncaught(exc, tb):
 
 def _exit(status, interrupted, report, report_fd):
     """Finish as `Py_FinalizeEx` does: threading shutdown, atexit handlers,
-    the program's globals dropped, `report` written to `report_fd` (once a
-    memory bomb's heap is free again), a flush of sys.stdout and sys.stderr
-    where they exist (a failed flush exits 120), then one of sys.__stdout__
-    and sys.__stderr__, which finalization drops and so closes, ignoring a
-    failure. An uncaught KeyboardInterrupt ends the process by SIGINT.
+    sys.last_* set to None, the program's globals dropped, `report` written
+    to `report_fd` (once a memory bomb's heap is free again), a flush of
+    sys.stdout and sys.stderr where they exist (a failed flush exits 120),
+    then one of sys.__stdout__ and sys.__stderr__, which finalization drops
+    and so closes, ignoring a failure. An uncaught KeyboardInterrupt ends the
+    process by SIGINT.
 
     The emulation is for speed: finalizing the heap the child inherited
     from this server costs about 18 ms of CPU per child, `os._exit` 1 ms
-    (2 CPUs, CPython 3.11). Clearing `__main__`'s namespace runs `__del__`
-    of what only its globals hold, in binding order, but not of objects in
-    a reference cycle: that would need `gc.collect()` in every child."""
+    (2 CPUs, CPython 3.11). Dropping sys.last_* runs `__del__` of what only
+    the uncaught exception holds, and clearing `__main__`'s namespace that of
+    what only its globals hold, in binding order, but not of objects in a
+    reference cycle: that would need `gc.collect()` in every child."""
     threading = sys.modules.get("threading")
     if threading is not None:
         threading._shutdown()
     atexit = sys.modules.get("atexit")  # without it, no handler was registered
     if atexit is not None:
         atexit._run_exitfuncs()
+    for name in _LAST_EXCEPTION:
+        setattr(sys, name, None)
     main = sys.modules.get("__main__")
     if main is not None:
         vars(main).clear()

@@ -106,9 +106,9 @@ RUN_SETTINGS = (
     _Setting("--indicator", "indicator", _indicator, f"One of {', '.join(INDICATOR_MODES)}."),
     _Setting("--run-id", "run_id", str),
     _Setting("--artifact-dir", "artifact_dir", str,
-             "Store each execution's prog.py, stdin.txt, outcome.json (its status, exception, "
-             "wall time and peak memory), and in stdout.txt and stderr.txt all the program wrote "
-             "to its stdout and stderr, read through files the harness made."),
+             "Store each execution's prog.py, stdin.txt, outcome.json (its status, exception "
+             "type, wall time and peak memory), and in stdout.txt and stderr.txt all the "
+             "program wrote to its stdout and stderr, read through files the harness made."),
     _Setting("--degeneration.repeat-count", "degeneration.repeat_count", integer),
     _Setting("--degeneration.block-size", "degeneration.block_size", integer),
     _Setting("--degeneration.enum-count", "degeneration.enum_count", integer),

@@ -5,15 +5,19 @@ Each stage reads and writes JSONL/JSON artifacts so intermediate states
 can be audited or injected:
 
 - validate writes states.jsonl: a row per (completion, test), or one per
-  gated completion, ordered by `Completion.key`, then test index;
+  gated completion, ordered by `Completion.key`, then test index, with
+  `task_id`, `model_id`, `test_index`, `test_count`, `classification`,
+  `status` and, for an executed one, `exception_name`;
 - identify writes profiles.jsonl and frequencies.json;
 - build-bench writes benchmark.jsonl and benchmark_summary.csv;
 - evaluate writes evaluation.json, report.md, report.csv and report.json;
 - report writes cooccurrence.json.
 
 Outputs are deterministic: records are sorted, JSON keys are sorted, and
-no stage consumes entropy or embeds timestamps. Partially written files
-keep a .partial suffix.
+no stage consumes entropy or embeds timestamps or measurements, so
+states.jsonl does not depend on the run or on `--jobs` (an execution's wall
+time and peak memory go to its outcome.json under `--artifact-dir`).
+Partially written files keep a .partial suffix.
 """
 
 from __future__ import annotations
@@ -128,8 +132,6 @@ def _state_row(
     }
     if outcome is not None:
         row["exception_name"] = outcome.exception_name
-        row["wall_time_ms"] = outcome.wall_time_ms
-        row["peak_memory_bytes"] = outcome.peak_memory_bytes
     return row
 
 

@@ -100,6 +100,11 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class ExecutionOutcome:
+    """How one execution ended. `exception_name` names a runtime failure's
+    exception type; `exception_message` holds the harness's own reason, a
+    syntax failure's SyntaxError subclass, or "" when the program's uncaught
+    exception decided the status (its text is only in the program's stderr)."""
+
     status: Status
     exception_name: str = ""
     exception_message: str = ""
@@ -117,7 +122,6 @@ class ProcessExit:
     memory_limit_bytes: int
     peak_memory_bytes: int | None = None
     exception_name: str = ""
-    exception_message: str = ""
     syntax_error: bool = False  # the exception is a SyntaxError from compiling
 
 
@@ -148,14 +152,10 @@ def classify_termination(raw: ProcessExit) -> ExecutionOutcome | None:
     reported exception."""
     if raw.returncode == 0 and not raw.timed_out:
         return None
-    exc_name, exc_message = raw.exception_name, raw.exception_message
     if raw.syntax_error:
-        return ExecutionOutcome(
-            status=Status.SYNTAX_FAILURE,
-            exception_message=f"{exc_name}: {exc_message}" if exc_message else exc_name,
-        )
+        return ExecutionOutcome(status=Status.SYNTAX_FAILURE, exception_message=raw.exception_name)
 
-    if exc_name == "MemoryError":
+    if raw.exception_name == "MemoryError":
         return ExecutionOutcome(
             status=Status.MEMORY_LIMIT_EXCEEDED,
             exception_message="interpreter allocator raised MemoryError",
@@ -185,12 +185,8 @@ def classify_termination(raw: ProcessExit) -> ExecutionOutcome | None:
             exception_name="OutputLimitExceeded",
             exception_message=f"wrote more than {OUTPUT_LIMIT_BYTES} bytes",
         )
-    if exc_name:
-        return ExecutionOutcome(
-            status=Status.RUNTIME_FAILURE,
-            exception_name=exc_name,
-            exception_message=exc_message,
-        )
+    if raw.exception_name:
+        return ExecutionOutcome(status=Status.RUNTIME_FAILURE, exception_name=raw.exception_name)
     return ExecutionOutcome(
         status=Status.RUNTIME_FAILURE,
         exception_name="UnknownError",
@@ -237,11 +233,11 @@ def execute(
     produced by program behavior. Status decision order: SandboxError >
     SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded > RuntimeFailure >
     WrongOutput > Pass. With `artifact_dir`, it holds prog.py, stdin.txt,
-    outcome.json (the outcome's fields), stdout.txt and stderr.txt (what the
-    program wrote to its stdout and stderr, read through files the harness
-    made, as UTF-8 with invalid bytes replaced). The outcome holds no program
-    output. Inside a batch the batch's interpreter runs the program, and
-    `interpreter` is not read."""
+    outcome.json (its status, exception type, wall time and peak memory),
+    stdout.txt and stderr.txt (what the program wrote to its stdout and
+    stderr, read through files the harness made, as UTF-8 with invalid bytes
+    replaced). The outcome holds no program output. Inside a batch the
+    batch's interpreter runs the program, and `interpreter` is not read."""
     if _SERVERS.get() is None:  # outside a batch: a batch of one
         request = ExecutionRequest(source_code, test, limits, artifact_dir)
         return execute_batch([request], interpreter=interpreter)[0]
@@ -407,14 +403,12 @@ class _ForkServer:
             return None
         returncode, peak, report = finished.split(b" ")
         report = bytes.fromhex(report.decode("ascii")).decode("utf-8", errors="replace")
-        name, _, message = report[1:].partition("\0")
         return ProcessExit(
             returncode=int(returncode),
             timed_out=timed_out,
             memory_limit_bytes=limits.memory_bytes,
             peak_memory_bytes=int(peak),
-            exception_name=name,
-            exception_message=message,
+            exception_name=report[1:],
             syntax_error=report[:1] == "1",
         )
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,16 +110,7 @@ class TestComposability:
         for name in (STATES_FILE, PROFILES_FILE, FREQUENCIES_FILE, BENCHMARK_FILE,
                      BENCHMARK_SUMMARY_FILE, EVALUATION_FILE, REPORT_MD_FILE,
                      REPORT_CSV_FILE, REPORT_JSON_FILE, COOCCURRENCE_FILE):
-            a = normalize_measurements((out / name).read_text())
-            b = normalize_measurements((staged_run / name).read_text())
-            assert a == b, name
-
-
-def normalize_measurements(text: str) -> str:
-    """Blank the per-run measurement fields (the only timing-like fields
-    any artifact carries) so runs can be compared byte-for-byte."""
-    text = re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
-    return re.sub(r'"peak_memory_bytes": (\d+|null)', '"peak_memory_bytes": 0', text)
+            assert (out / name).read_bytes() == (staged_run / name).read_bytes(), name
 
 
 class TestDeterminism:
@@ -135,9 +125,7 @@ class TestDeterminism:
             outputs.append(out)
         first, second = outputs
         for path in sorted(first.iterdir()):
-            a = normalize_measurements(path.read_text())
-            b = normalize_measurements((second / path.name).read_text())
-            assert a == b, path.name
+            assert path.read_bytes() == (second / path.name).read_bytes(), path.name
 
     def test_gated_completions_anywhere_keep_states_order(self, tmp_path):
         # Gated completions first, in the middle and last, and samples of one
@@ -162,7 +150,7 @@ class TestDeterminism:
             out = tmp_path / f"jobs{jobs}"
             assert _run(["--out-dir", out, "--jobs", jobs, "validate", "--dataset", tasks,
                          "--completions", completions]) == 0
-            states.append(normalize_measurements((out / STATES_FILE).read_text()))
+            states.append((out / STATES_FILE).read_text())
         assert states[0] == states[1]
         assert [(r["task_id"], r["model_id"], r["test_index"], r["status"])
                 for r in map(json.loads, states[0].splitlines())] == [
@@ -193,7 +181,7 @@ class TestDeterminism:
                 out = tmp_path / f"run{run}-jobs{jobs}"
                 assert _run(["--out-dir", out, "--jobs", jobs, "validate", "--dataset", tasks,
                              "--completions", completions]) == 0
-                states.add(normalize_measurements((out / STATES_FILE).read_text()))
+                states.add((out / STATES_FILE).read_text())
         assert len(states) == 1
         assert [(r["test_index"], r["status"]) for r in map(json.loads, states.pop().splitlines())
                 ] == [(0, "pass"), (1, "pass"), (0, "wrong_output"), (1, "wrong_output"),
@@ -222,8 +210,8 @@ class TestDeterminism:
 class TestGoldenArtifacts:
     def test_pipeline_matches_expected_files(self, mini_corpus, tmp_path):
         """fixtures/mini/expected holds every artifact of a reference run
-        over the mini corpus with the measurement fields blanked; a change
-        to any byte of them must be deliberate."""
+        over the mini corpus; a change to any byte of them must be
+        deliberate."""
         out = tmp_path / "out"
         assert _run(["--out-dir", out, "--jobs", "4", "pipeline",
                      "--dataset", mini_corpus["tasks"],
@@ -231,8 +219,7 @@ class TestGoldenArtifacts:
         names = sorted(p.name for p in EXPECTED.iterdir())
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
-            actual = normalize_measurements((out / name).read_bytes().decode("utf-8"))
-            assert actual == (EXPECTED / name).read_bytes().decode("utf-8"), name
+            assert (out / name).read_bytes() == (EXPECTED / name).read_bytes(), name
 
 
 _STATE_ROW = {

@@ -66,8 +66,7 @@ def _states(draw) -> list[dict]:
                 for index in range(test_count):
                     status, classification = draw(outcomes)
                     rows.append({**base, "test_index": index, "classification": classification,
-                                 "status": status, "exception_name": classification["cause"],
-                                 "wall_time_ms": 3, "peak_memory_bytes": 0})
+                                 "status": status, "exception_name": classification["cause"]})
     return rows
 
 
