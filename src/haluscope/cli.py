@@ -7,8 +7,13 @@ Exit codes: 0 success; 1 usage or configuration, which includes an
 input file that cannot be read, whether its path came from a flag, a
 config key or a stage's default input in the out dir, and an out dir or
 artifact dir that cannot be created (--out-dir or --artifact-dir naming
-a regular file, say); 2 data validation; 3 harness fault. Failures emit
-machine-readable JSON on stderr.
+a regular file, say); 2 data validation; 3 harness fault, which includes
+a fork server that cannot start, cannot set up a program or stops
+replying. Failures emit machine-readable JSON on stderr.
+
+SIGTERM ends a run as Ctrl-C does: every running program is killed at
+its wall limit and reaped, the temp dirs are removed, and the process
+then dies of SIGTERM.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import json
 import logging
 import shlex
+import signal
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -250,8 +256,22 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where Ctrl-C raises KeyboardInterrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def entrypoint() -> None:
-    sys.exit(main())
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        code = main()
+    except _Terminated:  # cleaned up: now die of the signal the caller sent
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

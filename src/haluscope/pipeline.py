@@ -182,7 +182,9 @@ def classify_corpus(
     With `artifact_root`, two (task, model, sample) keys of known tasks,
     gated or not, that would share an artifact directory raise
     ValidationError, and a root that cannot be created raises ConfigError,
-    before anything runs."""
+    before anything runs. A fork-server fault raises HarnessFault, or the
+    OSError of an interpreter that cannot start, once every program it
+    started has ended: no record is returned for a run that could not run."""
     known = []
     for completion in completions:
         if completion.task_id in tasks:

@@ -14,9 +14,10 @@ interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
 `ru_maxrss`. A batch runs one interpreter; each of its worker threads
 starts one server with its first request and keeps it until the call
-returns, replacing it if it dies. After a failed start none starts again:
-every later execution fails as that start did. A bare `execute` runs as a
-batch of one.
+returns, replacing it if it dies. A fault of a server, one that cannot
+start, cannot set up a child or stops replying, ends the batch: it raises
+out of `execute_batch` once the batch has cancelled its queued requests
+and reaped its servers. A bare `execute` runs as a batch of one.
 
 The forked child runs prog.py through the C call `python prog.py` ends
 in, so the program's interpreter reads it with its own file tokenizer.
@@ -34,7 +35,6 @@ printing a set of strings prints it in one order, where a plain
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import json
 import logging
@@ -48,7 +48,7 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
@@ -227,20 +227,23 @@ def execute(
 ) -> ExecutionOutcome:
     """Run `source_code` against one test case under `limits`.
 
-    Total: every path yields an ExecutionOutcome; SandboxError is reserved
-    for harness-side faults (a missing interpreter or one older than 3.11, a
-    temp-dir failure), logged at DEBUG with their traceback, and is never
-    produced by program behavior. Status decision order: SandboxError >
-    SyntaxFailure > MemoryLimitExceeded > TimeLimitExceeded > RuntimeFailure >
-    WrongOutput > Pass. With `artifact_dir`, it holds prog.py, stdin.txt,
-    outcome.json (its status, exception type, wall time and peak memory),
-    stdout.txt and stderr.txt (what the program wrote to its stdout and
-    stderr, read through files the harness made, as UTF-8 with invalid bytes
-    replaced). The outcome holds no program output. Inside a batch the
-    batch's interpreter runs the program, and `interpreter` is not read."""
+    An OSError from the execution's own files (its temp dir, prog.py,
+    stdin.txt, the captures) or from a request to a server that died a
+    moment earlier yields SandboxError, logged at DEBUG with its traceback;
+    program behavior never does. A fault of the fork server raises:
+    HarnessFault, or the OSError of an interpreter that cannot start.
+    Status decision order: SandboxError > SyntaxFailure > MemoryLimitExceeded
+    > TimeLimitExceeded > RuntimeFailure > WrongOutput > Pass. With
+    `artifact_dir`, it holds prog.py, stdin.txt, outcome.json (its status,
+    exception type, wall time and peak memory), stdout.txt and stderr.txt
+    (what the program wrote to its stdout and stderr, read through files the
+    harness made, as UTF-8 with invalid bytes replaced). The outcome holds
+    no program output. Inside a batch the batch's interpreter runs the
+    program, and `interpreter` is not read."""
     if _SERVERS.get() is None:  # outside a batch: a batch of one
         request = ExecutionRequest(source_code, test, limits, artifact_dir)
         return execute_batch([request], interpreter=interpreter)[0]
+    server = _SERVERS.get().get()
     stdout_text = stderr_text = ""
     try:
         with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
@@ -253,7 +256,6 @@ def execute(
             stderr_fd = -1
             try:
                 stderr_fd = os.open(workdir / "stderr.txt", _CAPTURE_FLAGS, 0o666)
-                server = _SERVERS.get().get()
                 started = time.monotonic()
                 raw = server.run(workdir, limits)
                 elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -282,7 +284,7 @@ def execute(
                 wall_time_ms=elapsed_ms,
                 peak_memory_bytes=raw.peak_memory_bytes,
             )
-    except Exception as exc:  # harness fault, not program behavior
+    except OSError as exc:  # harness fault, not program behavior
         logger.debug("sandbox fault while executing candidate", exc_info=True)
         outcome = ExecutionOutcome(
             status=Status.SANDBOX_ERROR,
@@ -367,9 +369,14 @@ class _ForkServer:
             )
         self._poller = select.poll()
         self._poller.register(self._replies, select.POLLIN)
-        if self._reply(time.monotonic() + _SERVER_START_TIMEOUT_S) != b"ready":
+        reply = self._reply(time.monotonic() + _SERVER_START_TIMEOUT_S)
+        if reply != b"ready":
+            self.kill()  # so the log is whole
             log_text = (self._dir / "server.log").read_text(encoding="utf-8", errors="replace")
-            raise HarnessFault(f"fork server failed to start: {log_text[-2000:].strip()}")
+            cause = log_text[-2000:].strip() or (
+                f"no ready reply within {_SERVER_START_TIMEOUT_S:g} s" if reply is None
+                else f"exit status {self._proc.returncode} before a ready reply")
+            raise HarnessFault(f"fork server failed to start: {cause}")
 
     def alive(self) -> bool:
         return self._proc is not None and self._proc.poll() is None
@@ -385,10 +392,8 @@ class _ForkServer:
         os.write(self._requests, request.encode("ascii") + b"\n")
         started = self._reply(deadline + _SERVER_GRACE_S)
         if not started:
-            self.kill()
             raise HarnessFault("fork server did not start the program")
         if started.startswith(b"error "):
-            self._reply(deadline)  # the server's final reply on the child, unused
             reason = started[len(b"error "):].decode("utf-8", errors="replace")
             raise HarnessFault(f"fork server could not set up the program: {reason}")
         pid = int(started)
@@ -448,13 +453,11 @@ class _ForkServer:
 class _ForkServers:
     """The fork servers of one `execute_batch` call, all running `argv`, one
     per worker thread. A thread's server starts at its first `get` and is
-    replaced once dead; once a start failed, a `get` that would start one
-    raises a copy of that failure instead. `close` ends and reaps every one."""
+    replaced once dead. `close` ends and reaps every one."""
 
     def __init__(self, argv: list[str]) -> None:
         self._argv = argv
         self._servers: dict[int, _ForkServer] = {}
-        self._failure: Exception | None = None
 
     def get(self) -> _ForkServer:
         # Only the thread named in a key reads or writes that key.
@@ -463,13 +466,7 @@ class _ForkServers:
         if server is None or not server.alive():
             if server is not None:
                 server.close()
-            if self._failure is not None:  # a copy: no traceback grows across raises
-                raise copy.copy(self._failure)
-            try:
-                server = self._servers[key] = _ForkServer(self._argv)
-            except Exception as exc:  # a missing interpreter raises OSError
-                self._failure = exc
-                raise
+            server = self._servers[key] = _ForkServer(self._argv)
         return server
 
     def close(self) -> None:
@@ -516,12 +513,24 @@ def execute_batch(
     raised there, by a generator or a signal (Ctrl-C), cancels the queued
     requests, and each running one still ends on its worker thread, which
     kills the program's group at the wall limit or when its server dies,
-    before the exception leaves this call."""
+    before the exception leaves this call. An exception raised by an
+    execution, a fork-server fault, ends the batch the same way: no request
+    starts once it is raised."""
     servers = _ForkServers(list(interpreter or [sys.executable]))
+    faulted = threading.Event()
+
+    def run(r: ExecutionRequest) -> ExecutionOutcome:
+        if faulted.is_set():  # never read: an earlier request raised
+            raise CancelledError
+        try:
+            return execute(r.source_code, r.test, r.limits, artifact_dir=r.artifact_dir)
+        except BaseException:
+            faulted.set()
+            raise
+
     pool = ThreadPoolExecutor(max(1, jobs), initializer=_SERVERS.set, initargs=(servers,))
     try:
-        return list(pool.map(lambda r: execute(
-            r.source_code, r.test, r.limits, artifact_dir=r.artifact_dir), requests))
+        return list(pool.map(run, requests))
     finally:
         pool.shutdown(cancel_futures=True)
         servers.close()

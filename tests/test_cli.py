@@ -3,8 +3,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,16 @@ EXPECTED = Path(__file__).parent / "fixtures" / "mini" / "expected"
 LONE_SURROGATE = "n = int(input())\nm = n * 2\n# note \ud800\nprint(m)\n"
 # A response the degeneration gate stops before it runs (stuttering).
 STUTTER = "print(1)\n" * 10
+# A script that reports itself as CPython 3.10.13, then runs the script
+# named by its first argument: an --interpreter older than the fork
+# server's minimum.
+AS_3_10 = (
+    "import runpy, sys\n"
+    "sys.version_info = (3, 10, 13, 'final', 0)\n"
+    "sys.version = '3.10.13 (wrapped)'\n"
+    "del sys.argv[0]\n"
+    "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+)
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +317,33 @@ class TestExitCodes:
         assert (error["error"], error["exit_code"]) == ("ConfigError", 1)
         assert error["message"].startswith(f"cannot create {directory}: ")
         assert not (out / STATES_FILE).exists()
+
+    @pytest.mark.parametrize("command", ["validate", "pipeline"])
+    @pytest.mark.parametrize("interpreter", ["missing", "3.10"])
+    def test_fork_server_that_cannot_start_is_three(
+        self, command, interpreter, mini_corpus, tmp_path, monkeypatch, capsys
+    ):
+        # The first failed start ends the run: one JSON line naming the
+        # cause, no states file for the later stages, no temp dir left.
+        private = tmp_path / "tmp"
+        private.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(private))
+        wrapper = tmp_path / "as_3_10.py"
+        wrapper.write_text(AS_3_10)
+        argv, error, message = {
+            "missing": (["/nonexistent/python"], "FileNotFoundError",
+                        "[Errno 2] No such file or directory: '/nonexistent/python'"),
+            "3.10": ([sys.executable, str(wrapper)], "HarnessFault", "fork server failed to "
+                     "start: the fork server needs CPython 3.11 or newer, not 3.10.13"),
+        }[interpreter]
+        out = tmp_path / "out"
+        assert _run(["--out-dir", out, "--interpreter", shlex.join(argv), command,
+                     "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": error, "message": message, "exit_code": 3}
+        assert not (out / STATES_FILE).exists()
+        assert list(private.iterdir()) == []
 
     def test_validation_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "tasks.jsonl"

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import haluscope
 from haluscope import sandbox
 from haluscope.corpus import Completion, ResourceLimits, Task, TestCase
+from haluscope.errors import HarnessFault
 from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
 from haluscope.sandbox import (
     ExecutionOutcome,
@@ -32,7 +33,7 @@ from haluscope.sandbox import (
     execute,
     execute_batch,
 )
-from test_cli import LONE_SURROGATE
+from test_cli import AS_3_10, LONE_SURROGATE
 
 LIMITS = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)
 # Extra wall time the enforcement machinery may consume beyond the limit.
@@ -154,9 +155,9 @@ class TestExecute:
         )
         assert execute(source, TestCase("", "b'x'"), LIMITS).status is Status.PASS
 
-    def test_missing_interpreter_is_sandbox_error(self):
-        outcome = execute("print(1)", TestCase("", "1"), LIMITS, interpreter=["/no/such/bin"])
-        assert outcome.status is Status.SANDBOX_ERROR
+    def test_missing_interpreter_raises_its_oserror(self):
+        with pytest.raises(FileNotFoundError, match="/no/such/bin"):
+            execute("print(1)", TestCase("", "1"), LIMITS, interpreter=["/no/such/bin"])
 
     def test_totality_on_weird_source(self):
         # nothing a program does should raise out of the harness
@@ -658,14 +659,20 @@ def _through_python(source: str, stdin: str, interpreter) -> tuple:
         )
 
 
+def _harness_env() -> dict[str, str]:
+    """The environment of a child interpreter importing this checkout's
+    haluscope."""
+    src_root = str(Path(haluscope.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _run_harness(code: str) -> subprocess.CompletedProcess:
     """Run `code` in a child interpreter importing this checkout's
     haluscope, so that a harness that hangs or dies fails the test alone."""
-    src_root = str(Path(haluscope.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=_harness_env(), capture_output=True, text=True,
+        timeout=60,
     )
 
 
@@ -811,6 +818,49 @@ class TestForkServer:
                 with contextlib.suppress(ProcessLookupError, PermissionError):
                     os.killpg(int(path.name), signal.SIGKILL)
 
+    def test_sigterm_to_the_cli_cleans_up_as_ctrl_c_does(self, tmp_path):
+        # SIGTERM while the program sleeps: the harness still kills it at
+        # its wall limit, reaps its server and removes its temp dirs, then
+        # dies of SIGTERM.
+        pids, private = tmp_path / "pids", tmp_path / "tmp"
+        pids.mkdir()
+        private.mkdir()
+        program = (
+            "import os, time\n"
+            f"with open(os.path.join({str(pids)!r}, str(os.getpid())), 'w') as out:\n"
+            "    out.write(str(os.getppid()))\n"
+            "time.sleep(300)\n"
+        )
+        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+        tasks.write_text(json.dumps(
+            {"task_id": "t", "question": "q", "test_cases": [{"input": "", "expected_output": ""}]}
+        ) + "\n")
+        completions.write_text(
+            json.dumps({"task_id": "t", "model_id": "m", "raw_response": program}) + "\n")
+        cli = subprocess.Popen(
+            [sys.executable, "-c", "from haluscope.cli import entrypoint; entrypoint()",
+             "--out-dir", str(tmp_path / "out"), "--limits.wall-ms", "2000", "validate",
+             "--dataset", str(tasks), "--completions", str(completions)],
+            env={**_harness_env(), "TMPDIR": str(private)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not [p for p in pids.iterdir() if p.read_text()] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            cli.send_signal(signal.SIGTERM)
+            assert cli.wait(timeout=60) == -signal.SIGTERM
+            (path,) = pids.iterdir()
+            started = [int(path.name), int(path.read_text())]  # the program and its server
+            assert [pid for pid in started if _running(pid)] == []
+            assert list(private.iterdir()) == []
+        finally:
+            cli.kill()
+            cli.wait()
+            for path in pids.iterdir():
+                with contextlib.suppress(ProcessLookupError, PermissionError):
+                    os.killpg(int(path.name), signal.SIGKILL)
+
     def test_memory_of_a_program_that_dies_early(self):
         source = (
             "import os, signal\n"
@@ -832,10 +882,12 @@ class TestForkServer:
     def test_no_descriptor_outlives_its_execution(self):
         # A leaked raw descriptor raises no ResourceWarning, so compare the
         # open descriptors around a pass, a timeout, a program killing its
-        # server, a FIFO in place of stdout.txt and a server that never starts.
+        # server, a FIFO in place of stdout.txt and a server that never
+        # starts; then no child of the harness may be left either.
         harness = (
             "import json, os, sys\n"
             "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.errors import HarnessFault\n"
             "from haluscope.sandbox import ExecutionRequest, execute_batch\n"
             "limits = ResourceLimits(wall_time_ms=1000, memory_bytes=256 * 2**20)\n"
             "sources = ['print(1)', 'while True: pass',"
@@ -843,16 +895,25 @@ class TestForkServer:
             " 'import os\\nos.remove(\"stdout.txt\")\\nos.mkfifo(\"stdout.txt\")\\n']\n"
             "requests = [ExecutionRequest(s, TestCase('', '1'), limits) for s in sources]\n"
             "before = sorted(os.listdir('/proc/self/fd'))\n"
-            "outcomes = execute_batch(requests)\n"
-            "outcomes += execute_batch(requests[:1], interpreter=[sys.executable, '-c', 'pass'])\n"
+            "statuses = [o.status.value for o in execute_batch(requests)]\n"
+            "try:\n"
+            "    execute_batch(requests[:1], interpreter=[sys.executable, '-c', 'pass'])\n"
+            "except HarnessFault as exc:\n"
+            "    fault = str(exc)\n"
             "after = sorted(os.listdir('/proc/self/fd'))\n"
-            "print(json.dumps([[o.status.value for o in outcomes], before, after]))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    children = True\n"
+            "except ChildProcessError:\n"
+            "    children = False\n"
+            "print(json.dumps([statuses, fault, children, before, after]))\n"
         )
         proc = _run_harness(harness)
         assert proc.returncode == 0, proc.stderr
-        statuses, before, after = json.loads(proc.stdout.splitlines()[-1])
-        assert statuses == ["pass", "time_limit_exceeded", "runtime_failure", "wrong_output",
-                            "sandbox_error"]
+        statuses, fault, children, before, after = json.loads(proc.stdout.splitlines()[-1])
+        assert statuses == ["pass", "time_limit_exceeded", "runtime_failure", "wrong_output"]
+        assert fault == "fork server failed to start: exit status 0 before a ready reply"
+        assert not children
         assert after == before
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -863,11 +924,11 @@ class TestForkServer:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_server_that_never_starts_is_started_once_per_worker(self, jobs, popens):
+        # The first failed start ends the batch: no worker takes another
+        # request and starts a server for it.
         requests = [ExecutionRequest("print(1)", TestCase("", "1"), LIMITS)] * 6
-        outcomes = execute_batch(requests, jobs=jobs, interpreter=[sys.executable, "-c", "pass"])
-        assert {(o.status, o.exception_message) for o in outcomes} == {
-            (Status.SANDBOX_ERROR, "HarnessFault: fork server failed to start: ")
-        }
+        with pytest.raises(HarnessFault, match="^fork server failed to start: "):
+            execute_batch(requests, jobs=jobs, interpreter=[sys.executable, "-c", "pass"])
         assert 1 <= len(popens) <= jobs
 
     def test_a_worker_without_requests_starts_no_server(self, popens):
@@ -912,30 +973,69 @@ class TestForkServer:
         assert popens == []
         assert list(tmp_path.iterdir()) == []
 
-    def test_server_that_never_starts_is_sandbox_error(self):
-        # `python -c pass <server> ...` exits at once, without a ready reply.
-        outcome = execute(
-            "print(1)", TestCase("", "1"), LIMITS, interpreter=[sys.executable, "-c", "pass"]
-        )
-        assert outcome.status is Status.SANDBOX_ERROR
-        assert "fork server failed to start" in outcome.exception_message
+    def test_server_that_never_starts_raises(self):
+        # `python -c pass <server> ...` exits at once, without a ready reply
+        # and with an empty log: the cause is how it ended.
+        with pytest.raises(HarnessFault) as fault:
+            execute("print(1)", TestCase("", "1"), LIMITS,
+                    interpreter=[sys.executable, "-c", "pass"])
+        assert str(fault.value) == "fork server failed to start: exit status 0 before a ready reply"
 
-    def test_interpreter_older_than_3_11_is_sandbox_error(self, tmp_path):
-        # An interpreter that reports itself as 3.10.13, then runs the server.
+    def test_server_that_never_replies_ready_raises(self, tmp_path, monkeypatch, popens):
+        monkeypatch.setattr(sandbox, "_SERVER_START_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(HarnessFault) as fault:
+            execute("print(1)", TestCase("", "1"), LIMITS,
+                    interpreter=[sys.executable, "-c", "import time; time.sleep(60)"])
+        assert str(fault.value) == "fork server failed to start: no ready reply within 0.5 s"
+        assert [server.returncode for server in popens] == [-signal.SIGKILL]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interpreter_older_than_3_11_raises(self, tmp_path):
         wrapper = tmp_path / "as_3_10.py"
-        wrapper.write_text(
-            "import runpy, sys\n"
-            "sys.version_info = (3, 10, 13, 'final', 0)\n"
-            "sys.version = '3.10.13 (wrapped)'\n"
-            "del sys.argv[0]\n"
-            "runpy.run_path(sys.argv[0], run_name='__main__')\n"
-        )
-        outcome = execute(
-            "print(1)", TestCase("", "1"), LIMITS, interpreter=[sys.executable, str(wrapper)]
-        )
-        assert outcome.status is Status.SANDBOX_ERROR
-        assert outcome.exception_message.endswith(
+        wrapper.write_text(AS_3_10)
+        with pytest.raises(HarnessFault) as fault:
+            execute("print(1)", TestCase("", "1"), LIMITS,
+                    interpreter=[sys.executable, str(wrapper)])
+        assert str(fault.value) == (
             "fork server failed to start: the fork server needs CPython 3.11 or newer, not 3.10.13"
+        )
+
+    def test_server_that_stops_replying_raises(self, tmp_path, monkeypatch, popens):
+        # A server that replies ready, then nothing: the batch raises once
+        # the wall limit and the grace period pass, and leaves nothing.
+        monkeypatch.setattr(sandbox, "_SERVER_GRACE_S", 0.2)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        silent = ("import os, sys, time\n"
+                  "os.write(int(sys.argv[-1]), b'ready\\n')\n"
+                  "time.sleep(60)\n")
+        limits = ResourceLimits(wall_time_ms=100, memory_bytes=256 * 2**20)
+        requests = [ExecutionRequest("print(1)", TestCase("", "1"), limits)] * 3
+        with pytest.raises(HarnessFault, match="^fork server did not start the program$"):
+            execute_batch(requests, interpreter=[sys.executable, "-c", silent])
+        assert [server.returncode for server in popens] == [-signal.SIGKILL]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_child_that_cannot_be_set_up_raises(self):
+        # A harness whose hard RLIMIT_FSIZE is below the programs' cannot
+        # give them theirs: the forked child replies `error`.
+        harness = (
+            "import json, resource\n"
+            "from haluscope.corpus import ResourceLimits, TestCase\n"
+            "from haluscope.errors import HarnessFault\n"
+            "from haluscope.sandbox import OUTPUT_LIMIT_BYTES, ExecutionRequest, execute_batch\n"
+            "limit = OUTPUT_LIMIT_BYTES - 4096\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))\n"
+            "limits = ResourceLimits(wall_time_ms=3000, memory_bytes=256 * 2**20)\n"
+            "try:\n"
+            "    execute_batch([ExecutionRequest('print(1)', TestCase('', '1'), limits)] * 3)\n"
+            "except HarnessFault as exc:\n"
+            "    print(json.dumps(str(exc)))\n"
+        )
+        proc = _run_harness(harness)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]).startswith(
+            "fork server could not set up the program: ValueError("
         )
 
 
@@ -1064,12 +1164,11 @@ class TestIsolationAndBatch:
         assert popens == []
 
     def test_missing_interpreter_fails_every_execution(self):
+        # No execution can run, so the corpus gets no outcome at all.
         task = Task("t", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
         completions = [Completion("t", m, "print(1)") for m in ("m1", "m2")]
-        pairs = classify_corpus(
-            {"t": task}, completions, interpreter=["/no/such/bin"], jobs=2
-        )
-        assert [o.status for _, o in pairs] == [Status.SANDBOX_ERROR] * 6
+        with pytest.raises(FileNotFoundError, match="/no/such/bin"):
+            classify_corpus({"t": task}, completions, interpreter=["/no/such/bin"], jobs=2)
 
     def test_unknown_task_skipped_with_one_warning(self, tmp_path, caplog):
         tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
@@ -1088,9 +1187,17 @@ class TestIsolationAndBatch:
             "skipping completion for unknown task_id 'ghost' (model m)"
         ]
 
-    def test_harness_faults_logged_once_with_the_first_cause(self, mini_corpus, tmp_path, caplog):
+    def test_harness_faults_logged_once_with_the_first_cause(
+        self, mini_corpus, tmp_path, caplog, monkeypatch
+    ):
+        # A full disk fails each execution's own files: each is a
+        # sandbox_error row, and the run goes on.
+        def full_disk(directory, source_code, test):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sandbox, "_lay_out", full_disk)
         config = RunConfig(str(mini_corpus["tasks"]), str(mini_corpus["completions"]),
-                           out_dir=str(tmp_path), interpreter=(sys.executable, "-c", "pass"), jobs=2)
+                           out_dir=str(tmp_path), jobs=2)
         with caplog.at_level("WARNING"):
             states = validate_stage(config)
         rows = [json.loads(line) for line in states.read_text().splitlines()]
@@ -1098,7 +1205,7 @@ class TestIsolationAndBatch:
         assert faults and {row["status"] for row in faults} == {"sandbox_error"}
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             ("WARNING", f"{len(faults)} executions ended in harness faults, the first: "
-             "HarnessFault: fork server failed to start: ")
+             f"OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}")
         ]
 
     def test_artifact_dirs_distinct_per_model(self, tmp_path):
