@@ -2,14 +2,15 @@
 hallucination frequency lists, and cross-task co-occurrence statistics.
 
 Everything here is a deterministic fold; results are independent of input
-ordering.
+ordering. `frequency_list` and `cooccurrence` each take every model's
+profiles in one call and return their file's payload.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .corpus import boolean, integer, json_object, list_of, read_field, string
 from .taxonomy import (
@@ -99,61 +100,54 @@ def build_profiles(
     return profiles
 
 
-def frequency_list(profiles: Iterable[SampleProfile], granularity: str = "subcategory") -> list[dict]:
-    """Count hallucination observations across profiles at either
-    "subcategory" or "raw_cause" granularity, as frequencies.json rows
-    (`key`, `count`, `share`), most frequent first. Both groupings run over
-    the same label multiset, so their totals agree."""
-    if granularity not in ("subcategory", "raw_cause"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    counts: Counter = Counter()
+def frequency_list(profiles: Iterable[SampleProfile]) -> dict[str, list[dict]]:
+    """frequencies.json's payload: every model's hallucination labels
+    counted by subcategory (`unmapped` for a label with none) and by raw
+    cause in one pass, so the totals agree, each as rows (`key`, `count`,
+    `share`), most frequent first."""
+    counts = {"subcategory": Counter(), "raw_cause": Counter()}
     for profile in profiles:
         for entry in profile.labels:
-            if granularity == "raw_cause":
-                counts[entry.cause] += 1
-            elif entry.subcategory is not None:
-                counts[entry.subcategory.value] += 1
-            else:
-                counts[UNMAPPED_KEY] += 1
-    total = sum(counts.values())
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [{"key": key, "count": count, "share": count / total} for key, count in ordered]
+            subcategory = entry.subcategory.value if entry.subcategory else UNMAPPED_KEY
+            counts["subcategory"][subcategory] += 1
+            counts["raw_cause"][entry.cause] += 1
+    total = counts["raw_cause"].total()
+
+    def rows(tally: Counter) -> list[dict]:
+        ordered = sorted(tally.items(), key=lambda item: (-item[1], item[0]))
+        return [{"key": key, "count": count, "share": count / total} for key, count in ordered]
+    return {granularity: rows(tally) for granularity, tally in counts.items()}
 
 
-def cooccurrence(profiles: Iterable[SampleProfile]) -> tuple[dict, float]:
-    """Co-occurrence of subcategories across one model's tasks, as the
-    cooccurrence.json matrix: `counts[i][j]` is the number of tasks whose
-    profile exhibits both `order[i]` and `order[j]`, so the diagonal counts
-    tasks exhibiting the subcategory at all.
-
-    cross_task_rate = tasks exhibiting >= 2 distinct subcategories divided
-    by tasks exhibiting >= 1 (0.0 when nothing hallucinates)."""
-    profiles = list(profiles)
-    models = {p.model_id for p in profiles}
-    if len(models) > 1:
-        raise ValueError(f"cooccurrence expects one model, got {sorted(models)}")
+def cooccurrence(profiles: Iterable[SampleProfile]) -> dict[str, dict]:
+    """cooccurrence.json's payload: for each model, the co-occurrence of
+    subcategories across its tasks as a `matrix` whose `counts[i][j]` is
+    the number of tasks whose profile exhibits both `order[i]` and
+    `order[j]`, so the diagonal counts tasks exhibiting the subcategory at
+    all, and its `cross_task_rate`: tasks exhibiting >= 2 distinct
+    subcategories divided by tasks exhibiting >= 1 (0.0 when nothing
+    hallucinates), also as a percent string (0.0107 -> "1.07%")."""
+    observed: dict[str, list[set[Subcategory]]] = defaultdict(list)
+    for profile in profiles:
+        observed[profile.model_id].append(profile.subcategories())
 
     index = {sub: i for i, sub in enumerate(SUBCATEGORY_ORDER)}
-    counts = [[0] * len(SUBCATEGORY_ORDER) for _ in SUBCATEGORY_ORDER]
-    hallucinating = 0
-    multi = 0
-    for profile in profiles:
-        subs = profile.subcategories()
-        if not subs:
-            continue
-        hallucinating += 1
-        if len(subs) >= 2:
-            multi += 1
-        for a in subs:
-            for b in subs:
-                counts[index[a]][index[b]] += 1
-    rate = multi / hallucinating if hallucinating else 0.0
-    return {"order": [s.value for s in SUBCATEGORY_ORDER], "counts": counts}, rate
-
-
-def format_rate(fraction: float) -> str:
-    """Render a fraction as a percent string, e.g. 0.0107 -> "1.07%"."""
-    return f"{fraction * 100:.2f}%"
+    payload = {}
+    for model_id, task_subcategories in sorted(observed.items()):
+        counts = [[0] * len(SUBCATEGORY_ORDER) for _ in SUBCATEGORY_ORDER]
+        hallucinating = [subs for subs in task_subcategories if subs]
+        for subs in hallucinating:
+            for a in subs:
+                for b in subs:
+                    counts[index[a]][index[b]] += 1
+        multi = sum(len(subs) >= 2 for subs in hallucinating)
+        rate = multi / len(hallucinating) if hallucinating else 0.0
+        payload[model_id] = {
+            "matrix": {"order": [s.value for s in SUBCATEGORY_ORDER], "counts": counts},
+            "cross_task_rate": rate,
+            "cross_task_rate_percent": f"{rate * 100:.2f}%",
+        }
+    return payload
 
 
 def profile_to_dict(profile: SampleProfile) -> dict:
@@ -180,9 +174,3 @@ def profile_from_dict(obj: dict) -> SampleProfile:
         degenerate=read_field(obj, "degenerate", boolean, False),
     )
 
-
-def profiles_by_model(profiles: Iterable[SampleProfile]) -> Mapping[str, list[SampleProfile]]:
-    grouped: dict[str, list[SampleProfile]] = defaultdict(list)
-    for profile in profiles:
-        grouped[profile.model_id].append(profile)
-    return dict(grouped)

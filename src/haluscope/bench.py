@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .corpus import integer, list_of, read_field, read_jsonl, refuse_repeats, string
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .taxonomy import (
     CATEGORY_ORDER,
     SUBCATEGORY_ORDER,
@@ -166,11 +166,15 @@ def _manifest_record(obj: dict) -> BenchmarkEntry | None:
     if record_type == "summary":
         return None
     if record_type == "entry":
+        models = read_field(obj, "contributing_models", list_of(string))
+        if not models or len(set(models)) < len(models):
+            raise ValidationError(
+                f"contributing_models must name at least one model, each once: {list(models)}")
         return BenchmarkEntry(
             task_id=read_field(obj, "task_id", string),
             target_subcategory=read_field(obj, "target_subcategory", Subcategory),
             observed_frequency=read_field(obj, "observed_frequency", integer),
-            contributing_models=read_field(obj, "contributing_models", list_of(string), []),
+            contributing_models=models,
         )
     raise ValueError(f"unknown record_type {record_type!r}")
 
@@ -186,9 +190,11 @@ def _record_key(record: BenchmarkEntry | None) -> tuple[str, str] | str:
 def load_manifest(path: str | Path) -> BenchmarkManifest:
     """Read a benchmark.jsonl file. A repeated (task_id,
     target_subcategory) entry, which `build` never writes and which would
-    count its samples twice, or a second summary record, which would leave
-    the file two provenances, raises ValidationError naming the line. The
-    summary record is otherwise not read: the entries are the manifest."""
+    count its samples twice, a second summary record, which would leave
+    the file two provenances, or an entry whose contributing_models is
+    empty or names a model twice, which would miscount its samples, raises
+    ValidationError naming the line. The summary record is otherwise not
+    read: the entries are the manifest."""
     grouped: dict[Subcategory, list[BenchmarkEntry]] = defaultdict(list)
     decode = refuse_repeats(_manifest_record, _record_key, "repeated benchmark entry")
     for record in read_jsonl(path, decode):

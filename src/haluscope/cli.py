@@ -34,8 +34,10 @@ from .corpus import (
     MAX_WALL_TIME_MS,
     MIN_MEMORY_BYTES,
     MIN_WALL_TIME_MS,
+    identifier,
     integer,
     read_json_object,
+    string,
 )
 from .errors import ConfigError, HaluscopeError, IngestionError, ReportError, ValidationError
 from .report import INDICATOR_MODES
@@ -98,7 +100,7 @@ class _Setting:
 
 
 RUN_SETTINGS = (
-    _Setting("--out-dir", "out_dir", str, "Artifact directory."),
+    _Setting("--out-dir", "out_dir", string, "Artifact directory."),
     _Setting("--jobs", "jobs", _at_least(1), "Parallel sandbox workers."),
     _Setting("--interpreter", "interpreter", _command, "Interpreter command, e.g. 'python3 -u'."),
     _Setting("--limits.wall-ms", "wall_time_ms", _at_least(MIN_WALL_TIME_MS, MAX_WALL_TIME_MS),
@@ -110,8 +112,8 @@ RUN_SETTINGS = (
     _Setting("--threshold-k", "threshold_k", _at_least(1), "Benchmark inclusion threshold."),
     _Setting("--classification-table", "classification_table", taxonomy.load_table),
     _Setting("--indicator", "indicator", _indicator, f"One of {', '.join(INDICATOR_MODES)}."),
-    _Setting("--run-id", "run_id", str),
-    _Setting("--artifact-dir", "artifact_dir", str,
+    _Setting("--run-id", "run_id", identifier),
+    _Setting("--artifact-dir", "artifact_dir", string,
              "Store each execution's prog.py, stdin.txt, outcome.json (its status, exception "
              "type, wall time and peak memory), and in stdout.txt and stderr.txt all the "
              "program wrote to its stdout and stderr, read through files the harness made."),

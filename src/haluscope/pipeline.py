@@ -257,8 +257,8 @@ def load_states(path: str | Path) -> list[aggregate.ClassifiedRecord]:
 
 
 def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> Path:
-    """Aggregation pass: profiles.jsonl plus frequency lists at both
-    granularities."""
+    """Aggregation pass: profiles.jsonl, and frequencies.json, every
+    model's labels counted at both granularities in one fold."""
     out_dir = Path(config.out_dir)
     states = load_states(states_path or out_dir / STATES_FILE)
     _make_dir(out_dir)
@@ -267,10 +267,7 @@ def identify_stage(config: RunConfig, states_path: str | Path | None = None) -> 
     profiles_path = out_dir / PROFILES_FILE
     write_jsonl(profiles_path, (aggregate.profile_to_dict(p) for p in profiles))
 
-    _write_json(out_dir / FREQUENCIES_FILE, {
-        granularity: aggregate.frequency_list(profiles, granularity)
-        for granularity in ("subcategory", "raw_cause")
-    })
+    _write_json(out_dir / FREQUENCIES_FILE, aggregate.frequency_list(profiles))
     return profiles_path
 
 
@@ -299,24 +296,18 @@ def evaluate_stage(
     benchmark_path: str | Path | None = None,
     profiles_path: str | Path | None = None,
 ) -> Path:
-    """Score every model found in the profiles against the benchmark and
-    render the report over the manifest's sample counts: evaluation.json,
-    report.md, report.csv and report.json."""
+    """Score every model found in the profiles against the benchmark, in
+    one `evaluate_model` call, and render the report over the manifest's
+    sample counts: evaluation.json, report.md, report.csv and report.json."""
     out_dir = Path(config.out_dir)
     manifest = bench.load_manifest(benchmark_path or out_dir / BENCHMARK_FILE)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
     _make_dir(out_dir)
-    grouped = aggregate.profiles_by_model(profiles)
-
-    hallucinated_by_model: dict[str, dict] = {}
-    crosshits_by_model: dict[str, dict] = {}
-    for model_id in sorted(grouped):
-        hallucinated, crosshits_by_model[model_id] = report_mod.evaluate_model(
-            manifest, grouped[model_id], indicator_mode=config.indicator
-        )
-        hallucinated_by_model[model_id] = hallucinated
+    hallucinated, crosshits = report_mod.evaluate_model(
+        manifest, profiles, indicator_mode=config.indicator
+    )
     hr_report = report_mod.render_report(
-        {s: manifest.sample_count(s) for s in taxonomy.SUBCATEGORY_ORDER}, hallucinated_by_model
+        {s: manifest.sample_count(s) for s in taxonomy.SUBCATEGORY_ORDER}, hallucinated
     )
 
     _write_json(
@@ -324,13 +315,13 @@ def evaluate_stage(
         {
             "indicator_mode": config.indicator,
             "report": hr_report,
-            "crosshits": crosshits_by_model,
+            "crosshits": crosshits,
         },
     )
     _write_text(
         out_dir / REPORT_MD_FILE,
         report_mod.render_markdown(hr_report)
-        + report_mod.render_crosshits_markdown(crosshits_by_model),
+        + report_mod.render_crosshits_markdown(crosshits),
     )
     _write_text(out_dir / REPORT_CSV_FILE, report_mod.render_csv(hr_report))
     _write_text(out_dir / REPORT_JSON_FILE, report_mod.render_json(hr_report))
@@ -339,21 +330,12 @@ def evaluate_stage(
 
 def report_stage(config: RunConfig, profiles_path: str | Path | None = None) -> Path:
     """Co-occurrence pass: cooccurrence.json, one subcategory matrix and
-    cross-task rate per model."""
+    cross-task rate per model, from one `cooccurrence` call over every
+    model's profiles."""
     out_dir = Path(config.out_dir)
     profiles = load_profiles(profiles_path or out_dir / PROFILES_FILE)
     _make_dir(out_dir)
-    grouped = aggregate.profiles_by_model(profiles)
-
-    payload = {}
-    for model_id in sorted(grouped):
-        matrix, rate = aggregate.cooccurrence(grouped[model_id])
-        payload[model_id] = {
-            "matrix": matrix,
-            "cross_task_rate": rate,
-            "cross_task_rate_percent": aggregate.format_rate(rate),
-        }
-    _write_json(out_dir / COOCCURRENCE_FILE, payload)
+    _write_json(out_dir / COOCCURRENCE_FILE, aggregate.cooccurrence(profiles))
     return out_dir / COOCCURRENCE_FILE
 
 

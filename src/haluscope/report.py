@@ -2,10 +2,11 @@
 
 A sample is one contributing model's profile of a benchmark entry's task;
 `BenchmarkManifest.sample_count` is the one count of a subcategory's
-samples. `render_report` turns them and `evaluate_model`'s hallucinated
-counts into report.json's payload, the one form that evaluation.json
-embeds and report.md and report.csv render. Category and overall averages
-are weighted by sample counts; this weighting was verified arithmetically
+samples. `evaluate_model` scores every model's profiles in one call, and
+`render_report` turns the sample counts and its hallucinated counts into
+report.json's payload, the one form that evaluation.json embeds and
+report.md and report.csv render. Category and overall averages are
+weighted by sample counts; this weighting was verified arithmetically
 against published results rather than assumed. Uniform (simple-mean)
 columns are emitted alongside. Rounding is half-even at two decimals.
 """
@@ -69,58 +70,60 @@ def evaluate_model(
     manifest: BenchmarkManifest,
     profiles: Iterable[SampleProfile],
     indicator_mode: str = "target",
-) -> tuple[dict[Subcategory, int], dict[str, dict[str, int]]]:
-    """Score one model's profiles against a benchmark manifest.
+) -> tuple[dict[str, dict[Subcategory, int]], dict[str, dict[str, dict[str, int]]]]:
+    """Score every model's profiles against a benchmark manifest. It keeps
+    its one-model name because `perfbench/tracing.py` wraps it by name.
 
     Each sample of an entry (`BenchmarkEntry.sample_count`: one per
-    contributing model) carries the indicator of this model's profile of
+    contributing model) carries the indicator of the model's profile of
     the entry's task. In "target" mode the indicator is 1 iff the profile
     exhibits at least one label of the entry's subcategory; degeneration
     verdicts and syntax failures are logic-breakdown labels, so they hit a
     LOGIC_BREAKDOWN target. In "any" mode it is 1 iff the profile carries
-    any hallucination label. Returns the hallucinated samples of each of
-    the eight subcategories, in canonical order, plus the cross-hit table:
-    off-target subcategories observed on a target's samples, which are
-    surfaced separately instead of being counted for the target. The
-    table is evaluation.json's: keyed by subcategory value, every target
-    present, observed subcategories sorted and zero counts left out. The
-    profiles are keyed by task: `pipeline.load_profiles` refuses a second
-    profile of one (task, model) where it reads them."""
+    any hallucination label. Returns, keyed by model, the hallucinated
+    samples of each of the eight subcategories, in canonical order, and
+    the cross-hit table: off-target subcategories observed on a target's
+    samples, surfaced separately instead of being counted for the target.
+    The table is evaluation.json's: keyed by subcategory value, every
+    target present, observed subcategories sorted and zero counts left
+    out. ReportError names no profiles, else an empty manifest, else the
+    first model by id without a profile of a benchmark task.
+    `pipeline.load_profiles` refuses a second profile of one (task, model)."""
+    by_model: dict[str, dict[str, SampleProfile]] = defaultdict(dict)
+    for profile in profiles:
+        by_model[profile.model_id][profile.task_id] = profile
+    if not by_model:
+        raise ReportError("no models to report")
     if indicator_mode not in INDICATOR_MODES:
         raise ReportError(f"unknown indicator mode {indicator_mode!r}")
-    profiles = list(profiles)
-    models = {p.model_id for p in profiles}
-    if len(models) != 1:
-        raise ReportError(f"evaluate_model expects one model, got {sorted(models)}")
-    model_id = next(iter(models))
-    by_task = {profile.task_id: profile for profile in profiles}
-
     entries = manifest.entries()
     if not entries:
         raise ReportError("benchmark manifest is empty")
-    missing = sorted(
-        {e.task_id for e in entries if e.task_id not in by_task}
-    )
-    if missing:
-        raise ReportError(
-            f"model {model_id} has no profiles for benchmark tasks: {missing[:10]}"
-            + ("..." if len(missing) > 10 else "")
-        )
 
-    hallucinated: dict[Subcategory, int] = {}
-    crosshits: dict[str, dict[str, int]] = {}
-    for subcategory in SUBCATEGORY_ORDER:
-        hits = 0
-        off_target: dict[str, int] = defaultdict(int)
-        for entry in manifest.entries_by_subcategory.get(subcategory, ()):
-            profile = by_task[entry.task_id]
-            observed = profile.subcategories()
-            hit = bool(profile.labels) if indicator_mode == "any" else subcategory in observed
-            hits += hit * entry.sample_count
-            for other in observed - {subcategory}:
-                off_target[other.value] += entry.sample_count
-        hallucinated[subcategory] = hits
-        crosshits[subcategory.value] = {o: n for o, n in sorted(off_target.items()) if n}
+    hallucinated: dict[str, dict[Subcategory, int]] = {}
+    crosshits: dict[str, dict[str, dict[str, int]]] = {}
+    for model_id, by_task in sorted(by_model.items()):
+        missing = sorted({e.task_id for e in entries if e.task_id not in by_task})
+        if missing:
+            raise ReportError(
+                f"model {model_id} has no profiles for benchmark tasks: {missing[:10]}"
+                + ("..." if len(missing) > 10 else "")
+            )
+        hallucinated[model_id], crosshits[model_id] = {}, {}
+        for subcategory in SUBCATEGORY_ORDER:
+            hits = 0
+            off_target: dict[str, int] = defaultdict(int)
+            for entry in manifest.entries_by_subcategory.get(subcategory, ()):
+                profile = by_task[entry.task_id]
+                observed = profile.subcategories()
+                hit = bool(profile.labels) if indicator_mode == "any" else subcategory in observed
+                hits += hit * entry.sample_count
+                for other in observed - {subcategory}:
+                    off_target[other.value] += entry.sample_count
+            hallucinated[model_id][subcategory] = hits
+            crosshits[model_id][subcategory.value] = {
+                o: n for o, n in sorted(off_target.items()) if n
+            }
     return hallucinated, crosshits
 
 
@@ -194,6 +197,12 @@ def _markdown_columns() -> dict[str, str]:
     return {**columns, "overall": "Average", "overall_uniform": "Average (uniform)"}
 
 
+def _markdown_text(text: str) -> str:
+    """A model id on one report.md line that adds no table column: `\\` and
+    `|` escaped with a backslash, CR and LF written as `\\r` and `\\n`."""
+    return text.translate(str.maketrans({"\\": "\\\\", "|": "\\|", "\r": "\\r", "\n": "\\n"}))
+
+
 def render_markdown(report: dict) -> str:
     """Leaderboard markdown of `render_report`'s payload: per-subcategory
     HRs, weighted category averages, and both weighted and uniform overall
@@ -203,7 +212,7 @@ def render_markdown(report: dict) -> str:
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
     for row in report["rows"]:
         values = _columns(row)
-        fields = [row["model_id"]] + [values[column] for column in columns]
+        fields = [_markdown_text(row["model_id"])] + [values[column] for column in columns]
         lines.append("| " + " | ".join(fields) + " |")
     counts = ", ".join(
         f"{_SUBCATEGORY_SHORT[s]}={report['sample_counts'][s.value]}" for s in SUBCATEGORY_ORDER
@@ -243,7 +252,7 @@ def render_crosshits_markdown(
         ]
         if rows:
             sections.append(
-                f"\n### Off-target hallucinations: {model_id}\n\n"
+                f"\n### Off-target hallucinations: {_markdown_text(model_id)}\n\n"
                 "| Target | Observed | Samples |\n|---|---|---|\n" + "\n".join(rows) + "\n"
             )
     if not sections:

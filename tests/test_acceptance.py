@@ -204,7 +204,9 @@ def test_criterion_4_hr_oracle_equivalence():
             manifest, profiles = _random_manifest_and_profiles(rng)
             by_task = {p.task_id: p for p in profiles}
             for mode in report.INDICATOR_MODES:
-                hallucinated, _ = report.evaluate_model(manifest, profiles, indicator_mode=mode)
+                by_model, _ = report.evaluate_model(manifest, profiles, indicator_mode=mode)
+                assert list(by_model) == ["m"]
+                hallucinated = by_model["m"]
                 assert list(hallucinated) == list(SUBCATEGORY_ORDER)
                 for subcategory in SUBCATEGORY_ORDER:
                     vector = []
@@ -256,21 +258,21 @@ def test_criterion_5_aggregator_oracle_equivalence():
         for _, _, sub in observations:
             if sub is not None:
                 oracle_counts[sub.value] += 1
-        rows = aggregate.frequency_list(profiles, "subcategory")
+        rows = aggregate.frequency_list(profiles)["subcategory"]
         assert {row["key"]: row["count"] for row in rows} == dict(oracle_counts)
         total = sum(oracle_counts.values())
         for row in rows:
             assert row["share"] == pytest.approx(oracle_counts[row["key"]] / total)
 
-        # co-occurrence oracle per model
+        # co-occurrence oracle per model, from one call over every model
+        payload = aggregate.cooccurrence(profiles)
+        assert list(payload) == ["m1", "m2", "m3"]
         for model in ("m1", "m2", "m3"):
             task_subs: dict[str, set] = defaultdict(set)
             for task, m, sub in observations:
                 if m == model and sub is not None:
                     task_subs[task].add(sub)
-            matrix, rate = aggregate.cooccurrence(
-                [p for p in profiles if p.model_id == model]
-            )
+            matrix, rate = payload[model]["matrix"], payload[model]["cross_task_rate"]
             hallucinating = [subs for subs in task_subs.values() if subs]
             expected_rate = (
                 sum(1 for subs in hallucinating if len(subs) >= 2) / len(hallucinating)

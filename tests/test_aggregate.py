@@ -12,7 +12,6 @@ from haluscope.aggregate import (
     SampleProfile,
     build_profiles,
     cooccurrence,
-    format_rate,
     frequency_list,
     profile_from_dict,
     profile_to_dict,
@@ -120,7 +119,7 @@ class TestFrequencyList:
             + [_record("t", "m", 3, _labeled(IDENTITY, "NameError"))]
         )
         profiles = build_profiles(records)
-        rows = frequency_list(profiles, "subcategory")
+        rows = frequency_list(profiles)["subcategory"]
         assert [(row["key"], row["count"]) for row in rows] == [
             ("data_compliance", 3),
             ("identity", 1),
@@ -130,7 +129,7 @@ class TestFrequencyList:
 
     def test_empty_labels_empty_list(self):
         profiles = build_profiles([_record("t", "m", 0, PASS_RESULT, test_count=1)])
-        assert frequency_list(profiles, "subcategory") == []
+        assert frequency_list(profiles) == {"subcategory": [], "raw_cause": []}
 
     def test_shares_sum_to_one(self):
         rng = random.Random(7)
@@ -140,12 +139,8 @@ class TestFrequencyList:
             records.append(
                 _record(f"t{i % 9}", f"m{i % 3}", i // 9, _labeled(sub, sub.value), test_count=8)
             )
-        rows = frequency_list(build_profiles(records), "subcategory")
+        rows = frequency_list(build_profiles(records))["subcategory"]
         assert abs(sum(row["share"] for row in rows) - 1.0) <= 1e-9
-
-    def test_unknown_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            frequency_list([], "nope")
 
     def test_conservation_between_granularities(self):
         records = [
@@ -155,11 +150,12 @@ class TestFrequencyList:
             _record("t", "m", 3, PASS_RESULT),
         ]
         profiles = build_profiles(records)
-        by_sub = frequency_list(profiles, "subcategory")
-        by_cause = frequency_list(profiles, "raw_cause")
+        payload = frequency_list(profiles)
+        by_sub, by_cause = payload["subcategory"], payload["raw_cause"]
         assert sum(row["count"] for row in by_sub) == sum(row["count"] for row in by_cause) == 3
         # subcategory granularity groups the two naming causes together
         assert ("identity", 2) in [(row["key"], row["count"]) for row in by_sub]
+        assert ("unmapped", 1) in [(row["key"], row["count"]) for row in by_sub]
 
     def test_brute_force_recount_oracle(self):
         # synthetic 5-model corpus; oracle is an independent one-pass count
@@ -185,7 +181,7 @@ class TestFrequencyList:
             if sub is not None:
                 oracle[sub.value] += 1
 
-        rows = frequency_list(build_profiles(records), "subcategory")
+        rows = frequency_list(build_profiles(records))["subcategory"]
         assert {row["key"]: row["count"] for row in rows} == dict(oracle)
         total = sum(oracle.values())
         for row in rows:
@@ -197,8 +193,8 @@ class TestFrequencyList:
             _record(f"t{i}", "m", 0, _labeled(rng.choice(SUBCATEGORY_ORDER), "c"), 1)
             for i in range(30)
         ]
-        a = frequency_list(build_profiles(records), "subcategory")
-        b = frequency_list(build_profiles(records[::-1]), "subcategory")
+        a = frequency_list(build_profiles(records))["subcategory"]
+        b = frequency_list(build_profiles(records[::-1]))["subcategory"]
         assert a == b
 
 
@@ -214,6 +210,12 @@ def _profile(task, model, subs):
     )
 
 
+def _cooccurrence(profiles):
+    """The matrix and cross-task rate `cooccurrence` gives model "m"."""
+    payload = cooccurrence(profiles)["m"]
+    return payload["matrix"], payload["cross_task_rate"]
+
+
 def _at(matrix: dict, a: Subcategory, b: Subcategory) -> int:
     return matrix["counts"][matrix["order"].index(a.value)][matrix["order"].index(b.value)]
 
@@ -225,7 +227,7 @@ class TestCooccurrence:
             _profile("B", "m", [IDENTITY, DEVIATION]),
             _profile("C", "m", []),
         ]
-        matrix, rate = cooccurrence(profiles)
+        matrix, rate = _cooccurrence(profiles)
         assert rate == pytest.approx(0.5)
         assert _at(matrix, IDENTITY, IDENTITY) == 2
         assert _at(matrix, DEVIATION, DEVIATION) == 1
@@ -236,14 +238,14 @@ class TestCooccurrence:
             _profile("A", "m", [IDENTITY]),
             _profile("B", "m", [DEVIATION]),
         ]
-        matrix, rate = cooccurrence(profiles)
+        matrix, rate = _cooccurrence(profiles)
         assert rate == 0.0
         for i, a in enumerate(SUBCATEGORY_ORDER):
             for b in SUBCATEGORY_ORDER[i + 1 :]:
                 assert _at(matrix, a, b) == 0
 
     def test_no_hallucinations_rate_zero(self):
-        _, rate = cooccurrence([_profile("A", "m", [])])
+        _, rate = _cooccurrence([_profile("A", "m", [])])
         assert rate == 0.0
 
     def test_symmetry_and_diagonal_dominance(self):
@@ -256,7 +258,7 @@ class TestCooccurrence:
             )
             for i in range(40)
         ]
-        matrix, _ = cooccurrence(profiles)
+        matrix, _ = _cooccurrence(profiles)
         n = len(SUBCATEGORY_ORDER)
         for i in range(n):
             for j in range(n):
@@ -266,18 +268,25 @@ class TestCooccurrence:
                         matrix["counts"][i][i], matrix["counts"][j][j]
                     )
 
-    def test_multiple_models_rejected(self):
-        profiles = [_profile("A", "m1", []), _profile("A", "m2", [])]
-        with pytest.raises(ValueError):
-            cooccurrence(profiles)
+    def test_models_counted_apart(self):
+        profiles = [_profile("A", "m2", [IDENTITY]), _profile("A", "m1", [IDENTITY, DEVIATION]),
+                    _profile("B", "m2", [])]
+        payload = cooccurrence(profiles)
+        assert list(payload) == ["m1", "m2"]
+        assert [payload[m]["cross_task_rate"] for m in payload] == [1.0, 0.0]
+        assert _at(payload["m2"]["matrix"], IDENTITY, IDENTITY) == 1
+        assert _at(payload["m2"]["matrix"], DEVIATION, DEVIATION) == 0
 
     def test_published_rate_formatting(self):
-        # rendering fixture: a published cross-task rate renders as 1.07%
-        assert format_rate(0.0107) == "1.07%"
-        assert format_rate(0.0204) == "2.04%"
+        # rendering fixture: published cross-task rates render as 1.07% and
+        # 2.04%, here as 2 of 187 and 1 of 49 hallucinating tasks
+        for multi, hallucinating, percent in ((2, 187, "1.07%"), (1, 49, "2.04%")):
+            profiles = [_profile(f"t{i}", "m", [IDENTITY, DEVIATION] if i < multi else [IDENTITY])
+                        for i in range(hallucinating)]
+            assert cooccurrence(profiles)["m"]["cross_task_rate_percent"] == percent
 
     def test_matrix_dict_shape(self):
-        matrix, _ = cooccurrence([_profile("A", "m", [IDENTITY])])
+        matrix, _ = _cooccurrence([_profile("A", "m", [IDENTITY])])
         assert matrix["order"] == [s.value for s in SUBCATEGORY_ORDER]
         assert len(matrix["counts"]) == 8
 

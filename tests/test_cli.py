@@ -502,6 +502,27 @@ class TestExitCodes:
             f"{out / BENCHMARK_FILE}:{len(lines) + 1}: repeated benchmark entry ")
         assert not (out / REPORT_CSV_FILE).exists()
 
+    @pytest.mark.parametrize("models", [["model-good", "model-good"], []],
+                             ids=["repeated", "empty"])
+    def test_evaluate_refuses_an_entry_without_one_sample_per_model(
+        self, models, tmp_path, capsys
+    ):
+        # Kept, ["m", "m"] would count one profile as two samples; [] would
+        # give the entry no sample.
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (EXPECTED / BENCHMARK_FILE).read_text().splitlines()
+        entry = json.loads(lines[1])
+        _write_lines(out / BENCHMARK_FILE,
+                     [lines[0], json.dumps({**entry, "contributing_models": models}), *lines[2:]])
+        (out / PROFILES_FILE).write_bytes((EXPECTED / PROFILES_FILE).read_bytes())
+        assert _run(["--out-dir", out, "evaluate"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValidationError"
+        assert error["message"] == (f"{out / BENCHMARK_FILE}:2: contributing_models must name "
+                                    f"at least one model, each once: {models}")
+        assert not (out / REPORT_CSV_FILE).exists()
+
     @pytest.mark.parametrize("limit", ["wall_time_ms", "memory_bytes"])
     def test_file_limit_below_minimum_is_two_under_override(
         self, limit, mini_corpus, tmp_path, capsys
@@ -768,7 +789,7 @@ def _setting_samples(tmp_path: Path) -> dict:
         "threshold_k": ("5", 5, 4, 4),
         "classification_table": (*tables["cli"], *tables["config"]),
         "indicator": ("target", "target", "any", "any"),
-        "run_id": ("cli-run", "cli-run", "config-run", "config-run"),
+        "run_id": ("cli-run", "cli-run", 7, "7"),
         "artifact_dir": ("cli-artifacts", "cli-artifacts", "config-artifacts", "config-artifacts"),
         "degeneration.repeat_count": ("7", 7, 8, 8),
         "degeneration.block_size": ("2", 2, 4, 4),
@@ -843,6 +864,20 @@ class TestSettingPrecedence:
         assert "Traceback" not in err
         assert json.loads(err)["error"] == "ConfigError"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["out_dir", "artifact_dir", "run_id"])
+    def test_string_setting_refuses_a_list(self, key, mini_corpus, tmp_path, capsys, monkeypatch):
+        # str() would read it as "['a', 'b']": validate wrote ['a', 'b']/states.jsonl.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({key: ["a", "b"]}))
+        code = _run(["--config", "config.json", "validate", "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"].startswith(f"bad value for {key!r}: expected a string")
+        assert error["message"].endswith(", got ['a', 'b']")
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
         ("entry", "named"),

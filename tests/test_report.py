@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,7 +104,7 @@ def _one_entry(target, profile, indicator_mode="target"):
     manifest = BenchmarkManifest({target: (entry,)})
     hallucinated, crosshits = evaluate_model(manifest, [profile], indicator_mode)
     assert manifest.sample_count(target) == 1
-    return hallucinated[target], crosshits[target]
+    return hallucinated[profile.model_id][target], crosshits[profile.model_id][target]
 
 
 class TestIndicator:
@@ -153,7 +154,7 @@ def _identity(vector):
         _profile(f"t{i}", "m", [IDENTITY] if bit else [STRUCTURE]) for i, bit in enumerate(vector)
     ]
     manifest = BenchmarkManifest({IDENTITY: entries})
-    hallucinated, _ = evaluate_model(manifest, profiles)
+    hallucinated = evaluate_model(manifest, profiles)[0]["m"]
     sample_counts = {s: manifest.sample_count(s) for s in SUBCATEGORY_ORDER}
     row = _row(sample_counts, hallucinated)
     return hallucinated[IDENTITY], sample_counts[IDENTITY], row["subcategory_hr"][IDENTITY.value]
@@ -300,17 +301,18 @@ class TestEvaluateModel:
     def test_target_mode_cells(self):
         manifest, profiles = self._benchmark_and_profiles()
         hallucinated, crosshits = evaluate_model(manifest, profiles)
-        assert hallucinated[IDENTITY] == 2  # A x {m1, m2}
+        assert list(hallucinated) == list(crosshits) == ["m1"]
+        assert hallucinated["m1"][IDENTITY] == 2  # A x {m1, m2}
         assert manifest.sample_count(IDENTITY) == 2
-        assert hallucinated[DEVIATION] == 0  # m1 missed the target
+        assert hallucinated["m1"][DEVIATION] == 0  # m1 missed the target
         assert manifest.sample_count(DEVIATION) == 2
         # ... but the off-target structure hit is surfaced in the cross-hit table
-        assert crosshits[DEVIATION][STRUCTURE] == 2
+        assert crosshits["m1"][DEVIATION][STRUCTURE] == 2
 
     def test_any_mode_counts_any_hallucination(self):
         manifest, profiles = self._benchmark_and_profiles()
         hallucinated, _ = evaluate_model(manifest, profiles, indicator_mode="any")
-        assert hallucinated[DEVIATION] == 2
+        assert hallucinated["m1"][DEVIATION] == 2
 
     def test_missing_profile_rejected(self):
         manifest, profiles = self._benchmark_and_profiles()
@@ -322,11 +324,25 @@ class TestEvaluateModel:
         with pytest.raises(ReportError, match="empty"):
             evaluate_model(manifest, [_profile("A", "m1", [])])
 
-    def test_multiple_models_rejected(self):
-        manifest, _ = self._benchmark_and_profiles()
-        mixed = [_profile("A", "m1", []), _profile("B", "m2", [])]
-        with pytest.raises(ReportError, match="one model"):
-            evaluate_model(manifest, mixed)
+    def test_every_model_scored_in_one_call(self):
+        manifest, profiles = self._benchmark_and_profiles()
+        m2 = [_profile("B", "m2", [DEVIATION]), _profile("A", "m2", [])]
+        hallucinated, crosshits = evaluate_model(manifest, m2 + profiles)
+        assert list(hallucinated) == list(crosshits) == ["m1", "m2"]
+        assert (hallucinated["m1"][IDENTITY], hallucinated["m1"][DEVIATION]) == (2, 0)
+        assert (hallucinated["m2"][IDENTITY], hallucinated["m2"][DEVIATION]) == (0, 2)
+        assert crosshits["m2"][DEVIATION] == {}
+
+    def test_which_report_error_wins(self):
+        manifest, profiles = self._benchmark_and_profiles()
+        empty = build_bench([], threshold_k=2)
+        with pytest.raises(ReportError, match="^no models to report$"):
+            evaluate_model(empty, [])
+        with pytest.raises(ReportError, match="^benchmark manifest is empty$"):
+            evaluate_model(empty, [_profile("A", "m2", [])])
+        # both models lack task B; the first by id is named
+        with pytest.raises(ReportError, match=r"^model m1 has no profiles .*\['B'\]$"):
+            evaluate_model(manifest, [_profile("A", "m2", []), profiles[0]])
 
 
 class TestRenderCrosshitsMarkdown:
@@ -354,6 +370,39 @@ class TestRenderCrosshitsMarkdown:
         assert render_crosshits_markdown({"model-clean": {"identity": {}}}) == ""
 
 
+_MARKDOWN_UNESCAPE = {"\\\\": "\\", "\\|": "|", "\\r": "\r", "\\n": "\n"}
+
+
+def _cells(line: str) -> list[str]:
+    """A markdown table row's cells, unescaped; an escaped `|` does not
+    split a cell."""
+    cells, cell = [], ""
+    for token in re.findall(r"\\.|\||[^|\\]+", line):
+        if token == "|":
+            cells.append(cell.strip())
+            cell = ""
+        else:
+            cell += _MARKDOWN_UNESCAPE.get(token, token)
+    return cells[1:]
+
+
+def test_report_md_survives_any_model_id():
+    # Every row of each table has the header's column count, and each id
+    # reads back from its cell or heading.
+    ids = ["gpt|4\nx", "a|b", "cr\rlf", "back\\|slash", "trail\\", "plain"]
+    report = render_report(SAMPLE_COUNTS, {m: _hallucinated(10.0) for m in ids})
+    crosshits = {m: {"identity": {"logic_deviation": 1}} for m in ids}
+    markdown = render_markdown(report) + render_crosshits_markdown(crosshits)
+    blocks = [block.splitlines() for block in markdown.strip("\n").split("\n\n")]
+    tables = [[_cells(line) for line in block] for block in blocks if block[0].startswith("|")]
+    assert len(tables) == 1 + len(ids)
+    for header, *rows in tables:
+        assert all(len(row) == len(header) for row in rows)
+    assert sorted(row[0] for row in tables[0][2:]) == sorted(ids)
+    headings = [block[0].partition(": ")[2] for block in blocks if block[0].startswith("###")]
+    assert sorted(_cells(f"| {heading} |")[0] for heading in headings) == sorted(ids)
+
+
 # report.md and report.csv as independent byte oracles, rendering the exact
 # rows `fold_reference.report_rows` computes from the drawn counts.
 _REF_SHORT = {
@@ -372,6 +421,12 @@ def _ref_fmt(value: float) -> str:
     return f"{ref.round2(value):.2f}"
 
 
+def _ref_escape(model_id: str) -> str:
+    for char, escape in (("\\", "\\\\"), ("|", "\\|"), ("\r", "\\r"), ("\n", "\\n")):
+        model_id = model_id.replace(char, escape)
+    return model_id
+
+
 def _ref_render_markdown(sample_counts, rows) -> str:
     out = io.StringIO()
     header = ["Model"]
@@ -383,7 +438,7 @@ def _ref_render_markdown(sample_counts, rows) -> str:
     out.write("| " + " | ".join(header) + " |\n")
     out.write("|" + "---|" * len(header) + "\n")
     for row in rows:
-        fields = [row["model"]]
+        fields = [_ref_escape(row["model"])]
         for category in CATEGORY_ORDER:
             for subcategory in subcategories_of(category):
                 fields.append(_ref_fmt(row["rate"][subcategory]))
@@ -423,7 +478,7 @@ _TOTALS = st.sampled_from([0, 1, 3, 7, 100, 800, 941, 2443, 4000])
 def _counts(draw):
     """Sample counts per subcategory and hallucinated counts per model."""
     totals = {s: draw(_TOTALS) for s in SUBCATEGORY_ORDER}
-    models = draw(st.lists(st.text("abcxyz-", min_size=1, max_size=6),
+    models = draw(st.lists(st.text("abcxyz-|\\\r\n", min_size=1, max_size=6),
                            min_size=1, max_size=4, unique=True))
     return totals, {
         model: {s: draw(st.integers(0, totals[s])) for s in SUBCATEGORY_ORDER} for model in models

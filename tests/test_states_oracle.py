@@ -1,11 +1,14 @@
 """End-to-end oracle from states.jsonl to the report: identify,
 build-bench, evaluate and report run through `pipeline` over drawn state
 rows, and every file they write is compared byte for byte with
-`fold_reference`, a brute-force reading of the fold. No sandbox runs."""
+`fold_reference`, a brute-force reading of the fold. profiles.jsonl is
+rewritten in a drawn order before build-bench, so the later stages must
+not depend on its order. No sandbox runs."""
 
 from __future__ import annotations
 
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -111,28 +114,37 @@ def _expected(rows: list[dict], threshold_k: int, mode: str) -> dict[str, str | 
     return expected
 
 
-def _run_stages(rows: list[dict], threshold_k: int, mode: str) -> dict[str, str | None]:
-    """The stages' files over `rows`; evaluate's are None when it refuses
-    with ReportError."""
+def _run_stages(
+    rows: list[dict], threshold_k: int, mode: str, order: random.Random
+) -> dict[str, str | None]:
+    """The stages' files over `rows`, profiles.jsonl as identify wrote it
+    and the later stages' over its lines shuffled by `order`; evaluate's
+    are None when it refuses with ReportError."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         (out / pipeline.STATES_FILE).write_text(_jsonl(rows), encoding="utf-8")
         config = pipeline.RunConfig(dataset_path="", out_dir=tmp, threshold_k=threshold_k,
                                     indicator=mode, run_id="oracle")
-        pipeline.identify_stage(config)
+        profiles_path = pipeline.identify_stage(config)
+        written = profiles_path.read_text(encoding="utf-8")
+        lines = written.splitlines(keepends=True)
+        order.shuffle(lines)
+        profiles_path.write_text("".join(lines), encoding="utf-8")
         pipeline.build_bench_stage(config)
         try:
             pipeline.evaluate_stage(config)
         except ReportError:
             pass
         pipeline.report_stage(config)
-        names = (pipeline.PROFILES_FILE, pipeline.FREQUENCIES_FILE, pipeline.BENCHMARK_FILE,
-                 pipeline.COOCCURRENCE_FILE, pipeline.EVALUATION_FILE, pipeline.REPORT_JSON_FILE)
-        return {name: (out / name).read_text(encoding="utf-8") if (out / name).exists() else None
-                for name in names}
+        names = (pipeline.FREQUENCIES_FILE, pipeline.BENCHMARK_FILE, pipeline.COOCCURRENCE_FILE,
+                 pipeline.EVALUATION_FILE, pipeline.REPORT_JSON_FILE)
+        return {pipeline.PROFILES_FILE: written, **{
+            name: (out / name).read_text(encoding="utf-8") if (out / name).exists() else None
+            for name in names}}
 
 
 @settings(max_examples=300, deadline=None)
-@given(_states(), st.integers(1, 3), st.sampled_from(("target", "any")))
-def test_stages_match_the_brute_force_fold(rows, threshold_k, mode):
-    assert _run_stages(rows, threshold_k, mode) == _expected(rows, threshold_k, mode)
+@given(_states(), st.integers(1, 3), st.sampled_from(("target", "any")),
+       st.randoms(use_true_random=False))
+def test_stages_match_the_brute_force_fold(rows, threshold_k, mode, order):
+    assert _run_stages(rows, threshold_k, mode, order) == _expected(rows, threshold_k, mode)
