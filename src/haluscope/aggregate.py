@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import boolean, integer, json_object, list_of, read_field, string
+from .corpus import boolean, id_string, integer, json_object, list_of, read_field
 from .taxonomy import (
     SUBCATEGORY_ORDER,
     Classification,
@@ -164,8 +164,8 @@ def profile_to_dict(profile: SampleProfile) -> dict:
 
 def profile_from_dict(obj: dict) -> SampleProfile:
     return SampleProfile(
-        task_id=read_field(obj, "task_id", string),
-        model_id=read_field(obj, "model_id", string),
+        task_id=read_field(obj, "task_id", id_string),
+        model_id=read_field(obj, "model_id", id_string),
         labels=tuple(map(classification_from_dict,
                          read_field(obj, "labels", list_of(json_object), []))),
         pass_count=read_field(obj, "pass_count", integer, 0),

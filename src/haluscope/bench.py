@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import integer, list_of, read_field, read_jsonl, refuse_repeats, string
+from .corpus import id_string, integer, list_of, read_field, read_jsonl, refuse_repeats
 from .errors import ConfigError, ValidationError
 from .taxonomy import (
     CATEGORY_ORDER,
@@ -166,12 +166,12 @@ def _manifest_record(obj: dict) -> BenchmarkEntry | None:
     if record_type == "summary":
         return None
     if record_type == "entry":
-        models = read_field(obj, "contributing_models", list_of(string))
+        models = read_field(obj, "contributing_models", list_of(id_string))
         if not models or len(set(models)) < len(models):
             raise ValidationError(
                 f"contributing_models must name at least one model, each once: {list(models)}")
         return BenchmarkEntry(
-            task_id=read_field(obj, "task_id", string),
+            task_id=read_field(obj, "task_id", id_string),
             target_subcategory=read_field(obj, "target_subcategory", Subcategory),
             observed_frequency=read_field(obj, "observed_frequency", integer),
             contributing_models=models,

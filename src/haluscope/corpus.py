@@ -123,11 +123,11 @@ def integer(value) -> int:
 
 
 def identifier(value) -> str:
-    """A task or model id: a JSON string, or an integer (not a bool) read
+    """A task or model id: an `id_string`, or an integer (not a bool) read
     as its digits; str() would read null as "None"."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"expected a string or an integer, got {value!r}")
-    return str(value)
+    return id_string(str(value))
 
 
 def string(value) -> str:
@@ -135,6 +135,14 @@ def string(value) -> str:
     do not sort."""
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def id_string(value) -> str:
+    """A JSON string that UTF-8 can write: a lone surrogate, which JSON's
+    `\\ud800` escape makes, would end a later stage as it writes the id."""
+    if re.search("[\ud800-\udfff]", string(value)):
+        raise ValueError(f"{value!r} holds a lone surrogate")
     return value
 
 

@@ -4,8 +4,9 @@ evaluate -> report.
 Each stage reads and writes JSONL/JSON artifacts so intermediate states
 can be audited or injected:
 
-- validate writes states.jsonl: a row per (completion, test), or one per
-  gated completion, ordered by `Completion.key`, then test index, with
+- validate gates, executes and classifies each completion in one pass
+  and writes states.jsonl: a row per (completion, test), or one per gated
+  completion, ordered by `Completion.key`, then test index, with
   `task_id`, `model_id`, `test_index`, `test_count`, `classification`,
   `status` and, for an executed one, `exception_name`;
 - identify writes profiles.jsonl and frequencies.json;
@@ -27,12 +28,12 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable
 
 from . import aggregate, bench, degeneration, report as report_mod, sandbox, taxonomy
 from .corpus import (
     Completion,
-    Task,
+    id_string,
     integer,
     json_object,
     load_completions,
@@ -42,7 +43,6 @@ from .corpus import (
     refuse_repeats,
     refuse_shared_names,
     safe_name,
-    string,
 )
 from .errors import ConfigError
 from .taxonomy import ClassificationTable, ClassKind
@@ -119,26 +119,10 @@ def write_jsonl(path: Path, rows: Iterable[dict]) -> None:
     atomic_write(path, write)
 
 
-def _state_row(
-    record: aggregate.ClassifiedRecord, outcome: sandbox.ExecutionOutcome | None
-) -> dict:
-    row = {
-        "task_id": record.task_id,
-        "model_id": record.model_id,
-        "test_index": record.test_index,
-        "test_count": record.test_count,
-        "classification": taxonomy.classification_to_dict(record.classification),
-        "status": outcome.status.value if outcome is not None else NOT_EXECUTED,
-    }
-    if outcome is not None:
-        row["exception_name"] = outcome.exception_name
-    return row
-
-
 def _record_from_row(row: dict) -> aggregate.ClassifiedRecord:
     return aggregate.ClassifiedRecord(
-        task_id=read_field(row, "task_id", string),
-        model_id=read_field(row, "model_id", string),
+        task_id=read_field(row, "task_id", id_string),
+        model_id=read_field(row, "model_id", id_string),
         test_index=read_field(row, "test_index", integer, None),
         test_count=read_field(row, "test_count", integer),
         classification=taxonomy.classification_from_dict(
@@ -161,30 +145,22 @@ def _artifact_dir(root: str | None, completion: Completion, index: int) -> str |
     return str(Path(root) / _artifact_name(completion) / f"test_{index:03d}")
 
 
-def classify_corpus(
-    tasks: Mapping[str, Task],
-    completions: Sequence[Completion],
-    table: ClassificationTable = taxonomy.DEFAULT_TABLE,
-    degeneration_config: degeneration.DegenerationConfig = degeneration.DEFAULT_CONFIG,
-    interpreter: Sequence[str] | None = None,
-    jobs: int = 1,
-    artifact_root: str | None = None,
-) -> list[tuple[aggregate.ClassifiedRecord, sandbox.ExecutionOutcome | None]]:
-    """Run the full detection flow for every completion of a task in
-    `tasks`, the task map `load_dataset` returns: degeneration gate,
-    execution of every test case, classification. Returns (record, outcome)
-    pairs ordered by `Completion.key`, then test index, whatever the order
-    of `completions`; a degenerate completion carries a single record with
-    no outcome.
+def validate_stage(config: RunConfig) -> Path:
+    """Detection pass: gate, execute and classify every completion of a
+    task in the dataset, and write states.jsonl, a row per (completion,
+    test) or one per gated completion, ordered by `Completion.key`, then
+    test index. Every completion is gated before the requests of those the
+    gate passes go to one `sandbox.execute_batch`.
 
-    Every completion is gated first; the (completion, test) requests of
-    the completions the gate passes then go to one `sandbox.execute_batch`.
-    With `artifact_root`, two (task, model, sample) keys of known tasks,
+    With `artifact_dir`, two (task, model, sample) keys of known tasks,
     gated or not, that would share an artifact directory raise
     ValidationError, and a root that cannot be created raises ConfigError,
     before anything runs. A fork-server fault raises HarnessFault, or the
     OSError of an interpreter that cannot start, once every program it
-    started has ended: no record is returned for a run that could not run."""
+    started has ended; no states.jsonl is written then."""
+    tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
+    completions = load_completions(config.completions_path)
+    out_dir = _make_dir(config.out_dir)
     known = []
     for completion in completions:
         if completion.task_id in tasks:
@@ -192,63 +168,49 @@ def classify_corpus(
         else:
             logger.warning("skipping completion for unknown task_id %r (model %s)",
                            completion.task_id, completion.model_id)
-    if artifact_root is not None:  # pairs sharing a directory would mix their files
+    if config.artifact_dir is not None:  # pairs sharing a directory would mix their files
         refuse_shared_names((c.key, _artifact_name(c)) for c in known)
-        _make_dir(artifact_root)
+        _make_dir(config.artifact_dir)
     known.sort(key=lambda completion: completion.key)
-    verdicts = [
-        degeneration.detect(c.source_code, c.truncated_at_limit, degeneration_config)
-        for c in known
-    ]
+    gate = config.degeneration_config
+    verdicts = [degeneration.detect(c.source_code, c.truncated_at_limit, gate) for c in known]
     requests = [
         sandbox.ExecutionRequest(
             completion.source_code, test, tasks[completion.task_id].limits,
-            _artifact_dir(artifact_root, completion, index),
+            _artifact_dir(config.artifact_dir, completion, index),
         )
         for completion, verdict in zip(known, verdicts)
         if verdict.kind is degeneration.DegenerationKind.NONE
         for index, test in enumerate(tasks[completion.task_id].test_cases)
     ]
-    outcomes = iter(sandbox.execute_batch(requests, jobs=jobs, interpreter=interpreter))
-    results = []
+    outcomes = iter(sandbox.execute_batch(requests, jobs=config.jobs,
+                                          interpreter=config.interpreter))
+    rows, faults = [], []
     for completion, verdict in zip(known, verdicts, strict=True):
         test_count = len(tasks[completion.task_id].test_cases)
         executed = verdict.kind is degeneration.DegenerationKind.NONE
         for index in range(test_count) if executed else (None,):
             outcome = None if index is None else next(outcomes)
-            classified = aggregate.ClassifiedRecord(
-                task_id=completion.task_id,
-                model_id=completion.model_id,
-                test_index=index,
-                test_count=test_count,
-                classification=taxonomy.classify(verdict, outcome, table),
-            )
-            results.append((classified, outcome))
-    return results
-
-
-def validate_stage(config: RunConfig) -> Path:
-    """Detection pass over a corpus: writes one classified record per
-    (task, model, test) to states.jsonl."""
-    tasks = load_dataset(config.dataset_path, config.wall_time_ms, config.memory_bytes)
-    completions = load_completions(config.completions_path)
-    out_dir = _make_dir(config.out_dir)
-    pairs = classify_corpus(
-        tasks,
-        completions,
-        table=config.classification_table,
-        degeneration_config=config.degeneration_config,
-        interpreter=config.interpreter,
-        jobs=config.jobs,
-        artifact_root=config.artifact_dir,
-    )
-    faults = [r.classification for r, _ in pairs if r.classification.kind is ClassKind.HARNESS_FAULT]
+            classification = taxonomy.classify(verdict, outcome, config.classification_table)
+            if classification.kind is ClassKind.HARNESS_FAULT:
+                faults.append(classification.cause)
+            row = {
+                "task_id": completion.task_id,
+                "model_id": completion.model_id,
+                "test_index": index,
+                "test_count": test_count,
+                "classification": taxonomy.classification_to_dict(classification),
+                "status": NOT_EXECUTED,
+            }
+            if outcome is not None:
+                row.update(status=outcome.status.value, exception_name=outcome.exception_name)
+            rows.append(row)
     if faults:
         logger.warning("%d executions ended in harness faults, the first: %s",
-                       len(faults), faults[0].cause)
+                       len(faults), faults[0])
 
     states_path = out_dir / STATES_FILE
-    write_jsonl(states_path, (_state_row(record, outcome) for record, outcome in pairs))
+    write_jsonl(states_path, rows)
     return states_path
 
 

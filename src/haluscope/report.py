@@ -13,8 +13,6 @@ columns are emitted alongside. Rounding is half-even at two decimals.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import defaultdict
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -223,13 +221,16 @@ def render_markdown(report: dict) -> str:
 
 
 def render_csv(report: dict) -> str:
-    """`render_report`'s payload as report.csv: one row per model."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", *CSV_COLUMNS])
+    """`render_report`'s payload as report.csv: one row per model. A model
+    id holding `,`, `"`, CR or LF is quoted, each `"` doubled: csv.writer
+    under a "\\n" terminator quotes a CR only from CPython 3.13 on."""
+    lines = [",".join(["model", *CSV_COLUMNS])]
     for row in report["rows"]:
-        writer.writerow([row["model_id"], *_columns(row).values()])
-    return out.getvalue()
+        model_id = row["model_id"]
+        if any(char in model_id for char in ',"\r\n'):
+            model_id = '"' + model_id.replace('"', '""') + '"'
+        lines.append(",".join([model_id, *_columns(row).values()]))
+    return "\n".join(lines) + "\n"
 
 
 def render_json(report: dict) -> str:

@@ -180,6 +180,9 @@ def load_table(path: str | Path) -> ClassificationTable:
     """Read a classification table from JSON:
     {"exception_map": {"SomeError": "subcategory"}, "fallback": policy}."""
     obj = read_json_object(path, ConfigError)
+    if unknown := [key for key in obj if key not in ("exception_map", "fallback")]:
+        raise ConfigError(f"{path}: unknown classification table keys: "
+                          f"{', '.join(map(repr, unknown))}")
     if not isinstance(obj.get("exception_map"), dict):
         raise ConfigError(f"{path}: expected an object with an 'exception_map' mapping")
     exception_map: dict[str, Subcategory] = {}

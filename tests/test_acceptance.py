@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from haluscope import aggregate, bench, degeneration, pipeline, report, sandbox, taxonomy
-from haluscope.corpus import ResourceLimits, TestCase, load_completions, load_dataset
+from haluscope.corpus import ResourceLimits, TestCase, load_completions
 from haluscope.taxonomy import SUBCATEGORY_ORDER, Category, ClassKind, Subcategory
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,33 +42,32 @@ def _load_jsonl(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
-def test_criterion_1_taxonomy_totality(taxonomy_corpus):
+def test_criterion_1_taxonomy_totality(taxonomy_corpus, tmp_path):
     """Every handcrafted fixture reaches its hand-labeled state through the
     real detection flow, within the two-minute budget."""
     with criterion(1, "taxonomy totality on the handcrafted fixture corpus"):
         started = time.monotonic()
-        dataset = load_dataset(taxonomy_corpus["tasks"])
         completions = load_completions(taxonomy_corpus["completions"])
         expected = taxonomy_corpus["expected"]
         assert len(completions) >= 30
 
-        pairs = pipeline.classify_corpus(dataset, completions, jobs=4)
-        assert len(pairs) == len(completions)  # single-test tasks, or gated
+        config = pipeline.RunConfig(str(taxonomy_corpus["tasks"]),
+                                    str(taxonomy_corpus["completions"]),
+                                    out_dir=str(tmp_path), jobs=4)
+        rows = _load_jsonl(pipeline.validate_stage(config))
+        assert len(rows) == len(completions)  # single-test tasks, or gated
 
         mismatches = []
-        for record, _ in pairs:
-            want = expected[record.task_id]
+        for row in rows:
+            want = expected[row["task_id"]]
+            classification = row["classification"]
             got = {
-                "kind": record.classification.kind.value,
-                "subcategory": (
-                    record.classification.subcategory.value
-                    if record.classification.subcategory
-                    else None
-                ),
-                "cause": record.classification.cause,
+                "kind": classification["kind"],
+                "subcategory": classification.get("subcategory"),
+                "cause": classification["cause"],
             }
             if got != want:
-                mismatches.append((record.task_id, want, got))
+                mismatches.append((row["task_id"], want, got))
         assert not mismatches, mismatches
         elapsed = time.monotonic() - started
         assert elapsed < 120.0, f"fixture corpus took {elapsed:.1f}s"

@@ -658,6 +658,18 @@ class TestExitCodes:
              "model_id"),
             ("validate", "completions.jsonl", json.dumps({**_COMPLETION, "model_id": True}),
              "model_id"),
+            # A lone surrogate, which UTF-8 cannot write, in each id a file holds.
+            ("identify", STATES_FILE, json.dumps({**_STATE_ROW, "task_id": "t\ud800"}),
+             "task_id"),
+            ("build-bench", PROFILES_FILE, json.dumps({**_PROFILE_ROW, "model_id": "m\udfff"}),
+             "model_id"),
+            ("evaluate", BENCHMARK_FILE,
+             json.dumps({"record_type": "entry", "task_id": "t", "target_subcategory": "identity",
+                         "observed_frequency": 3, "contributing_models": ["m\ud800"]}),
+             "contributing_models"),
+            ("validate", "tasks.jsonl", json.dumps({**_TASK, "task_id": "\ud800"}), "task_id"),
+            ("validate", "completions.jsonl", json.dumps({**_COMPLETION, "model_id": "m\ud800"}),
+             "model_id"),
         ],
         ids=["states-missing-field", "states-not-an-object", "states-float-test-count",
              "states-float-test-index", "states-category-mismatch", "states-int-cause",
@@ -669,7 +681,9 @@ class TestExitCodes:
              "tasks-null-task-id", "tasks-bad-limit", "tasks-float-limit",
              "tasks-string-limits", "tasks-string-test-cases", "tasks-int-test-case",
              "tasks-null-expected-output", "tasks-null-input", "completions-null-raw-response",
-             "completions-null-model-id", "completions-bool-model-id"],
+             "completions-null-model-id", "completions-bool-model-id",
+             "states-surrogate-task-id", "profiles-surrogate-model-id", "manifest-surrogate-model",
+             "tasks-surrogate-task-id", "completions-surrogate-model-id"],
     )
     def test_malformed_artifact_names_path_and_line(
         self, tmp_path, capsys, command, filename, bad_record, field
@@ -746,6 +760,29 @@ class TestExitCodes:
             stdins = list((tmp_path / "artifacts").rglob("stdin.txt"))
             assert len(stdins) == 2
             assert {p.read_bytes() for p in stdins} == {"\ud800".encode("utf-8", "surrogatepass")}
+
+
+    @pytest.mark.parametrize("source", ["completions", "profiles"])
+    def test_id_with_a_lone_surrogate_is_two(self, source, mini_corpus, tmp_path, capsys):
+        # Unrefused, model-good renamed so passed every reader, then ended the
+        # run in a UnicodeEncodeError as report.md was written, leaving
+        # report.md.partial.
+        out = tmp_path / "out"
+        out.mkdir()
+        if source == "completions":
+            path, original = tmp_path / "completions.jsonl", mini_corpus["completions"]
+            args = ["pipeline", "--dataset", mini_corpus["tasks"], "--completions", path]
+        else:
+            path, original = out / PROFILES_FILE, EXPECTED / PROFILES_FILE
+            (out / BENCHMARK_FILE).write_bytes((EXPECTED / BENCHMARK_FILE).read_bytes())
+            args = ["evaluate"]
+        path.write_text(original.read_text().replace('"model-good"', '"model-\\ud800"'))
+        assert _run(["--out-dir", out, *args]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)
+        assert (error["error"], error["exit_code"]) == ("IngestionError", 2)
+        assert error["message"] == f"{path}:1: model_id: 'model-\\ud800' holds a lone surrogate"
+        assert list(out.rglob("*.partial")) == []
 
 
 class TestConfigFile:
@@ -901,6 +938,21 @@ class TestSettingPrecedence:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigError"
         assert error["message"] == f"unknown config keys: {named!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_classification_table_key_is_one(self, mini_corpus, tmp_path, capsys):
+        # Ignored, the misspelt "fallbak" would leave the fallback at
+        # unmapped_report, so an unmapped exception counts under no label.
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"exception_map": {"EOFError": "identity"},
+                                     "fallbak": "unmapped_as_logic_deviation"}))
+        code = _run(["--classification-table", table, "--out-dir", tmp_path / "out",
+                     "validate", "--dataset", mini_corpus["tasks"],
+                     "--completions", mini_corpus["completions"]])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert error["message"] == f"{table}: unknown classification table keys: 'fallbak'"
         assert not (tmp_path / "out").exists()
 
     def test_empty_interpreter_flag_is_config_error(self, mini_corpus, tmp_path, capsys):

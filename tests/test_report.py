@@ -452,21 +452,27 @@ def _ref_render_markdown(sample_counts, rows) -> str:
     return out.getvalue()
 
 
-def _ref_render_csv(rows) -> str:
+def _ref_csv_line(fields) -> str:
+    # Under a "\r\n" terminator csv.writer quotes a field holding CR or LF
+    # on every version (under "\n", a CR only from 3.13 on).
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue().removesuffix("\r\n") + "\n"
+
+
+def _ref_render_csv(rows) -> str:
     header = ["model"]
     header += [s.value for s in SUBCATEGORY_ORDER]
     header += [f"{c.value}_avg" for c in CATEGORY_ORDER]
     header += ["overall", "overall_uniform"]
-    writer.writerow(header)
+    lines = [_ref_csv_line(header)]
     for row in rows:
         record = [row["model"]]
         record += [_ref_fmt(row["rate"][s]) for s in SUBCATEGORY_ORDER]
         record += [_ref_fmt(row["category"][c]) for c in CATEGORY_ORDER]
         record += [_ref_fmt(row["overall"]), _ref_fmt(row["overall_uniform"])]
-        writer.writerow(record)
-    return out.getvalue()
+        lines.append(_ref_csv_line(record))
+    return "".join(lines)
 
 
 # Totals whose rates land on half-even ties at two decimals (800: k/8,
@@ -478,7 +484,7 @@ _TOTALS = st.sampled_from([0, 1, 3, 7, 100, 800, 941, 2443, 4000])
 def _counts(draw):
     """Sample counts per subcategory and hallucinated counts per model."""
     totals = {s: draw(_TOTALS) for s in SUBCATEGORY_ORDER}
-    models = draw(st.lists(st.text("abcxyz-|\\\r\n", min_size=1, max_size=6),
+    models = draw(st.lists(st.text("abcxyz-|\\\r\n,\"", min_size=1, max_size=6),
                            min_size=1, max_size=4, unique=True))
     return totals, {
         model: {s: draw(st.integers(0, totals[s])) for s in SUBCATEGORY_ORDER} for model in models
@@ -486,6 +492,25 @@ def _counts(draw):
 
 
 class TestRendererOracles:
+    @pytest.mark.parametrize("model_id, field", [
+        ("cr\rlf", '"cr\rlf"'), ("lf\nx", '"lf\nx"'), ('q"u,o', '"q""u,o"'), ("plain", "plain"),
+    ], ids=["cr", "lf", "quote-comma", "plain"])
+    def test_report_csv_reads_back_each_model_id(self, model_id, field):
+        # csv.writer(lineterminator="\n") wrote `cr\rlf` unquoted under 3.11
+        # and 3.12, and csv.reader read that line back as two rows.
+        report = render_report({s: 1 for s in SUBCATEGORY_ORDER},
+                               {model_id: {s: 0 for s in SUBCATEGORY_ORDER}})
+        text = render_csv(report)
+        header = (
+            "model,data_compliance,structure_access,identity,external_source,"
+            "physical_constraint,computational_boundary,logic_deviation,logic_breakdown,"
+            "mapping_avg,naming_avg,resource_avg,logic_avg,overall,overall_uniform\n"
+        )
+        assert text.encode() == (header + field + ",0.00" * 14 + "\n").encode()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [row[0] for row in rows] == ["model", model_id]
+        assert all(len(row) == 15 for row in rows)
+
     @settings(max_examples=300, deadline=None)
     @given(_counts())
     def test_renderings_match_reference_bytes(self, counts):

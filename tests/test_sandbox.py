@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 import haluscope
 from haluscope import sandbox
-from haluscope.corpus import Completion, ResourceLimits, Task, TestCase
+from haluscope.corpus import ResourceLimits, TestCase
 from haluscope.errors import HarnessFault
-from haluscope.pipeline import RunConfig, classify_corpus, validate_stage
+from haluscope.pipeline import RunConfig, validate_stage
 from haluscope.sandbox import (
     ExecutionOutcome,
     ExecutionRequest,
@@ -1140,35 +1140,30 @@ class TestIsolationAndBatch:
         reverse = [o.status for o in execute_batch(list(reversed(requests)), jobs=2)]
         assert forward == list(reversed(reverse))
 
-    def test_classify_corpus_runs_every_test(self):
-        task = Task(
-            task_id="t",
-            test_cases=(TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "5")),
-            limits=LIMITS,
-        )
-        source = "print(int(input())+1)"
-        pairs = classify_corpus(
-            {"t": task}, [Completion("t", "m", source)], jobs=2
-        )
-        assert [o.status for _, o in pairs] == [Status.PASS, Status.PASS, Status.WRONG_OUTPUT]
-        assert [r.test_index for r, _ in pairs] == [0, 1, 2]
+    def test_validate_runs_every_test(self, tmp_path):
+        tests = [("1", "2"), ("2", "3"), ("3", "5")]
+        rows = _validate(tmp_path, tests, [{"model_id": "m", "source_code": "print(int(input())+1)"}],
+                         jobs=2)
+        assert [row["status"] for row in rows] == ["pass", "pass", "wrong_output"]
+        assert [row["test_index"] for row in rows] == [0, 1, 2]
 
-    def test_all_gated_corpus_starts_no_server(self, popens):
-        task = Task("t", (TestCase("", "1"),), LIMITS)
-        completions = [
-            Completion("t", "m-stutter", "print(1)\n" * 50),
-            Completion("t", "m-gibberish", "qz xv ## @@ !! zz"),
+    def test_all_gated_corpus_starts_no_server(self, tmp_path, popens):
+        answers = [
+            {"model_id": "m-stutter", "source_code": "print(1)\n" * 50},
+            {"model_id": "m-gibberish", "source_code": "qz xv ## @@ !! zz"},
         ]
-        pairs = classify_corpus({"t": task}, completions, jobs=2)
-        assert [(r.model_id, o) for r, o in pairs] == [("m-gibberish", None), ("m-stutter", None)]
+        rows = _validate(tmp_path, [("", "1")], answers, jobs=2)
+        assert [(row["model_id"], row["status"]) for row in rows] == [
+            ("m-gibberish", "not_executed"), ("m-stutter", "not_executed")]
         assert popens == []
 
-    def test_missing_interpreter_fails_every_execution(self):
-        # No execution can run, so the corpus gets no outcome at all.
-        task = Task("t", (TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")), LIMITS)
-        completions = [Completion("t", m, "print(1)") for m in ("m1", "m2")]
+    def test_missing_interpreter_fails_every_execution(self, tmp_path):
+        # No execution can run, so the corpus gets no states.jsonl at all.
+        tests = [("1", "2"), ("2", "3"), ("3", "4")]
+        answers = [{"model_id": m, "source_code": "print(1)"} for m in ("m1", "m2")]
         with pytest.raises(FileNotFoundError, match="/no/such/bin"):
-            classify_corpus({"t": task}, completions, interpreter=["/no/such/bin"], jobs=2)
+            _validate(tmp_path, tests, answers, interpreter=("/no/such/bin",), jobs=2)
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_unknown_task_skipped_with_one_warning(self, tmp_path, caplog):
         tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
@@ -1209,57 +1204,68 @@ class TestIsolationAndBatch:
         ]
 
     def test_artifact_dirs_distinct_per_model(self, tmp_path):
-        tasks, completions = _three_model_corpus()
-        pairs = classify_corpus(tasks, completions, artifact_root=str(tmp_path))
+        root = tmp_path / "artifacts"
+        tests, answers = _three_model_corpus()
+        rows = _validate(tmp_path, tests, answers, artifact_dir=str(root))
         statuses: dict[str, list[Status]] = {}
-        for record, outcome in pairs:
-            statuses.setdefault(record.model_id, []).append(outcome.status)
+        for row in rows:
+            statuses.setdefault(row["model_id"], []).append(Status(row["status"]))
         assert statuses == {
             "m-first": [Status.WRONG_OUTPUT] * 3,
             "m-pass": [Status.PASS] * 3,
             "m-second": [Status.PASS, Status.WRONG_OUTPUT, Status.WRONG_OUTPUT],
         }
-        dirs = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("prog.py"))
+        dirs = sorted(str(p.parent.relative_to(root)) for p in root.rglob("prog.py"))
         assert dirs == [
             f"t__{model}/test_{index:03d}"
             for model in ("m-first", "m-pass", "m-second")
             for index in range(3)
         ]
-        sources = {c.model_id: c.source_code for c in completions}
+        sources = {answer["model_id"]: answer["source_code"] for answer in answers}
         for directory in dirs:
             model_id = directory.split("/")[0].split("__")[1]
-            assert (tmp_path / directory / "prog.py").read_text() == sources[model_id]
-
+            assert (root / directory / "prog.py").read_text() == sources[model_id]
 
     def test_artifact_dirs_distinct_per_sample(self, tmp_path):
-        task = Task("t1", (TestCase("1", "2"),), LIMITS)
+        root = tmp_path / "artifacts"
         sources = ("print(int(input())+1)", "print(int(input())+2)")
-        completions = [
-            Completion("t1", "m", src, sample_index=i) for i, src in enumerate(sources)
+        answers = [
+            {"model_id": "m", "source_code": src, "sample_index": i} for i, src in enumerate(sources)
         ]
-        pairs = classify_corpus({"t1": task}, completions, artifact_root=str(tmp_path))
-        assert sorted(outcome.status for _, outcome in pairs) == [Status.PASS, Status.WRONG_OUTPUT]
-        dirs = sorted(str(p.parent.relative_to(tmp_path)) for p in tmp_path.rglob("prog.py"))
+        rows = _validate(tmp_path, [("1", "2")], answers, task_id="t1", artifact_dir=str(root))
+        assert sorted(Status(row["status"]) for row in rows) == [Status.PASS, Status.WRONG_OUTPUT]
+        dirs = sorted(str(p.parent.relative_to(root)) for p in root.rglob("prog.py"))
         assert dirs == ["t1__m__s0/test_000", "t1__m__s1/test_000"]
         for directory, source in zip(dirs, sources):
-            assert (tmp_path / directory / "prog.py").read_text() == source
+            assert (root / directory / "prog.py").read_text() == source
 
 
-def _three_model_corpus() -> tuple[dict[str, Task], list[Completion]]:
-    """One three-test task answered by a program passing every test, one
-    failing the first test and one failing the second."""
-    task = Task(
-        task_id="t",
-        test_cases=(TestCase("1", "2"), TestCase("2", "3"), TestCase("3", "4")),
-        limits=LIMITS,
-    )
+def _validate(tmp_path: Path, tests, answers, task_id: str = "t", **settings) -> list[dict]:
+    """The rows of the states.jsonl that `validate_stage` writes under
+    `tmp_path`/out for one task of `tests`, (input, expected output) pairs
+    run under LIMITS, and `answers`, completions.jsonl rows without their
+    task id and raw response."""
+    tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+    limits = {"wall_time_ms": LIMITS.wall_time_ms, "memory_bytes": LIMITS.memory_bytes}
+    cases = [{"input": given, "expected_output": expected} for given, expected in tests]
+    tasks.write_text(json.dumps({"task_id": task_id, "test_cases": cases, "limits": limits}) + "\n")
+    completions.write_text("".join(
+        json.dumps({"task_id": task_id, "raw_response": "", **answer}) + "\n" for answer in answers
+    ))
+    config = RunConfig(str(tasks), str(completions), out_dir=str(tmp_path / "out"), **settings)
+    return [json.loads(line) for line in validate_stage(config).read_text().splitlines()]
+
+
+def _three_model_corpus() -> tuple[list[tuple[str, str]], list[dict]]:
+    """The tests of one three-test task and its answers: a program passing
+    every test, one failing the first test and one failing the second."""
     sources = {
         "m-pass": "print(int(input())+1)",
         "m-first": "print(int(input())+2)",
         "m-second": "n = int(input())\nprint(n+1 if n < 2 else 0)",
     }
-    completions = [Completion("t", model, src) for model, src in sources.items()]
-    return {"t": task}, completions
+    answers = [{"model_id": model, "source_code": src} for model, src in sources.items()]
+    return [("1", "2"), ("2", "3"), ("3", "4")], answers
 
 
 def test_outcome_round_trip(tmp_path):
