@@ -33,6 +33,12 @@ what `python <workdir>/prog.py` does, exit included. The guard environment sets
 PYTHONHASHSEED to the harness constant `sandbox.HASH_SEED` (0), so the
 server and every child it forks hash strings with one fixed secret.
 
+At start the server sets its parent-death signal (`PR_SET_PDEATHSIG`) to
+SIGKILL, so it dies with the harness thread that started it; each child
+sets the same right after `fork`, and exits at once if the server is gone.
+A killed harness still leaves the processes a program starts (a fork
+clears the setting) and the `haluscope-exec-*` and `haluscope-zygote-*` dirs.
+
 The child hands prog.py to `PyRun_FileExFlags`, where `python prog.py`
 ends too, so on every version the interpreter's own file tokenizer judges
 its bytes (BOM, coding cookie, null bytes), and an error from reading or
@@ -54,6 +60,7 @@ import resource
 import sys
 
 _WRITE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+_PR_SET_PDEATHSIG = 1  # prctl: the signal this process gets when its parent thread ends
 _PY_FILE_INPUT = 257  # Py_file_input: the start symbol of a module
 # Linux's PIPE_BUF: a write of at most this many bytes to a pipe is atomic.
 _REPORT_CAP = 4096
@@ -67,7 +74,9 @@ _LAST_EXCEPTION = ("last_type", "last_value", "last_traceback") + (
 def main():
     if sys.version_info < (3, 11):
         sys.exit(f"the fork server needs CPython 3.11 or newer, not {sys.version.split()[0]}")
-    c_api = _bind()
+    prctl, *c_api = _bind()
+    prctl(_PR_SET_PDEATHSIG, _signal.SIGKILL)
+    server = os.getpid()
     requests, replies = int(sys.argv[1]), int(sys.argv[2])
     os.write(replies, b"ready\n")
     with open(requests, "rb") as lines:
@@ -76,7 +85,7 @@ def main():
             pid = os.fork()
             if pid == 0:
                 os.close(report_r)
-                _child(request, requests, replies, report_w, c_api)
+                _child(request, requests, replies, report_w, server, prctl, c_api)
             os.close(report_w)
             _, status, usage = os.wait4(pid, 0)
             try:
@@ -89,11 +98,15 @@ def main():
 
 
 def _bind():
-    """libc's `fopen`, ctypes' `get_errno` and `PyRun_FileExFlags`, typed. What
-    importing ctypes loaded leaves sys.modules: a program's import loads it anew."""
+    """libc's `prctl` and `fopen`, ctypes' `get_errno` and `PyRun_FileExFlags`,
+    typed. What importing ctypes loaded leaves sys.modules: a program's import
+    loads it anew."""
     loaded = set(sys.modules)
     import ctypes
-    fopen = ctypes.CDLL(None, use_errno=True).fopen
+    libc = ctypes.CDLL(None, use_errno=True)
+    prctl = libc.prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    fopen = libc.fopen
     fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
     fopen.restype = ctypes.c_void_p
     run_file = ctypes.pythonapi.PyRun_FileExFlags
@@ -102,15 +115,18 @@ def _bind():
     run_file.restype = ctypes.py_object
     for name in sys.modules.keys() - loaded:
         del sys.modules[name]
-    return fopen, ctypes.get_errno, run_file
+    return prctl, fopen, ctypes.get_errno, run_file
 
 
-def _child(request, requests, replies, report_fd, c_api):
+def _child(request, requests, replies, report_fd, server, prctl, c_api):
     """Set up the forked child, then run the program, reporting an uncaught
     exception on `report_fd`; never returns. The pid is replied before the
     program is read, so the harness can kill a child stuck compiling, and
     a program that kills this server cannot hide it."""
     try:
+        prctl(_PR_SET_PDEATHSIG, _signal.SIGKILL)
+        if os.getppid() != server:  # the server died before the signal was set
+            os._exit(1)
         os.setsid()
         *limits, workdir = request.split()
         limits = [int(limit) for limit in limits]

@@ -13,7 +13,10 @@ replying. Failures emit machine-readable JSON on stderr.
 
 SIGTERM ends a run as Ctrl-C does: every running program is killed at
 its wall limit and reaped, the temp dirs are removed, and the process
-then dies of SIGTERM.
+then dies of SIGTERM. SIGKILL (or the OOM killer) takes the fork servers
+and their programs down with the run at once, but leaves the processes a
+program started and the `haluscope-exec-*` and `haluscope-zygote-*` dirs
+in TMPDIR.
 """
 
 from __future__ import annotations

@@ -12,12 +12,13 @@ resource accounting, not adversarial security.
 Each execution is forked from a fork server (`_forkserver.py`): one
 interpreter started with the run child's argv and guard environment,
 which forks one child per execution and reports its exit status and
-`ru_maxrss`. A batch runs one interpreter; each of its worker threads
-starts one server with its first request and keeps it until the call
-returns, replacing it if it dies. A fault of a server, one that cannot
-start, cannot set up a child or stops replying, ends the batch: it raises
-out of `execute_batch` once the batch has cancelled its queued requests
-and reaped its servers. A bare `execute` runs as a batch of one.
+`ru_maxrss`. A batch gives each of its worker threads one server, started
+with the thread's first request and again if found dead, and closes every
+one before it returns; the kernel kills a server with the thread that
+started it (`_forkserver.py`). A fault of a server, one that cannot start,
+cannot set up a child or stops replying, ends the batch: it raises out of
+`execute_batch` once the batch has cancelled its queued requests and
+reaped its servers. A bare `execute` runs as a batch of one.
 
 The forked child runs prog.py through the C call `python prog.py` ends
 in, so the program's interpreter reads it with its own file tokenizer.
@@ -240,10 +241,11 @@ def execute(
     harness made, as UTF-8 with invalid bytes replaced). The outcome holds
     no program output. Inside a batch the batch's interpreter runs the
     program, and `interpreter` is not read."""
-    if _SERVERS.get() is None:  # outside a batch: a batch of one
+    server = _SERVER.get()
+    if server is None:  # outside a batch: a batch of one
         request = ExecutionRequest(source_code, test, limits, artifact_dir)
         return execute_batch([request], interpreter=interpreter)[0]
-    server = _SERVERS.get().get()
+    server.started()
     stdout_text = stderr_text = ""
     try:
         with tempfile.TemporaryDirectory(prefix="haluscope-exec-") as tmp:
@@ -334,22 +336,26 @@ _SERVER_GRACE_S = 5.0
 
 
 class _ForkServer:
-    """One fork-server interpreter running `_forkserver.py`, its directory
-    (`haluscope-zygote-*`, holding its guard and its stderr log), and the
-    harness's ends of its request and reply pipes."""
+    """The fork server of one worker thread: an interpreter running
+    `_forkserver.py`, its directory (`haluscope-zygote-*`, holding its guard
+    and its stderr log), and the harness's ends of its request and reply
+    pipes. The thread calls `started` before each request."""
 
     def __init__(self, argv: list[str]):
-        self._dir = Path(tempfile.mkdtemp(prefix="haluscope-zygote-"))
+        self._argv = argv
+        self._dir: Path | None = None
         self._proc: subprocess.Popen | None = None
         self._requests = self._replies = -1
-        self._pending = b""
-        try:
-            self._start(argv)
-        except BaseException:
-            self.close()
-            raise
 
-    def _start(self, argv: list[str]) -> None:
+    def started(self) -> None:
+        """Start the interpreter, in a new directory, unless it runs: at
+        the first request, and again once `poll()` finds it dead. A start
+        that fails leaves what it made to `close`."""
+        if self._proc is not None and self._proc.poll() is None:
+            return
+        self.close()
+        self._dir = Path(tempfile.mkdtemp(prefix="haluscope-zygote-"))
+        self._pending = b""
         guard_dir = _write_guard(self._dir)
         with contextlib.ExitStack() as server_ends:
             requests_r, self._requests = os.pipe()
@@ -358,7 +364,7 @@ class _ForkServer:
             server_ends.callback(os.close, replies_w)
             log = server_ends.enter_context((self._dir / "server.log").open("wb"))
             self._proc = subprocess.Popen(
-                argv + [str(_FORK_SERVER_SCRIPT), str(requests_r), str(replies_w)],
+                self._argv + [str(_FORK_SERVER_SCRIPT), str(requests_r), str(replies_w)],
                 cwd=self._dir,
                 env=_guard_env(self._dir, guard_dir),
                 stdin=subprocess.DEVNULL,
@@ -377,9 +383,6 @@ class _ForkServer:
                 f"no ready reply within {_SERVER_START_TIMEOUT_S:g} s" if reply is None
                 else f"exit status {self._proc.returncode} before a ready reply")
             raise HarnessFault(f"fork server failed to start: {cause}")
-
-    def alive(self) -> bool:
-        return self._proc is not None and self._proc.poll() is None
 
     def run(self, workdir: Path, limits: ResourceLimits) -> ProcessExit | None:
         """Fork one child running workdir/prog.py, with this server's
@@ -447,36 +450,12 @@ class _ForkServer:
         if self._replies >= 0:
             os.close(self._replies)
             self._replies = -1
-        shutil.rmtree(self._dir, ignore_errors=True)
+        if self._dir is not None:
+            shutil.rmtree(self._dir, ignore_errors=True)
 
 
-class _ForkServers:
-    """The fork servers of one `execute_batch` call, all running `argv`, one
-    per worker thread. A thread's server starts at its first `get` and is
-    replaced once dead. `close` ends and reaps every one."""
-
-    def __init__(self, argv: list[str]) -> None:
-        self._argv = argv
-        self._servers: dict[int, _ForkServer] = {}
-
-    def get(self) -> _ForkServer:
-        # Only the thread named in a key reads or writes that key.
-        key = threading.get_ident()
-        server = self._servers.get(key)
-        if server is None or not server.alive():
-            if server is not None:
-                server.close()
-            server = self._servers[key] = _ForkServer(self._argv)
-        return server
-
-    def close(self) -> None:
-        for server in self._servers.values():
-            server.close()
-        self._servers.clear()
-
-
-# The fork servers of the `execute_batch` call this thread works for.
-_SERVERS: ContextVar[_ForkServers | None] = ContextVar("haluscope_forkservers", default=None)
+# The fork server of this `execute_batch` worker thread; None outside a batch.
+_SERVER: ContextVar[_ForkServer | None] = ContextVar("haluscope_forkserver", default=None)
 
 
 def _kill_group(pid: int) -> None:
@@ -504,10 +483,11 @@ def execute_batch(
     worker threads, each in its own temp dir; results come back in request
     order, so they are independent of scheduling. Each runs as one call of
     `execute`, looked up at call time, so a wrapper of it sees each one.
-    Each worker thread forks its executions from one fork server; every
-    server is ended and reaped before this returns, so no process outlives
-    the call and RUSAGE_CHILDREN counts every child. A worker starts its
-    server with its first request, so a batch without requests starts none.
+    The pool's initializer gives each worker thread the fork server it forks
+    its executions from; every server is ended and reaped before this
+    returns, so no process outlives the call and RUSAGE_CHILDREN counts every
+    child. A server starts with its thread's first request, so a worker
+    without requests starts none.
 
     The calling thread only reads requests and waits, so an exception
     raised there, by a generator or a signal (Ctrl-C), cancels the queued
@@ -516,8 +496,14 @@ def execute_batch(
     before the exception leaves this call. An exception raised by an
     execution, a fork-server fault, ends the batch the same way: no request
     starts once it is raised."""
-    servers = _ForkServers(list(interpreter or [sys.executable]))
+    argv = list(interpreter or [sys.executable])
+    servers: list[_ForkServer] = []
     faulted = threading.Event()
+
+    def serve() -> None:  # the pool's initializer, run by each worker thread
+        server = _ForkServer(argv)
+        servers.append(server)
+        _SERVER.set(server)
 
     def run(r: ExecutionRequest) -> ExecutionOutcome:
         if faulted.is_set():  # never read: an earlier request raised
@@ -528,9 +514,10 @@ def execute_batch(
             faulted.set()
             raise
 
-    pool = ThreadPoolExecutor(max(1, jobs), initializer=_SERVERS.set, initargs=(servers,))
+    pool = ThreadPoolExecutor(max(1, jobs), initializer=serve)
     try:
         return list(pool.map(run, requests))
     finally:
         pool.shutdown(cancel_futures=True)
-        servers.close()
+        for server in servers:
+            server.close()

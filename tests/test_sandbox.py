@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -608,6 +609,21 @@ PARITY_PROGRAMS = {
     ),
     "main-file-exit": _MAIN_FILE + "sys.exit(2)\n",
     "main-file-deleted-by-the-program": _MAIN_FILE + "del __file__\nshow('main')\n",
+    "recursion-limit": "import sys\nprint(sys.getrecursionlimit())\n",
+    "excepthook-exits-del-global": (
+        _DELETED + "import sys\na = Deleted('a')\n"
+        "def hook(kind, value, tb):\n    raise SystemExit(5)\n"
+        "sys.excepthook = hook\nraise ValueError('v')\n"
+    ),
+}
+# Parity programs the sandbox still gets wrong on every Python version, each
+# with the FOUND line of CHANGES.md that names the gap: a fix makes it XPASS.
+PARITY_GAPS = {
+    "recursion-limit": "CHANGES.md FOUND line 66: the sandbox reads 1005, python prog.py 1000",
+    "excepthook-exits-del-global": (
+        "CHANGES.md FOUND line 74: after a hook's SystemExit the sandbox runs __del__ of a"
+        " global, python prog.py does not"
+    ),
 }
 
 
@@ -676,6 +692,46 @@ def _run_harness(code: str) -> subprocess.CompletedProcess:
     )
 
 
+def _validate_a_sleeper(
+    tmp_path: Path, wall_ms: int
+) -> tuple[subprocess.Popen, list[int], Path]:
+    """Start the CLI's `validate`, with a private TMPDIR, on one program
+    that writes its pid and its parent's, its fork server's, then sleeps.
+    Returns the CLI's process, those two pids once written, and the TMPDIR."""
+    pids, private = tmp_path / "pids", tmp_path / "tmp"
+    pids.mkdir()
+    private.mkdir()
+    program = (
+        "import os, time\n"
+        f"with open(os.path.join({str(pids)!r}, str(os.getpid())), 'w') as out:\n"
+        "    out.write(str(os.getppid()))\n"
+        "time.sleep(300)\n"
+    )
+    tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
+    tasks.write_text(json.dumps(
+        {"task_id": "t", "question": "q", "test_cases": [{"input": "", "expected_output": ""}]}
+    ) + "\n")
+    completions.write_text(
+        json.dumps({"task_id": "t", "model_id": "m", "raw_response": program}) + "\n")
+    cli = subprocess.Popen(
+        [sys.executable, "-c", "from haluscope.cli import entrypoint; entrypoint()",
+         "--out-dir", str(tmp_path / "out"), "--limits.wall-ms", str(wall_ms), "validate",
+         "--dataset", str(tasks), "--completions", str(completions)],
+        env={**_harness_env(), "TMPDIR": str(private)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not [p for p in pids.iterdir() if p.read_text()] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (path,) = pids.iterdir()
+        return cli, [int(path.name), int(path.read_text())], private
+    except BaseException:
+        cli.kill()
+        cli.wait()
+        raise
+
+
 def _running(pid: int) -> bool:
     """Whether `pid` is a process that has not exited (neither gone nor a
     zombie)."""
@@ -702,7 +758,11 @@ def popens(monkeypatch) -> list[subprocess.Popen]:
 
 class TestForkServer:
     @pytest.mark.parametrize("interpreter", [None, FOREIGN], ids=["own", "foreign"])
-    @pytest.mark.parametrize("name", sorted(PARITY_PROGRAMS))
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=[pytest.mark.xfail(strict=True, reason=PARITY_GAPS[name])]
+                     if name in PARITY_GAPS else [])
+        for name in sorted(PARITY_PROGRAMS)
+    ])
     def test_parity_with_plain_python(self, name, interpreter, monkeypatch):
         source = PARITY_PROGRAMS[name]
         forked = _through_execute(source, "hello\n", interpreter, monkeypatch)
@@ -822,44 +882,37 @@ class TestForkServer:
         # SIGTERM while the program sleeps: the harness still kills it at
         # its wall limit, reaps its server and removes its temp dirs, then
         # dies of SIGTERM.
-        pids, private = tmp_path / "pids", tmp_path / "tmp"
-        pids.mkdir()
-        private.mkdir()
-        program = (
-            "import os, time\n"
-            f"with open(os.path.join({str(pids)!r}, str(os.getpid())), 'w') as out:\n"
-            "    out.write(str(os.getppid()))\n"
-            "time.sleep(300)\n"
-        )
-        tasks, completions = tmp_path / "tasks.jsonl", tmp_path / "completions.jsonl"
-        tasks.write_text(json.dumps(
-            {"task_id": "t", "question": "q", "test_cases": [{"input": "", "expected_output": ""}]}
-        ) + "\n")
-        completions.write_text(
-            json.dumps({"task_id": "t", "model_id": "m", "raw_response": program}) + "\n")
-        cli = subprocess.Popen(
-            [sys.executable, "-c", "from haluscope.cli import entrypoint; entrypoint()",
-             "--out-dir", str(tmp_path / "out"), "--limits.wall-ms", "2000", "validate",
-             "--dataset", str(tasks), "--completions", str(completions)],
-            env={**_harness_env(), "TMPDIR": str(private)},
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        cli, started, private = _validate_a_sleeper(tmp_path, wall_ms=2000)
         try:
-            deadline = time.monotonic() + 30
-            while not [p for p in pids.iterdir() if p.read_text()] and time.monotonic() < deadline:
-                time.sleep(0.01)
             cli.send_signal(signal.SIGTERM)
             assert cli.wait(timeout=60) == -signal.SIGTERM
-            (path,) = pids.iterdir()
-            started = [int(path.name), int(path.read_text())]  # the program and its server
             assert [pid for pid in started if _running(pid)] == []
             assert list(private.iterdir()) == []
         finally:
             cli.kill()
             cli.wait()
-            for path in pids.iterdir():
+            with contextlib.suppress(ProcessLookupError, PermissionError):
+                os.killpg(started[0], signal.SIGKILL)
+
+    def test_sigkill_of_the_cli_leaves_no_program_running(self, tmp_path):
+        # The kernel kills the fork server with the harness thread that
+        # started it, and the program with its server.
+        cli, started, private = _validate_a_sleeper(tmp_path, wall_ms=10000)
+        try:
+            cli.kill()
+            cli.wait()
+            deadline = time.monotonic() + 2
+            while [pid for pid in started if _running(pid)] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [pid for pid in started if _running(pid)] == []
+            # Their temp dirs stay: removing them is ROADMAP item 10's cleanup.
+            assert sorted(p.name.rpartition("-")[0] for p in private.iterdir()) == [
+                "haluscope-exec", "haluscope-zygote"]
+        finally:
+            for pid in started:
                 with contextlib.suppress(ProcessLookupError, PermissionError):
-                    os.killpg(int(path.name), signal.SIGKILL)
+                    os.kill(pid, signal.SIGKILL)
+            shutil.rmtree(private, ignore_errors=True)
 
     def test_memory_of_a_program_that_dies_early(self):
         source = (
